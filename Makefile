@@ -1,6 +1,7 @@
 # agsim build/test/bench entry points.
 #
-#   make check         — the tier-1 gate: build, vet, full test suite
+#   make check         — the tier-1 gate: gofmt, build, vet, full test suite
+#   make fmt           — fail when gofmt would rewrite any file (lists them)
 #   make race          — race-detector lane over the concurrency-bearing packages
 #   make bench         — microbenchmarks with -benchmem, JSON'd to BENCH_<date>.json
 #                        (five passes: micro step lanes, 64-node fleet lanes,
@@ -59,9 +60,14 @@ SMOKE_HTTP_PORT    ?= 7208
 DIST_SMOKE_PORT    ?= 7209
 DIST_SMOKE_UNITS   ?= fig3,fig16
 
-.PHONY: all build vet test check race bench bench-compare profile smoke dist-smoke ci
+.PHONY: all fmt build vet test check race bench bench-compare profile smoke dist-smoke ci
 
 all: check
+
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
+		echo "gofmt would rewrite:"; echo "$$files"; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...
@@ -72,7 +78,7 @@ vet:
 test:
 	$(GO) test ./...
 
-check: build vet test
+check: fmt build vet test
 
 # The experiments package takes ~10 min under the detector on the 1-CPU
 # reference box (the identity matrices are detector-rate-limited, not

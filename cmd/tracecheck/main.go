@@ -50,8 +50,8 @@ type traceEvent struct {
 var knownPhases = map[string]bool{
 	"B": true, "E": true, "X": true, // duration events
 	"i": true, "I": true, // instants
-	"C": true, // counters
-	"M": true, // metadata
+	"C": true,                       // counters
+	"M": true,                       // metadata
 	"b": true, "e": true, "n": true, // async
 	"s": true, "t": true, "f": true, // flow
 }

@@ -29,11 +29,11 @@ import (
 // Bit-identity with the scalar path is by construction, not by tolerance:
 // each kernel replicates the scalar arithmetic expression for expression on
 // the mirrored state, calls the same pure functions (vf.Law, power.Params,
-// pdn.Network), and keeps every RNG-bearing object authoritative — the
-// di/dt model, workload threads, CPM read streams and the firmware
-// controller are invoked per chip at the same simulated times the scalar
-// lane would invoke them, so they consume identical draws in identical
-// order. Chips are computationally independent (cross-chip coupling runs
+// pdn.Network, and the CPM read itself: cpm.CoreTerms and cpm.Raw), and
+// keeps every RNG-bearing object authoritative — the di/dt model, workload
+// threads, CPM read streams and the firmware controller are invoked per
+// chip at the same simulated times the scalar lane would invoke them, so
+// they consume identical draws in identical order. Chips are computationally independent (cross-chip coupling runs
 // through server memory factors computed between segments), which is what
 // makes the per-chip ordering inside each pass irrelevant to the result.
 //
@@ -397,7 +397,7 @@ func (bt *Batch) StepRange(lo, hi int, dtSec float64) {
 		panic(fmt.Sprintf("batch: non-positive step %v", dtSec))
 	}
 	C := bt.cores
-	law := bt.cfg.Law
+	law := &bt.cfg.Law
 
 	// Pass 1: workload conditions and per-core power at last-known voltages.
 	for b := lo; b < hi; b++ {
@@ -501,7 +501,7 @@ func (bt *Batch) StepRange(lo, hi int, dtSec float64) {
 		adaptive := mode == firmware.Undervolt || mode == firmware.Overclock
 		aging := units.Millivolt(bt.agingMV[b])
 		timeEnd := bt.timeSec[b] + dtSec
-		cpmLaw := bt.cfg.CPM.Law
+		cpmLaw := &bt.cfg.CPM.Law
 		for i := range st {
 			v := railV - drp[i]
 			if v < 1 {
@@ -521,7 +521,7 @@ func (bt *Batch) StepRange(lo, hi int, dtSec float64) {
 				extra := sample.WorstEventMV - sample.TypicalMV
 				if extra > 0 {
 					if adaptive {
-						if absorbDroopAt(&law, fr[i], fso[i], agedMin, extra) {
+						if absorbDroopAt(law, fr[i], fso[i], agedMin, extra) {
 							dab[i]++
 						} else {
 							dvl[i]++
@@ -549,10 +549,9 @@ func (bt *Batch) StepRange(lo, hi int, dtSec float64) {
 				smin := bt.cpmStickyMin[sb:se]
 				hst := bt.cpmHasSticky[sb:se]
 				lcpm := bt.lastCPM[sb:se]
-				marginBase := float64(cpmLaw.MarginMV(agedMin, f)) - float64(cpmLaw.ResidualMV)
-				fScale := float64(f) / float64(cpmLaw.FNom)
+				terms := cpm.CoreTerms(cpmLaw, agedMin, f)
 				for j := range dead {
-					raw := cpmRawAt(dead[j], marginBase, poff[j], noff[j], mvb[j], fScale)
+					raw := cpm.Raw(terms, dead[j], poff[j], noff[j], mvb[j])
 					if !hst[j] || raw < smin[j] {
 						smin[j] = raw
 						hst[j] = true
@@ -561,9 +560,9 @@ func (bt *Batch) StepRange(lo, hi int, dtSec float64) {
 				}
 				if droopLatches {
 					droopV := agedMin + units.Millivolt(sample.TypicalMV-sample.WorstEventMV)
-					marginDroop := float64(cpmLaw.MarginMV(droopV, f)) - float64(cpmLaw.ResidualMV)
+					droop := cpm.CoreTerms(cpmLaw, droopV, f)
 					for j := range dead {
-						raw := cpmRawAt(dead[j], marginDroop, poff[j], noff[j], mvb[j], fScale) // sticky latch only
+						raw := cpm.Raw(droop, dead[j], poff[j], noff[j], mvb[j]) // sticky latch only
 						if !hst[j] || raw < smin[j] {
 							smin[j] = raw
 							hst[j] = true
@@ -575,7 +574,7 @@ func (bt *Batch) StepRange(lo, hi int, dtSec float64) {
 			switch mode {
 			case firmware.Overclock:
 				if st[i] != power.Gated {
-					fr[i] = slewTowardAt(&law, fr[i], msl[i], law.FMax(agedMin-law.ResidualMV))
+					fr[i] = slewTowardAt(law, fr[i], msl[i], law.FMax(agedMin-law.ResidualMV))
 				}
 			case firmware.Undervolt:
 				if st[i] != power.Gated {
@@ -583,7 +582,7 @@ func (bt *Batch) StepRange(lo, hi int, dtSec float64) {
 					if target > law.FNom {
 						target = law.FNom
 					}
-					fr[i] = slewTowardAt(&law, fr[i], msl[i], target)
+					fr[i] = slewTowardAt(law, fr[i], msl[i], target)
 				}
 			}
 
@@ -713,7 +712,7 @@ func didtProfileAt(co *Core, issueThrottle float64) didt.Profile {
 		if th.Done() {
 			continue
 		}
-		d := th.Desc
+		d := &th.Desc
 		if d.DidtTypicalMV > p.TypicalMV {
 			p.TypicalMV = d.DidtTypicalMV
 		}
@@ -782,64 +781,6 @@ func slewTowardAt(law *vf.Law, f units.Megahertz, maxSlew float64, target units.
 	}
 }
 
-// cpmRawAt mirrors cpm.Sensor.Value minus the sticky-minimum update, which
-// the caller applies on its own windowed slices. The law-dependent terms
-// (margin at the sensed voltage, frequency scale on the bit weight) arrive
-// precomputed per core, so the innermost per-sensor call moves only
-// scalars — no Law copies. The held window noise is a gathered constant
-// between ticks, so no stream is consumed.
-func cpmRawAt(dead bool, marginBaseMV, pathOffset, noiseOffset, mvPerBitNom, fScale float64) int {
-	if dead {
-		return 0
-	}
-	marginMV := marginBaseMV + pathOffset
-	marginMV += noiseOffset
-	mvPerBit := math.Max(mvPerBitNom*fScale, 5)
-	raw := cpm.CalibTarget + int(math.Round(marginMV/mvPerBit))
-	if raw < 0 {
-		raw = 0
-	}
-	if raw > cpm.MaxValue {
-		raw = cpm.MaxValue
-	}
-	return raw
-}
-
-// cpmMVPerBit mirrors cpm.Sensor.MVPerBit; sensors use the CPM config's law.
-func (bt *Batch) cpmMVPerBit(s int, f units.Megahertz) float64 {
-	scale := float64(f) / float64(bt.cfg.CPM.Law.FNom)
-	v := bt.cpmMVPerBitNom[s] * scale
-	return math.Max(v, 5)
-}
-
-// cpmValue mirrors cpm.Sensor.Value on the arrays; the held window noise is
-// a gathered constant between ticks, so no stream is consumed here.
-func (bt *Batch) cpmValue(s int, v units.Millivolt, f units.Megahertz) int {
-	if bt.cpmDead[s] {
-		bt.observeSticky(s, 0)
-		return 0
-	}
-	law := bt.cfg.CPM.Law
-	marginMV := float64(law.MarginMV(v, f)) - float64(law.ResidualMV) + bt.cpmPathOffset[s]
-	marginMV += bt.cpmNoiseOffset[s]
-	raw := cpm.CalibTarget + int(math.Round(marginMV/bt.cpmMVPerBit(s, f)))
-	if raw < 0 {
-		raw = 0
-	}
-	if raw > cpm.MaxValue {
-		raw = cpm.MaxValue
-	}
-	bt.observeSticky(s, raw)
-	return raw
-}
-
-func (bt *Batch) observeSticky(s, v int) {
-	if !bt.cpmHasSticky[s] || v < bt.cpmStickyMin[s] {
-		bt.cpmStickyMin[s] = v
-		bt.cpmHasSticky[s] = true
-	}
-}
-
 // senseCurrent mirrors vrm.Rail.SenseCurrent on the arrays.
 func (bt *Batch) senseCurrent(b int) units.Ampere {
 	if bt.railStuck[b] {
@@ -874,7 +815,7 @@ func (bt *Batch) firmwareTick(b int) {
 			continue
 		}
 		reading.NoSensors = false
-		f := bt.freq[idx]
+		fScale := float64(bt.freq[idx]) / float64(bt.cfg.CPM.Law.FNom)
 		sbase := idx * CPMsPerCore
 		for j := 0; j < CPMsPerCore; j++ {
 			s := sbase + j
@@ -883,7 +824,7 @@ func (bt *Batch) firmwareTick(b int) {
 			}
 			if v := bt.lastCPM[s]; v < reading.MinCPM {
 				reading.MinCPM = v
-				reading.MVPerBit = bt.cpmMVPerBit(s, f)
+				reading.MVPerBit = cpm.MVPerBitAt(bt.cpmMVPerBitNom[s], fScale)
 			}
 			if bt.cpmHasSticky[s] && bt.cpmStickyMin[s] < reading.MinStickyCPM {
 				reading.MinStickyCPM = bt.cpmStickyMin[s]
@@ -951,7 +892,7 @@ func (bt *Batch) Quiescent(b int) bool {
 	if mode != firmware.Overclock && mode != firmware.Undervolt {
 		return true
 	}
-	law := bt.cfg.Law
+	law := &bt.cfg.Law
 	base := b * bt.cores
 	end := base + bt.cores
 	st := bt.state[base:end]
@@ -1058,7 +999,7 @@ func (bt *Batch) MacroStepRange(lo, hi int, h float64) {
 		panic(fmt.Sprintf("batch: non-positive macro-step %v", h))
 	}
 	C := bt.cores
-	law := bt.cfg.Law
+	law := &bt.cfg.Law
 	for b := lo; b < hi; b++ {
 		c := bt.chips[b]
 		base := b * C

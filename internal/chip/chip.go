@@ -182,10 +182,10 @@ type Chip struct {
 	// key excludes), and pooled paths look the key up per acquire/release.
 	shapeKey string
 	cores    []*Core
-	plane pdn.Network
-	rail  *vrm.Rail
-	ctrl  *firmware.Controller
-	noise *didt.Model
+	plane    pdn.Network
+	rail     *vrm.Rail
+	ctrl     *firmware.Controller
+	noise    *didt.Model
 
 	timeSec   float64
 	sinceTick float64
@@ -334,12 +334,12 @@ func New(cfg Config) (*Chip, error) {
 		scratchCurrents: make([]units.Ampere, cfg.Cores),
 		scratchProfiles: make([]didt.Profile, 0, cfg.Cores),
 		scratchDrops:    make([]units.Millivolt, cfg.Cores),
-		frozenDetMV: make([]float64, cfg.Cores*CPMsPerCore),
-		frozenMVB:   make([]float64, cfg.Cores*CPMsPerCore),
-		frozenQ:     make([]float64, cfg.Cores*CPMsPerCore*(cpm.MaxValue+2)),
-		frozenSuf:   make([]float64, cfg.Cores*CPMsPerCore+1),
-		frozenArgW:  make([]float64, (cpm.MaxValue+1)*cfg.Cores*CPMsPerCore),
-		frozenRNG:   rng.New(cfg.Seed, "chip/"+cfg.Name+"/frozen"),
+		frozenDetMV:     make([]float64, cfg.Cores*CPMsPerCore),
+		frozenMVB:       make([]float64, cfg.Cores*CPMsPerCore),
+		frozenQ:         make([]float64, cfg.Cores*CPMsPerCore*(cpm.MaxValue+2)),
+		frozenSuf:       make([]float64, cfg.Cores*CPMsPerCore+1),
+		frozenArgW:      make([]float64, (cpm.MaxValue+1)*cfg.Cores*CPMsPerCore),
+		frozenRNG:       rng.New(cfg.Seed, "chip/"+cfg.Name+"/frozen"),
 
 		exact:     cfg.Exact,
 		prevCoreV: make([]units.Millivolt, cfg.Cores),

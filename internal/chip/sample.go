@@ -341,8 +341,9 @@ func (c *Chip) refreshFrozenReadCache() {
 		f := co.dpll.Freq()
 		agedMin := co.voltageMin - units.Millivolt(c.agingMV)
 		gated := co.state == power.Gated
+		terms := cpm.CoreTerms(&c.cfg.CPM.Law, agedMin, f)
 		for _, s := range co.cpms {
-			c.frozenDetMV[k] = s.DetMarginMV(agedMin, f)
+			c.frozenDetMV[k] = s.DetMarginMV(terms)
 			c.frozenMVB[k] = s.MVPerBit(f)
 			q := c.frozenQ[k*rowLen : (k+1)*rowLen]
 			if gated {

@@ -108,16 +108,19 @@ func (c *Chip) Step(dtSec float64) {
 
 		// 5. CPM observation at the bottom of the ripple; an uncovered
 		// worst-case event is additionally latched by the sticky
-		// mechanism.
+		// mechanism. A read's law terms are the same for every sensor on
+		// the core, so they are computed once per core and voltage.
 		if co.state != power.Gated {
 			f := co.dpll.Freq()
+			terms := cpm.CoreTerms(&c.cfg.CPM.Law, agedMin, f)
 			for j, s := range co.cpms {
-				co.lastCPM[j] = s.Value(agedMin, f)
+				co.lastCPM[j] = s.Read(terms)
 			}
 			if droopLatches {
 				droopV := agedMin + units.Millivolt(sample.TypicalMV-sample.WorstEventMV)
+				droop := cpm.CoreTerms(&c.cfg.CPM.Law, droopV, f)
 				for _, s := range co.cpms {
-					s.Value(droopV, f) // sticky latch only
+					s.Read(droop) // sticky latch only
 				}
 			}
 		}
@@ -226,7 +229,7 @@ func (co *Core) didtProfile() didt.Profile {
 		if th.Done() {
 			continue
 		}
-		d := th.Desc
+		d := &th.Desc
 		if d.DidtTypicalMV > p.TypicalMV {
 			p.TypicalMV = d.DidtTypicalMV
 		}

@@ -150,15 +150,61 @@ func (s *Sensor) Reset(cfg Config) {
 // path can rewind it in place before calling Reset.
 func (s *Sensor) CalibSource() *rng.Source { return s.calib }
 
-// MVPerBit returns the sensor's sensitivity at frequency f. Delay elements
-// are a fixed fraction of the cycle, so the voltage worth of one detector
+// Terms is the law-dependent part of a read at one voltage and frequency.
+// It is the same for every sensor on a core, so a step computes it once
+// per core (CoreTerms) and each of the core's sensors applies only its own
+// calibration to it (Read, Raw).
+type Terms struct {
+	// MarginMV is the timing margin above the residual guardband,
+	// MarginMV(v, f) − ResidualMV.
+	MarginMV float64
+	// FScale is f / FNom, the cycle-time pressure on each sensor's
+	// sensitivity.
+	FScale float64
+}
+
+// CoreTerms returns the read terms at voltage v and frequency f under law,
+// which must be the law the sensors were configured with.
+func CoreTerms(law *vf.Law, v units.Millivolt, f units.Megahertz) Terms {
+	return Terms{
+		MarginMV: float64(law.MarginMV(v, f)) - float64(law.ResidualMV),
+		FScale:   float64(f) / float64(law.FNom),
+	}
+}
+
+// MVPerBitAt returns the sensitivity of a sensor with nominal sensitivity
+// mvPerBitNom at frequency scale fScale (Terms.FScale). Delay elements are
+// a fixed fraction of the cycle, so the voltage worth of one detector
 // position scales with cycle time pressure: faster clocks leave fewer
 // millivolts per position.
-func (s *Sensor) MVPerBit(f units.Megahertz) float64 {
-	scale := float64(f) / float64(s.law.FNom)
-	v := s.mvPerBitNom * scale
+func MVPerBitAt(mvPerBitNom, fScale float64) float64 {
 	// Sensitivity cannot collapse below a physical floor.
-	return math.Max(v, 5)
+	return math.Max(mvPerBitNom*fScale, 5)
+}
+
+// Raw is the per-sensor read arithmetic: the output of a sensor with the
+// given calibration and held window noise, for one core's read terms,
+// before the sticky latch sees it. Sensor.Read and the batched kernel's
+// structure-of-arrays sensors both read through it.
+func Raw(t Terms, dead bool, pathOffsetMV, noiseOffsetMV, mvPerBitNom float64) int {
+	if dead {
+		return 0
+	}
+	marginMV := t.MarginMV + pathOffsetMV
+	marginMV += noiseOffsetMV
+	raw := CalibTarget + int(math.Round(marginMV/MVPerBitAt(mvPerBitNom, t.FScale)))
+	if raw < 0 {
+		raw = 0
+	}
+	if raw > MaxValue {
+		raw = MaxValue
+	}
+	return raw
+}
+
+// MVPerBit returns the sensor's sensitivity at frequency f.
+func (s *Sensor) MVPerBit(f units.Megahertz) float64 {
+	return MVPerBitAt(s.mvPerBitNom, float64(f)/float64(s.law.FNom))
 }
 
 // Value returns the CPM output for on-chip voltage v at frequency f.
@@ -166,30 +212,25 @@ func (s *Sensor) MVPerBit(f units.Megahertz) float64 {
 // position corresponds to the residual margin above the circuit's V_req,
 // and each additional MVPerBit of slack moves the edge one position.
 func (s *Sensor) Value(v units.Millivolt, f units.Megahertz) int {
-	if s.dead {
-		s.observeSticky(0)
-		return 0
-	}
-	marginMV := float64(s.law.MarginMV(v, f)) - float64(s.law.ResidualMV) + s.pathOffsetMV
-	marginMV += s.noiseOffsetMV
-	raw := CalibTarget + int(math.Round(marginMV/s.MVPerBit(f)))
-	if raw < 0 {
-		raw = 0
-	}
-	if raw > MaxValue {
-		raw = MaxValue
-	}
+	return s.Read(CoreTerms(&s.law, v, f))
+}
+
+// Read returns the CPM output for read terms computed by CoreTerms under
+// the sensor's law, latching it like Value: Value(v, f) is
+// Read(CoreTerms(law, v, f)).
+func (s *Sensor) Read(t Terms) int {
+	raw := Raw(t, s.dead, s.pathOffsetMV, s.noiseOffsetMV, s.mvPerBitNom)
 	s.observeSticky(raw)
 	return raw
 }
 
-// DetMarginMV returns the deterministic component of a read at voltage v
-// and frequency f — everything in Value except the held noise realization.
-// The fast-forward tick path precomputes it once per frozen span: the
-// electricals don't move between windows, so only the per-window noise
-// redraw changes what a read returns.
-func (s *Sensor) DetMarginMV(v units.Millivolt, f units.Megahertz) float64 {
-	return float64(s.law.MarginMV(v, f)) - float64(s.law.ResidualMV) + s.pathOffsetMV
+// DetMarginMV returns the deterministic component of a read with terms t —
+// everything in Read except the held noise realization. The fast-forward
+// tick path precomputes it once per frozen span: the electricals don't
+// move between windows, so only the per-window noise redraw changes what
+// a read returns.
+func (s *Sensor) DetMarginMV(t Terms) float64 {
+	return t.MarginMV + s.pathOffsetMV
 }
 
 func (s *Sensor) observeSticky(v int) {
@@ -228,7 +269,7 @@ func (s *Sensor) ClearSticky() {
 // BatchState exposes the calibration and window state the batched stepping
 // engine gathers into its structure-of-arrays mirror: the nominal
 // sensitivity, path offset, held noise realization, dead flag, and sticky
-// latch. The engine replicates Value's arithmetic on these exactly.
+// latch. The engine reads these through Raw, as Read does.
 func (s *Sensor) BatchState() (mvPerBitNom, pathOffsetMV, noiseOffsetMV float64, dead bool, stickyMin int, hasSticky bool) {
 	return s.mvPerBitNom, s.pathOffsetMV, s.noiseOffsetMV, s.dead, s.stickyMin, s.hasSticky
 }

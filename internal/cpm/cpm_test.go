@@ -1,6 +1,7 @@
 package cpm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -184,4 +185,124 @@ func TestNewPanics(t *testing.T) {
 		cfg.MeanMVPerBit = 0
 		New(cfg, rng.New(1, "x"))
 	}()
+}
+
+// coreSensors builds one core's five sensors (paper §2.2) from the default
+// calibration; equal seeds give equal calibration and noise streams.
+func coreSensors(law vf.Law, seed uint64) []*Sensor {
+	ss := make([]*Sensor, 5)
+	for j := range ss {
+		ss[j] = New(DefaultConfig(law), rng.New(seed, fmt.Sprintf("core/%d", j)))
+	}
+	return ss
+}
+
+// valueByExpression is the read written out as one expression on the
+// sensor's calibration, in the evaluation order the per-core path must
+// keep: ((margin − residual) + pathOffset) + noise, over the floored
+// sensitivity.
+func valueByExpression(law *vf.Law, v units.Millivolt, f units.Megahertz, dead bool, pathOffsetMV, noiseOffsetMV, mvPerBitNom float64) int {
+	if dead {
+		return 0
+	}
+	marginMV := float64(law.MarginMV(v, f)) - float64(law.ResidualMV) + pathOffsetMV
+	marginMV += noiseOffsetMV
+	raw := CalibTarget + int(math.Round(marginMV/math.Max(mvPerBitNom*(float64(f)/float64(law.FNom)), 5)))
+	return min(max(raw, 0), MaxValue)
+}
+
+// TestCoreReadMatchesValue pins the per-core read path to Value: CoreTerms
+// once per core, then Read on each sensor — or Raw on the sensor's batch
+// state, as the batched kernel reads — must return exactly what
+// Value(v, f) returns and leave the same sticky latch, through the droop
+// re-read that only latches, for table and random operating points. Value
+// itself is held to the written-out expression.
+func TestCoreReadMatchesValue(t *testing.T) {
+	law := vf.Default()
+	byValue, byTerms := coreSensors(law, 21), coreSensors(law, 21)
+	byValue[3].Kill()
+	byTerms[3].Kill()
+
+	type point struct {
+		v units.Millivolt
+		f units.Megahertz
+	}
+	points := []point{
+		{law.VReq(4200) + law.ResidualMV, 4200}, // calibration target
+		{1150, 4200},
+		{600, 4620},  // starved: clamps at 0
+		{2000, 2800}, // flooded: clamps at MaxValue
+		{1000, 800},  // low f: sensitivity at its 5 mV/bit floor
+	}
+	r := rng.New(22, "core-read")
+	for i := 0; i < 3000; i++ {
+		points = append(points, point{units.Millivolt(r.Uniform(500, 2000)), units.Megahertz(r.Uniform(300, 4620))})
+	}
+
+	var sawZero, sawMax, sawFloor bool
+	for i, p := range points {
+		terms := CoreTerms(&law, p.v, p.f)
+		droopV := p.v - units.Millivolt(r.Uniform(0, 60))
+		droop := CoreTerms(&law, droopV, p.f)
+		for j := range byValue {
+			want := byValue[j].Value(p.v, p.f)
+			mvb, poff, noff, dead, _, _ := byTerms[j].BatchState()
+			if ref := valueByExpression(&law, p.v, p.f, dead, poff, noff, mvb); want != ref {
+				t.Fatalf("point %d (%v, %v) sensor %d: Value = %d, expression = %d", i, p.v, p.f, j, want, ref)
+			}
+			if got := Raw(terms, dead, poff, noff, mvb); got != want {
+				t.Fatalf("point %d (%v, %v) sensor %d: Raw = %d, Value = %d", i, p.v, p.f, j, got, want)
+			}
+			if got := byTerms[j].Read(terms); got != want {
+				t.Fatalf("point %d (%v, %v) sensor %d: Read = %d, Value = %d", i, p.v, p.f, j, got, want)
+			}
+			if !dead {
+				sawZero = sawZero || want == 0
+				sawMax = sawMax || want == MaxValue
+				sawFloor = sawFloor || MVPerBitAt(mvb, terms.FScale) == 5
+			}
+			if got, want := MVPerBitAt(mvb, terms.FScale), byValue[j].MVPerBit(p.f); got != want {
+				t.Fatalf("point %d sensor %d: MVPerBitAt = %v, MVPerBit = %v", i, j, got, want)
+			}
+		}
+		for j := range byValue {
+			byValue[j].Value(droopV, p.f) // sticky latch only
+			byTerms[j].Read(droop)
+			wm, wok := byValue[j].Sticky()
+			gm, gok := byTerms[j].Sticky()
+			if gm != wm || gok != wok {
+				t.Fatalf("point %d sensor %d: sticky after droop re-read = (%d, %v), want (%d, %v)", i, j, gm, gok, wm, wok)
+			}
+		}
+		if i%32 == 31 {
+			// Close the window on both sets: the same noise redraws follow.
+			for j := range byValue {
+				byValue[j].StickyReset()
+				byTerms[j].StickyReset()
+			}
+		}
+	}
+	if !sawZero || !sawMax || !sawFloor {
+		t.Errorf("coverage: clamp at 0 %v, clamp at MaxValue %v, sensitivity floor %v", sawZero, sawMax, sawFloor)
+	}
+}
+
+var sinkRead int
+
+// BenchmarkCoreReads times one core's five CPM reads at a step's sensed
+// voltage and frequency: the law terms once, then each sensor's read.
+func BenchmarkCoreReads(b *testing.B) {
+	law := vf.Default()
+	ss := coreSensors(law, 23)
+	vs := []units.Millivolt{1150, 1162, 1171, 1183}
+	fs := []units.Megahertz{4200, 4310, 4420, 3900}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		terms := CoreTerms(&law, vs[i&3], fs[i&3])
+		for _, s := range ss {
+			sinkRead = s.Read(terms)
+		}
+		i++
+	}
 }

@@ -128,6 +128,7 @@ func Fig17AdaptiveMapping(o Options) Fig17Result {
 	candidates := make([]core.Candidate, 0, len(coRunners))
 	violations := map[string]float64{}
 	p90Means := map[string]float64{}
+	cm := workload.MustGet("coremark")
 	for i, cr := range coRunners {
 		ch := characs[i]
 		violations[cr.name] = ch.violationRate
@@ -137,10 +138,11 @@ func Fig17AdaptiveMapping(o Options) Fig17Result {
 		for _, q := range []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95} {
 			s.Add(cdf.Quantile(q), q)
 		}
+		mips := units.MIPS(ch.coMIPS / float64(windows))
 		candidates = append(candidates, core.Candidate{
 			Name:         cr.name,
-			MIPS:         units.MIPS(ch.coMIPS / float64(windows)),
-			BandwidthGBs: workload.MustGet("coremark").BandwidthGBs(units.MIPS(ch.coMIPS / float64(windows))),
+			MIPS:         mips,
+			BandwidthGBs: cm.BandwidthGBs(mips),
 		})
 	}
 	res.ViolationLight = violations["light"]

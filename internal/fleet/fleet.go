@@ -361,11 +361,11 @@ func (f *Fleet) Time() float64 { return f.servers[0].Time() }
 // assignment, recorder path, and a lane-aware point read of its live
 // state.
 type NodeInfo struct {
-	Index  int     `json:"index"`
-	Shard  int     `json:"shard"`
-	Name   string  `json:"name"`
-	PowerW float64 `json:"power_w"`
-	MIPS   float64 `json:"mips"`
+	Index   int     `json:"index"`
+	Shard   int     `json:"shard"`
+	Name    string  `json:"name"`
+	PowerW  float64 `json:"power_w"`
+	MIPS    float64 `json:"mips"`
 	EnergyJ float64 `json:"energy_j"`
 }
 

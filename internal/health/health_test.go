@@ -61,8 +61,8 @@ func TestDroopStormGrades(t *testing.T) {
 		events uint64
 		want   obs.HealthStatus
 	}{
-		{40, obs.HealthOK},       // 40/s under the 50/s line
-		{75, obs.HealthWarn},     // 75/s
+		{40, obs.HealthOK},        // 40/s under the 50/s line
+		{75, obs.HealthWarn},      // 75/s
 		{150, obs.HealthCritical}, // 150/s > 2x line
 	} {
 		log := mkLog(t, func(r *obs.Recorder) {

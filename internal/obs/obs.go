@@ -331,13 +331,13 @@ type ShardStats struct {
 // histograms summed across shards. Two runs of the same work produce
 // DeepEqual Logs regardless of worker count.
 type Log struct {
-	Name      string
-	Sources   []SourceMetrics
-	Hists     [NumHists]HistSnapshot
-	Events    []Event // Source re-indexed into Sources
+	Name       string
+	Sources    []SourceMetrics
+	Hists      [NumHists]HistSnapshot
+	Events     []Event // Source re-indexed into Sources
 	EventsLost uint64
-	Series    []SeriesDump
-	Shards    []ShardStats
+	Series     []SeriesDump
+	Shards     []ShardStats
 }
 
 // Snapshot merges the recorder and all its shards into a Log. It must not

@@ -98,7 +98,7 @@ func DefaultParams() Params {
 }
 
 // Validate reports the first nonphysical parameter, or nil.
-func (p Params) Validate() error {
+func (p *Params) Validate() error {
 	switch {
 	case p.CoreCeffNF <= 0:
 		return fmt.Errorf("power: non-positive CoreCeffNF %v", p.CoreCeffNF)
@@ -113,7 +113,7 @@ func (p Params) Validate() error {
 }
 
 // vScale returns (V/Vnom)^exp.
-func (p Params) vScale(v units.Millivolt, exp float64) float64 {
+func (p *Params) vScale(v units.Millivolt, exp float64) float64 {
 	ratio := float64(v) / float64(p.NominalV)
 	switch exp {
 	case 2:
@@ -132,7 +132,7 @@ func (p Params) vScale(v units.Millivolt, exp float64) float64 {
 // Dynamic returns the switching power of one core at on-chip voltage v,
 // frequency f, switching-activity factor a, and pipeline utilization u
 // (fraction of time not stalled on memory).
-func (p Params) Dynamic(v units.Millivolt, f units.Megahertz, a, u float64) units.Watt {
+func (p *Params) Dynamic(v units.Millivolt, f units.Megahertz, a, u float64) units.Watt {
 	if a < 0 || a > 1 || u < 0 || u > 1 {
 		panic(fmt.Sprintf("power: activity %v / utilization %v out of [0,1]", a, u))
 	}
@@ -141,7 +141,7 @@ func (p Params) Dynamic(v units.Millivolt, f units.Megahertz, a, u float64) unit
 }
 
 // Leakage returns one powered core's leakage at voltage v and temperature t.
-func (p Params) Leakage(v units.Millivolt, t units.Celsius) units.Watt {
+func (p *Params) Leakage(v units.Millivolt, t units.Celsius) units.Watt {
 	w := float64(p.CoreLeakW) * p.vScale(v, p.LeakVoltExp)
 	w *= 1 + p.LeakTempCoeff*float64(t-p.NominalT)
 	if w < 0 {
@@ -151,7 +151,7 @@ func (p Params) Leakage(v units.Millivolt, t units.Celsius) units.Watt {
 }
 
 // Core returns the total power of one core in the given state.
-func (p Params) Core(state CoreState, v units.Millivolt, f units.Megahertz, a, u float64, t units.Celsius) units.Watt {
+func (p *Params) Core(state CoreState, v units.Millivolt, f units.Megahertz, a, u float64, t units.Celsius) units.Watt {
 	switch state {
 	case Gated:
 		return p.GatedLeakW
@@ -167,6 +167,6 @@ func (p Params) Core(state CoreState, v units.Millivolt, f units.Megahertz, a, u
 }
 
 // Uncore returns the shared (non-core) Vdd-rail power at voltage v.
-func (p Params) Uncore(v units.Millivolt) units.Watt {
+func (p *Params) Uncore(v units.Millivolt) units.Watt {
 	return units.Watt(float64(p.UncoreW) * p.vScale(v, 2))
 }

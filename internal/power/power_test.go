@@ -9,7 +9,8 @@ import (
 )
 
 func TestDefaultValid(t *testing.T) {
-	if err := DefaultParams().Validate(); err != nil {
+	p := DefaultParams()
+	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -169,5 +170,21 @@ func TestCoreStateString(t *testing.T) {
 	}
 	if CoreState(9).String() == "" {
 		t.Error("unknown state should format")
+	}
+}
+
+var sinkW units.Watt
+
+// BenchmarkParamsCoreActive times one Active core's power at a settled
+// operating point, the per-core call that opens every step.
+func BenchmarkParamsCoreActive(b *testing.B) {
+	p := DefaultParams()
+	vs := []units.Millivolt{1170, 1182, 1191, 1203}
+	fs := []units.Megahertz{4200, 4310, 4420, 3900}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		sinkW = p.Core(Active, vs[i&3], fs[i&3], 0.72, 0.9, 55)
+		i++
 	}
 }

@@ -8,9 +8,9 @@ import (
 // synth is a deterministic scripted target: a signal value per simulated
 // time, advanced in fixed detailed steps, with unbounded fast-forwards.
 type synth struct {
-	time    float64
-	step    float64
-	value   func(t float64) float64
+	time  float64
+	step  float64
+	value func(t float64) float64
 	// hint, when non-nil, bounds fast-forwards the way a real target's
 	// completion horizon does.
 	hint     func(t, maxSec float64) float64

@@ -137,8 +137,8 @@ type Server struct {
 	// the key up on every acquire and release.
 	shapeKey string
 	chips    []*chip.Chip
-	jobs  []*Job
-	r     *rng.Source
+	jobs     []*Job
+	r        *rng.Source
 
 	// coreJob maps (socket, core) to the job occupying it; the simulator
 	// places at most one job per core (threads of one job may share a core

@@ -122,13 +122,14 @@ func Run(l Level, mode firmware.Mode, seconds float64, seed uint64) Report {
 	c.ResetDroopStats() // count only steady-state events
 
 	rep := Report{Level: l, Mode: mode, Seconds: seconds, MinMarginMV: 1e9}
+	law := c.Law()
 	steps := int(seconds / chip.DefaultStepSec)
 	var uv float64
 	for i := 0; i < steps; i++ {
 		c.Step(chip.DefaultStepSec)
 		uv += float64(c.UndervoltMV())
 		for core := 0; core < c.Cores(); core++ {
-			m := float64(c.CoreVoltageMin(core) - c.Law().VReq(c.CoreFreq(core)))
+			m := float64(c.CoreVoltageMin(core) - law.VReq(c.CoreFreq(core)))
 			if m < rep.MinMarginMV {
 				rep.MinMarginMV = m
 			}

@@ -296,7 +296,7 @@ func (s *Series) Fill(t0US, t1US int64, v float64, strideUS int64) {
 		return
 	}
 	first := t0US - t0US%strideUS + strideUS // smallest grid point > t0US
-	last := t1US - t1US%strideUS            // largest grid point <= t1US
+	last := t1US - t1US%strideUS             // largest grid point <= t1US
 	if last < first {
 		return
 	}

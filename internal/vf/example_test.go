@@ -22,7 +22,8 @@ func ExampleLaw() {
 // ExampleLaw_DVFSTable prints the conventional DVFS operating points, each
 // carrying the full static guardband.
 func ExampleLaw_DVFSTable() {
-	for _, p := range vf.Default().DVFSTable(4) {
+	law := vf.Default()
+	for _, p := range law.DVFSTable(4) {
 		fmt.Printf("%v @ %v\n", p.Freq, p.Volt)
 	}
 	// Output:

@@ -20,7 +20,7 @@ type PState struct {
 // (vendors hold the worst-case margin at every point, which is exactly the
 // waste adaptive guardbanding reclaims). Index 0 is the slowest point,
 // index n-1 the nominal one.
-func (l Law) DVFSTable(n int) []PState {
+func (l *Law) DVFSTable(n int) []PState {
 	if n < 2 {
 		panic(fmt.Sprintf("vf: DVFS table needs at least 2 points, got %d", n))
 	}

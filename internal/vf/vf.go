@@ -69,7 +69,7 @@ func Default() Law {
 }
 
 // Validate reports the first inconsistency in the law, or nil.
-func (l Law) Validate() error {
+func (l *Law) Validate() error {
 	switch {
 	case l.SlopeMVPerMHz <= 0:
 		return fmt.Errorf("vf: non-positive slope %v", l.SlopeMVPerMHz)
@@ -90,7 +90,7 @@ func (l Law) Validate() error {
 }
 
 // VReq returns the minimum voltage at which the circuit closes timing at f.
-func (l Law) VReq(f units.Megahertz) units.Millivolt {
+func (l *Law) VReq(f units.Megahertz) units.Millivolt {
 	if f <= l.FNom {
 		return l.VRef + units.Millivolt(float64(f-l.FRef)*l.SlopeMVPerMHz)
 	}
@@ -100,7 +100,7 @@ func (l Law) VReq(f units.Megahertz) units.Millivolt {
 
 // SlopeAt returns the local dV/df in mV/MHz at frequency f, which sets how
 // much voltage relief a fast DPLL slew buys when absorbing a droop.
-func (l Law) SlopeAt(f units.Megahertz) float64 {
+func (l *Law) SlopeAt(f units.Megahertz) float64 {
 	if f <= l.FNom {
 		return l.SlopeMVPerMHz
 	}
@@ -109,7 +109,7 @@ func (l Law) SlopeAt(f units.Megahertz) float64 {
 
 // FMax returns the highest frequency the circuit sustains at voltage v,
 // clamped to the DPLL range [FMin, FCeil].
-func (l Law) FMax(v units.Millivolt) units.Megahertz {
+func (l *Law) FMax(v units.Millivolt) units.Megahertz {
 	vNomReq := l.VRef + units.Millivolt(float64(l.FNom-l.FRef)*l.SlopeMVPerMHz)
 	var f units.Megahertz
 	if v <= vNomReq {
@@ -122,13 +122,13 @@ func (l Law) FMax(v units.Millivolt) units.Megahertz {
 
 // GuardbandMV returns the static guardband at the nominal operating point:
 // the excess of VNom over the bare circuit requirement at FNom.
-func (l Law) GuardbandMV() units.Millivolt {
+func (l *Law) GuardbandMV() units.Millivolt {
 	return l.VNom - l.VReq(l.FNom)
 }
 
 // MarginMV returns the timing margin, expressed in millivolts of supply
 // slack, available at on-chip voltage v and frequency f. Negative margin
 // means the circuit is violating timing (a droop the DPLL failed to cover).
-func (l Law) MarginMV(v units.Millivolt, f units.Megahertz) units.Millivolt {
+func (l *Law) MarginMV(v units.Millivolt, f units.Megahertz) units.Millivolt {
 	return v - l.VReq(f)
 }

@@ -9,7 +9,8 @@ import (
 )
 
 func TestDefaultValid(t *testing.T) {
-	if err := Default().Validate(); err != nil {
+	l := Default()
+	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -127,5 +128,42 @@ func TestDVFSTablePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Default().DVFSTable(1)
+	l := Default()
+	l.DVFSTable(1)
+}
+
+var (
+	sinkMV  units.Millivolt
+	sinkMHz units.Megahertz
+)
+
+// benchVolts and benchFreqs are settled per-core operating points (aged
+// ripple-bottom voltage, DPLL frequency) the step kernel queries the law at.
+var (
+	benchVolts = []units.Millivolt{1150, 1162, 1171, 1183}
+	benchFreqs = []units.Megahertz{4200, 4310, 4420, 3900}
+)
+
+// BenchmarkLawMarginMV times the margin query every clocked core makes
+// each step (the violation check and the DPLL's droop absorption).
+func BenchmarkLawMarginMV(b *testing.B) {
+	law := Default()
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		sinkMV = law.MarginMV(benchVolts[i&3], benchFreqs[i&3])
+		i++
+	}
+}
+
+// BenchmarkLawFMax times the frequency-target query the undervolt and
+// overclock fast loops make per clocked core per step.
+func BenchmarkLawFMax(b *testing.B) {
+	law := Default()
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		sinkMHz = law.FMax(benchVolts[i&3] - law.ResidualMV)
+		i++
+	}
 }

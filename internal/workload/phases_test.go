@@ -3,6 +3,8 @@ package workload
 import (
 	"math"
 	"testing"
+
+	"agsim/internal/units"
 )
 
 func TestPhaseScheduleValidate(t *testing.T) {
@@ -103,5 +105,36 @@ func TestSteadyThreadUnaffectedByPhaseMachinery(t *testing.T) {
 	r2, _ := phased.Step(0.5, 4200, 1, 1)
 	if r1 != r2 {
 		t.Errorf("nil schedule changed behaviour: %v vs %v", r1, r2)
+	}
+}
+
+// TestThreadStepPhaseMemScaleExact pins Step's retired work under a
+// phase that scales the memory-stall time to the same computation on a
+// scaled copy of the descriptor: MemNsPerInst multiplied by the phase's
+// scale, then MIPSPerThread, bit for bit.
+func TestThreadStepPhaseMemScaleExact(t *testing.T) {
+	d := MustGet("ocean_cp")
+	sched := ComputeExchangeSchedule(0.01, 0.01)
+	th := NewThread(d, 1e9, nil)
+	th.SetPhases(sched)
+	const dt = 0.001
+	elapsed := 0.0
+	seen := map[float64]bool{}
+	for i := 0; i < 60; i++ {
+		f := units.Megahertz(3000 + 30*i)
+		memFactor := 1 + 0.05*float64(i%4)
+		smt := float64(1 + i%4)
+		elapsed += dt // Step advances the phase clock before it reads the scale
+		ph, _ := sched.At(elapsed)
+		scaled := d
+		scaled.MemNsPerInst *= ph.MemScale
+		want := float64(scaled.MIPSPerThread(f, memFactor, smt)) * dt / 1000
+		if got, _ := th.Step(dt, f, memFactor, smt); got != want {
+			t.Fatalf("step %d (mem scale %v): retired %v GInst, copy-then-scale gives %v", i, ph.MemScale, got, want)
+		}
+		seen[ph.MemScale] = true
+	}
+	if !seen[0.4] || !seen[3.0] {
+		t.Fatalf("schedule exercised memory scales %v, want both 0.4 and 3.0", seen)
 	}
 }

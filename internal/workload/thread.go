@@ -56,11 +56,7 @@ func (t *Thread) Step(dtSec float64, f units.Megahertz, memFactor, smtThreads fl
 		return 0, true
 	}
 	t.elapsedSec += dtSec
-	d := t.Desc
-	if _, scaleMem := t.phaseScales(); scaleMem != 1 {
-		d.MemNsPerInst *= scaleMem
-	}
-	mips := float64(d.MIPSPerThread(f, memFactor, smtThreads))
+	mips := t.mips(f, memFactor, smtThreads)
 	retired = mips * dtSec / 1000 // MIPS * s = 1e6 inst; /1000 -> GInst
 	if retired >= t.remainingGInst {
 		retired = t.remainingGInst
@@ -72,6 +68,17 @@ func (t *Thread) Step(dtSec float64, f units.Megahertz, memFactor, smtThreads fl
 	t.retiredGInst += retired
 	t.advancePhase(dtSec)
 	return retired, done
+}
+
+// mips returns the thread's throughput in MIPS at the given conditions:
+// the descriptor's MIPSPerThread with the current phase's memory scale
+// applied to MemNsPerInst.
+func (t *Thread) mips(f units.Megahertz, memFactor, smtThreads float64) float64 {
+	memNs := t.Desc.MemNsPerInst
+	if _, scaleMem := t.phaseScales(); scaleMem != 1 {
+		memNs *= scaleMem
+	}
+	return 1000 / t.Desc.timeNsPerInst(memNs, f, memFactor, smtThreads)
 }
 
 // walkPeriodSec is the cadence of the stochastic phase walk. Updates land
@@ -120,11 +127,7 @@ func (t *Thread) TimeToCompletion(f units.Megahertz, memFactor, smtThreads float
 	if t.remainingGInst <= 0 {
 		return math.Inf(1)
 	}
-	d := t.Desc
-	if _, scaleMem := t.phaseScales(); scaleMem != 1 {
-		d.MemNsPerInst *= scaleMem
-	}
-	mips := float64(d.MIPSPerThread(f, memFactor, smtThreads))
+	mips := t.mips(f, memFactor, smtThreads)
 	if mips <= 0 {
 		return math.Inf(1)
 	}

@@ -21,7 +21,7 @@ import (
 	"agsim/internal/units"
 )
 
-// Suite identifies the benchmark suite a workload belongss to.
+// Suite identifies the benchmark suite a workload belongs to.
 type Suite int
 
 // Suites used in the paper's evaluation.
@@ -107,7 +107,7 @@ type Descriptor struct {
 
 // Validate reports the first physically meaningless field, or nil. Registry
 // construction validates every entry so a bad calibration fails at init.
-func (d Descriptor) Validate() error {
+func (d *Descriptor) Validate() error {
 	switch {
 	case d.Name == "":
 		return fmt.Errorf("workload: descriptor with empty name")
@@ -140,7 +140,14 @@ func (d Descriptor) Validate() error {
 // nanoseconds that do not — is what produces the paper's observation that
 // overclocking speeds up compute-bound workloads nearly linearly but
 // memory-bound ones barely at all.
-func (d Descriptor) TimeNsPerInst(f units.Megahertz, memFactor, smtThreads float64) float64 {
+func (d *Descriptor) TimeNsPerInst(f units.Megahertz, memFactor, smtThreads float64) float64 {
+	return d.timeNsPerInst(d.MemNsPerInst, f, memFactor, smtThreads)
+}
+
+// timeNsPerInst is TimeNsPerInst with the uncontended memory-stall time
+// per instruction supplied by the caller, so a thread in a phase that
+// scales MemNsPerInst reads the descriptor in place instead of copying it.
+func (d *Descriptor) timeNsPerInst(memNsPerInst float64, f units.Megahertz, memFactor, smtThreads float64) float64 {
 	if f <= 0 {
 		panic(fmt.Sprintf("workload %s: TimeNsPerInst at non-positive frequency %v", d.Name, f))
 	}
@@ -152,13 +159,13 @@ func (d Descriptor) TimeNsPerInst(f units.Megahertz, memFactor, smtThreads float
 	}
 	cycleNs := 1000 / float64(f)
 	coreNs := cycleNs / d.effectiveIPC(smtThreads)
-	return coreNs + d.MemNsPerInst*memFactor
+	return coreNs + memNsPerInst*memFactor
 }
 
 // effectiveIPC returns the per-thread IPC when smtThreads share the core.
 // SMT raises total core throughput sub-linearly (the POWER7+ is 4-way SMT);
 // the yield curve is a standard diminishing-returns model.
-func (d Descriptor) effectiveIPC(smtThreads float64) float64 {
+func (d *Descriptor) effectiveIPC(smtThreads float64) float64 {
 	if smtThreads <= 1 {
 		return d.IPC
 	}
@@ -170,7 +177,7 @@ func (d Descriptor) effectiveIPC(smtThreads float64) float64 {
 
 // MIPSPerThread returns the throughput of one thread under the given
 // conditions.
-func (d Descriptor) MIPSPerThread(f units.Megahertz, memFactor, smtThreads float64) units.MIPS {
+func (d *Descriptor) MIPSPerThread(f units.Megahertz, memFactor, smtThreads float64) units.MIPS {
 	return units.MIPS(1000 / d.TimeNsPerInst(f, memFactor, smtThreads))
 }
 
@@ -178,7 +185,7 @@ func (d Descriptor) MIPSPerThread(f units.Megahertz, memFactor, smtThreads float
 // pipeline switching (as opposed to stalled on memory) under the given
 // conditions. Dynamic power scales with this, which is how memory-bound
 // workloads end up low-power.
-func (d Descriptor) Utilization(f units.Megahertz, memFactor, smtThreads float64) float64 {
+func (d *Descriptor) Utilization(f units.Megahertz, memFactor, smtThreads float64) float64 {
 	total := d.TimeNsPerInst(f, memFactor, smtThreads)
 	mem := d.MemNsPerInst * math.Max(memFactor, 1)
 	return (total - mem) / total
@@ -186,19 +193,19 @@ func (d Descriptor) Utilization(f units.Megahertz, memFactor, smtThreads float64
 
 // MemBoundFraction is the fraction of time stalled on memory at nominal
 // conditions; it is 1 - Utilization at memFactor 1 and one thread.
-func (d Descriptor) MemBoundFraction(f units.Megahertz) float64 {
+func (d *Descriptor) MemBoundFraction(f units.Megahertz) float64 {
 	return 1 - d.Utilization(f, 1, 1)
 }
 
 // BandwidthGBs returns the off-chip bandwidth demand of a thread running at
 // the given throughput.
-func (d Descriptor) BandwidthGBs(mips units.MIPS) float64 {
+func (d *Descriptor) BandwidthGBs(mips units.MIPS) float64 {
 	return float64(mips) * 1e6 * d.BytesPerInst / 1e9
 }
 
 // ParallelEfficiency returns the per-thread efficiency when n threads
 // cooperate on the same (fixed-size) problem.
-func (d Descriptor) ParallelEfficiency(n int) float64 {
+func (d *Descriptor) ParallelEfficiency(n int) float64 {
 	if n <= 1 {
 		return 1
 	}
@@ -207,7 +214,7 @@ func (d Descriptor) ParallelEfficiency(n int) float64 {
 
 // SpeedupAt returns the whole-program speedup of running the fixed problem
 // with n threads relative to one thread, at equal per-thread throughput.
-func (d Descriptor) SpeedupAt(n int) float64 {
+func (d *Descriptor) SpeedupAt(n int) float64 {
 	return float64(n) * d.ParallelEfficiency(n)
 }
 

@@ -97,10 +97,11 @@ func TestUtilizationAndMemBound(t *testing.T) {
 			t.Errorf("%s: utilization %v + membound %v != 1", d.Name, u, mb)
 		}
 	}
-	if MustGet("mcf").MemBoundFraction(4200) < 0.4 {
+	mcf, coremark := MustGet("mcf"), MustGet("coremark")
+	if mcf.MemBoundFraction(4200) < 0.4 {
 		t.Error("mcf should be strongly memory bound")
 	}
-	if MustGet("coremark").MemBoundFraction(4200) > 0.02 {
+	if coremark.MemBoundFraction(4200) > 0.02 {
 		t.Error("coremark should be core-contained")
 	}
 }
@@ -154,7 +155,8 @@ func TestParallelEfficiency(t *testing.T) {
 		t.Errorf("speedup(8) = %v", s)
 	}
 	// SPECrate copies scale perfectly.
-	if e := MustGet("mcf").ParallelEfficiency(8); e != 1 {
+	mcf := MustGet("mcf")
+	if e := mcf.ParallelEfficiency(8); e != 1 {
 		t.Errorf("SPECrate efficiency = %v, want 1", e)
 	}
 }
@@ -180,8 +182,9 @@ func TestCalibrationOrdering(t *testing.T) {
 			t.Errorf("%s must be bandwidth-heavy (Fig. 14 right edge)", name)
 		}
 	}
-	mcf := MustGet("mcf").MIPSPerThread(4200, 1, 1)
-	cm := MustGet("coremark").MIPSPerThread(4200, 1, 1)
+	mcfD, cmD := MustGet("mcf"), MustGet("coremark")
+	mcf := mcfD.MIPSPerThread(4200, 1, 1)
+	cm := cmD.MIPSPerThread(4200, 1, 1)
 	if float64(cm) < 4*float64(mcf) {
 		t.Error("coremark MIPS must far exceed mcf (Fig. 15)")
 	}
@@ -277,5 +280,23 @@ func TestTimeNsPerInstPanicsOnBadFreq(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MustGet("raytrace").TimeNsPerInst(units.Megahertz(0), 1, 1)
+	d := MustGet("raytrace")
+	d.TimeNsPerInst(units.Megahertz(0), 1, 1)
+}
+
+var sinkRetired float64
+
+// BenchmarkThreadStep times one thread's 1 ms step at chip conditions: a
+// phase-walking thread under a two-phase schedule, so the memory scale and
+// the 32 ms walk update both run.
+func BenchmarkThreadStep(b *testing.B) {
+	th := NewThread(MustGet("ocean_cp"), 1e12, newTestRand())
+	th.SetPhases(ComputeExchangeSchedule(0.05, 0.05))
+	fs := []units.Megahertz{4200, 4310, 4420, 3900}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		sinkRetired, _ = th.Step(0.001, fs[i&3], 1.1, 2)
+		i++
+	}
 }
