@@ -40,9 +40,14 @@
 #                        (graceful shutdown writes a final snapshot) and
 #                        `agsim replay` the newest image to the next
 #                        cpm-window event
+#   make fuzz-smoke    — run each fuzz target for 20s: snapshot FuzzLoad
+#                        (mutated image payloads decoded into a live chip
+#                        and a small fleet must never panic or allocate
+#                        without bound), pdn FuzzMeshSolve and qos
+#                        FuzzRunWindow
 #   make ci            — everything CI runs: check + race + smoke +
-#                        dist-smoke + bench + bench-compare (bench-compare
-#                        gates ns/op regressions, the recorder's
+#                        dist-smoke + fuzz-smoke + bench + bench-compare
+#                        (bench-compare gates ns/op regressions, the recorder's
 #                        overhead/alloc budget, the warm-start speedup
 #                        floor and the snapshot-size ceiling)
 #
@@ -60,7 +65,7 @@ SMOKE_HTTP_PORT    ?= 7208
 DIST_SMOKE_PORT    ?= 7209
 DIST_SMOKE_UNITS   ?= fig3,fig16
 
-.PHONY: all fmt build vet test check race bench bench-compare profile smoke dist-smoke ci
+.PHONY: all fmt build vet test check race bench bench-compare profile smoke dist-smoke fuzz-smoke ci
 
 all: check
 
@@ -85,7 +90,7 @@ check: fmt build vet test
 # hung), so the default 10m go-test timeout is too tight a hair-trigger.
 race:
 	$(GO) test -race -timeout 30m ./internal/parallel ./internal/cluster ./internal/experiments \
-		./internal/fleet ./internal/traffic
+		./internal/fleet ./internal/traffic ./internal/snapshot
 
 bench:
 	./scripts/bench.sh '$(BENCHES)' BENCH_$(DATE).json
@@ -169,4 +174,13 @@ dist-smoke:
 	grep -q 'cpm-window #1' $(SMOKE_DIR)/replay.out; \
 	echo "dist-smoke: replayed $$snap to the next cpm-window event"
 
-ci: check race smoke dist-smoke bench bench-compare
+# Fuzz smoke: a short run of each fuzz target (go test fuzzes one target
+# per invocation). Minimization of a new input is capped well below the
+# run time so a large seed cannot spend the whole budget shrinking one case.
+fuzz-smoke:
+	@set -e; for t in ./internal/snapshot:FuzzLoad ./internal/pdn:FuzzMeshSolve ./internal/qos:FuzzRunWindow; do \
+		echo "fuzz-smoke: $${t%%:*} $${t##*:} for 20s"; \
+		$(GO) test $${t%%:*} -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime 20s -fuzzminimizetime 5s; \
+	done
+
+ci: check race smoke dist-smoke fuzz-smoke bench bench-compare

@@ -354,21 +354,51 @@ func (r *Recorder) Snapshot() Log {
 		return log
 	}
 	log.Name = r.name
-	r.collect(&log, "")
-	sort.SliceStable(log.Events, func(i, j int) bool {
-		return log.Events[i].TimeUS < log.Events[j].TimeUS
-	})
+	shards := r.walk(nil, "")
+	// Counting pass: size every merged slice once.
+	var nSrc, nSeries int
+	for _, sh := range shards {
+		nSrc += len(sh.r.sources)
+		nSeries += len(sh.r.series)
+	}
+	if nSrc > 0 {
+		log.Sources = make([]SourceMetrics, 0, nSrc)
+	}
+	if nSeries > 0 {
+		log.Series = make([]SeriesDump, 0, nSeries)
+	}
+	log.Shards = make([]ShardStats, 0, len(shards))
+	var runs []eventRun
+	for _, sh := range shards {
+		runs = sh.r.collect(&log, sh.prefix, runs)
+	}
+	log.Events = mergeRuns(runs)
 	return log
 }
 
-// collect folds one recorder (then its children, sorted by name) into the
-// log under the given source-name prefix.
-func (r *Recorder) collect(log *Log, prefix string) {
+// shardRef is one recorder of a tree with its source-name prefix.
+type shardRef struct {
+	r      *Recorder
+	prefix string
+}
+
+// walk lists the recorder and its descendants depth-first, children in
+// name order — the order the merged Log presents them in.
+func (r *Recorder) walk(list []shardRef, prefix string) []shardRef {
 	r.mu.Lock()
 	children := append([]*Recorder(nil), r.children...)
 	r.mu.Unlock()
 	sort.Slice(children, func(i, j int) bool { return children[i].name < children[j].name })
+	list = append(list, shardRef{r: r, prefix: prefix})
+	for _, c := range children {
+		list = c.walk(list, prefix+c.name+"/")
+	}
+	return list
+}
 
+// collect folds one recorder's own rows into the log under the given
+// source-name prefix and appends its events, as time-ordered runs, to runs.
+func (r *Recorder) collect(log *Log, prefix string, runs []eventRun) []eventRun {
 	base := int32(len(log.Sources))
 	for i, name := range r.sources {
 		log.Sources = append(log.Sources, SourceMetrics{
@@ -410,28 +440,112 @@ func (r *Recorder) collect(log *Log, prefix string) {
 		log.Series = append(log.Series, dump)
 	}
 	// Ring in chronological order: the wrap point splits oldest from newest.
-	emit := func(ev Event) {
-		if ev.Source >= 0 {
-			ev.Source += base // re-index into the merged source list
-		}
-		log.Events = append(log.Events, ev)
-	}
 	if r.lost > 0 {
-		for _, ev := range r.events[r.next:] {
-			emit(ev)
-		}
-		for _, ev := range r.events[:r.next] {
-			emit(ev)
-		}
-	} else {
-		for _, ev := range r.events {
-			emit(ev)
+		runs = appendRuns(runs, r.events[r.next:], base)
+		return appendRuns(runs, r.events[:r.next], base)
+	}
+	return appendRuns(runs, r.events, base)
+}
+
+// eventRun is a stretch of one ring whose TimeUS never decreases, with the
+// offset that re-indexes its Source into the merged source list.
+type eventRun struct {
+	evs  []Event
+	base int32
+}
+
+// appendRuns splits evs into maximal non-decreasing runs. A ring is
+// normally one run; a ring whose stamps step back (a restored or reset
+// shard) becomes several.
+func appendRuns(runs []eventRun, evs []Event, base int32) []eventRun {
+	start := 0
+	for i := 1; i < len(evs); i++ {
+		if evs[i].TimeUS < evs[i-1].TimeUS {
+			runs = append(runs, eventRun{evs: evs[start:i], base: base})
+			start = i
 		}
 	}
-	for _, c := range children {
-		p := prefix + c.name + "/"
-		c.collect(log, p)
+	if start < len(evs) {
+		runs = append(runs, eventRun{evs: evs[start:], base: base})
 	}
+	return runs
+}
+
+// mergeRuns merges the runs into one slice ordered by TimeUS, ties going
+// to the earlier run. Within a run order is kept, so the result is what a
+// stable sort by TimeUS of the runs' concatenation gives. A tree of losers
+// over the run heads picks each next event in log2(len(runs)) compares.
+func mergeRuns(runs []eventRun) []Event {
+	n := 0
+	for _, rn := range runs {
+		n += len(rn.evs)
+	}
+	if n == 0 {
+		return nil
+	}
+	k := len(runs)
+	heads := make([]runHead, k)
+	for i, rn := range runs {
+		heads[i].t = rn.evs[0].TimeUS // appendRuns makes no empty runs
+	}
+	before := func(a, b int) bool {
+		ha, hb := heads[a], heads[b]
+		if ha.done || hb.done {
+			return !ha.done
+		}
+		return ha.t < hb.t || ha.t == hb.t && a < b
+	}
+	// Run i is leaf k+i; node p > 0 holds the loser of the match between
+	// its children 2p and 2p+1, and the overall winner is kept apart.
+	tree := make([]int, 2*k)
+	for i := 0; i < k; i++ {
+		tree[k+i] = i
+	}
+	win := make([]int, k)
+	for p := k - 1; p >= 1; p-- {
+		a, b := tree[2*p], tree[2*p+1]
+		if 2*p < k {
+			a = win[2*p]
+		}
+		if 2*p+1 < k {
+			b = win[2*p+1]
+		}
+		if before(b, a) {
+			a, b = b, a
+		}
+		win[p], tree[p] = a, b
+	}
+	w := 0
+	if k > 1 {
+		w = win[1]
+	}
+	out := make([]Event, n)
+	for j := range out {
+		rn := &runs[w]
+		ev := rn.evs[0]
+		if ev.Source >= 0 {
+			ev.Source += rn.base // re-index into the merged source list
+		}
+		out[j] = ev
+		if rn.evs = rn.evs[1:]; len(rn.evs) > 0 {
+			heads[w].t = rn.evs[0].TimeUS
+		} else {
+			heads[w].done = true
+		}
+		for p := (k + w) / 2; p >= 1; p /= 2 {
+			if before(tree[p], w) {
+				tree[p], w = w, tree[p]
+			}
+		}
+	}
+	return out
+}
+
+// runHead is the merge key of a run: its next event's TimeUS, or done
+// once the run is spent.
+type runHead struct {
+	t    int64
+	done bool
 }
 
 // trimSlash drops the trailing separator a shard prefix carries.

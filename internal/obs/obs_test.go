@@ -2,7 +2,10 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -123,6 +126,79 @@ func TestShardMergeIsDeterministic(t *testing.T) {
 	for _, ev := range fwd.Events {
 		if ev.Source < 0 || int(ev.Source) >= len(fwd.Sources) {
 			t.Errorf("event source %d outside merged sources", ev.Source)
+		}
+	}
+}
+
+// stableSortedEvents is the reference merge: every ring unwrapped in tree
+// order with sources re-indexed, then one stable sort by TimeUS.
+func stableSortedEvents(root *Recorder) []Event {
+	var evs []Event
+	var nsrc int32
+	var visit func(r *Recorder)
+	visit = func(r *Recorder) {
+		base := nsrc
+		nsrc += int32(len(r.sources))
+		ring := r.events
+		if r.lost > 0 {
+			ring = append(append([]Event(nil), r.events[r.next:]...), r.events[:r.next]...)
+		}
+		for _, ev := range ring {
+			if ev.Source >= 0 {
+				ev.Source += base
+			}
+			evs = append(evs, ev)
+		}
+		children := append([]*Recorder(nil), r.children...)
+		sort.Slice(children, func(i, j int) bool { return children[i].name < children[j].name })
+		for _, c := range children {
+			visit(c)
+		}
+	}
+	visit(root)
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TimeUS < evs[j].TimeUS })
+	return evs
+}
+
+// TestSnapshotMergeMatchesStableSort builds random shard trees — rings
+// that wrap up to three times, rings whose stamps step back, stamps drawn
+// from a narrow range so shards tie — and requires the run merge to order
+// events exactly as a stable sort of the concatenated rings does.
+func TestSnapshotMergeMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(20151205))
+	for trial := 0; trial < 300; trial++ {
+		ringCap := 1 + rng.Intn(12)
+		root := New("root", ringCap)
+		recs := []*Recorder{root}
+		names := rng.Perm(100) // unique shard names, created out of name order
+		for n := rng.Intn(14); len(recs) <= n; {
+			parent := recs[rng.Intn(len(recs))]
+			recs = append(recs, parent.Shard(fmt.Sprintf("s%02d", names[len(recs)])))
+		}
+		for ri, r := range recs {
+			nsrc := rng.Intn(4)
+			for s := 0; s < nsrc; s++ {
+				r.Source(fmt.Sprintf("src%d", s))
+			}
+			stepsBack := rng.Intn(4) == 0
+			tUS := int64(rng.Intn(5))
+			for i, n := 0, rng.Intn(3*ringCap+1); i < n; i++ {
+				if stepsBack && rng.Intn(4) == 0 {
+					tUS -= int64(1 + rng.Intn(6))
+				} else {
+					tUS += int64(rng.Intn(3)) // 0: a tie inside the ring
+				}
+				r.Emit(Event{
+					TimeUS: tUS, Kind: KindDroop,
+					Source: int32(rng.Intn(nsrc+1)) - 1,
+					Core:   int32(i), A: float64(ri), C: int64(trial),
+				})
+			}
+		}
+		got := root.Snapshot().Events
+		if want := stableSortedEvents(root); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d shards, ring %d): merged events differ from the stable sort\ngot  %v\nwant %v",
+				trial, len(recs), ringCap, got, want)
 		}
 	}
 }

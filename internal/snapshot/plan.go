@@ -1,0 +1,133 @@
+package snapshot
+
+import (
+	"reflect"
+	"sync"
+)
+
+// typeInfo is what the walker needs to know about one type, computed once
+// per reflect.Type by infoOf and shared by every Save and Load, so the
+// walk itself asks no type questions beyond the cached answers.
+type typeInfo struct {
+	t    reflect.Type
+	kind reflect.Kind
+	size uintptr
+
+	elem   *typeInfo   // Ptr, Slice, Array: element type; Map: value type
+	key    *typeInfo   // Map: key type
+	fields []*typeInfo // Struct: field types in declaration order
+
+	// flat marks a struct whose fields are all bool, int, uint or float:
+	// it encodes and decodes by offset, following plan, with the same
+	// bytes the reflective walk writes field by field.
+	flat bool
+	plan []flatField
+
+	// minBytes is the fewest payload bytes a value of the type encodes
+	// to. Load refuses a slice or map length that the unread payload
+	// cannot hold at this many bytes per element.
+	minBytes uint64
+
+	skip    bool // Struct: runtime-only type, no bytes; Ptr: presence only
+	hooked  bool // Ptr: serializes through its BinaryMarshaler pair
+	keyPtrs bool // Map: key type contains pointers
+}
+
+// flatField is one scalar field of a flat struct.
+type flatField struct {
+	off  uintptr
+	kind reflect.Kind
+}
+
+var (
+	infos   sync.Map // reflect.Type → *typeInfo, complete entries only
+	infosMu sync.Mutex
+)
+
+// infoOf returns the cached facts for t, building them (and those of
+// every type reachable from t) on first use.
+func infoOf(t reflect.Type) *typeInfo {
+	if ti, ok := infos.Load(t); ok {
+		return ti.(*typeInfo)
+	}
+	infosMu.Lock()
+	defer infosMu.Unlock()
+	building := map[reflect.Type]*typeInfo{}
+	ti := buildInfo(t, building)
+	// Publish only once the whole graph is filled in: a recursive type's
+	// entries point at each other before they are complete.
+	for bt, bi := range building {
+		infos.Store(bt, bi)
+	}
+	return ti
+}
+
+func buildInfo(t reflect.Type, building map[reflect.Type]*typeInfo) *typeInfo {
+	if ti, ok := infos.Load(t); ok {
+		return ti.(*typeInfo)
+	}
+	if ti, ok := building[t]; ok {
+		return ti // a pointer cycle back to a type under construction
+	}
+	ti := &typeInfo{t: t, kind: t.Kind(), size: t.Size()}
+	building[t] = ti
+	switch ti.kind {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.String, reflect.Slice, reflect.Map, reflect.Ptr, reflect.Interface:
+		ti.minBytes = 1 // one byte, a varint, a length prefix or a marker
+	case reflect.Float32, reflect.Float64:
+		ti.minBytes = 8
+	case reflect.Complex64, reflect.Complex128:
+		ti.minBytes = 16
+	}
+	switch ti.kind {
+	case reflect.Ptr:
+		ti.skip = skipPtrTypes[t.String()]
+		ti.hooked = hooked(t)
+		ti.elem = buildInfo(t.Elem(), building)
+	case reflect.Slice:
+		ti.elem = buildInfo(t.Elem(), building)
+	case reflect.Array:
+		ti.elem = buildInfo(t.Elem(), building)
+		ti.minBytes = uint64(t.Len()) * ti.elem.minBytes
+	case reflect.Map:
+		ti.key = buildInfo(t.Key(), building)
+		ti.elem = buildInfo(t.Elem(), building)
+		ti.keyPtrs = keyHasPointers(t.Key())
+	case reflect.Struct:
+		if skipStructTypes[t.String()] {
+			ti.skip = true
+			return ti
+		}
+		ti.fields = make([]*typeInfo, t.NumField())
+		ti.flat = true
+		for i := range ti.fields {
+			f := t.Field(i)
+			fi := buildInfo(f.Type, building)
+			ti.fields[i] = fi
+			ti.minBytes += fi.minBytes
+			if flatKind(fi.kind) {
+				ti.plan = append(ti.plan, flatField{off: f.Offset, kind: fi.kind})
+			} else {
+				ti.flat = false
+			}
+		}
+		if !ti.flat {
+			ti.plan = nil
+		}
+	}
+	return ti
+}
+
+// flatKind reports whether a field of kind k may appear in a flat struct.
+func flatKind(k reflect.Kind) bool {
+	switch k {
+	case reflect.Bool,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64:
+		return true
+	}
+	return false
+}

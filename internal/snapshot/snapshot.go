@@ -30,6 +30,7 @@ import (
 	"encoding"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"reflect"
 	"sort"
 	"unsafe"
@@ -140,9 +141,12 @@ func ptrIface(p reflect.Value) any {
 	return reflect.NewAt(p.Type().Elem(), unsafe.Pointer(p.Pointer())).Interface()
 }
 
+// ptrKey identifies one pointer occurrence: the address and the pointer
+// type (two types may share an address, e.g. a struct and its first
+// field).
 type ptrKey struct {
 	addr uintptr
-	typ  reflect.Type
+	typ  *typeInfo
 }
 
 type encoder struct {
@@ -178,12 +182,11 @@ func pathString(p []pathFrame) string {
 	return s
 }
 
-func (e *encoder) value(v reflect.Value) {
+func (e *encoder) value(v reflect.Value, ti *typeInfo) {
 	if e.err != nil {
 		return
 	}
-	t := v.Type()
-	switch t.Kind() {
+	switch ti.kind {
 	case reflect.Bool:
 		if v.Bool() {
 			e.w.u8(1)
@@ -209,37 +212,44 @@ func (e *encoder) value(v reflect.Value) {
 		}
 		n := v.Len()
 		e.w.u64(uint64(n) + 1)
-		switch t.Elem().Kind() {
-		case reflect.Uint8:
-			e.w.buf = append(e.w.buf, v.Bytes()...)
+		// v.Pointer() is the backing array even on read-only values.
+		switch el := ti.elem; {
+		case el.kind == reflect.Uint8:
+			e.w.raw(v.Bytes())
 			return
-		case reflect.Float64:
+		case el.kind == reflect.Float64:
 			// Bulk path: the same bytes the element loop would write.
-			// v.Pointer() is the backing array even on read-only values.
 			e.w.f64s(unsafe.Slice((*float64)(unsafe.Pointer(v.Pointer())), n))
+			return
+		case el.flat:
+			e.w.flats(unsafe.Pointer(v.Pointer()), n, el)
 			return
 		}
 		for i := 0; i < n; i++ {
-			e.value(v.Index(i))
+			e.value(v.Index(i), ti.elem)
 		}
 	case reflect.Array:
+		el := ti.elem
 		switch {
-		case t.Elem().Kind() == reflect.Uint8:
+		case el.kind == reflect.Uint8:
 			for i := 0; i < v.Len(); i++ {
 				e.w.u8(byte(v.Index(i).Uint()))
 			}
 			return
-		case t.Elem().Kind() == reflect.Float64 && v.CanAddr():
+		case el.kind == reflect.Float64 && v.CanAddr():
 			e.w.f64s(unsafe.Slice((*float64)(unsafe.Pointer(v.UnsafeAddr())), v.Len()))
+			return
+		case el.flat && v.CanAddr():
+			e.w.flats(unsafe.Pointer(v.UnsafeAddr()), v.Len(), el)
 			return
 		}
 		for i := 0; i < v.Len(); i++ {
-			e.value(v.Index(i))
+			e.value(v.Index(i), el)
 		}
 	case reflect.Map:
-		e.mapValue(v)
+		e.mapValue(v, ti)
 	case reflect.Ptr:
-		if skipPtrTypes[t.String()] {
+		if ti.skip {
 			e.w.u8(ptrSkip)
 			if v.IsNil() {
 				e.w.u8(0)
@@ -252,7 +262,7 @@ func (e *encoder) value(v reflect.Value) {
 			e.w.u8(ptrNil)
 			return
 		}
-		key := ptrKey{addr: v.Pointer(), typ: t}
+		key := ptrKey{addr: v.Pointer(), typ: ti}
 		if id, ok := e.ids[key]; ok {
 			e.w.u8(ptrRef)
 			e.w.u64(id)
@@ -260,39 +270,46 @@ func (e *encoder) value(v reflect.Value) {
 		}
 		e.ids[key] = uint64(len(e.ids))
 		e.w.u8(ptrNew)
-		if hooked(t) {
+		if ti.hooked {
 			b, err := ptrIface(v).(encoding.BinaryMarshaler).MarshalBinary()
 			if err != nil {
-				e.fail("marshal hook %s: %v", t, err)
+				e.fail("marshal hook %s: %v", ti.t, err)
 				return
 			}
 			e.w.bytes(b)
 			return
 		}
-		e.value(v.Elem())
+		e.value(v.Elem(), ti.elem)
 	case reflect.Interface:
 		if v.IsNil() {
 			e.w.u8(0)
 			return
 		}
 		dyn := v.Elem()
+		dt := dyn.Type()
 		e.w.u8(1)
-		e.w.str(dyn.Type().String())
-		e.value(dyn)
+		e.w.str(dt.String())
+		e.value(dyn, infoOf(dt))
 	case reflect.Struct:
-		if skipStructTypes[t.String()] {
+		if ti.skip {
 			return
 		}
-		for i := 0; i < t.NumField(); i++ {
-			e.path = append(e.path, pathFrame{t, i})
-			e.value(v.Field(i))
+		if ti.flat && v.CanAddr() {
+			// Non-addressable values (an interface's dynamic value, a map
+			// value) take the reflective walk below.
+			e.w.flat(unsafe.Pointer(v.UnsafeAddr()), ti.plan)
+			return
+		}
+		for i, fi := range ti.fields {
+			e.path = append(e.path, pathFrame{ti.t, i})
+			e.value(v.Field(i), fi)
 			e.path = e.path[:len(e.path)-1]
 		}
 	case reflect.Func, reflect.Chan, reflect.UnsafePointer:
 		// Runtime-only: the target keeps its own (a stored method value, a
 		// worker channel). Zero bytes on the wire.
 	default:
-		e.fail("unsupported kind %v (%s)", t.Kind(), t)
+		e.fail("unsupported kind %v (%s)", ti.kind, ti.t)
 	}
 }
 
@@ -300,35 +317,40 @@ func (e *encoder) value(v reflect.Value) {
 // image is independent of Go's map iteration order. Keys must be
 // pointer-free (ints, strings, flat structs) — true of every map in the
 // simulation graph — because they are encoded outside the identity table.
-func (e *encoder) mapValue(v reflect.Value) {
+func (e *encoder) mapValue(v reflect.Value, ti *typeInfo) {
 	if v.IsNil() {
 		e.w.u64(0)
 		return
 	}
-	if keyHasPointers(v.Type().Key()) {
-		e.fail("map key type %s contains pointers", v.Type().Key())
+	if ti.keyPtrs {
+		e.fail("map key type %s contains pointers", ti.key.t)
 		return
 	}
 	n := v.Len()
 	e.w.u64(uint64(n) + 1)
+	// Every key encodes into one shared buffer; an entry holds its span.
 	type entry struct {
-		kb  []byte
-		val reflect.Value
+		lo, hi int
+		val    reflect.Value
 	}
 	entries := make([]entry, 0, n)
+	var ke encoder // pointer-free keys never reach the identity table
 	for it := v.MapRange(); it.Next(); {
-		ke := encoder{ids: map[ptrKey]uint64{}}
-		ke.value(it.Key())
+		lo := len(ke.w.buf)
+		ke.value(it.Key(), ti.key)
 		if ke.err != nil {
 			e.err = ke.err
 			return
 		}
-		entries = append(entries, entry{kb: ke.w.buf, val: it.Value()})
+		entries = append(entries, entry{lo: lo, hi: len(ke.w.buf), val: it.Value()})
 	}
-	sort.Slice(entries, func(i, j int) bool { return string(entries[i].kb) < string(entries[j].kb) })
+	kb := ke.w.buf
+	sort.Slice(entries, func(i, j int) bool {
+		return string(kb[entries[i].lo:entries[i].hi]) < string(kb[entries[j].lo:entries[j].hi])
+	})
 	for _, en := range entries {
-		e.w.buf = append(e.w.buf, en.kb...)
-		e.value(en.val)
+		e.w.raw(kb[en.lo:en.hi])
+		e.value(en.val, ti.elem)
 	}
 }
 
@@ -363,17 +385,36 @@ func (d *decoder) fail(format string, args ...any) {
 
 func (d *decoder) bad() bool { return d.err != nil || d.r.err != nil }
 
+// length reads a slice or map length prefix (len+1, 0 for nil) and checks
+// it against the unread payload: n elements of at least minBytes each
+// must still fit, so a hostile prefix cannot make Load allocate more than
+// a small multiple of its input. Element types that encode to no bytes
+// (empty structs, funcs, channels, the skipped sync types) are held only
+// to what an int can count. ok is false for nil and on error.
+func (d *decoder) length(t reflect.Type, minBytes uint64) (n int, ok bool) {
+	m := d.r.u64()
+	if d.bad() || m == 0 {
+		return 0, false
+	}
+	n64 := m - 1
+	if n64 > math.MaxInt || minBytes > 0 && n64 > d.r.unread()/minBytes {
+		d.fail("%s: length %d exceeds the %d unread payload bytes", t, n64, d.r.unread())
+		return 0, false
+	}
+	return int(n64), true
+}
+
 // value decodes into an addressable target, reusing its allocations where
 // shapes allow and preserving pointer identity via the decode-side table.
-func (d *decoder) value(v reflect.Value) {
+func (d *decoder) value(v reflect.Value, ti *typeInfo) {
 	if d.bad() {
 		return
 	}
 	if !v.CanSet() {
 		v = settable(v)
 	}
-	t := v.Type()
-	switch t.Kind() {
+	t := ti.t
+	switch ti.kind {
 	case reflect.Bool:
 		v.SetBool(d.r.u8() != 0)
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
@@ -389,67 +430,68 @@ func (d *decoder) value(v reflect.Value) {
 	case reflect.String:
 		v.SetString(d.r.str())
 	case reflect.Slice:
-		m := d.r.u64()
-		if d.bad() {
+		el := ti.elem
+		n, ok := d.length(t, el.minBytes)
+		if !ok {
+			if !d.bad() {
+				v.Set(reflect.Zero(t))
+			}
 			return
 		}
-		if m == 0 {
-			v.Set(reflect.Zero(t))
-			return
-		}
-		n := int(m - 1)
 		if v.IsNil() || v.Cap() < n {
 			v.Set(reflect.MakeSlice(t, n, n))
 		} else if v.Len() != n {
 			v.Set(v.Slice(0, n))
 		}
-		switch t.Elem().Kind() {
-		case reflect.Uint8:
-			if d.r.off+n > len(d.r.buf) {
-				d.r.fail("truncated %d-byte slice", n)
-				return
-			}
-			reflect.Copy(v, reflect.ValueOf(d.r.buf[d.r.off:d.r.off+n]))
+		switch {
+		case el.kind == reflect.Uint8:
+			// length checked that n bytes remain unread.
+			copy(unsafe.Slice((*byte)(unsafe.Pointer(v.Pointer())), n), d.r.buf[d.r.off:])
 			d.r.off += n
 			return
-		case reflect.Float64:
+		case el.kind == reflect.Float64:
 			d.r.f64s(unsafe.Slice((*float64)(unsafe.Pointer(v.Pointer())), n))
+			return
+		case el.flat:
+			d.r.flats(unsafe.Pointer(v.Pointer()), n, el)
 			return
 		}
 		for i := 0; i < n && !d.bad(); i++ {
-			d.value(v.Index(i))
+			d.value(v.Index(i), el)
 		}
 	case reflect.Array:
+		// v was laundered settable above, so it is addressable.
+		el := ti.elem
 		switch {
-		case t.Elem().Kind() == reflect.Uint8:
+		case el.kind == reflect.Uint8:
 			for i := 0; i < v.Len(); i++ {
 				v.Index(i).SetUint(uint64(d.r.u8()))
 			}
 			return
-		case t.Elem().Kind() == reflect.Float64:
-			// v was laundered settable above, so it is addressable.
+		case el.kind == reflect.Float64:
 			d.r.f64s(unsafe.Slice((*float64)(unsafe.Pointer(v.UnsafeAddr())), v.Len()))
+			return
+		case el.flat:
+			d.r.flats(unsafe.Pointer(v.UnsafeAddr()), v.Len(), el)
 			return
 		}
 		for i := 0; i < v.Len() && !d.bad(); i++ {
-			d.value(v.Index(i))
+			d.value(v.Index(i), el)
 		}
 	case reflect.Map:
-		m := d.r.u64()
-		if d.bad() {
+		n, ok := d.length(t, ti.key.minBytes+ti.elem.minBytes)
+		if !ok {
+			if !d.bad() {
+				v.Set(reflect.Zero(t))
+			}
 			return
 		}
-		if m == 0 {
-			v.Set(reflect.Zero(t))
-			return
-		}
-		n := int(m - 1)
 		nm := reflect.MakeMapWithSize(t, n)
 		for i := 0; i < n && !d.bad(); i++ {
-			k := reflect.New(t.Key()).Elem()
-			d.value(k)
-			val := reflect.New(t.Elem()).Elem()
-			d.value(val)
+			k := reflect.New(ti.key.t).Elem()
+			d.value(k, ti.key)
+			val := reflect.New(ti.elem.t).Elem()
+			d.value(val, ti.elem)
 			if !d.bad() {
 				nm.SetMapIndex(k, val)
 			}
@@ -470,13 +512,13 @@ func (d *decoder) value(v reflect.Value) {
 			v.Set(reflect.Zero(t))
 		case ptrNew:
 			if v.IsNil() {
-				v.Set(reflect.New(t.Elem()))
+				v.Set(reflect.New(ti.elem.t))
 			}
 			// Capture the concrete pointer for back-references before
 			// decoding the pointee (cycles resolve to it).
-			cp := reflect.NewAt(t.Elem(), unsafe.Pointer(v.Pointer()))
+			cp := reflect.NewAt(ti.elem.t, unsafe.Pointer(v.Pointer()))
 			d.ptrs = append(d.ptrs, cp)
-			if hooked(t) {
+			if ti.hooked {
 				b := d.r.bytes()
 				if d.bad() {
 					return
@@ -486,7 +528,7 @@ func (d *decoder) value(v reflect.Value) {
 				}
 				return
 			}
-			d.value(v.Elem())
+			d.value(v.Elem(), ti.elem)
 		case ptrRef:
 			id := d.r.u64()
 			if d.bad() {
@@ -531,21 +573,28 @@ func (d *decoder) value(v reflect.Value) {
 		if !v.IsNil() && v.Elem().Type() == dynT {
 			tmp.Set(v.Elem()) // reuse the target's pointee/value
 		}
-		d.value(tmp)
+		d.value(tmp, infoOf(dynT))
 		v.Set(tmp)
 	case reflect.Struct:
-		if skipStructTypes[t.String()] {
+		if ti.skip {
 			return
 		}
-		for i := 0; i < t.NumField() && !d.bad(); i++ {
+		if ti.flat {
+			d.r.flat(unsafe.Pointer(v.UnsafeAddr()), ti.plan)
+			return
+		}
+		for i, fi := range ti.fields {
+			if d.bad() {
+				break
+			}
 			d.path = append(d.path, pathFrame{t, i})
-			d.value(v.Field(i))
+			d.value(v.Field(i), fi)
 			d.path = d.path[:len(d.path)-1]
 		}
 	case reflect.Func, reflect.Chan, reflect.UnsafePointer:
 		// Keep the target's value; zero bytes were written.
 	default:
-		d.fail("unsupported kind %v (%s)", t.Kind(), t)
+		d.fail("unsupported kind %v (%s)", ti.kind, t)
 	}
 }
 
@@ -567,24 +616,37 @@ func Save(root any, meta Meta) ([]byte, error) {
 		}
 	}
 	e := &encoder{ids: map[ptrKey]uint64{}}
-	e.value(rv)
+	e.value(rv, infoOf(rv.Type()))
 	if e.err != nil {
 		return nil, e.err
 	}
-	var h writer
+	return image(rv.Type().String(), meta, e.w.buf), nil
+}
+
+// image frames a payload with its header and CRC, in one allocation of
+// exactly the image size.
+func image(rootType string, meta Meta, payload []byte) []byte {
+	crc := uint64(crc32.ChecksumIEEE(payload))
+	size := len(magic) + 2 + strLen(rootType) + strLen(meta.ShapeKey) + uvarintLen(meta.Seed) +
+		strLen(meta.Revision) + strLen(meta.Extra) + 8 +
+		uvarintLen(uint64(len(payload))) + len(payload) + uvarintLen(crc)
+	h := writer{buf: make([]byte, 0, size)}
 	h.buf = append(h.buf, magic...)
 	h.u8(arena.FormatVersion)
 	h.u8(codecVersion)
-	h.str(rv.Type().String())
+	h.str(rootType)
 	h.str(meta.ShapeKey)
 	h.u64(meta.Seed)
 	h.str(meta.Revision)
 	h.str(meta.Extra)
 	h.f64(meta.TimeSec)
-	h.bytes(e.w.buf)
-	h.u64(uint64(crc32.ChecksumIEEE(e.w.buf)))
-	return h.buf, nil
+	h.bytes(payload)
+	h.u64(crc)
+	return h.buf
 }
+
+// strLen is the encoded size of a length-prefixed string.
+func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
 // readHeader consumes the header and returns the meta, the root type
 // name, and the payload (CRC-verified).
@@ -652,7 +714,7 @@ func Load(data []byte, root any) (Meta, error) {
 	slot := reflect.New(rv.Type()).Elem()
 	slot.Set(rv)
 	d := &decoder{r: &reader{buf: payload}}
-	d.value(slot)
+	d.value(slot, infoOf(rv.Type()))
 	if d.err != nil {
 		return meta, d.err
 	}

@@ -1,0 +1,28 @@
+package tsdb
+
+import "testing"
+
+// BenchmarkMergeWindows folds one level of 64 aligned series — the
+// fleet's merge-on-read, every node pushing on the same 1 ms grid — into
+// a single view: one copy, then 63 folds of 64 windows each.
+func BenchmarkMergeWindows(b *testing.B) {
+	srcs := make([][]Window, 64)
+	for n := range srcs {
+		s := NewSeries("m", CompactSpec())
+		for tUS := int64(1000); tUS <= 200_000; tUS += 1000 {
+			s.Push(tUS, float64(n)+float64(tUS%9000)/1000)
+		}
+		srcs[n] = s.AppendWindows(nil, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var merged []Window
+		for _, src := range srcs {
+			merged = MergeWindows(merged, src)
+		}
+		if len(merged) != 64 {
+			b.Fatalf("merged %d windows", len(merged))
+		}
+	}
+}

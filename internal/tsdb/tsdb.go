@@ -308,32 +308,54 @@ func (s *Series) Fill(t0US, t1US int64, v float64, strideUS int64) {
 
 // AppendWindows appends level li's live windows, oldest first, to dst and
 // returns it. Nil-safe; the result is a copy, safe to hold across writes.
+// When dst lacks room it grows once, to exactly the size needed.
 func (s *Series) AppendWindows(dst []Window, li int) []Window {
 	if s == nil || li < 0 || li >= len(s.levels) {
 		return dst
 	}
 	l := &s.levels[li]
-	for i := 0; i < l.n; i++ {
-		idx := l.head - l.n + 1 + i
-		if idx < 0 {
-			idx += len(l.win)
-		}
-		dst = append(dst, l.win[idx])
+	if l.n == 0 {
+		return dst
 	}
-	return dst
+	if cap(dst)-len(dst) < l.n {
+		grown := make([]Window, len(dst), len(dst)+l.n)
+		copy(grown, dst)
+		dst = grown
+	}
+	// The live windows run from head-n+1 to head, wrapping at the ring end.
+	first := l.head - l.n + 1
+	if first < 0 {
+		dst = append(dst, l.win[first+len(l.win):]...)
+		first = 0
+	}
+	return append(dst, l.win[first:l.head+1]...)
 }
 
 // MergeWindows folds src into dst, both oldest-first window slices of the
 // same level shape, and returns the merged oldest-first slice. Aligned
 // windows (same StartUS) fold aggregate-wise; the result is independent
 // of merge order, which is what makes fleet merge-on-read bit-identical
-// at any worker count. Allocates only when dst needs to grow.
+// at any worker count. When every src window has a dst window with the
+// same StartUS — the fleet case, since all chips push on one grid — the
+// fold happens in place in dst and allocates nothing; otherwise the
+// merge is built in a new slice and dst is left as it was.
 func MergeWindows(dst, src []Window) []Window {
 	if len(src) == 0 {
 		return dst
 	}
 	if len(dst) == 0 {
 		return append(dst, src...)
+	}
+	if aligned(dst, src) {
+		i := 0
+		for _, w := range src {
+			for dst[i].StartUS != w.StartUS {
+				i++
+			}
+			dst[i].foldWindow(w)
+			i++
+		}
+		return dst
 	}
 	merged := make([]Window, 0, len(dst)+len(src))
 	i, j := 0, 0
@@ -355,4 +377,23 @@ func MergeWindows(dst, src []Window) []Window {
 	merged = append(merged, dst[i:]...)
 	merged = append(merged, src[j:]...)
 	return merged
+}
+
+// aligned reports whether every src window's StartUS also starts a dst
+// window. Both slices are oldest-first with strictly increasing starts.
+func aligned(dst, src []Window) bool {
+	if len(src) > len(dst) {
+		return false
+	}
+	i := 0
+	for _, w := range src {
+		for i < len(dst) && dst[i].StartUS < w.StartUS {
+			i++
+		}
+		if i == len(dst) || dst[i].StartUS != w.StartUS {
+			return false
+		}
+		i++
+	}
+	return true
 }

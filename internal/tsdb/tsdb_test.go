@@ -192,3 +192,97 @@ func TestPushZeroAlloc(t *testing.T) {
 		t.Fatalf("Fill allocates: %v allocs/op", allocs)
 	}
 }
+
+// mergeRef is the allocating two-pointer merge, written out as the
+// reference the in-place fold must reproduce.
+func mergeRef(dst, src []Window) []Window {
+	var merged []Window
+	i, j := 0, 0
+	for i < len(dst) && j < len(src) {
+		switch {
+		case dst[i].StartUS < src[j].StartUS:
+			merged = append(merged, dst[i])
+			i++
+		case dst[i].StartUS > src[j].StartUS:
+			merged = append(merged, src[j])
+			j++
+		default:
+			w := dst[i]
+			w.foldWindow(src[j])
+			merged = append(merged, w)
+			i, j = i+1, j+1
+		}
+	}
+	merged = append(merged, dst[i:]...)
+	return append(merged, src[j:]...)
+}
+
+func TestMergeWindowsInPlaceMatchesMerge(t *testing.T) {
+	// mkEvery pushes n samples strideUS apart from startUS; level 0 keeps
+	// the newest 8 one-millisecond windows.
+	mkEvery := func(startUS, strideUS int64, n int, base float64) []Window {
+		s := NewSeries("m", smallSpec())
+		for i := 0; i < n; i++ {
+			s.Push(startUS+int64(i)*strideUS+int64(i%3)*100, base+float64(i%5))
+		}
+		return s.AppendWindows(nil, 0)
+	}
+	mk := func(startUS int64, n int, base float64) []Window { return mkEvery(startUS, 1_000, n, base) }
+	for _, tc := range []struct {
+		name     string
+		dst, src []Window
+		inPlace  bool
+	}{
+		{"aligned", mk(0, 20, 1), mk(0, 20, 2), true},
+		{"aligned subset", mk(0, 20, 1), mk(14_000, 4, 7), true},
+		{"offset", mk(0, 20, 1), mk(3_000, 20, 2), false},
+		{"disjoint", mk(0, 8, 1), mk(100_000, 8, 2), false},
+		{"src wider", mk(14_000, 4, 1), mk(0, 20, 2), false},
+		{"interleaved", mkEvery(0, 2_000, 8, 1), mkEvery(1_000, 2_000, 4, 2), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			orig := append([]Window(nil), tc.dst...)
+			want := mergeRef(orig, tc.src)
+			dst := append([]Window(nil), tc.dst...)
+			got := MergeWindows(dst, tc.src)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("merge differs from the reference:\n%+v\n%+v", got, want)
+			}
+			if folded := &got[0] == &dst[0]; folded != tc.inPlace {
+				t.Fatalf("folded in place = %v, want %v", folded, tc.inPlace)
+			}
+			if !tc.inPlace && !reflect.DeepEqual(dst, orig) {
+				t.Fatalf("allocating merge modified dst")
+			}
+			if tc.inPlace {
+				buf := make([]Window, len(tc.dst))
+				allocs := testing.AllocsPerRun(100, func() {
+					copy(buf, tc.dst)
+					MergeWindows(buf, tc.src)
+				})
+				if allocs != 0 {
+					t.Fatalf("aligned merge allocates %v times", allocs)
+				}
+			}
+		})
+	}
+}
+
+func TestAppendWindowsGrowsExactly(t *testing.T) {
+	s := NewSeries("w", smallSpec())
+	for i := int64(0); i < 21; i++ {
+		s.Push(i*1_000, float64(i))
+	}
+	w := s.AppendWindows(nil, 0)
+	if len(w) != 8 || cap(w) != 8 || w[0].StartUS != 13_000 || w[7].StartUS != 20_000 {
+		t.Fatalf("wrapped level: len %d cap %d, %+v", len(w), cap(w), w)
+	}
+	head := []Window{{StartUS: -1}}
+	w = s.AppendWindows(head, 1)
+	if len(w) != 1+6 || cap(w) != len(w) || w[0].StartUS != -1 || w[1].StartUS != 0 {
+		t.Fatalf("appended level: len %d cap %d, %+v", len(w), cap(w), w)
+	}
+	if w := s.AppendWindows(nil, 5); w != nil {
+		t.Fatalf("missing level returned %v", w)
+	}
+}
