@@ -221,6 +221,10 @@ func options(fs *flag.FlagSet, args []string) (experiments.Options, recording, f
 	o.WarmStart = *warm
 	o.TargetCI = *ci
 	o.Nodes = *nodes
+	if err := o.Wire().Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "agsim:", err)
+		os.Exit(2)
+	}
 	rc := recording{events: *events, timeseries: *timeseries, traceOut: *traceOut, metricsOut: *metricsOut}
 	return o, rc, startProfiles(*cpuprofile, *memprofile)
 }

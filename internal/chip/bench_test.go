@@ -1,0 +1,50 @@
+package chip
+
+import (
+	"testing"
+
+	"agsim/internal/firmware"
+)
+
+// settledBenchChip returns an 8-core chip with raytrace on every core,
+// settled in mode m.
+func settledBenchChip(m firmware.Mode) *Chip {
+	c := MustNew(DefaultConfig("bench", 1))
+	placeN(c, "raytrace", 8)
+	c.SetMode(m)
+	c.Settle(1)
+	return c
+}
+
+// BenchmarkFastForward times the frozen-span layer the sampled lane's
+// fast-forwards run on: one op is a 9 s FastForward of a settled 8-core
+// chip (281 frozen ticks), reported per simulated second.
+func BenchmarkFastForward(b *testing.B) {
+	const span = 9.0
+	for _, m := range []firmware.Mode{firmware.Undervolt, firmware.Overclock} {
+		b.Run(m.String(), func(b *testing.B) {
+			c := settledBenchChip(m)
+			if h := c.SampleHint(span); h < span {
+				b.Fatalf("sample hint %v s is shorter than the %v s span", h, span)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.FastForward(span)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(span*float64(b.N)), "ns/sim_s")
+		})
+	}
+}
+
+// BenchmarkFrozenReadModel times one rebuild of the frozen read model at
+// the operating point an 8-core Undervolt chip settles to — what a
+// fast-forward pays at its start and after every frozen rail command.
+func BenchmarkFrozenReadModel(b *testing.B) {
+	c := settledBenchChip(firmware.Undervolt)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.refreshFrozenReadCache()
+	}
+}

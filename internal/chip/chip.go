@@ -230,10 +230,11 @@ type Chip struct {
 	// frequency, and the per-position tail probabilities of its window
 	// read; from those, the chip-minimum tail distribution and the
 	// cumulative first-argmin weights the frozen ticks sample from. Valid
-	// only inside a FastForward span; refreshed on rail commands.
+	// only inside a FastForward span; refreshed on rail commands. Entries
+	// no tick can read are 0 (see refreshFrozenReadCache).
 	frozenDetMV     []float64
 	frozenMVB       []float64
-	frozenQ         []float64 // P(read_k >= b), flat k*(cpm.MaxValue+2)+b
+	frozenQ         []float64 // P(read_k >= b), flat k*frozenRowLen+b
 	frozenSuf       []float64 // suffix-product scratch, len sensors+1
 	frozenArgW      []float64 // cumulative argmin weights, flat b*sensors+k
 	frozenTail      [cpm.MaxValue + 2]float64
@@ -336,7 +337,7 @@ func New(cfg Config) (*Chip, error) {
 		scratchDrops:    make([]units.Millivolt, cfg.Cores),
 		frozenDetMV:     make([]float64, cfg.Cores*CPMsPerCore),
 		frozenMVB:       make([]float64, cfg.Cores*CPMsPerCore),
-		frozenQ:         make([]float64, cfg.Cores*CPMsPerCore*(cpm.MaxValue+2)),
+		frozenQ:         make([]float64, cfg.Cores*CPMsPerCore*frozenRowLen),
 		frozenSuf:       make([]float64, cfg.Cores*CPMsPerCore+1),
 		frozenArgW:      make([]float64, (cpm.MaxValue+1)*cfg.Cores*CPMsPerCore),
 		frozenRNG:       rng.New(cfg.Seed, "chip/"+cfg.Name+"/frozen"),
@@ -390,6 +391,10 @@ func (c *Chip) bindSeries() {
 	c.tsRail = c.rec.Series(c.src, "rail_mv")
 	c.tsMargin = c.rec.Series(c.src, "margin_bits")
 }
+
+// frozenRowLen is the length of one sensor's row of position tails in the
+// frozen read model: positions 0 through cpm.MaxValue+1.
+const frozenRowLen = cpm.MaxValue + 2
 
 // stepGridUS is the micro-step telemetry grid in integer microseconds —
 // the stride Fill backfills at across leaps and fast-forwards.

@@ -290,8 +290,18 @@ func (c *Chip) MacroStep(h float64) {
 // macroThermal is stepThermal's closed-form counterpart: the exact
 // solution of the first-order model at constant power, which the iterated
 // 1 ms Euler map approaches as dt→0.
-func (c *Chip) macroThermal(h float64) {
-	decay := 1 - math.Exp(-h/c.cfg.ThermalTauSec)
+func (c *Chip) macroThermal(h float64) { c.relaxThermal(c.thermalDecay(h)) }
+
+// thermalDecay is the fraction of the gap to its constant-power target a
+// thermal node closes in h seconds. It depends on h alone, so a
+// fast-forward computes it once for all its full 32 ms segments.
+func (c *Chip) thermalDecay(h float64) float64 {
+	return 1 - math.Exp(-h/c.cfg.ThermalTauSec)
+}
+
+// relaxThermal moves the package and every core the given decay fraction
+// toward their targets at the held power.
+func (c *Chip) relaxThermal(decay float64) {
 	packageTarget := c.cfg.AmbientC + units.Celsius(c.cfg.ThermalResCPerW*float64(c.lastChipPower))
 	c.tempC += units.Celsius(decay * float64(packageTarget-c.tempC))
 	for _, co := range c.cores {

@@ -34,6 +34,9 @@ func (c *Chip) Reset(name string, seed uint64, rec *obs.Recorder) {
 	// perturbs the calibration draws of pre-existing consumers.
 	c.frozenRNG.Reseed(seed, "chip/"+name+"/frozen")
 	c.frozenCarry = false
+	c.frozenAnyDead = false
+	c.frozenNoSensors = false
+	c.clearFrozenModel()
 
 	c.rail.Reset(name+"/vdd", c.cfg.Law.VNom)
 	c.ctrl.Reset(c.cfg.Law)

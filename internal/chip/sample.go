@@ -115,31 +115,48 @@ func (c *Chip) FastForward(h float64) {
 
 	// Walk the 32 ms grid so every firmware tick the span crosses fires
 	// (as a frozen tick), integrating energy and thermals piecewise at the
-	// operating point each segment actually held.
+	// operating point each segment actually held. Two inputs hold for the
+	// whole span: the thermal decay of a full segment (after a tick, seg is
+	// exactly TickSeconds, the same argument macroThermal would see), and
+	// the rail's sensed current, which moves only when a frozen tick's rail
+	// command re-anchors the operating point.
 	c.refreshFrozenReadCache()
 	c.frozenCarry = true
 	ticked := false
+	var tickDecay float64
+	if h >= firmware.TickSeconds {
+		tickDecay = c.thermalDecay(firmware.TickSeconds)
+	}
+	senseA := float64(c.rail.SenseCurrent())
 	for rem := h; rem > settleEps; {
 		seg := firmware.TickSeconds - c.sinceTick
 		if seg > rem {
 			seg = rem
 		}
 		c.energyJ += float64(c.lastChipPower) * seg
-		c.macroThermal(seg)
+		if seg == firmware.TickSeconds {
+			c.relaxThermal(tickDecay)
+		} else {
+			c.macroThermal(seg)
+		}
 		c.timeSec += seg
 		c.sinceTick += seg
 		rem -= seg
 		// Backfill the step-rate series for the segment at the operating
 		// point it actually held (a frozen tick below may re-anchor it for
-		// the next segment). Nil-safe no-ops when telemetry is off.
-		segEnd := obs.StampUS(c.timeSec)
-		segStart := obs.StampUS(c.timeSec - seg)
-		c.tsPower.Fill(segStart, segEnd, float64(c.lastChipPower), stepGridUS)
-		c.tsFreq.Fill(segStart, segEnd, float64(c.cores[0].dpll.Freq()), stepGridUS)
-		c.tsRail.Fill(segStart, segEnd, float64(c.lastRailV), stepGridUS)
+		// the next segment). bindSeries attaches the three together.
+		if c.tsPower != nil {
+			segEnd := obs.StampUS(c.timeSec)
+			segStart := obs.StampUS(c.timeSec - seg)
+			c.tsPower.Fill(segStart, segEnd, float64(c.lastChipPower), stepGridUS)
+			c.tsFreq.Fill(segStart, segEnd, float64(c.cores[0].dpll.Freq()), stepGridUS)
+			c.tsRail.Fill(segStart, segEnd, float64(c.lastRailV), stepGridUS)
+		}
 		if c.sinceTick+gridSnapSec >= firmware.TickSeconds {
 			c.sinceTick = 0
-			c.frozenTick()
+			if c.frozenTick(senseA) {
+				senseA = float64(c.rail.SenseCurrent())
+			}
 			ticked = true
 		}
 	}
@@ -185,15 +202,16 @@ func (c *Chip) FastForward(h float64) {
 // plateau hops the CPM quantization deadband produces, which set the
 // long-horizon undervolt mean — at their exact per-window probabilities. A
 // rail command re-anchors the frozen operating point through
-// refreezeOperatingPoint.
-func (c *Chip) frozenTick() {
+// refreezeOperatingPoint; frozenTick reports it, so the caller re-reads
+// the sensed current senseA it passes in.
+func (c *Chip) frozenTick(senseA float64) (moved bool) {
 	reading := firmware.MarginReading{
 		MinCPM:       cpm.MaxValue,
 		MinStickyCPM: cpm.MaxValue,
 		MVPerBit:     21,
 		AnyDead:      c.frozenAnyDead,
 		NoSensors:    c.frozenNoSensors,
-		CurrentA:     float64(c.rail.SenseCurrent()),
+		CurrentA:     senseA,
 	}
 
 	carried := cpm.MaxValue
@@ -226,8 +244,13 @@ func (c *Chip) frozenTick() {
 		reading.MinCPM = 0
 		reading.MinStickyCPM = 0
 	default:
-		ns := len(c.frozenDetMV)
+		// The draw happens whether or not anything reads the model, so the
+		// frozen stream stays aligned across modes and recorders.
 		u := c.frozenRNG.Float64()
+		if !c.frozenModelRead() {
+			break
+		}
+		ns := len(c.frozenDetMV)
 		m := 0
 		for m < cpm.MaxValue && u < c.frozenTail[m+1] {
 			m++
@@ -252,7 +275,7 @@ func (c *Chip) frozenTick() {
 
 	old := c.rail.SetPoint()
 	next := c.ctrl.VoltageCommand(old, reading)
-	moved := c.ctrl.Mode() == firmware.Undervolt && next != old
+	moved = c.ctrl.Mode() == firmware.Undervolt && next != old
 	if moved {
 		c.rail.Command(next)
 		c.refreezeOperatingPoint()
@@ -269,6 +292,7 @@ func (c *Chip) frozenTick() {
 	}
 	c.lastWindowWorstDidt = c.noise.WorstSinceReset()
 	c.noise.StickyReset()
+	return moved
 }
 
 // refreezeOperatingPoint re-solves the frozen electrical point after a
@@ -330,79 +354,149 @@ func (c *Chip) refreezeOperatingPoint() {
 // sample the controller's input exactly from this joint law instead of
 // drawing per-sensor noise; the model is a pure function of frozen chip
 // state, so results stay bit-identical across worker counts.
+//
+// The model is built only as far as ticks read it. Nothing is built when
+// no tick reads it (frozenModelRead) or the controller fail-safes on a
+// dead sensor or a fully gated chip. Otherwise positions are built up to
+// the cutoff, the first whose chip-wide tail is exactly 0: the tick's scan
+// u < tail[m+1] cannot pass it, so no tail above it and no argmin row at
+// or above it is ever read. Every entry left unbuilt is written as 0, so
+// the arrays hold nothing from an earlier refresh.
 func (c *Chip) refreshFrozenReadCache() {
-	const rowLen = cpm.MaxValue + 2
-	invSigma := 1 / (c.cfg.CPM.NoiseMV * math.Sqrt2)
-	ns := len(c.frozenDetMV)
 	c.frozenAnyDead = false
 	c.frozenNoSensors = true
+	for _, co := range c.cores {
+		if co.state == power.Gated {
+			continue
+		}
+		c.frozenNoSensors = false
+		for _, s := range co.cpms {
+			if s.Dead() {
+				c.frozenAnyDead = true
+			}
+		}
+	}
+	if c.frozenAnyDead || c.frozenNoSensors || !c.frozenModelRead() {
+		c.clearFrozenModel()
+		return
+	}
+	c.buildFrozenArgmin(c.buildFrozenTails())
+}
+
+// clearFrozenModel zeroes every read-model array.
+func (c *Chip) clearFrozenModel() {
+	clear(c.frozenDetMV)
+	clear(c.frozenMVB)
+	clear(c.frozenQ)
+	clear(c.frozenSuf)
+	clear(c.frozenArgW)
+	clear(c.frozenTail[:])
+}
+
+// frozenModelRead reports whether frozen ticks read the read model: the
+// Undervolt loop steers on the reading, and a recorder observes its window
+// minimum. Static, Overclock and Manual commands ignore the reading.
+func (c *Chip) frozenModelRead() bool {
+	return c.rec != nil || c.ctrl.Mode() == firmware.Undervolt
+}
+
+// buildFrozenTails fills every sensor's margin and sensitivity, then the
+// per-sensor tails and their chip-wide product position by position, in
+// sensor order, until the product is exactly 0. It returns that position,
+// the cutoff, and zeroes the tails above it.
+func (c *Chip) buildFrozenTails() (cut int) {
 	k := 0
 	for _, co := range c.cores {
 		f := co.dpll.Freq()
 		agedMin := co.voltageMin - units.Millivolt(c.agingMV)
-		gated := co.state == power.Gated
 		terms := cpm.CoreTerms(&c.cfg.CPM.Law, agedMin, f)
 		for _, s := range co.cpms {
 			c.frozenDetMV[k] = s.DetMarginMV(terms)
 			c.frozenMVB[k] = s.MVPerBit(f)
-			q := c.frozenQ[k*rowLen : (k+1)*rowLen]
-			if gated {
-				// A gated core's CPMs are off: excluded from the minimum
-				// by reading "above everything" with certainty.
-				for b := range q {
-					q[b] = 1
-				}
-				k++
-				continue
-			}
-			c.frozenNoSensors = false
-			if s.Dead() {
-				c.frozenAnyDead = true
-			}
-			// Quantization rounds half away from zero, so read >= b exactly
-			// when the noisy margin clears (b - target - 1/2) sensitivities;
-			// clamping to [0, MaxValue] never moves a read across these
-			// thresholds for b in 1..MaxValue.
-			q[0] = 1
-			for b := 1; b <= cpm.MaxValue; b++ {
-				t := (float64(b-cpm.CalibTarget)-0.5)*c.frozenMVB[k] - c.frozenDetMV[k]
-				q[b] = 0.5 * math.Erfc(t*invSigma)
-			}
-			q[cpm.MaxValue+1] = 0
+			c.frozenQ[k*frozenRowLen] = 1
 			k++
 		}
 	}
-	if c.frozenAnyDead || c.frozenNoSensors {
-		// The controller fail-safes the rail at nominal in either case;
-		// the tick path never consults the minimum distribution.
-		return
-	}
-	for b := 0; b < rowLen; b++ {
+	c.frozenTail[0] = 1
+	invSigma := 1 / (c.cfg.CPM.NoiseMV * math.Sqrt2)
+	for b := 1; ; b++ {
 		p := 1.0
-		for k := 0; k < ns; k++ {
-			p *= c.frozenQ[k*rowLen+b]
+		k := 0
+		for _, co := range c.cores {
+			// A gated core's CPMs are off: excluded from the minimum by
+			// reading "above everything" with certainty.
+			gated := co.state == power.Gated
+			for range co.cpms {
+				q := 1.0
+				switch {
+				case gated:
+				case b > cpm.MaxValue:
+					// Reads clamp to MaxValue: none reaches past it.
+					q = 0
+				default:
+					// Quantization rounds half away from zero, so read >= b
+					// exactly when the noisy margin clears (b - target - 1/2)
+					// sensitivities; clamping to [0, MaxValue] never moves a
+					// read across these thresholds for b in 1..MaxValue.
+					t := (float64(b-cpm.CalibTarget)-0.5)*c.frozenMVB[k] - c.frozenDetMV[k]
+					q = positionTail(t * invSigma)
+				}
+				c.frozenQ[k*frozenRowLen+b] = q
+				p *= q
+				k++
+			}
 		}
 		c.frozenTail[b] = p
+		if p == 0 {
+			cut = b
+			break
+		}
 	}
-	// First-argmin weights per minimum value b: sensor k achieves the
-	// minimum first exactly when it reads b, every earlier sensor reads
-	// above b, and every later one reads at least b (mirroring the strict
-	// less-than tracking of the detailed margin scan). The weights for one
-	// b telescope to tail[b]-tail[b+1], so the cumulative rows partition
-	// each minimum's probability interval for the tick path's single draw.
-	for b := 0; b <= cpm.MaxValue; b++ {
+	clear(c.frozenTail[cut+1:])
+	for k := range c.frozenDetMV {
+		clear(c.frozenQ[k*frozenRowLen+cut+1 : (k+1)*frozenRowLen])
+	}
+	return cut
+}
+
+// positionTail is P(read >= b) = erfc(x)/2 for a sensor whose position-b
+// threshold sits x·σ√2 above its deterministic margin. Go's math.Erfc
+// returns exactly 2 below -6 and exactly 0 from 28 up (TestErfcSaturation
+// pins both), so the saturated branches return its bits without the call.
+func positionTail(x float64) float64 {
+	switch {
+	case x < -6:
+		return 1
+	case x >= 28:
+		return 0
+	}
+	return 0.5 * math.Erfc(x)
+}
+
+// buildFrozenArgmin fills the cumulative first-argmin rows below the
+// cutoff and zeroes the rest. Sensor k achieves the minimum b first exactly
+// when it reads b, every earlier sensor reads above b, and every later one
+// reads at least b (mirroring the strict less-than tracking of the
+// detailed margin scan). The weights for one b telescope to
+// tail[b]-tail[b+1], so the cumulative rows partition each minimum's
+// probability interval for the tick path's single draw. Row b reads the
+// sensor tails at positions b and b+1, all built for b < cut.
+func (c *Chip) buildFrozenArgmin(cut int) {
+	ns := len(c.frozenDetMV)
+	for b := 0; b < cut; b++ {
 		c.frozenSuf[ns] = 1
 		for k := ns - 1; k >= 0; k-- {
-			c.frozenSuf[k] = c.frozenSuf[k+1] * c.frozenQ[k*rowLen+b]
+			c.frozenSuf[k] = c.frozenSuf[k+1] * c.frozenQ[k*frozenRowLen+b]
 		}
 		pref, cum := 1.0, 0.0
 		for k := 0; k < ns; k++ {
-			qb, qb1 := c.frozenQ[k*rowLen+b], c.frozenQ[k*rowLen+b+1]
+			qb, qb1 := c.frozenQ[k*frozenRowLen+b], c.frozenQ[k*frozenRowLen+b+1]
 			cum += (qb - qb1) * pref * c.frozenSuf[k+1]
 			c.frozenArgW[b*ns+k] = cum
 			pref *= qb1
 		}
 	}
+	clear(c.frozenArgW[cut*ns:])
 }
 
 // SampleSignature appends the chip's phase signature — chip power and

@@ -9,6 +9,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -51,6 +52,33 @@ func (w WireOptions) Options() Options {
 	}
 }
 
+// Validate reports the first option no experiment can run with: a
+// non-finite or negative settle, measure or CI value, a work scale that is
+// not finite and positive, or a negative worker or node count. Zero
+// settle and measure spans are valid; zero CI, workers and nodes select
+// their defaults. Experiments panic on a non-positive work scale, and a
+// NaN CI target never closes, so the sampled lane would never extrapolate.
+func (w WireOptions) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"settle_sec", w.SettleSec}, {"measure_sec", w.MeasureSec}, {"target_ci", w.TargetCI}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("experiments: %s %v: want a finite value >= 0", f.name, f.v)
+		}
+	}
+	if !(w.WorkScale > 0) || math.IsInf(w.WorkScale, 1) {
+		return fmt.Errorf("experiments: work_scale %v: want a finite value > 0", w.WorkScale)
+	}
+	if w.Workers < 0 {
+		return fmt.Errorf("experiments: workers %d: want >= 0", w.Workers)
+	}
+	if w.Nodes < 0 {
+		return fmt.Errorf("experiments: nodes %d: want >= 0", w.Nodes)
+	}
+	return nil
+}
+
 // UnitIDs returns every registered experiment id in registry (merge)
 // order.
 func UnitIDs() []string {
@@ -69,6 +97,9 @@ func RenderUnit(id string, opts json.RawMessage) (string, error) {
 	var w WireOptions
 	if err := json.Unmarshal(opts, &w); err != nil {
 		return "", fmt.Errorf("experiments: unit %s: bad options: %w", id, err)
+	}
+	if err := w.Validate(); err != nil {
+		return "", fmt.Errorf("experiments: unit %s: %w", id, err)
 	}
 	e, ok := Lookup(id)
 	if !ok {

@@ -182,6 +182,19 @@ func (l *level) push(tUS int64, v float64) {
 // have produced, skipping windows the ring would immediately have
 // evicted. Allocation-free; O(buckets) worst case.
 func (l *level) fill(first, last, strideUS int64, v float64) {
+	if strideUS > l.widthUS {
+		// Sparse grid: each point opens a window of its own and the
+		// windows between points stay empty, so the ring keeps the
+		// newest len(win) points rather than the newest len(win) widths.
+		if n := (last-first)/strideUS + 1; n > int64(len(l.win)) {
+			first += (n - int64(len(l.win))) * strideUS
+		}
+		for g := first; g <= last; g += strideUS {
+			l.push(g, v)
+		}
+		return
+	}
+	// Dense grid: every window from first's to last's holds a point.
 	startF := first - first%l.widthUS
 	startL := last - last%l.widthUS
 	ws := startF
@@ -288,8 +301,12 @@ func (s *Series) Push(tUS int64, v float64) {
 
 // Fill backfills the span a macro-leap or fast-forward skipped: it
 // records value v at every strideUS grid point g (a stride multiple) with
-// t0US < g <= t1US, producing bit-identical windows to the equivalent
-// Push sequence while touching at most O(buckets) windows per level.
+// t0US < g <= t1US, producing the windows the equivalent Push sequence
+// would while touching at most O(buckets) windows per level. Counts,
+// minima, maxima and last values are bit-identical; a window's Sum adds
+// k·v in one rounding where k pushes round k times, so it is
+// bit-identical when those partial sums are exact, as for values with few
+// significant bits, and otherwise within k roundings.
 // Nil-safe, allocation-free.
 func (s *Series) Fill(t0US, t1US int64, v float64, strideUS int64) {
 	if s == nil || strideUS <= 0 || t1US <= t0US {

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 )
@@ -284,5 +285,87 @@ func TestAppendWindowsGrowsExactly(t *testing.T) {
 	}
 	if w := s.AppendWindows(nil, 5); w != nil {
 		t.Fatalf("missing level returned %v", w)
+	}
+}
+
+// TestFillMatchesPushesRandom is TestFillMatchesPushes as a property over
+// random histories, spans and strides: Fill(t0, t1, v, stride) leaves the
+// push count and every level's windows as one Push(g, v) per stride
+// multiple g in (t0, t1] does, and a push after the span lands alike.
+// Spans are drawn empty, shorter than one stride, a few windows long, and
+// long enough to wrap every ring. Values drawn from eighths of integers
+// below 2^20 sum exactly, so the windows must be equal field for field.
+// For arbitrary values Fill's Sum is the one-rounding k·v where the
+// pushes round k times: every other field must still be equal, and Sum
+// within the error bound of k roundings.
+func TestFillMatchesPushesRandom(t *testing.T) {
+	r := rand.New(rand.NewPCG(9, 2015))
+	strides := []int64{1, 7, 250, 1_000, 1_500, 4_000, 16_000, 50_000}
+	const maxPoints = 4_000
+	for trial := 0; trial < 3_000; trial++ {
+		stride := strides[r.IntN(len(strides))]
+		exact := trial%2 == 0
+		value := func() float64 {
+			if exact {
+				return float64(r.IntN(1<<23)) / 8
+			}
+			return 1e3 * r.NormFloat64()
+		}
+		a, b := NewSeries("a", smallSpec()), NewSeries("b", smallSpec())
+		var t0 int64
+		for i := r.IntN(4); i > 0; i-- {
+			t0 += r.Int64N(20_000)
+			v := value()
+			a.Push(t0, v)
+			b.Push(t0, v)
+		}
+		t0 += r.Int64N(3 * stride)
+		var span int64
+		switch r.IntN(4) {
+		case 0: // empty
+		case 1: // shorter than one stride
+			span = r.Int64N(stride)
+		case 2: // a few windows of the coarsest level
+			span = r.Int64N(4 * 16_000)
+		case 3: // wraps every ring: 8 buckets of 16 ms
+			span = 8*16_000 + r.Int64N(4*8*16_000)
+		}
+		if span > maxPoints*stride {
+			span = maxPoints * stride
+		}
+		t1 := t0 + span
+		v := value()
+		a.Fill(t0, t1, v, stride)
+		for g := t0 - t0%stride + stride; g <= t1; g += stride {
+			b.Push(g, v)
+		}
+		after := t1 + 1 + r.Int64N(2*stride)
+		v = value()
+		a.Push(after, v)
+		b.Push(after, v)
+
+		if a.Pushes() != b.Pushes() {
+			t.Fatalf("trial %d (%d, %d] stride %d: pushes %d != %d", trial, t0, t1, stride, a.Pushes(), b.Pushes())
+		}
+		for li := 0; li < a.Levels(); li++ {
+			wa, wb := a.AppendWindows(nil, li), b.AppendWindows(nil, li)
+			if len(wa) != len(wb) {
+				t.Fatalf("trial %d (%d, %d] stride %d level %d: %d windows != %d", trial, t0, t1, stride, li, len(wa), len(wb))
+			}
+			for i := range wa {
+				fa, fb := wa[i], wb[i]
+				if !exact {
+					// Recursive summation errs by at most (k-1)·2^-53·Σ|x|.
+					n := float64(fb.Cnt)
+					if math.Abs(fa.Sum-fb.Sum) > n*n*0x1p-53*math.Max(math.Abs(fb.Min), math.Abs(fb.Max)) {
+						t.Fatalf("trial %d level %d window %d: fill sum %v, pushed sum %v", trial, li, i, fa.Sum, fb.Sum)
+					}
+					fa.Sum = fb.Sum
+				}
+				if fa != fb {
+					t.Fatalf("trial %d (%d, %d] stride %d level %d window %d:\nfill: %+v\npush: %+v", trial, t0, t1, stride, li, i, wa[i], wb[i])
+				}
+			}
+		}
 	}
 }

@@ -9,8 +9,11 @@
 # experiment-scale benches amortize fine at far fewer, e.g. BENCHTIME=50x).
 #
 # The per-step micro benches (MICRO_BENCHES, default the ChipStep and
-# BatchStep families) run in a separate pass at MICRO_BENCHTIME (default
-# 100000x) with MICRO_COUNT repetitions (default 3): they cost
+# BatchStep families, plus the frozen-span layer benches FastForward and
+# FrozenReadModel, which live in ./internal/chip and report ns/sim_s and
+# ns/op) run in a separate pass over the root and ./internal/chip packages
+# at MICRO_BENCHTIME (default 100000x) with MICRO_COUNT repetitions
+# (default 3): they cost
 # microseconds per op, and 2000 iterations is far too noisy for the
 # few-percent gates bench_compare.sh holds them to — the recorder-overhead
 # budget in particular. The recorded line is the minimum-ns/op repetition:
@@ -69,7 +72,7 @@ set -eu
 pattern="${1:-BenchmarkChipStep|BenchmarkSweep(Serial|Parallel)|BenchmarkDatacenterSweep(Serial|SerialExact)?\$|BenchmarkDatacenterSweepParallel\$|BenchmarkBatchSweep}"
 out="${2:-BENCH_$(date +%Y%m%d).json}"
 benchtime="${BENCHTIME:-2000x}"
-micro_pattern="${MICRO_BENCHES:-BenchmarkChipStep|BenchmarkBatchStep}"
+micro_pattern="${MICRO_BENCHES:-BenchmarkChipStep|BenchmarkBatchStep|BenchmarkFastForward|BenchmarkFrozenReadModel}"
 micro_benchtime="${MICRO_BENCHTIME:-100000x}"
 micro_count="${MICRO_COUNT:-3}"
 fleet_pattern="${FLEET_BENCHES:-BenchmarkDatacenterSweepParallel64}"
@@ -88,7 +91,7 @@ warm_count="${WARM_COUNT:-3}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-go test -run '^$' -bench "$micro_pattern" -benchmem -benchtime "$micro_benchtime" -count "$micro_count" . | tee "$tmp"
+go test -run '^$' -bench "$micro_pattern" -benchmem -benchtime "$micro_benchtime" -count "$micro_count" . ./internal/chip | tee "$tmp"
 go test -run '^$' -bench "$fleet_pattern" -benchmem -benchtime "$fleet_benchtime" -count "$fleet_count" . | tee -a "$tmp"
 go test -run '^$' -bench "$fleetscale_pattern" -benchmem -benchtime "$fleetscale_benchtime" -count "$fleetscale_count" . | tee -a "$tmp"
 go test -run '^$' -bench "$sampled_pattern" -benchmem -benchtime "$sampled_benchtime" -count "$sampled_count" . | tee -a "$tmp"
