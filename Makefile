@@ -13,9 +13,8 @@
 #                        exists); fails on >10% ns/op regressions in the
 #                        chip-step and sweep benches, reports the
 #                        macro-vs-exact wall-clock speedups of the multi-rate
-#                        stepping lanes, holds the batched fleet lanes to
-#                        the gomaxprocs-aware BATCH_SPEEDUP_MIN floor plus
-#                        their own FLEET_*_BUDGET allocation ceilings, and
+#                        stepping lanes, holds the 64-node fleet lane to
+#                        its own FLEET_*_BUDGET allocation ceilings, and
 #                        holds the sampled lane to the SAMPLED_SPEEDUP_MIN
 #                        floor (default 10x vs its macro twin) with headline
 #                        error within SAMPLED_ERR_MAX (default 1%), and
@@ -55,7 +54,7 @@
 
 GO          ?= go
 DATE        := $(shell date +%Y%m%d)
-BENCHES     ?= BenchmarkChipStep|BenchmarkSweep(Serial|Parallel)|BenchmarkDatacenterSweep(Serial|SerialExact)?$$|BenchmarkDatacenterSweepParallel$$|BenchmarkBatchSweep
+BENCHES     ?= BenchmarkChipStep|BenchmarkSweep(Serial|Parallel)|BenchmarkDatacenterSweep(Serial|SerialExact)?$$|BenchmarkDatacenterSweepParallel$$
 PROFILE_EXP ?= fig7
 PROFILE_FLAGS ?= -quick -mesh
 SMOKE_EXP   ?= fig3

@@ -10,7 +10,6 @@
 package agsim_test
 
 import (
-	"fmt"
 	"math"
 	"os"
 	"testing"
@@ -493,18 +492,14 @@ func BenchmarkDatacenterSweepParallel(b *testing.B) {
 	b.ReportMetric(experiments.DatacenterSimSeconds(o), "sim_s/op")
 }
 
-// Fleet-scale pair: the datacenter sweep at 64 nodes, scalar vs on the
-// structure-of-arrays batch engine, at an equal sweep worker count. The
-// batched lane must produce bit-identical results (pinned by the identity
-// tests in internal/experiments) at a multi-× wall-clock win — the
-// BATCH_SPEEDUP_MIN gate in scripts/bench_compare.sh holds the ratio. One
-// untimed warm-up run fills the chip/server/cluster arenas and the engine
-// pool so the timed iterations measure the pooled steady state.
-func benchDatacenterFleet(b *testing.B, batched bool) {
+// BenchmarkDatacenterSweepParallel64 is the datacenter sweep at fleet
+// scale: 64 nodes on four sweep workers. One untimed warm-up run fills the
+// chip/server/cluster arenas so the timed iterations measure the pooled
+// steady state.
+func BenchmarkDatacenterSweepParallel64(b *testing.B) {
 	o := benchOptions()
 	o.Workers = 4
 	o.Nodes = 64
-	o.Batched = batched
 	experiments.DatacenterSweep(o)
 	b.ResetTimer()
 	var r experiments.DatacenterResult
@@ -514,9 +509,6 @@ func benchDatacenterFleet(b *testing.B, batched bool) {
 	b.ReportMetric(r.SavingAtHalfLoad, "ags_vs_naive_%")
 	b.ReportMetric(experiments.DatacenterSimSeconds(o), "sim_s/op")
 }
-
-func BenchmarkDatacenterSweepParallel64(b *testing.B)        { benchDatacenterFleet(b, false) }
-func BenchmarkDatacenterSweepParallel64Batched(b *testing.B) { benchDatacenterFleet(b, true) }
 
 // benchFleetAdvance measures the sharded fleet engine's steady-state cost
 // at a given fleet size: every node serves websearch on all cores under
@@ -542,7 +534,6 @@ func benchFleetAdvance(b *testing.B, nodes int, timeseries bool) {
 		Nodes:    nodes,
 		Template: cfg,
 		Workers:  4,
-		Batched:  true,
 		Recorder: rec,
 	})
 	defer f.Close()
@@ -564,7 +555,7 @@ func benchFleetAdvance(b *testing.B, nodes int, timeseries bool) {
 		Seed:        1,
 	})
 	caps := make([]float64, nodes)
-	f.Advance(0.5) // settle into the multi-rate steady state (seals engines)
+	f.Advance(0.5) // settle into the multi-rate steady state
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for n := range caps {
@@ -588,14 +579,13 @@ func BenchmarkFleetAdvance4096(b *testing.B) { benchFleetAdvance(b, 4096, false)
 // the plane at fleet scale.
 func BenchmarkFleetAdvance256Timeseries(b *testing.B) { benchFleetAdvance(b, 256, true) }
 
-// BenchmarkWebsearchQoS runs the registered websearch-qos experiment on
-// the batched fleet lane: the full policy x load grid with open-loop
-// traffic, the PR's serving headline. One untimed warm-up fills the arenas
-// so the timed iterations measure the pooled steady state.
+// BenchmarkWebsearchQoS runs the registered websearch-qos experiment: the
+// full policy x load grid with open-loop traffic on the sharded fleet, the
+// serving headline. One untimed warm-up fills the arenas so the timed
+// iterations measure the pooled steady state.
 func BenchmarkWebsearchQoS(b *testing.B) {
 	o := benchOptions()
 	o.Workers = 4
-	o.Batched = true
 	experiments.WebsearchQoS(o)
 	b.ResetTimer()
 	var r experiments.WebsearchQoSResult
@@ -606,117 +596,6 @@ func BenchmarkWebsearchQoS(b *testing.B) {
 	b.ReportMetric(r.P99StaticSec*1000, "p99_static_ms")
 	b.ReportMetric(r.P99BoostSec*1000, "p99_boost_ms")
 	b.ReportMetric(experiments.WebsearchQoSSimSeconds(o), "sim_s/op")
-}
-
-// Batched sweep lanes: the full datacenter driver with Options.Batched —
-// every cluster point rides the SoA engine and the naive fleet advances on
-// the worker pool — at the default 4-node fleet, plane and mesh.
-func benchBatchSweep(b *testing.B, mesh bool) {
-	o := benchOptions()
-	o.Batched = true
-	o.Mesh = mesh
-	var r experiments.DatacenterResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.DatacenterSweep(o)
-	}
-	b.ReportMetric(r.SavingAtHalfLoad, "ags_vs_naive_%")
-	b.ReportMetric(experiments.DatacenterSimSeconds(o), "sim_s/op")
-}
-
-func BenchmarkBatchSweep(b *testing.B)     { benchBatchSweep(b, false) }
-func BenchmarkBatchSweepMesh(b *testing.B) { benchBatchSweep(b, true) }
-
-// newBenchBatch lifts n settled BenchmarkChipStep-style chips into one
-// chip.Batch; per-op cost of stepping it is directly comparable to n runs
-// of the scalar BenchmarkChipStep loop.
-func newBenchBatch(b *testing.B, n int, mesh bool, rec *obs.Recorder) *chip.Batch {
-	b.Helper()
-	chips := make([]*chip.Chip, n)
-	d := workload.MustGet("raytrace")
-	for k := range chips {
-		cfg := chip.DefaultConfig("bench", uint64(k+1))
-		if mesh {
-			cfg = cfg.WithMesh()
-		}
-		cfg.Recorder = rec.Shard(fmt.Sprintf("chip%02d", k))
-		c := chip.MustNew(cfg)
-		for i := 0; i < 8; i++ {
-			c.Place(i, workload.NewThread(d, 1e12, nil))
-		}
-		c.SetMode(firmware.Undervolt)
-		c.Settle(1)
-		chips[k] = c
-	}
-	bt, err := chip.NewBatch(chips)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return bt
-}
-
-// BenchmarkBatchStep is the batched counterpart of BenchmarkChipStep: one
-// op advances 8 chips through the flat SoA passes, so ns/op divided by 8
-// is the per-chip cost to hold against the scalar loop.
-func BenchmarkBatchStep(b *testing.B) {
-	bt := newBenchBatch(b, 8, false, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bt.Step(chip.DefaultStepSec)
-	}
-	b.ReportMetric(8, "chips/op")
-}
-
-// BenchmarkBatchStepMesh is BenchmarkBatchStep on the mesh-fidelity lane.
-func BenchmarkBatchStepMesh(b *testing.B) {
-	bt := newBenchBatch(b, 8, true, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bt.Step(chip.DefaultStepSec)
-	}
-	b.ReportMetric(8, "chips/op")
-}
-
-// BenchmarkBatchStepRecorded is BenchmarkBatchStep with the flight
-// recorder attached to every chip; the batched inner loop inherits the
-// scalar lane's zero-allocation contract (TestBatchStepRecordedZeroAlloc).
-func BenchmarkBatchStepRecorded(b *testing.B) {
-	rec := obs.New("bench", obs.DefaultEventCap)
-	bt := newBenchBatch(b, 8, false, rec)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bt.Step(chip.DefaultStepSec)
-	}
-	b.ReportMetric(8, "chips/op")
-}
-
-// TestBatchStepRecordedZeroAlloc extends TestChipStepRecordedZeroAlloc to
-// the batched lane: stepping a gathered batch with the recorder attached
-// must not allocate — the SoA arrays and per-chip scratch windows are all
-// preallocated at NewBatch.
-func TestBatchStepRecordedZeroAlloc(t *testing.T) {
-	rec := obs.New("alloc", obs.DefaultEventCap)
-	chips := make([]*chip.Chip, 4)
-	d := workload.MustGet("raytrace")
-	for k := range chips {
-		cfg := chip.DefaultConfig("alloc", uint64(k+1))
-		cfg.Recorder = rec.Shard(fmt.Sprintf("chip%02d", k))
-		c := chip.MustNew(cfg)
-		for i := 0; i < 8; i++ {
-			c.Place(i, workload.NewThread(d, 1e12, nil))
-		}
-		c.SetMode(firmware.Undervolt)
-		c.Settle(1)
-		chips[k] = c
-	}
-	bt, err := chip.NewBatch(chips)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := testing.AllocsPerRun(2000, func() {
-		bt.Step(chip.DefaultStepSec)
-	}); got != 0 {
-		t.Errorf("instrumented batch step allocates %v allocs/op, want 0", got)
-	}
 }
 
 // Sampled-lane pairs: the same long-horizon driver on the macro lane vs

@@ -21,8 +21,6 @@
 //	-seed N       experiment seed (default 20151205)
 //	-workers N    sweep worker count (0 = GOMAXPROCS, 1 = serial)
 //	-mesh         run every chip on the distributed-grid PDN (mesh lane)
-//	-batched      route fleet-scale drivers through the structure-of-arrays
-//	              stepping engine (bit-identical results, fleet wall-clock)
 //	-sampled      alternate detailed windows with analytic fast-forwards
 //	              (phase detector + confidence tracker); headline statistics
 //	              carry ± error bars from the stated confidence interval
@@ -96,7 +94,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: agsim {list | run <id|all> [flags] [-full] | report [flags] | workloads | worker <url> | replay -from <snap> [-until kind[:n]]}")
-	fmt.Fprintln(os.Stderr, "flags: [-quick] [-seed N] [-workers N] [-mesh] [-exact] [-batched] [-sampled] [-warmstart] [-ci F] [-nodes N] [-events]")
+	fmt.Fprintln(os.Stderr, "flags: [-quick] [-seed N] [-workers N] [-mesh] [-exact] [-sampled] [-warmstart] [-ci F] [-nodes N] [-events]")
 	fmt.Fprintln(os.Stderr, "       [-timeseries] [-trace-out f] [-metrics-out f] [-cpuprofile f] [-memprofile f]")
 }
 
@@ -192,7 +190,6 @@ func options(fs *flag.FlagSet, args []string) (experiments.Options, recording, f
 	workers := fs.Int("workers", 0, "sweep worker count (0 = GOMAXPROCS, 1 = serial)")
 	mesh := fs.Bool("mesh", false, "run every chip on the distributed-grid PDN (mesh-fidelity lane)")
 	exact := fs.Bool("exact", false, "disable event-horizon macro-stepping; pure 1 ms reference lane")
-	batched := fs.Bool("batched", false, "route fleet-scale drivers through the structure-of-arrays stepping engine")
 	sampled := fs.Bool("sampled", false, "sampled simulation: detailed windows + CI-gated analytic fast-forwards")
 	warm := fs.Bool("warmstart", false, "restore settled sweep baselines from the in-process snapshot cache (bit-identical; repeat sweeps skip the settle span)")
 	ci := fs.Float64("ci", 0, "sampled lane's relative confidence-interval target (0 = default 0.01)")
@@ -216,7 +213,6 @@ func options(fs *flag.FlagSet, args []string) (experiments.Options, recording, f
 	o.Workers = *workers
 	o.Mesh = *mesh
 	o.Exact = *exact
-	o.Batched = *batched
 	o.Sampled = *sampled
 	o.WarmStart = *warm
 	o.TargetCI = *ci
@@ -445,51 +441,43 @@ func reportCmd(args []string) {
 	}
 }
 
-// reportRuntimeComparison reruns every experiment on the exact 1 ms lane
-// and on the batched (structure-of-arrays) lane, and tabulates their wall
+// reportRuntimeComparison reruns every experiment on the exact 1 ms lane,
+// the sampled lane and the warm-start lane, and tabulates their wall
 // clocks against the macro-lane runtimes already measured, so the report
-// documents what multi-rate stepping and batching buy at this fidelity.
+// documents what multi-rate stepping buys at this fidelity.
 func reportRuntimeComparison(o experiments.Options, macroRuntimes []time.Duration) {
 	fmt.Println()
 	fmt.Println("## Runtime — multi-rate stepping vs the exact lane")
 	fmt.Println()
 	fmt.Println("Wall-clock per experiment at this report's fidelity: the exact 1 ms")
 	fmt.Println("reference lane (`-exact`) against the default event-horizon macro lane")
-	fmt.Println("that produced the numbers above, plus the batched lane (`-batched`) —")
-	fmt.Println("the structure-of-arrays stepping engine the fleet-scale drivers ride —")
-	fmt.Println("and the sampled lane (`-sampled`), which extrapolates converged spans")
-	fmt.Println("and reports its worst stated confidence interval, and the warm-start")
-	fmt.Println("lane (`-warmstart`) — the macro lane restoring settled baselines from")
-	fmt.Println("the snapshot cache instead of re-settling (timed on a primed cache;")
-	fmt.Println("the win is largest where settling dominates, e.g. the exact-lane")
-	fmt.Println("steady-state sweeps CI gates at >=2x). Exact, macro, batched and warm")
-	fmt.Println("report bit-identical experiment results; the sampled lane is")
-	fmt.Println("statistical, pinned within its CI by the accuracy harness.")
+	fmt.Println("that produced the numbers above, plus the sampled lane (`-sampled`),")
+	fmt.Println("which extrapolates converged spans and reports its worst stated")
+	fmt.Println("confidence interval, and the warm-start lane (`-warmstart`) — the macro")
+	fmt.Println("lane restoring settled baselines from the snapshot cache instead of")
+	fmt.Println("re-settling (timed on a primed cache; the win is largest where settling")
+	fmt.Println("dominates, e.g. the exact-lane steady-state sweeps CI gates at >=2x).")
+	fmt.Println("Exact, macro and warm report bit-identical experiment results; the")
+	fmt.Println("sampled lane is statistical, pinned within its CI by the accuracy harness.")
 	fmt.Println()
-	fmt.Println("| experiment | exact 1 ms lane | macro lane | batched lane | sampled lane | warm lane | macro speedup | warm speedup | sampled worst CI |")
-	fmt.Println("|---|---|---|---|---|---|---|---|---|")
+	fmt.Println("| experiment | exact 1 ms lane | macro lane | sampled lane | warm lane | macro speedup | warm speedup | sampled worst CI |")
+	fmt.Println("|---|---|---|---|---|---|---|---|")
 	exact := o
 	exact.Exact = true
 	// The timing reruns never record: a stale recorder would panic on
 	// duplicate shard names and the recording already happened above.
 	exact.Recorder = nil
-	batched := o
-	batched.Batched = true
-	batched.Recorder = nil
 	sampled := o
 	sampled.Sampled = true
 	sampled.Recorder = nil
 	warm := o
 	warm.WarmStart = true
 	warm.Recorder = nil
-	var exactTotal, macroTotal, batchedTotal, sampledTotal, warmTotal time.Duration
+	var exactTotal, macroTotal, sampledTotal, warmTotal time.Duration
 	for i, e := range experiments.Registry() {
 		start := time.Now()
 		e.Run(exact)
 		et := time.Since(start)
-		start = time.Now()
-		e.Run(batched)
-		bt := time.Since(start)
 		start = time.Now()
 		srep := e.Run(sampled)
 		st := time.Since(start)
@@ -503,18 +491,15 @@ func reportRuntimeComparison(o experiments.Options, macroRuntimes []time.Duratio
 		}
 		exactTotal += et
 		macroTotal += macroRuntimes[i]
-		batchedTotal += bt
 		sampledTotal += st
 		warmTotal += wt
-		fmt.Printf("| %s | %s | %s | %s | %s | %s | %.1fx | %.1fx | %.4f |\n",
+		fmt.Printf("| %s | %s | %s | %s | %s | %.1fx | %.1fx | %.4f |\n",
 			e.ID, et.Round(time.Millisecond), macroRuntimes[i].Round(time.Millisecond),
-			bt.Round(time.Millisecond), st.Round(time.Millisecond),
-			wt.Round(time.Millisecond),
+			st.Round(time.Millisecond), wt.Round(time.Millisecond),
 			float64(et)/float64(macroRuntimes[i]), float64(macroRuntimes[i])/float64(wt), worstCI)
 	}
-	fmt.Printf("| **total** | %s | %s | %s | %s | %s | %.1fx | %.1fx | |\n",
+	fmt.Printf("| **total** | %s | %s | %s | %s | %.1fx | %.1fx | |\n",
 		exactTotal.Round(time.Millisecond), macroTotal.Round(time.Millisecond),
-		batchedTotal.Round(time.Millisecond), sampledTotal.Round(time.Millisecond),
-		warmTotal.Round(time.Millisecond),
+		sampledTotal.Round(time.Millisecond), warmTotal.Round(time.Millisecond),
 		float64(exactTotal)/float64(macroTotal), float64(macroTotal)/float64(warmTotal))
 }

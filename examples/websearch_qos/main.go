@@ -3,7 +3,7 @@
 // websearch-qos` and the accuracy harness execute, so this example cannot
 // drift from the registered experiment.
 //
-//	go run ./examples/websearch_qos [-quick] [-nodes N] [-workers N] [-batched]
+//	go run ./examples/websearch_qos [-quick] [-nodes N] [-workers N]
 package main
 
 import (
@@ -18,7 +18,6 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced-fidelity sweep (fewer loads, shorter spans)")
 	nodes := flag.Int("nodes", 0, "fleet size (0 selects the default)")
 	workers := flag.Int("workers", 0, "worker pool width (0 selects GOMAXPROCS)")
-	batched := flag.Bool("batched", false, "ride the structure-of-arrays stepping engine")
 	full := flag.Bool("full", false, "print figures and tables, not just headlines")
 	flag.Parse()
 
@@ -34,7 +33,6 @@ func main() {
 	}
 	o.Nodes = *nodes
 	o.Workers = *workers
-	o.Batched = *batched
 
 	fmt.Printf("%s — %s\n", exp.ID, exp.Title)
 	fmt.Printf("paper: %s\n\n", exp.Paper)

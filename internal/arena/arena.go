@@ -24,7 +24,11 @@ import "sync"
 // produced by an older struct layout can never be handed to — or restored
 // into — a binary that laid its state out differently. Bump it whenever a
 // Reset-managed or snapshot-walked struct changes shape.
-const FormatVersion byte = 1
+//
+// Version 2 dropped the batched stepping lane's fields: fleet.Config's
+// Batched flag, the fleet's per-shard engine pointer and sealed flag, and
+// the cluster's batched flag, engine, gathered-server list and slot map.
+const FormatVersion byte = 2
 
 // Versioned prefixes a shape key with the format-version byte. Arena
 // methods apply it internally; external caches keyed by shape (the warm

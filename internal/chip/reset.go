@@ -116,7 +116,7 @@ func (c Config) ShapeKey() string {
 
 // ShapeKey returns the chip's configuration shape key, so a releasing
 // caller can return the chip to the pool it was (or could have been)
-// acquired from. The key is cached at construction — batched paths look
-// it up once per chip per gather, and re-deriving it would format the
+// acquired from. The key is cached at construction — pooled paths look
+// it up on every acquire and release, and re-deriving it would format the
 // whole configuration each time.
 func (c *Chip) ShapeKey() string { return c.shapeKey }

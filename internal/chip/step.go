@@ -321,8 +321,8 @@ func (c *Chip) firmwareTick() {
 
 // emitAttrib records the guardband-attribution record the controller just
 // produced: a KindAttrib event plus a margin time-series sample. Shared
-// verbatim by the live tick, the frozen fast-forward tick, and the
-// batched lane's tick so the streams are identical across lanes.
+// verbatim by the live tick and the frozen fast-forward tick so the
+// streams are identical across lanes.
 func (c *Chip) emitAttrib(r *obs.Recorder, tUS int64, next units.Millivolt) {
 	a := c.ctrl.LastAttribution()
 	r.Emit(obs.Event{TimeUS: tUS, Kind: obs.KindAttrib, Source: c.src, Core: -1,

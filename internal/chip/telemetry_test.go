@@ -6,7 +6,10 @@ import (
 
 	"agsim/internal/firmware"
 	"agsim/internal/obs"
+	"agsim/internal/power"
+	"agsim/internal/rng"
 	"agsim/internal/tsdb"
+	"agsim/internal/workload"
 )
 
 // tsRecorder builds a recorder with the telemetry plane enabled, as the
@@ -17,61 +20,36 @@ func tsRecorder() *obs.Recorder {
 	return r
 }
 
-// TestTimeseriesBatchMatchesScalar pins the telemetry plane's lane
-// identity: with series and attribution enabled, the scalar and batched
-// lanes must produce DeepEqual recorder snapshots — same windows at every
-// resolution (Push and Fill sequences mirror exactly) and same KindAttrib
-// event streams — through micro-steps, firmware ticks, and macro-leaps.
-func TestTimeseriesBatchMatchesScalar(t *testing.T) {
-	var scalar, batched []*Chip
-	var recS, recB []*obs.Recorder
-	for k := 0; k < 2; k++ {
-		seed := uint64(909 + 101*k)
-		rs, rb := tsRecorder(), tsRecorder()
-		scalar = append(scalar, buildIdentityChip("c", seed, k, false, false, firmware.Undervolt, rs))
-		batched = append(batched, buildIdentityChip("c", seed, k, false, false, firmware.Undervolt, rb))
-		recS = append(recS, rs)
-		recB = append(recB, rb)
-	}
-	for _, c := range scalar {
-		c.Settle(1)
-	}
-	for _, c := range batched {
-		c.Settle(1)
-	}
-	bt, err := NewBatch(batched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const eps = 1e-9
-	for i, c := range scalar {
-		remaining := 0.5
-		for remaining > eps {
-			remaining -= c.Advance(remaining)
-		}
-		remaining = 0.5
-		for remaining > eps {
-			remaining -= bt.AdvanceChip(i, remaining)
-		}
-	}
-	bt.Scatter()
-	for i := range scalar {
-		requireRecordersEqual(t, recS[i], recB[i])
-	}
-	// The run must actually have recorded telemetry, not vacuous equality.
-	log := recS[0].Snapshot()
-	if len(log.Series) == 0 {
-		t.Fatal("no series recorded")
-	}
-	var attribs int
-	for _, ev := range log.Events {
-		if ev.Kind == obs.KindAttrib {
-			attribs++
-		}
-	}
-	if attribs == 0 {
-		t.Fatal("no guardband-attribution events recorded")
-	}
+// buildIdentityChip constructs one chip for the telemetry tests with a
+// deliberately messy setup: SMT pairs, mixed workloads, a short thread that
+// completes mid-run, a throttled core, an idle core, a gated core, and
+// aging.
+func buildIdentityChip(seed uint64, exact bool, rec *obs.Recorder) *Chip {
+	cfg := DefaultConfig("c", seed)
+	cfg.Exact = exact
+	cfg.Recorder = rec
+	c := MustNew(cfg)
+
+	r := rng.New(seed, "threads")
+	ray := workload.MustGet("raytrace")
+	lu := workload.MustGet("lu_cb")
+	fft := workload.MustGet("fft")
+	water := workload.MustGet("water_nsquared")
+	c.Place(0, workload.NewThread(ray, 1e6, r.Split("t0a")), workload.NewThread(lu, 1e6, r.Split("t0b")))
+	c.Place(1, workload.NewThread(water, 1e6, r.Split("t1")))
+	c.Place(2, workload.NewThread(fft, 1e6, r.Split("t2")))
+	// Core 3's thread finishes partway through the run, exercising the
+	// completion event and the dead-thread demand paths.
+	c.Place(3, workload.NewThread(ray, 0.2, r.Split("t3")))
+	c.Place(4, workload.NewThread(lu, 1e6, nil))
+	c.Place(5, workload.NewThread(water, 1e6, r.Split("t5")))
+	c.SetIssueThrottle(5, 0.6)
+	c.SetMemFactor(1, 1.2)
+	// Core 6 stays IdleOn; core 7 is gated.
+	c.SetCoreState(7, power.Gated)
+	c.AgeBy(1.5)
+	c.SetMode(firmware.Undervolt)
+	return c
 }
 
 // TestTimeseriesMacroMatchesExactCoverage pins the leap backfill
@@ -82,7 +60,7 @@ func TestTimeseriesBatchMatchesScalar(t *testing.T) {
 func TestTimeseriesMacroMatchesExactCoverage(t *testing.T) {
 	run := func(exact bool) *obs.Log {
 		rec := tsRecorder()
-		c := buildIdentityChip("c", 77, 0, false, exact, firmware.Undervolt, rec)
+		c := buildIdentityChip(77, exact, rec)
 		c.Settle(1)
 		c.Settle(0.5)
 		log := rec.Snapshot()
@@ -120,7 +98,7 @@ func TestTimeseriesMacroMatchesExactCoverage(t *testing.T) {
 func TestTimeseriesSampledWithinBounds(t *testing.T) {
 	mkChip := func() (*Chip, *obs.Recorder) {
 		rec := tsRecorder()
-		c := buildIdentityChip("c", 3131, 0, false, false, firmware.Undervolt, rec)
+		c := buildIdentityChip(3131, false, rec)
 		c.Settle(1)
 		return c, rec
 	}

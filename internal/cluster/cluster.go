@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 
-	"agsim/internal/batch"
 	"agsim/internal/chip"
 	"agsim/internal/firmware"
 	"agsim/internal/parallel"
@@ -110,18 +109,6 @@ type Cluster struct {
 	// no state within a Step call (each server owns its chips, jobs and
 	// RNG streams), so per-node results are identical to the serial order.
 	pool *parallel.Pool
-
-	// batched routes Step/Advance through the structure-of-arrays engine
-	// (internal/batch): powered nodes' chips are gathered into one
-	// contiguous arena and advanced as flat passes, scattering back at
-	// placement boundaries. Results are bit-identical to the scalar path;
-	// see ARCHITECTURE.md "Batched stepping".
-	batched bool
-	engine  *batch.Engine
-	// engineSrvs lists the gathered servers in node index order, and
-	// slotOf maps node index to engine slot (-1 when not gathered).
-	engineSrvs []*server.Server
-	slotOf     []int
 }
 
 // New creates a cluster of n nodes from the template configuration; node
@@ -162,8 +149,6 @@ func MustNew(n int, template NodeConfig) *Cluster {
 // rewind lazily in powerOn — so a pooled cluster registers exactly the
 // flight-recorder sources a fresh one would, in the same order.
 func (c *Cluster) Reset(template NodeConfig) {
-	c.flush()
-	c.batched = false
 	c.mode = firmware.Undervolt
 	c.seed = template.Server.Seed
 	c.pool = nil
@@ -192,13 +177,6 @@ func (c *Cluster) ShapeKey() string {
 	return fmt.Sprintf("cluster{%d %s}", len(c.nodes), c.nodes[0].cfg.ShapeKey())
 }
 
-// SnapshotPrepare quiesces the cluster for checkpointing (the
-// snapshot.Preparer seam): any live batch segment scatters back into the
-// per-chip objects and the engine returns to its pool, so the chips are
-// authoritative on both the save and load side of a restore. The next
-// Advance re-gathers lazily, exactly as after a placement boundary.
-func (c *Cluster) SnapshotPrepare() { c.flush() }
-
 // Nodes returns the node count.
 func (c *Cluster) Nodes() int { return len(c.nodes) }
 
@@ -207,7 +185,6 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 
 // SetMode selects the guardband mode applied to powered nodes.
 func (c *Cluster) SetMode(m firmware.Mode) {
-	c.flush()
 	c.mode = m
 	for _, n := range c.nodes {
 		if n.on {
@@ -254,7 +231,6 @@ func (c *Cluster) Submit(id string, d workload.Descriptor, threads int, workGIns
 	if threads < 1 {
 		return -1, fmt.Errorf("cluster: job %s needs at least one thread", id)
 	}
-	c.flush()
 	node := c.policy.PickNode(c, threads)
 	if node == nil {
 		return -1, fmt.Errorf("cluster: no node has %d free cores for job %s", threads, id)
@@ -281,7 +257,6 @@ func (c *Cluster) Submit(id string, d workload.Descriptor, threads int, workGIns
 // Release removes a finished (or cancelled) job and suspends the node if it
 // empties.
 func (c *Cluster) Release(id string) error {
-	c.flush()
 	for _, n := range c.nodes {
 		if j, ok := n.jobs[id]; ok {
 			n.srv.Remove(j)
@@ -301,82 +276,16 @@ func (c *Cluster) Release(id string) error {
 // SetWorkers enables parallel node stepping: n >= 2 steps powered nodes on
 // up to n goroutines, n <= 1 restores the serial path, and 0 selects
 // parallel.DefaultWorkers(). Safe because Step touches each node's private
-// state only — and on the batched lane (SetBatched) each worker owns a
-// disjoint node-aligned range of the structure-of-arrays arena, so the
-// worker count never changes results on either lane; see ARCHITECTURE.md
-// "Concurrency and determinism" and "Batched stepping".
+// state only, so the worker count never changes results; see
+// ARCHITECTURE.md "Concurrency and determinism".
 func (c *Cluster) SetWorkers(n int) {
 	c.pool = parallel.NewPool(n)
-}
-
-// SetBatched selects the structure-of-arrays stepping lane: Step and
-// Advance gather the powered nodes' chips into a pooled batch engine and
-// advance them as flat passes, scattering back to the per-chip objects
-// whenever placements, modes or direct chip access require object state.
-// Results are bit-identical to the scalar lane; only wall-clock changes.
-func (c *Cluster) SetBatched(on bool) {
-	if !on {
-		c.flush()
-	}
-	c.batched = on
-}
-
-// Batched reports whether the structure-of-arrays lane is selected.
-func (c *Cluster) Batched() bool { return c.batched }
-
-// flush ends any live batch segment: scatters the arena back into the
-// chips, releases the engine to its pool, and restores the per-chip
-// objects as the authoritative state. Called before every structural
-// mutation (submit, release, mode change, reset).
-func (c *Cluster) flush() {
-	if c.engine == nil {
-		return
-	}
-	c.engine.Scatter()
-	batch.Release(c.engine)
-	c.engine = nil
-	c.engineSrvs = c.engineSrvs[:0]
-}
-
-// ensureEngine gathers the powered nodes (in node index order) into a
-// pooled engine. No-op when the lane is scalar, an engine is live, or no
-// node is powered.
-func (c *Cluster) ensureEngine() {
-	if !c.batched || c.engine != nil {
-		return
-	}
-	if c.slotOf == nil {
-		c.slotOf = make([]int, len(c.nodes))
-	}
-	c.engineSrvs = c.engineSrvs[:0]
-	for i, n := range c.nodes {
-		c.slotOf[i] = -1
-		if n.on {
-			c.slotOf[i] = len(c.engineSrvs)
-			c.engineSrvs = append(c.engineSrvs, n.srv)
-		}
-	}
-	if len(c.engineSrvs) == 0 {
-		return
-	}
-	e, err := batch.Acquire(c.engineSrvs)
-	if err != nil {
-		panic(fmt.Sprintf("cluster: batch gather failed: %v", err)) // nodes share one shape by construction
-	}
-	c.engine = e
 }
 
 // Step advances all powered nodes, concurrently when SetWorkers enabled a
 // multi-worker pool. Per-node state after the step is identical either
 // way: a node's step reads and writes only that node's server.
 func (c *Cluster) Step(dtSec float64) {
-	if c.batched {
-		c.ensureEngine()
-		if c.engine != nil {
-			c.engine.Step(c.pool, dtSec)
-		}
-		return
-	}
 	if c.pool.Serial() {
 		for _, n := range c.nodes {
 			if n.on {
@@ -402,13 +311,6 @@ func (c *Cluster) Step(dtSec float64) {
 // chip.MicroStepSec) so nodes powered on together stay tick-aligned with
 // the exact lane.
 func (c *Cluster) Advance(maxSec float64) float64 {
-	if c.batched {
-		c.ensureEngine()
-		if c.engine == nil {
-			return maxSec // nothing powered: the scalar path covers maxSec too
-		}
-		return c.engine.Advance(c.pool, maxSec)
-	}
 	micro := chip.DefaultStepSec
 	for _, n := range c.nodes {
 		if n.on {
@@ -489,18 +391,13 @@ func (c *Cluster) ReapFinished() []string {
 }
 
 // TotalPower returns the cluster draw: chips plus platform overheads and
-// suspended-node floors. While a batch segment is live the arena is
-// authoritative, so powered nodes read through the engine — the same
-// chip-order sum server.TotalPower performs.
+// suspended-node floors.
 func (c *Cluster) TotalPower() units.Watt {
 	var total units.Watt
-	for i, n := range c.nodes {
-		switch {
-		case n.on && c.engine != nil:
-			total += c.engine.ServerPower(c.slotOf[i]) + units.Watt(n.cfg.PlatformIdleW)
-		case n.on:
+	for _, n := range c.nodes {
+		if n.on {
 			total += n.srv.TotalPower() + units.Watt(n.cfg.PlatformIdleW)
-		default:
+		} else {
 			total += units.Watt(n.cfg.SuspendedW)
 		}
 	}
@@ -509,22 +406,17 @@ func (c *Cluster) TotalPower() units.Watt {
 
 // TotalMIPS returns the cluster's instruction throughput, accumulated in
 // node order then socket order over the powered nodes — the float64 sum
-// the datacenter experiments fold, engine-aware like TotalPower so both
-// lanes report bit-identical values. Suspended nodes are excluded even
+// the datacenter experiments fold. Suspended nodes are excluded even
 // when they retain a server: a retained server rewinds lazily in powerOn
 // (see Reset), so its chips carry stale readings until the next boot.
 func (c *Cluster) TotalMIPS() float64 {
 	var mips float64
-	for i, n := range c.nodes {
+	for _, n := range c.nodes {
 		if !n.on {
 			continue
 		}
 		for si := 0; si < n.srv.Sockets(); si++ {
-			if n.on && c.engine != nil {
-				mips += float64(c.engine.ChipMIPS(c.slotOf[i], si))
-			} else {
-				mips += float64(n.srv.Chip(si).TotalMIPS())
-			}
+			mips += float64(n.srv.Chip(si).TotalMIPS())
 		}
 	}
 	return mips

@@ -1,17 +1,12 @@
 package cluster
 
 // Sampled-lane seam: cluster-level SampleHint/FastForward, synchronized
-// across powered nodes exactly like Advance's horizon gather. The batched
-// engine's arrays are scattered back first — a fast-forward mutates chip
-// state through the scalar objects, and correctness beats keeping the
-// batch segment alive (the governor only fast-forwards long spans, so the
-// flush amortizes).
+// across powered nodes exactly like Advance's horizon gather.
 
 // SampleHint returns the cluster-wide fast-forward bound: the minimum of
 // the powered nodes' hints, capped at maxSec. A fully suspended cluster
 // returns maxSec (nothing constrains the skip).
 func (c *Cluster) SampleHint(maxSec float64) float64 {
-	c.flush()
 	h := maxSec
 	for _, n := range c.nodes {
 		if !n.on {
@@ -26,7 +21,7 @@ func (c *Cluster) SampleHint(maxSec float64) float64 {
 
 // FastForward extrapolates every powered node by h seconds at frozen
 // conditions. The caller must have bounded h with SampleHint (which also
-// flushed any live batch segment and applied memory factors).
+// applied memory factors).
 func (c *Cluster) FastForward(h float64) {
 	for _, n := range c.nodes {
 		if n.on {
@@ -40,7 +35,6 @@ func (c *Cluster) FastForward(h float64) {
 // suspend or power-on between windows changes the signature length and the
 // phase detector treats that as a change point.
 func (c *Cluster) SampleSignature(buf []float64) []float64 {
-	c.flush()
 	for _, n := range c.nodes {
 		if n.on {
 			buf = append(buf, 1)

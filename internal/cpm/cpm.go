@@ -184,8 +184,7 @@ func MVPerBitAt(mvPerBitNom, fScale float64) float64 {
 
 // Raw is the per-sensor read arithmetic: the output of a sensor with the
 // given calibration and held window noise, for one core's read terms,
-// before the sticky latch sees it. Sensor.Read and the batched kernel's
-// structure-of-arrays sensors both read through it.
+// before the sticky latch sees it. Sensor.Read reads through it.
 func Raw(t Terms, dead bool, pathOffsetMV, noiseOffsetMV, mvPerBitNom float64) int {
 	if dead {
 		return 0
@@ -264,25 +263,6 @@ func (s *Sensor) StickyReset() {
 func (s *Sensor) ClearSticky() {
 	s.hasSticky = false
 	s.stickyMin = 0
-}
-
-// BatchState exposes the calibration and window state the batched stepping
-// engine gathers into its structure-of-arrays mirror: the nominal
-// sensitivity, path offset, held noise realization, dead flag, and sticky
-// latch. The engine reads these through Raw, as Read does.
-func (s *Sensor) BatchState() (mvPerBitNom, pathOffsetMV, noiseOffsetMV float64, dead bool, stickyMin int, hasSticky bool) {
-	return s.mvPerBitNom, s.pathOffsetMV, s.noiseOffsetMV, s.dead, s.stickyMin, s.hasSticky
-}
-
-// NoiseOffsetMV returns the held per-window noise realization; the batched
-// engine re-reads it after each StickyReset redraw.
-func (s *Sensor) NoiseOffsetMV() float64 { return s.noiseOffsetMV }
-
-// RestoreSticky overwrites the sticky latch — the batched engine's scatter
-// path, writing back the window minimum its mirrored reads accumulated.
-func (s *Sensor) RestoreSticky(stickyMin int, hasSticky bool) {
-	s.stickyMin = stickyMin
-	s.hasSticky = hasSticky
 }
 
 // Kill marks the sensor failed (stuck at worst-case output).

@@ -212,8 +212,8 @@ func valueByExpression(law *vf.Law, v units.Millivolt, f units.Megahertz, dead b
 }
 
 // TestCoreReadMatchesValue pins the per-core read path to Value: CoreTerms
-// once per core, then Read on each sensor — or Raw on the sensor's batch
-// state, as the batched kernel reads — must return exactly what
+// once per core, then Read on each sensor — or Raw on the sensor's
+// calibration and window state — must return exactly what
 // Value(v, f) returns and leave the same sticky latch, through the droop
 // re-read that only latches, for table and random operating points. Value
 // itself is held to the written-out expression.
@@ -246,7 +246,8 @@ func TestCoreReadMatchesValue(t *testing.T) {
 		droop := CoreTerms(&law, droopV, p.f)
 		for j := range byValue {
 			want := byValue[j].Value(p.v, p.f)
-			mvb, poff, noff, dead, _, _ := byTerms[j].BatchState()
+			s := byTerms[j]
+			mvb, poff, noff, dead := s.mvPerBitNom, s.pathOffsetMV, s.noiseOffsetMV, s.dead
 			if ref := valueByExpression(&law, p.v, p.f, dead, poff, noff, mvb); want != ref {
 				t.Fatalf("point %d (%v, %v) sensor %d: Value = %d, expression = %d", i, p.v, p.f, j, want, ref)
 			}

@@ -169,13 +169,5 @@ func (d *DPLL) DroopsAbsorbed() int { return d.droopsAbsorbed }
 // reach. Nonzero means the guardband configuration is unsafe.
 func (d *DPLL) TimingViolations() int { return d.timingViolations }
 
-// AddDroopStats merges externally accounted droop outcomes into the
-// counters. The batched stepping engine mirrors AbsorbDroop's arithmetic on
-// its own arrays and folds the per-batch deltas back here at scatter time.
-func (d *DPLL) AddDroopStats(absorbed, violations int) {
-	d.droopsAbsorbed += absorbed
-	d.timingViolations += violations
-}
-
 // ResetCounters clears the droop statistics.
 func (d *DPLL) ResetCounters() { d.droopsAbsorbed, d.timingViolations = 0, 0 }

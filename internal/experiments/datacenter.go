@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"agsim/internal/batch"
 	"agsim/internal/cluster"
 	"agsim/internal/firmware"
 	"agsim/internal/parallel"
@@ -46,10 +45,7 @@ type datacenterPolicy struct {
 
 // DatacenterSweep runs the utilization sweep on an o.Nodes-node cluster
 // (default four) with four-thread raytrace-class jobs. Job counts scale
-// with the fleet so each point keeps its utilization meaning. With
-// o.Batched the cluster policies ride the structure-of-arrays engine and
-// the naive fleet advances its independent servers on the worker pool —
-// bit-identical results, fleet-scale wall-clock.
+// with the fleet so each point keeps its utilization meaning.
 func DatacenterSweep(o Options) DatacenterResult {
 	res := DatacenterResult{
 		Power:      trace.NewFigure("Datacenter sweep: cluster power vs offered jobs"),
@@ -148,27 +144,18 @@ func runNaive(o Options, jobs int) (float64, float64) {
 		srvs[node].MustSubmit(fmt.Sprintf("j%d", j), d, pl, 1e9)
 		perNode[node]++
 	}
-	switch {
-	case o.Sampled:
-		// Sampled takes precedence over Batched: settling stays detailed
-		// (scalar), then each independent server gets its own governor for
-		// the measurement span.
-		for i, s := range srvs {
-			o.settleServer(s, fmt.Sprintf("dc/naive/%d/node%02d", jobs, i))
-		}
-		for _, s := range srvs {
+	for i, s := range srvs {
+		o.settleServer(s, fmt.Sprintf("dc/naive/%d/node%02d", jobs, i))
+	}
+	for _, s := range srvs {
+		if o.Sampled {
+			// Each independent server gets its own governor for the
+			// measurement span.
 			o.governor(s).Run(o.MeasureSec, nil)
+			continue
 		}
-	case o.Batched:
-		advanceNaiveBatched(o, srvs)
-	default:
-		for i, s := range srvs {
-			o.settleServer(s, fmt.Sprintf("dc/naive/%d/node%02d", jobs, i))
-		}
-		for _, s := range srvs {
-			for remaining := o.MeasureSec; remaining > settleEps; {
-				remaining -= s.Advance(remaining)
-			}
+		for remaining := o.MeasureSec; remaining > settleEps; {
+			remaining -= s.Advance(remaining)
 		}
 	}
 	var power, mips float64
@@ -183,34 +170,6 @@ func runNaive(o Options, jobs int) (float64, float64) {
 	return power, mips
 }
 
-// advanceNaiveBatched covers the settle and measure spans through one
-// pooled fleet-wide engine, each node advancing on its private multi-rate
-// schedule via AdvanceNode, fanned across the worker pool. The naive
-// fleet's servers are independent simulations, so per-node advance loops
-// (rather than Engine.Advance's synchronized leaps) keep each server's
-// macro-step boundaries — and therefore its state — bit-identical to the
-// scalar path. One engine for the whole fleet means one pool lookup and
-// one gather/scatter per sweep point instead of one per server; workers
-// own disjoint node ranges of the arena, so the fan-out stays safe. The
-// engine scatters before returning, so the caller's readout runs on
-// object state exactly as the scalar lane does.
-func advanceNaiveBatched(o Options, srvs []*server.Server) {
-	e, err := batch.Acquire(srvs)
-	if err != nil {
-		panic(err)
-	}
-	parallel.ForEach(o.pool(), len(srvs), func(i int) {
-		for remaining := o.SettleSec; remaining > settleEps; {
-			remaining -= e.AdvanceNode(i, remaining)
-		}
-		for remaining := o.MeasureSec; remaining > settleEps; {
-			remaining -= e.AdvanceNode(i, remaining)
-		}
-	})
-	e.Scatter()
-	batch.Release(e)
-}
-
 // runCluster uses the cluster layer: consolidation across nodes always;
 // borrowing within nodes only when ags is true (otherwise each job stays
 // on one socket, the conventional schedule).
@@ -219,13 +178,6 @@ func runCluster(o Options, jobs int, ags bool) (float64, float64) {
 	nc.Server.Recorder = o.Recorder.Shard(fmt.Sprintf("dc/cluster/%d/ags=%v", jobs, ags))
 	c := acquireCluster(o.dcNodes(), nc)
 	c.SetMode(firmware.Undervolt)
-	if o.Batched {
-		// The batched lane also gets node-level parallelism inside the
-		// point; the scalar lane stays serial-per-point as the golden
-		// reference (sweep points already fan out across workers).
-		c.SetBatched(true)
-		c.SetWorkers(o.Workers)
-	}
 	d := workload.MustGet("raytrace")
 	if !ags {
 		// Defeat intra-node borrowing by making the job look
@@ -238,7 +190,7 @@ func runCluster(o Options, jobs int, ags bool) (float64, float64) {
 			panic(err)
 		}
 	}
-	o.settleCluster(c, fmt.Sprintf("dc/cluster/%d/ags=%v/batched=%v/w=%d", jobs, ags, o.Batched, o.Workers))
+	o.settleCluster(c, fmt.Sprintf("dc/cluster/%d/ags=%v", jobs, ags))
 	if g := o.governor(c); g != nil {
 		g.Run(o.MeasureSec, nil)
 	} else {

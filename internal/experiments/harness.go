@@ -51,14 +51,6 @@ type Options struct {
 	// event-horizon macro-stepping. The default (false) rides the
 	// multi-rate path; Exact is the golden lane accuracy is held against.
 	Exact bool
-	// Batched routes the fleet-scale drivers (the datacenter sweep) through
-	// the structure-of-arrays stepping engine: chips gathered into
-	// contiguous arrays, advanced as flat batch passes, with node-level
-	// parallelism from Workers inside each sweep point. Results are
-	// bit-identical to the scalar lane (pinned by the identity tests);
-	// only wall-clock changes. The scalar path remains the golden
-	// reference.
-	Batched bool
 	// Nodes sizes the datacenter sweep's cluster (and the naive fleet);
 	// 0 selects the default 4. Job counts scale with it, so the sweep's
 	// utilization points stay comparable across fleet sizes.

@@ -25,7 +25,6 @@ type WireOptions struct {
 	Workers    int     `json:"workers"`
 	Mesh       bool    `json:"mesh"`
 	Exact      bool    `json:"exact"`
-	Batched    bool    `json:"batched"`
 	Nodes      int     `json:"nodes"`
 	Sampled    bool    `json:"sampled"`
 	TargetCI   float64 `json:"target_ci"`
@@ -37,7 +36,7 @@ func (o Options) Wire() WireOptions {
 	return WireOptions{
 		Seed: o.Seed, SettleSec: o.SettleSec, MeasureSec: o.MeasureSec,
 		WorkScale: o.WorkScale, Quick: o.Quick, Workers: o.Workers,
-		Mesh: o.Mesh, Exact: o.Exact, Batched: o.Batched, Nodes: o.Nodes,
+		Mesh: o.Mesh, Exact: o.Exact, Nodes: o.Nodes,
 		Sampled: o.Sampled, TargetCI: o.TargetCI, WarmStart: o.WarmStart,
 	}
 }
@@ -47,7 +46,7 @@ func (w WireOptions) Options() Options {
 	return Options{
 		Seed: w.Seed, SettleSec: w.SettleSec, MeasureSec: w.MeasureSec,
 		WorkScale: w.WorkScale, Quick: w.Quick, Workers: w.Workers,
-		Mesh: w.Mesh, Exact: w.Exact, Batched: w.Batched, Nodes: w.Nodes,
+		Mesh: w.Mesh, Exact: w.Exact, Nodes: w.Nodes,
 		Sampled: w.Sampled, TargetCI: w.TargetCI, WarmStart: w.WarmStart,
 	}
 }

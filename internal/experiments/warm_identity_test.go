@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// Options.WarmStart's contract matches the batched lane's: bit-identical
-// Reports, flag on or off. Every registered experiment runs three times
-// per lane — cold reference, warm priming run (cache misses, settles and
-// snapshots), warm reuse run (cache hits, restores) — and all three must
-// match exactly. The warm runs share the process-wide cache across
-// parallel subtests on purpose: keys carry the shape key, point tag, seed,
-// settle span and recorder fingerprint, so cross-experiment reuse is part
-// of the contract under test, not interference.
+// Options.WarmStart's contract: bit-identical Reports, flag on or off.
+// Every registered experiment runs three times per lane — cold reference,
+// warm priming run (cache misses, settles and snapshots), warm reuse run
+// (cache hits, restores) — and all three must match exactly. The warm
+// runs share the process-wide cache across parallel subtests on purpose:
+// keys carry the shape key, point tag, seed, settle span and recorder
+// fingerprint, so cross-experiment reuse is part of the contract under
+// test, not interference.
 
 func TestWarmStartExperimentsBitIdentical(t *testing.T) {
 	if testing.Short() {
@@ -66,19 +66,18 @@ func TestWarmStartExperimentsBitIdentical(t *testing.T) {
 
 // TestWarmStartLaneMatrix pins the warm contract on the drivers whose
 // settle paths diverge most from the plain chip sweep: the datacenter
-// sweep (cluster settle, batched engine, per-server naive settles, the
-// sampled governor) and the QoS driver (server settles under open-loop
-// traffic). Each cell compares cold vs warm-primed vs warm-hit.
+// sweep (cluster settle, per-server naive settles, the sampled governor)
+// and the QoS driver (server settles under open-loop traffic). Each cell
+// compares cold vs warm-primed vs warm-hit.
 func TestWarmStartLaneMatrix(t *testing.T) {
 	cases := []struct {
 		name    string
-		batched bool
 		sampled bool
 		workers int
 	}{
-		{"scalar_w1", false, false, 1},
-		{"batched_w4", true, false, 4},
-		{"sampled_w1", false, true, 1},
+		{"scalar_w1", false, 1},
+		{"scalar_w4", false, 4},
+		{"sampled_w1", true, 1},
 	}
 	run := func(o Options) [2]Report {
 		var out [2]Report
@@ -93,8 +92,8 @@ func TestWarmStartLaneMatrix(t *testing.T) {
 		return out
 	}
 	if raceDetector {
-		// The most concurrent cell (batched engine, 4 workers) carries the
-		// race coverage; the unraced run keeps the full matrix.
+		// The most concurrent cell (4 workers) carries the race coverage;
+		// the unraced run keeps the full matrix.
 		cases = cases[1:2]
 	}
 	for _, tc := range cases {
@@ -102,7 +101,6 @@ func TestWarmStartLaneMatrix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			o := QuickOptions()
-			o.Batched = tc.batched
 			o.Sampled = tc.sampled
 			o.Workers = tc.workers
 			w := o

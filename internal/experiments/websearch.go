@@ -154,9 +154,6 @@ func runWebsearchPoint(o Options, pol wsqPolicy, load, capGIPS float64) wsqPoint
 		Nodes:    nodes,
 		Template: o.serverConfig(o.Seed),
 		Workers:  o.Workers,
-		// Sampled takes precedence over Batched, as everywhere: settling
-		// stays detailed and each node gets its own governor.
-		Batched:  o.Batched && !o.Sampled,
 		Recorder: rec,
 		Build:    func(cfg server.Config) (*server.Server, error) { return acquireServer(cfg), nil },
 		Release:  releaseServer,

@@ -6,32 +6,13 @@ import (
 )
 
 // The acceptance contract: websearch-qos headline stats bit-identical
-// across workers 1/4/8, on both the scalar and batched lanes.
+// across workers 1/4/8.
 func TestWebsearchQoSWorkerBitIdentical(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		o := optsWithWorkers(1)
-		o.Batched = batched
-		ref := WebsearchQoS(o)
-		for _, w := range []int{4, 8} {
-			o := optsWithWorkers(w)
-			o.Batched = batched
-			got := WebsearchQoS(o)
-			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("batched=%v: websearch-qos diverged between workers 1 and %d", batched, w)
-			}
+	ref := WebsearchQoS(optsWithWorkers(1))
+	for _, w := range []int{4, 8} {
+		if got := WebsearchQoS(optsWithWorkers(w)); !reflect.DeepEqual(ref, got) {
+			t.Errorf("websearch-qos diverged between workers 1 and %d", w)
 		}
-	}
-}
-
-// The batched lane must reproduce the scalar lane exactly: fleet advance
-// via engine AdvanceNode is server.Advance on the arrays.
-func TestWebsearchQoSBatchedBitIdentical(t *testing.T) {
-	scalar := WebsearchQoS(optsWithWorkers(2))
-	o := optsWithWorkers(2)
-	o.Batched = true
-	batched := WebsearchQoS(o)
-	if !reflect.DeepEqual(scalar, batched) {
-		t.Errorf("websearch-qos diverged between scalar and batched lanes")
 	}
 }
 

@@ -1,43 +1,40 @@
 // Package fleet is the sharded execution layer for thousands of nodes: it
 // partitions a homogeneous server fleet into fixed contiguous shards, each
-// owning its chips (one batch.Engine per shard in the batched lane), its
-// nodes' RNG streams (per-node seeds derived from the template), and its
-// own obs recorder sub-tree — and advances every shard's nodes through
-// their private multi-rate loops with no per-step global barrier.
+// owning its nodes' servers, their RNG streams (per-node seeds derived from
+// the template), and its own obs recorder sub-tree — and advances every
+// shard's nodes through their private multi-rate loops with no per-step
+// global barrier.
 //
 // The synchronization model is the inverse of cluster.Advance. The cluster
 // leaps all nodes together by the fleet-wide minimum horizon — a global
 // barrier per segment, correct for co-scheduled jobs but quadratic in
 // wasted wake-ups at fleet scale. Here each node's trajectory is advanced
 // independently to the caller's horizon (Advance's dtSec — typically a
-// traffic epoch boundary): batch.Engine.AdvanceNode consults only that
-// node's state, so a node's leap schedule — and therefore its entire
-// trajectory — is a pure function of its own seed and workload. Shards
-// exist purely to place execution: their count is a function of the node
-// count alone (never the worker count), workers steal whole shards, and
-// per-node results are bit-identical at any worker count, shard size, or
-// lane by construction.
+// traffic epoch boundary): server.Advance consults only that node's state,
+// so a node's leap schedule — and therefore its entire trajectory — is a
+// pure function of its own seed and workload. Shards exist purely to place
+// execution: their count is a function of the node count alone (never the
+// worker count), workers steal whole shards, and per-node results are
+// bit-identical at any worker count or shard size by construction.
 //
 // Aggregation is merge-on-read: TotalPower/TotalMIPS fold per-node values
-// in node-index order straight out of the live SoA arrays (batched) or the
-// servers (scalar) — no synchronization with the advance loops is needed
-// because reads happen between Advance calls, when every shard is parked
-// at the same horizon.
+// in node-index order straight out of the servers — no synchronization
+// with the advance loops is needed because reads happen between Advance
+// calls, when every shard is parked at the same horizon.
 package fleet
 
 import (
 	"fmt"
 	"runtime"
 
-	"agsim/internal/batch"
 	"agsim/internal/obs"
 	"agsim/internal/parallel"
 	"agsim/internal/server"
 )
 
 // DefaultShardNodes is the default shard width. Small enough that hosts up
-// to 16-way keep every worker fed at 256 nodes, large enough that a shard's
-// engine amortizes its SoA passes.
+// to 16-way keep every worker fed at 256 nodes, large enough that a stolen
+// shard amortizes its scheduling cost.
 const DefaultShardNodes = 16
 
 // advanceEps matches the simulation layers' Settle residue: a node within
@@ -61,9 +58,6 @@ type Config struct {
 	ShardNodes int
 	// Workers sizes the worker pool (<= 0 selects GOMAXPROCS).
 	Workers int
-	// Batched selects the structure-of-arrays lane: one batch.Engine per
-	// shard, sealed at the first Advance. Scalar otherwise.
-	Batched bool
 	// Recorder, when non-nil, roots the fleet's recorder tree.
 	Recorder *obs.Recorder
 	// Build constructs each node's server (default server.New). Sweep
@@ -75,11 +69,9 @@ type Config struct {
 	Release func(*server.Server)
 }
 
-// shard is one worker-owned contiguous node range [lo, hi); eng is its
-// engine while the batched lane is sealed.
+// shard is one worker-owned contiguous node range [lo, hi).
 type shard struct {
 	lo, hi int
-	eng    *batch.Engine
 }
 
 // Fleet advances Config.Nodes independent servers by shard.
@@ -88,7 +80,6 @@ type Fleet struct {
 	pool    *parallel.Pool
 	servers []*server.Server
 	shards  []shard
-	sealed  bool
 
 	// advance fan-out state: dt is set before the stored closure runs so
 	// steady-state Advance calls allocate nothing.
@@ -96,9 +87,8 @@ type Fleet struct {
 	advanceFn func(int)
 }
 
-// New builds the fleet's servers (sharded, seeded, recorder-wired) without
-// sealing any engines: callers configure nodes — submit work, set
-// guardband modes — through Node before the first Advance.
+// New builds the fleet's servers (sharded, seeded, recorder-wired): callers
+// configure nodes — submit work, set guardband modes — through Node.
 func New(cfg Config) (*Fleet, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("fleet: need at least one node, got %d", cfg.Nodes)
@@ -160,44 +150,8 @@ func (f *Fleet) Shards() int { return len(f.shards) }
 func (f *Fleet) Pool() *parallel.Pool { return f.pool }
 
 // Node returns node i's server for configuration (submissions, guardband
-// mode) and scalar-lane readout. While the batched lane is sealed the
-// engine is authoritative for chip state — mutate nodes before the first
-// Advance, or after Close.
+// mode) and readout.
 func (f *Fleet) Node(i int) *server.Server { return f.servers[i] }
-
-// seal acquires the batched lane's per-shard engines on first use.
-func (f *Fleet) seal() {
-	if f.sealed || !f.cfg.Batched {
-		return
-	}
-	for si := range f.shards {
-		sh := &f.shards[si]
-		eng, err := batch.Acquire(f.servers[sh.lo:sh.hi])
-		if err != nil {
-			panic(fmt.Sprintf("fleet: sealing shard %d: %v", si, err))
-		}
-		sh.eng = eng
-	}
-	f.sealed = true
-}
-
-// SnapshotPrepare quiesces the fleet for checkpointing (the
-// snapshot.Preparer seam): sealed shards scatter their SoA engines back
-// into the authoritative per-chip objects and release them, and the fleet
-// unseals, so a checkpoint never carries gathered state and a restore
-// target never keeps any. The next Advance re-seals from the restored
-// chips.
-func (f *Fleet) SnapshotPrepare() {
-	for si := range f.shards {
-		sh := &f.shards[si]
-		if sh.eng != nil {
-			sh.eng.Scatter()
-			batch.Release(sh.eng)
-			sh.eng = nil
-		}
-	}
-	f.sealed = false
-}
 
 // ShapeKey identifies the fleet's structural identity for snapshot
 // headers: node count, shard width, and the node template's shape.
@@ -206,19 +160,10 @@ func (f *Fleet) ShapeKey() string {
 }
 
 // advanceShard runs shard si's nodes through their private multi-rate
-// loops to the current horizon. Allocation-free: engine segments mutate
-// the SoA arrays in place, scalar segments the servers.
+// loops to the current horizon. Allocation-free: segments mutate the
+// servers in place.
 func (f *Fleet) advanceShard(si int) {
 	sh := &f.shards[si]
-	if sh.eng != nil {
-		for n := sh.lo; n < sh.hi; n++ {
-			local := n - sh.lo
-			for remaining := f.dt; remaining > advanceEps; {
-				remaining -= sh.eng.AdvanceNode(local, remaining)
-			}
-		}
-		return
-	}
 	for n := sh.lo; n < sh.hi; n++ {
 		s := f.servers[n]
 		for remaining := f.dt; remaining > advanceEps; {
@@ -235,7 +180,6 @@ func (f *Fleet) Advance(dtSec float64) {
 	if dtSec <= 0 {
 		panic(fmt.Sprintf("fleet: non-positive horizon %v", dtSec))
 	}
-	f.seal()
 	f.dt = dtSec
 	if f.pool.Serial() || runtime.GOMAXPROCS(0) == 1 {
 		for si := range f.shards {
@@ -248,11 +192,8 @@ func (f *Fleet) Advance(dtSec float64) {
 
 // ForEachNode runs fn over every node, fanned out shard-by-shard on the
 // worker pool — the seam the sampled lane drives per-node governors
-// through. Scalar lane only: the batched lane's engines own chip state.
+// through.
 func (f *Fleet) ForEachNode(fn func(i int, s *server.Server)) {
-	if f.sealed {
-		panic("fleet: ForEachNode on a sealed batched fleet")
-	}
 	if f.pool.Serial() || runtime.GOMAXPROCS(0) == 1 {
 		for i, s := range f.servers {
 			fn(i, s)
@@ -267,21 +208,11 @@ func (f *Fleet) ForEachNode(fn func(i int, s *server.Server)) {
 	})
 }
 
-// TotalPower folds chip power in node-index order — merge-on-read, no
-// scatter: the batched lane reads the live arrays.
+// TotalPower folds chip power in node-index order — merge-on-read.
 func (f *Fleet) TotalPower() float64 {
 	var total float64
-	for si := range f.shards {
-		sh := &f.shards[si]
-		if sh.eng != nil {
-			for n := sh.lo; n < sh.hi; n++ {
-				total += float64(sh.eng.ServerPower(n - sh.lo))
-			}
-			continue
-		}
-		for n := sh.lo; n < sh.hi; n++ {
-			total += float64(f.servers[n].TotalPower())
-		}
+	for _, s := range f.servers {
+		total += float64(s.TotalPower())
 	}
 	return total
 }
@@ -295,21 +226,14 @@ func (f *Fleet) TotalMIPS() float64 {
 	return total
 }
 
-// NodePower returns node i's chip power, lane-aware.
+// NodePower returns node i's chip power.
 func (f *Fleet) NodePower(i int) float64 {
-	sh := &f.shards[i/f.cfg.ShardNodes]
-	if sh.eng != nil {
-		return float64(sh.eng.ServerPower(i - sh.lo))
-	}
 	return float64(f.servers[i].TotalPower())
 }
 
-// NodeMIPS returns node i's instantaneous throughput, lane-aware.
+// NodeMIPS returns node i's instantaneous throughput, folded in socket
+// order.
 func (f *Fleet) NodeMIPS(i int) float64 {
-	sh := &f.shards[i/f.cfg.ShardNodes]
-	if sh.eng != nil {
-		return sh.eng.ServerMIPS(i - sh.lo)
-	}
 	s := f.servers[i]
 	var mips float64
 	for si := 0; si < s.Sockets(); si++ {
@@ -318,12 +242,8 @@ func (f *Fleet) NodeMIPS(i int) float64 {
 	return mips
 }
 
-// NodeEnergyJ returns node i's accumulated chip energy, lane-aware.
+// NodeEnergyJ returns node i's accumulated chip energy.
 func (f *Fleet) NodeEnergyJ(i int) float64 {
-	sh := &f.shards[i/f.cfg.ShardNodes]
-	if sh.eng != nil {
-		return sh.eng.ServerEnergyJ(i - sh.lo)
-	}
 	return f.servers[i].TotalEnergyJ()
 }
 
@@ -337,19 +257,10 @@ func (f *Fleet) TotalEnergyJ() float64 {
 }
 
 // ResetEnergy zeroes every node's energy accumulators — the start of a
-// measurement span — without disturbing sealed engines.
+// measurement span.
 func (f *Fleet) ResetEnergy() {
-	for si := range f.shards {
-		sh := &f.shards[si]
-		if sh.eng != nil {
-			for n := sh.lo; n < sh.hi; n++ {
-				sh.eng.ResetNodeEnergy(n - sh.lo)
-			}
-			continue
-		}
-		for n := sh.lo; n < sh.hi; n++ {
-			f.servers[n].ResetEnergy()
-		}
+	for _, s := range f.servers {
+		s.ResetEnergy()
 	}
 }
 
@@ -358,8 +269,7 @@ func (f *Fleet) ResetEnergy() {
 func (f *Fleet) Time() float64 { return f.servers[0].Time() }
 
 // NodeInfo is one node's row in a Topology snapshot: its shard
-// assignment, recorder path, and a lane-aware point read of its live
-// state.
+// assignment, recorder path, and a point read of its live state.
 type NodeInfo struct {
 	Index   int     `json:"index"`
 	Shard   int     `json:"shard"`
@@ -383,17 +293,15 @@ type ShardInfo struct {
 // so two runs of the same configuration report identical topologies.
 type Topology struct {
 	TimeSec float64     `json:"time_sec"`
-	Batched bool        `json:"batched"`
 	Shards  []ShardInfo `json:"shards"`
 	Nodes   []NodeInfo  `json:"nodes"`
 }
 
-// Topology snapshots the fleet layout and lane-aware node readouts. Call
+// Topology snapshots the fleet layout and per-node readouts. Call
 // between Advance calls (the fleet is not concurrency-safe mid-advance).
 func (f *Fleet) Topology() Topology {
 	top := Topology{
 		TimeSec: f.Time(),
-		Batched: f.cfg.Batched,
 		Shards:  make([]ShardInfo, len(f.shards)),
 		Nodes:   make([]NodeInfo, len(f.servers)),
 	}
@@ -419,20 +327,9 @@ func (f *Fleet) Topology() Topology {
 	return top
 }
 
-// Close scatters and releases the batched lane's engines (servers then
-// hold exactly the state the scalar sequence would have left) and hands
-// every server to the Release hook, if any. The fleet must not be used
-// afterwards.
+// Close hands every server to the Release hook, if any. The fleet must
+// not be used afterwards.
 func (f *Fleet) Close() {
-	for si := range f.shards {
-		sh := &f.shards[si]
-		if sh.eng != nil {
-			sh.eng.Scatter()
-			batch.Release(sh.eng)
-			sh.eng = nil
-		}
-	}
-	f.sealed = false
 	if f.cfg.Release != nil {
 		for _, s := range f.servers {
 			f.cfg.Release(s)

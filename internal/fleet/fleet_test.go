@@ -9,14 +9,13 @@ import (
 )
 
 // testFleet builds a fleet with one four-thread raytrace job per node.
-func testFleet(t testing.TB, nodes, workers, shardNodes int, batched bool) *Fleet {
+func testFleet(t testing.TB, nodes, workers, shardNodes int) *Fleet {
 	t.Helper()
 	f, err := New(Config{
 		Nodes:      nodes,
 		Template:   server.DefaultConfig(20151205),
 		ShardNodes: shardNodes,
 		Workers:    workers,
-		Batched:    batched,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,40 +59,25 @@ func run(f *Fleet) []nodeState {
 	return states
 }
 
-// The batched lane must be bit-identical to the scalar lane: AdvanceNode
-// is server.Advance executed on the arrays.
-func TestFleetLaneIdentity(t *testing.T) {
-	scalar := run(testFleet(t, 8, 2, 4, false))
-	batched := run(testFleet(t, 8, 2, 4, true))
-	for i := range scalar {
-		if scalar[i] != batched[i] {
-			t.Fatalf("node %d diverged: scalar %+v batched %+v", i, scalar[i], batched[i])
-		}
-	}
-}
-
 // Worker count affects only execution placement, never trajectories.
 func TestFleetWorkerInvariance(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		ref := run(testFleet(t, 12, 1, 4, batched))
-		for _, w := range []int{4, 8} {
-			got := run(testFleet(t, 12, w, 4, batched))
-			for i := range ref {
-				if ref[i] != got[i] {
-					t.Fatalf("batched=%v workers=%d node %d diverged: %+v vs %+v",
-						batched, w, i, ref[i], got[i])
-				}
+	ref := run(testFleet(t, 12, 1, 4))
+	for _, w := range []int{4, 8} {
+		got := run(testFleet(t, 12, w, 4))
+		for i := range ref {
+			if ref[i] != got[i] {
+				t.Fatalf("workers=%d node %d diverged: %+v vs %+v", w, i, ref[i], got[i])
 			}
 		}
 	}
 }
 
 // Shard width is an execution detail: node trajectories are private, so
-// regrouping nodes into different engines changes nothing.
+// regrouping nodes into different shards changes nothing.
 func TestFleetShardWidthInvariance(t *testing.T) {
-	ref := run(testFleet(t, 12, 4, 3, true))
+	ref := run(testFleet(t, 12, 4, 3))
 	for _, width := range []int{1, 4, 12, 64} {
-		got := run(testFleet(t, 12, 4, width, true))
+		got := run(testFleet(t, 12, 4, width))
 		for i := range ref {
 			if ref[i] != got[i] {
 				t.Fatalf("shardNodes=%d node %d diverged: %+v vs %+v", width, i, ref[i], got[i])
@@ -106,47 +90,20 @@ func TestFleetShardWidthInvariance(t *testing.T) {
 // the parallel path adds only the pool fan-out, amortized over a whole
 // horizon).
 func TestFleetAdvanceZeroAlloc(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		f := testFleet(t, 4, 1, 2, batched)
-		f.Advance(0.5) // seal engines, settle the first segments
-		allocs := testing.AllocsPerRun(10, func() {
-			f.Advance(0.25)
-		})
-		f.Close()
-		if allocs != 0 {
-			t.Fatalf("batched=%v Advance allocates %v per call, want 0", batched, allocs)
-		}
-	}
-}
-
-// Close in the batched lane must scatter: the servers afterwards hold the
-// engine's final state, readable through the scalar path.
-func TestFleetCloseScatters(t *testing.T) {
-	f := testFleet(t, 4, 2, 2, true)
-	f.Advance(1.0)
-	want := readout(f)
+	f := testFleet(t, 4, 1, 2)
+	f.Advance(0.5) // settle the first segments
+	allocs := testing.AllocsPerRun(10, func() {
+		f.Advance(0.25)
+	})
 	f.Close()
-	for i := range want {
-		s := f.Node(i)
-		var mips float64
-		for si := 0; si < s.Sockets(); si++ {
-			mips += float64(s.Chip(si).TotalMIPS())
-		}
-		got := nodeState{
-			power:  float64(s.TotalPower()),
-			mips:   mips,
-			energy: s.TotalEnergyJ(),
-			time:   s.Time(),
-		}
-		if got != want[i] {
-			t.Fatalf("node %d scatter mismatch: %+v vs %+v", i, got, want[i])
-		}
+	if allocs != 0 {
+		t.Fatalf("Advance allocates %v per call, want 0", allocs)
 	}
 }
 
 // Merge-on-read totals equal the node-order fold of per-node reads.
 func TestFleetTotalsMatchNodeFold(t *testing.T) {
-	f := testFleet(t, 6, 2, 4, true)
+	f := testFleet(t, 6, 2, 4)
 	f.Advance(0.8)
 	var power, mips, energy float64
 	for i := 0; i < f.Nodes(); i++ {

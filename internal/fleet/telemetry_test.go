@@ -15,7 +15,7 @@ import (
 // log: the full observation plane — counters, gauges, histograms, the
 // event ring (attribution records included), multi-resolution series,
 // and per-shard stats — in one snapshot.
-func telemetryRun(t *testing.T, workers int, batched bool) *obs.Log {
+func telemetryRun(t *testing.T, workers int) *obs.Log {
 	t.Helper()
 	rec := obs.New("fleet", 2048)
 	rec.EnableTimeSeries(tsdb.DefaultSpec())
@@ -24,7 +24,6 @@ func telemetryRun(t *testing.T, workers int, batched bool) *obs.Log {
 		Template:   server.DefaultConfig(20151205),
 		ShardNodes: 4,
 		Workers:    workers,
-		Batched:    batched,
 		Recorder:   rec,
 	})
 	if err != nil {
@@ -49,11 +48,11 @@ func telemetryRun(t *testing.T, workers int, batched bool) *obs.Log {
 // TestFleetTelemetryWorkerInvariance pins the telemetry plane's
 // fleet-level determinism contract: the merged log — every series window
 // at every resolution, every guardband-attribution record, every shard
-// stat — is bit-identical across worker counts and across the scalar and
-// batched lanes. Workers own whole shards and every shard owns its
-// recorder subtree, so execution placement can never reorder a fold.
+// stat — is bit-identical across worker counts. Workers own whole shards
+// and every shard owns its recorder subtree, so execution placement can
+// never reorder a fold.
 func TestFleetTelemetryWorkerInvariance(t *testing.T) {
-	ref := telemetryRun(t, 1, false)
+	ref := telemetryRun(t, 1)
 
 	// The reference run must be non-vacuous.
 	if len(ref.Series) == 0 {
@@ -72,27 +71,21 @@ func TestFleetTelemetryWorkerInvariance(t *testing.T) {
 		t.Fatal("no shard stats recorded")
 	}
 
-	for _, batched := range []bool{false, true} {
-		for _, w := range []int{1, 4, 8} {
-			if w == 1 && !batched {
-				continue // the reference itself
-			}
-			got := telemetryRun(t, w, batched)
-			if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("batched=%v workers=%d: merged telemetry log diverged from workers=1 scalar reference",
-					batched, w)
-			}
+	for _, w := range []int{4, 8} {
+		got := telemetryRun(t, w)
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("workers=%d: merged telemetry log diverged from workers=1 reference", w)
 		}
 	}
 }
 
 // TestFleetTopology pins the /fleet snapshot shape: layout independent
-// of worker count, lane-aware readouts equal to the accessor folds.
+// of worker count, readouts equal to the accessor folds.
 func TestFleetTopology(t *testing.T) {
-	f := testFleet(t, 10, 4, 4, true)
+	f := testFleet(t, 10, 4, 4)
 	f.Advance(0.5)
 	top := f.Topology()
-	if top.TimeSec != f.Time() || !top.Batched {
+	if top.TimeSec != f.Time() {
 		t.Fatalf("snapshot header %+v", top)
 	}
 	if len(top.Shards) != 3 || len(top.Nodes) != 10 {

@@ -133,8 +133,8 @@ func spanSockets(ps []Placement) bool {
 type Server struct {
 	cfg Config
 	// shapeKey caches cfg.ShapeKey(): the shape fields never change after
-	// construction, and pooled paths (server arena, batch engine pool) look
-	// the key up on every acquire and release.
+	// construction, and the pooled path (server arena) looks the key up
+	// on every acquire and release.
 	shapeKey string
 	chips    []*chip.Chip
 	jobs     []*Job
@@ -481,35 +481,14 @@ func (s *Server) Advance(maxSec float64) float64 {
 // throughput when split across sockets.
 const DefaultContentionExponent = 1.4
 
-// MemFactorTarget is where ApplyMemFactorsTo reads core frequencies from
-// and writes memory factors to. The scalar path targets the chips
-// themselves (*Server implements the interface); the batched stepping
-// engine targets its structure-of-arrays mirror so factor computation sees
-// the SoA-resident frequencies and dirties the SoA stability counters.
-type MemFactorTarget interface {
-	CoreFreq(socket, core int) units.Megahertz
-	SetMemFactor(socket, core int, factor float64)
-}
-
-// CoreFreq returns the clock frequency of the given core; with SetMemFactor
-// it makes *Server the scalar MemFactorTarget.
-func (s *Server) CoreFreq(socket, core int) units.Megahertz {
-	return s.chips[socket].CoreFreq(core)
-}
-
-// SetMemFactor forwards the memory-contention multiplier to the chip.
-func (s *Server) SetMemFactor(socket, core int, factor float64) {
-	s.chips[socket].SetMemFactor(core, factor)
-}
-
-// ApplyMemFactorsTo computes per-core memory-stall inflation from the
+// applyMemFactors computes per-core memory-stall inflation from the
 // *unconstrained* bandwidth demand of each socket's threads at their
-// current frequency (read through t) and writes each factor through t.
-// Using analytic demand rather than last-step delivered throughput keeps
-// the fluid model consistent: a saturated socket slows all resident threads
-// so delivered bandwidth settles at the channel limit instead of
-// feedback-washing the contention away.
-func (s *Server) ApplyMemFactorsTo(t MemFactorTarget) {
+// current frequency and writes each factor to the chip. Using analytic
+// demand rather than last-step delivered throughput keeps the fluid model
+// consistent: a saturated socket slows all resident threads so delivered
+// bandwidth settles at the channel limit instead of feedback-washing the
+// contention away.
+func (s *Server) applyMemFactors() {
 	for si, c := range s.chips {
 		demand := 0.0
 		for core := 0; core < c.Cores(); core++ {
@@ -519,7 +498,7 @@ func (s *Server) ApplyMemFactorsTo(t MemFactorTarget) {
 			}
 			share := s.sharingFactor(j)
 			smt := float64(len(c.Core(core).Threads()))
-			mips := j.Desc.MIPSPerThread(t.CoreFreq(si, core), share, smt)
+			mips := j.Desc.MIPSPerThread(c.CoreFreq(core), share, smt)
 			demand += j.Desc.BandwidthGBs(mips) * smt
 		}
 		contention := 1.0
@@ -531,19 +510,10 @@ func (s *Server) ApplyMemFactorsTo(t MemFactorTarget) {
 			if j := s.coreJob[si][core]; j != nil {
 				factor *= s.sharingFactor(j)
 			}
-			t.SetMemFactor(si, core, factor)
+			c.SetMemFactor(core, factor)
 		}
 	}
 }
-
-// applyMemFactors is the scalar path: factors computed from and applied to
-// the chips directly.
-func (s *Server) applyMemFactors() { s.ApplyMemFactorsTo(s) }
-
-// AdvanceClock moves the server's wall clock without stepping the chips.
-// The batched stepping engine advances chip state inside its own arrays and
-// calls this so Time stays consistent with the chips it will scatter back.
-func (s *Server) AdvanceClock(dtSec float64) { s.timeSec += dtSec }
 
 // sharingFactor returns the memory-latency multiplier a job pays for
 // spanning sockets.

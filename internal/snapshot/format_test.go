@@ -123,6 +123,6 @@ func TestWireFormatPinned(t *testing.T) {
 }
 
 const (
-	pinChipSHA  = "b058ac9fbaa5861b9dedfe0295d992bb833fd658039aee20332654b60095ea0b"
-	pinFleetSHA = "8fa6e56fb5136e66c4db22a4b9522f02c959658ee133a157f86aa87ca0e6106e"
+	pinChipSHA  = "778fa01411ba36c0cb4f35531f3dd70ecdf9a5cf8d2f2db67f0273edf27ab9e3"
+	pinFleetSHA = "1ea101e4f80b091c3d3ed97947e89997ee15492b67a528bdc2d8a31dc2d3a7ff"
 )

@@ -16,14 +16,14 @@
 // nil-vs-empty slice distinctions, writes maps in sorted-key order, and
 // round-trips RNG stream positions through rng.Source's BinaryMarshaler
 // hook. Funcs, channels and registered runtime-only types (parallel.Pool,
-// batch.Engine, the immutable pdn networks) keep the target's value; for
-// registered pointer types presence must match between image and target.
+// the immutable pdn networks) keep the target's value; for registered
+// pointer types presence must match between image and target.
 //
 // Determinism contract: Save(Load(Save(x))) == Save(x) byte-for-byte, and
 // a restored object's subsequent step trace is bit-identical to the
-// original's — across macro/exact/batched/sampled lanes and any worker
-// count. internal/experiments' identity tests pin both properties for
-// every registered experiment.
+// original's — across macro/exact/sampled lanes and any worker count.
+// internal/experiments' identity tests pin both properties for every
+// registered experiment.
 package snapshot
 
 import (
@@ -74,23 +74,10 @@ type Meta struct {
 // (chip.Chip, server.Server do); Save records it, Load enforces it.
 type Shaped interface{ ShapeKey() string }
 
-// Preparer is implemented by roots that must quiesce before an image is
-// taken or applied — the cluster and fleet scatter their batched engines
-// back into the authoritative per-chip objects and drop the engines, so
-// both sides of a restore agree that no gathered state is live. Save
-// calls it on the source; Load calls it on the target before decoding.
-type Preparer interface{ SnapshotPrepare() }
-
-// Rebinder is implemented by roots that must fix up derived state after a
-// restore (re-sealing lazily happens on the next Advance, so none of the
-// current roots need it, but the seam is part of the contract).
-type Rebinder interface{ SnapshotRebind() }
-
 // skipPtrTypes are runtime-only or immutable-by-construction pointer
 // types: the image records presence only and the target keeps its own.
 var skipPtrTypes = map[string]bool{
 	"*parallel.Pool": true, // goroutine pool: runtime resource
-	"*batch.Engine":  true, // SoA gather arena: Preparer scatters it first
 	"*pdn.Plane":     true, // immutable lumped PDN
 	"*pdn.Mesh":      true, // immutable mesh kernel, shared via pdn cache
 }
@@ -599,16 +586,12 @@ func (d *decoder) value(v reflect.Value, ti *typeInfo) {
 }
 
 // Save serializes root (a non-nil pointer to a simulation object) with
-// its header. When root implements Preparer it is quiesced first; when it
-// implements Shaped and meta.ShapeKey is empty the shape key is recorded
-// automatically.
+// its header. When root implements Shaped and meta.ShapeKey is empty the
+// shape key is recorded automatically.
 func Save(root any, meta Meta) ([]byte, error) {
 	rv := reflect.ValueOf(root)
 	if rv.Kind() != reflect.Ptr || rv.IsNil() {
 		return nil, fmt.Errorf("snapshot: save root must be a non-nil pointer, got %T", root)
-	}
-	if p, ok := root.(Preparer); ok {
-		p.SnapshotPrepare()
 	}
 	if meta.ShapeKey == "" {
 		if s, ok := root.(Shaped); ok {
@@ -689,8 +672,7 @@ func ReadMeta(data []byte) (Meta, error) {
 
 // Load restores an image into root, which must be a non-nil pointer to an
 // object constructed from the same configuration (same dynamic type, and
-// same ShapeKey when the root implements Shaped). Preparer targets are
-// quiesced first and Rebinder targets notified after.
+// same ShapeKey when the root implements Shaped).
 func Load(data []byte, root any) (Meta, error) {
 	meta, rootType, payload, err := readHeader(data)
 	if err != nil {
@@ -708,9 +690,6 @@ func Load(data []byte, root any) (Meta, error) {
 			return meta, fmt.Errorf("snapshot: shape mismatch:\n  image:  %s\n  target: %s", meta.ShapeKey, got)
 		}
 	}
-	if p, ok := root.(Preparer); ok {
-		p.SnapshotPrepare()
-	}
 	slot := reflect.New(rv.Type()).Elem()
 	slot.Set(rv)
 	d := &decoder{r: &reader{buf: payload}}
@@ -726,9 +705,6 @@ func Load(data []byte, root any) (Meta, error) {
 	}
 	if slot.Pointer() != rv.Pointer() {
 		return meta, fmt.Errorf("snapshot: decode replaced the root object (image root was nil?)")
-	}
-	if rb, ok := root.(Rebinder); ok {
-		rb.SnapshotRebind()
 	}
 	return meta, nil
 }

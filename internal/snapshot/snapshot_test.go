@@ -275,40 +275,37 @@ func TestServerWithRecorderRestoreIdentity(t *testing.T) {
 }
 
 func TestClusterRestoreIdentity(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
-			build := func() *cluster.Cluster {
-				c := cluster.MustNew(3, cluster.DefaultNodeConfig(31))
-				if batched {
-					c.SetBatched(true)
-				}
-				d := workload.MustGet("swaptions")
-				for j := 0; j < 4; j++ {
-					if _, err := c.Submit(fmt.Sprintf("job%d", j), d, 4, 1e9); err != nil {
-						t.Fatalf("submit: %v", err)
-					}
-				}
-				return c
-			}
-			orig := build()
-			orig.Step(0.3)
-			img, err := snapshot.Save(orig, snapshot.Meta{Seed: 31})
-			if err != nil {
-				t.Fatalf("save cluster: %v", err)
-			}
-			restored := build()
-			if _, err := snapshot.Load(img, restored); err != nil {
-				t.Fatalf("load cluster: %v", err)
-			}
-			for i := 0; i < 12; i++ {
-				orig.Step(0.05)
-				restored.Step(0.05)
-				if got, want := restored.TotalPower(), orig.TotalPower(); got != want {
-					t.Fatalf("step %d: cluster power diverges: %v vs %v", i, got, want)
+	// The subtest keeps the name it had when a batched lane ran beside the
+	// scalar one; the scalar lane is the only lane now.
+	t.Run("batched=false", func(t *testing.T) {
+		build := func() *cluster.Cluster {
+			c := cluster.MustNew(3, cluster.DefaultNodeConfig(31))
+			d := workload.MustGet("swaptions")
+			for j := 0; j < 4; j++ {
+				if _, err := c.Submit(fmt.Sprintf("job%d", j), d, 4, 1e9); err != nil {
+					t.Fatalf("submit: %v", err)
 				}
 			}
-		})
-	}
+			return c
+		}
+		orig := build()
+		orig.Step(0.3)
+		img, err := snapshot.Save(orig, snapshot.Meta{Seed: 31})
+		if err != nil {
+			t.Fatalf("save cluster: %v", err)
+		}
+		restored := build()
+		if _, err := snapshot.Load(img, restored); err != nil {
+			t.Fatalf("load cluster: %v", err)
+		}
+		for i := 0; i < 12; i++ {
+			orig.Step(0.05)
+			restored.Step(0.05)
+			if got, want := restored.TotalPower(), orig.TotalPower(); got != want {
+				t.Fatalf("step %d: cluster power diverges: %v vs %v", i, got, want)
+			}
+		}
+	})
 }
 
 func TestTrafficGeneratorRestoreIdentity(t *testing.T) {
@@ -347,42 +344,80 @@ func TestTrafficGeneratorRestoreIdentity(t *testing.T) {
 }
 
 func TestFleetRestoreIdentity(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
-			build := func() *fleet.Fleet {
-				f := fleet.MustNew(fleet.Config{
-					Nodes:      6,
-					Template:   server.DefaultConfig(47),
-					ShardNodes: 2,
-					Workers:    2,
-					Batched:    batched,
-				})
-				d := workload.MustGet("swaptions")
-				f.ForEachNode(func(i int, s *server.Server) {
-					s.MustSubmit("j", d, server.ConsolidatedPlacements(4), 1e9)
-					s.SetMode(firmware.Undervolt)
-				})
-				return f
+	// The subtest keeps the name it had when a batched lane ran beside the
+	// scalar one; the scalar lane is the only lane now.
+	t.Run("batched=false", func(t *testing.T) {
+		build := func() *fleet.Fleet {
+			f := fleet.MustNew(fleet.Config{
+				Nodes:      6,
+				Template:   server.DefaultConfig(47),
+				ShardNodes: 2,
+				Workers:    2,
+			})
+			d := workload.MustGet("swaptions")
+			f.ForEachNode(func(i int, s *server.Server) {
+				s.MustSubmit("j", d, server.ConsolidatedPlacements(4), 1e9)
+				s.SetMode(firmware.Undervolt)
+			})
+			return f
+		}
+		orig := build()
+		orig.Advance(0.3)
+		img, err := snapshot.Save(orig, snapshot.Meta{Seed: 47})
+		if err != nil {
+			t.Fatalf("save fleet: %v", err)
+		}
+		restored := build()
+		if _, err := snapshot.Load(img, restored); err != nil {
+			t.Fatalf("load fleet: %v", err)
+		}
+		for i := 0; i < 8; i++ {
+			orig.Advance(0.05)
+			restored.Advance(0.05)
+			if got, want := restored.TotalPower(), orig.TotalPower(); got != want {
+				t.Fatalf("advance %d: fleet power diverges: %v vs %v", i, got, want)
 			}
-			orig := build()
-			orig.Advance(0.3)
-			img, err := snapshot.Save(orig, snapshot.Meta{Seed: 47})
-			if err != nil {
-				t.Fatalf("save fleet: %v", err)
-			}
-			restored := build()
-			if _, err := snapshot.Load(img, restored); err != nil {
-				t.Fatalf("load fleet: %v", err)
-			}
-			for i := 0; i < 8; i++ {
-				orig.Advance(0.05)
-				restored.Advance(0.05)
-				if got, want := restored.TotalPower(), orig.TotalPower(); got != want {
-					t.Fatalf("advance %d: fleet power diverges: %v vs %v", i, got, want)
-				}
-			}
-			orig.Close()
-			restored.Close()
-		})
+		}
+		orig.Close()
+		restored.Close()
+	})
+}
+
+// TestServePairRestoreIdentity restores the checkpoint shape a serving run
+// takes — a fleet and its request generator imaged together under one
+// struct root — and requires the restored pair to serve on exactly as the
+// original does: after more epochs on both, their images match byte for
+// byte and their latency summaries agree.
+func TestServePairRestoreIdentity(t *testing.T) {
+	orig := settledServePair(9)
+	defer orig.F.Close()
+	img, err := snapshot.Save(orig, snapshot.Meta{Seed: 9})
+	if err != nil {
+		t.Fatalf("save serve pair: %v", err)
+	}
+	restored := newServePair(8, 9)
+	defer restored.F.Close()
+	if _, err := snapshot.Load(img, restored); err != nil {
+		t.Fatalf("load serve pair: %v", err)
+	}
+	orig.serve(6, 0.25)
+	restored.serve(6, 0.25)
+	want, err := snapshot.Save(orig, snapshot.Meta{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := snapshot.Save(restored, snapshot.Meta{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("restored pair's image diverges after serving (%d vs %d bytes)", len(got), len(want))
+	}
+	lat := orig.G.Latency()
+	if lat.Completed == 0 {
+		t.Fatal("no requests completed: the comparison is vacuous")
+	}
+	if rl := restored.G.Latency(); rl != lat {
+		t.Fatalf("latency summaries diverge: restored %+v, original %+v", rl, lat)
 	}
 }

@@ -17,9 +17,8 @@
 // (time, value) sequence pushed into it. The macro-leap and sampled
 // stepping lanes do not push per-step samples during a leap; they call
 // Fill, which materializes exactly the windows a per-grid-point Push
-// sequence would have produced (analytic backfill) — so a series is
-// bit-identical between the scalar and batched lanes, which call Push and
-// Fill at identical points. Merging per-node series for a fleet view is
+// sequence would have produced (analytic backfill). Merging per-node
+// series for a fleet view is
 // merge-on-read via MergeWindows in a caller-fixed (node-index or sorted
 // shard name) order; window aggregates are order-free (count/sum add,
 // min/max fold, last resolved by its timestamp), so the merged view is

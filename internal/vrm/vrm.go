@@ -135,22 +135,6 @@ func (r *Rail) SenseCurrent() units.Ampere {
 	return units.Ampere(steps * r.SenseLSB)
 }
 
-// LastCurrent returns the unquantized current of the most recent Output
-// call. The batched stepping engine gathers it so a scattered rail resumes
-// sensing from exactly the state the scalar path would hold.
-func (r *Rail) LastCurrent() units.Ampere { return r.lastCurrent }
-
-// RestoreCurrent overwrites the last sourced current without applying the
-// loadline — the batched engine's scatter path, the inverse of LastCurrent.
-func (r *Rail) RestoreCurrent(i units.Ampere) { r.lastCurrent = i }
-
-// SenseFault reports whether the current sensor is stuck and, if so, the
-// frozen value it returns. The batched engine mirrors the fault so its
-// SenseCurrent arithmetic matches the scalar path bit for bit.
-func (r *Rail) SenseFault() (stuck bool, value units.Ampere) {
-	return r.stuck, r.stuckValue
-}
-
 // StickSensor freezes the current sensor at its present reading; used by
 // failure-injection tests to verify the firmware fails safe.
 func (r *Rail) StickSensor() {

@@ -3,25 +3,23 @@
 # record the raw lines plus environment as JSON for trend tracking.
 #
 # Defaults: the hot-path, sweep-engine and datacenter benches (including the
-# -exact reference lanes of the multi-rate pairs and the batched sweep
-# lanes), BENCH_<date>.json.
+# -exact reference lanes of the multi-rate pairs), BENCH_<date>.json.
 # BENCHTIME overrides the per-bench iteration budget (default 2000x; the
 # experiment-scale benches amortize fine at far fewer, e.g. BENCHTIME=50x).
 #
-# The per-step micro benches (MICRO_BENCHES, default the ChipStep and
-# BatchStep families, plus the frozen-span layer benches FastForward and
-# FrozenReadModel, which live in ./internal/chip and report ns/sim_s and
-# ns/op) run in a separate pass over the root and ./internal/chip packages
-# at MICRO_BENCHTIME (default 100000x) with MICRO_COUNT repetitions
-# (default 3): they cost
-# microseconds per op, and 2000 iterations is far too noisy for the
-# few-percent gates bench_compare.sh holds them to — the recorder-overhead
-# budget in particular. The recorded line is the minimum-ns/op repetition:
-# on a shared box, load spikes only ever push a measurement up, so the
-# minimum is the best estimate of true cost and keeps the few-percent
-# gates meaningful.
+# The per-step micro benches (MICRO_BENCHES, default the ChipStep family,
+# plus the frozen-span layer benches FastForward and FrozenReadModel,
+# which live in ./internal/chip and report ns/sim_s and ns/op) run in a
+# separate pass over the root and ./internal/chip packages at
+# MICRO_BENCHTIME (default 100000x) with MICRO_COUNT repetitions
+# (default 3): they cost microseconds per op, and 2000 iterations is far
+# too noisy for the few-percent gates bench_compare.sh holds them to — the
+# recorder-overhead budget in particular. The recorded line is the
+# minimum-ns/op repetition: on a shared box, load spikes only ever push a
+# measurement up, so the minimum is the best estimate of true cost and
+# keeps the few-percent gates meaningful.
 #
-# The fleet benches (FLEET_BENCHES, default the 64-node datacenter pair)
+# The fleet benches (FLEET_BENCHES, default the 64-node datacenter sweep)
 # run in a third pass at FLEET_BENCHTIME (default 3x) with FLEET_COUNT
 # repetitions (default 2, min wins as above): one op simulates a 64-node
 # sweep and costs hundreds of milliseconds, so the main pass budget
@@ -69,10 +67,10 @@
 # does not.
 set -eu
 
-pattern="${1:-BenchmarkChipStep|BenchmarkSweep(Serial|Parallel)|BenchmarkDatacenterSweep(Serial|SerialExact)?\$|BenchmarkDatacenterSweepParallel\$|BenchmarkBatchSweep}"
+pattern="${1:-BenchmarkChipStep|BenchmarkSweep(Serial|Parallel)|BenchmarkDatacenterSweep(Serial|SerialExact)?\$|BenchmarkDatacenterSweepParallel\$}"
 out="${2:-BENCH_$(date +%Y%m%d).json}"
 benchtime="${BENCHTIME:-2000x}"
-micro_pattern="${MICRO_BENCHES:-BenchmarkChipStep|BenchmarkBatchStep|BenchmarkFastForward|BenchmarkFrozenReadModel}"
+micro_pattern="${MICRO_BENCHES:-BenchmarkChipStep|BenchmarkFastForward|BenchmarkFrozenReadModel}"
 micro_benchtime="${MICRO_BENCHTIME:-100000x}"
 micro_count="${MICRO_COUNT:-3}"
 fleet_pattern="${FLEET_BENCHES:-BenchmarkDatacenterSweepParallel64}"

@@ -10,8 +10,7 @@
 #
 # The new recording is also checked against the flight recorder's own
 # budget: BenchmarkChipStepRecorded must stay within RECORDER_THRESHOLD_PCT
-# of BenchmarkChipStep ns/op and keep 0 allocs/op, and the batched twin
-# BenchmarkBatchStepRecorded must keep 0 allocs/op too. The telemetry
+# of BenchmarkChipStep ns/op and keep 0 allocs/op. The telemetry
 # plane carries the same shape of gate: BenchmarkChipStepTimeseries (the
 # recorder plus multi-resolution series and per-tick attribution) must
 # stay within TSDB_THRESHOLD_PCT of BenchmarkChipStep ns/op and keep 0
@@ -25,39 +24,27 @@
 # SWEEP_ALLOC_BUDGET / SWEEP_BYTES_BUDGET are hard ceilings (allocs/op,
 # B/op) that catch a pooling regression — a driver forgetting to release,
 # or a Reset path that reallocates — long before the ns/op gate notices.
-# The 64-node fleet lanes (…Parallel64, …Parallel64Batched) get their own
-# FLEET_ALLOC_BUDGET / FLEET_BYTES_BUDGET ceilings: a 64-node sweep's
-# steady state is an order of magnitude above the 4-node lanes, so holding
-# both families to one number would either mask fleet regressions or
-# flag healthy fleet runs. The fleet lanes are likewise exempt from the
-# percentage regression gate — they run at a handful of iterations and
-# swing far more than 10% run to run; the batched-speedup floor and the
-# fleet budgets are their gates.
-#
-# The batched stepping engine carries a speedup floor: each fleet pair
-# (BenchmarkX vs BenchmarkXBatched in the new recording) must show
-# batched >= BATCH_SPEEDUP_MIN x scalar. The default scales with the
-# recording's gomaxprocs, because the batched lane's headline win is
-# node-level parallel stepping: on >=4-way hosts it must be >=2x; on a
-# single-CPU host no parallel win is physically possible and the floor
-# only catches catastrophic kernel regressions (>=0.5x, i.e. no worse
-# than 2x slower under single-run noise); in between it must at least
-# not lose (>=1.0x).
+# The 64-node fleet lane (…Parallel64) gets its own FLEET_ALLOC_BUDGET /
+# FLEET_BYTES_BUDGET ceilings: a 64-node sweep's steady state is an order
+# of magnitude above the 4-node lanes, so holding both families to one
+# number would either mask fleet regressions or flag healthy fleet runs.
+# The fleet lane is likewise exempt from the percentage regression gate —
+# it runs at a handful of iterations and swings far more than 10% run to
+# run; the fleet budgets are its gates.
 #
 # The fleet-scale lanes (BenchmarkFleetAdvance{256,1024,4096}) carry a
 # scaling gate: the 4096-node per-node advance cost (the ns/sim_s_node
 # metric the benchmarks report) must stay within FLEET_SCALING_MAX x the
 # 256-node cost (default 1.5) — sharded execution is supposed to make
 # per-node cost near-flat in fleet size. The gate is enforced only when
-# the recording ran at gomaxprocs >= 4 (like the batched-speedup floor,
-# the lanes run at single-digit iterations and a 1-CPU box swings too
-# much to gate hard; the ratio still prints as advisory). At
-# gomaxprocs 1 the shard fan-out runs serial and the FleetAdvance lanes
-# must instead be allocation-free: pooled arenas and pre-sized run
-# queues leave nothing per epoch, so any allocs/op is a pooling
-# regression. Both fleet-scale lanes are exempt from the percentage
-# regression gate for the same few-iteration reason as the 64-node
-# lanes.
+# the recording ran at gomaxprocs >= 4 (the lanes run at single-digit
+# iterations and a 1-CPU box swings too much to gate hard; the ratio
+# still prints as advisory). At gomaxprocs 1 the shard fan-out runs
+# serial and the FleetAdvance lanes must instead be allocation-free:
+# pooled arenas and pre-sized run queues leave nothing per epoch, so any
+# allocs/op is a pooling regression. The fleet-scale lanes are exempt
+# from the percentage regression gate for the same few-iteration reason
+# as the 64-node lane.
 #
 # The warm-start lane carries the snapshot engine's headline gate: the
 # settle-dominated steady-state sweep pair (BenchmarkSweepSteadyExact
@@ -103,14 +90,10 @@
 #                           state; the pre-arena figure was ~82000)
 #   SWEEP_BYTES_BUDGET      B/op ceiling on the same families (default
 #                           250000, ~2x pooled; pre-arena mesh was ~3.6 MB)
-#   FLEET_ALLOC_BUDGET      allocs/op ceiling on the 64-node fleet lanes
-#                           (default 40000, ~2x the pooled steady state of
-#                           either lane at 64 nodes)
-#   FLEET_BYTES_BUDGET      B/op ceiling on the fleet lanes (default
+#   FLEET_ALLOC_BUDGET      allocs/op ceiling on the 64-node fleet lane
+#                           (default 40000, ~2x its pooled steady state)
+#   FLEET_BYTES_BUDGET      B/op ceiling on the fleet lane (default
 #                           2000000, ~2.5x pooled steady state)
-#   BATCH_SPEEDUP_MIN       batched-vs-scalar floor on the fleet pairs
-#                           (default by gomaxprocs: >=4 -> 2.0,
-#                           1 -> 0.5, else 1.0)
 #   FLEET_SCALING_MAX       ceiling on FleetAdvance4096's ns/sim_s_node
 #                           relative to FleetAdvance256's (default 1.5;
 #                           enforced at gomaxprocs >= 4, advisory below)
@@ -168,19 +151,10 @@ else
 fi
 [ -r "$old" ] && [ -r "$new" ] || { echo "bench_compare.sh: cannot read $old / $new" >&2; exit 2; }
 
-# The batched speedup floor scales with the parallelism the new recording
-# actually ran at (bench.sh stamps gomaxprocs into the JSON header).
+# The fleet gates depend on the parallelism the new recording actually
+# ran at (bench.sh stamps gomaxprocs into the JSON header).
 gmp="$(sed -n 's/^[ \t]*"gomaxprocs":[ \t]*\([0-9][0-9]*\).*/\1/p' "$new" | head -1)"
 [ -n "$gmp" ] || gmp=1
-if [ -n "${BATCH_SPEEDUP_MIN:-}" ]; then
-	bsmin="$BATCH_SPEEDUP_MIN"
-elif [ "$gmp" -ge 4 ]; then
-	bsmin=2.0
-elif [ "$gmp" -le 1 ]; then
-	bsmin=0.5
-else
-	bsmin=1.0
-fi
 
 echo "comparing $old (old) -> $new (new), threshold ${threshold}% on /$guard/"
 
@@ -188,7 +162,7 @@ awk -v threshold="$threshold" -v guard="$guard" -v rthreshold="$rthreshold" \
 	-v tthreshold="$tthreshold" \
 	-v abudget="$abudget" -v bbudget="$bbudget" \
 	-v fabudget="$fabudget" -v fbbudget="$fbbudget" \
-	-v bsmin="$bsmin" -v gmp="$gmp" \
+	-v gmp="$gmp" \
 	-v smin="$smin" -v emax="$emax" -v fsmax="$fsmax" \
 	-v wsmin="$wsmin" -v snapbudget="$snapbudget" '
 	/"Benchmark/ {
@@ -261,26 +235,6 @@ awk -v threshold="$threshold" -v guard="$guard" -v rthreshold="$rthreshold" \
 				header = 1
 			}
 			printf "%-42s %13.1fx faster than %s\n", name, newv[exact] / newv[name], exact
-		}
-		# Batched stepping lanes: wall-clock speedup of each batched fleet
-		# benchmark over its scalar twin, within the new recording, gated
-		# by the gomaxprocs-aware floor.
-		header = 0
-		for (i = 1; i <= cnt; i++) {
-			base = order[i]
-			batched = base "Batched"
-			if (!(batched in newv) || newv[batched] <= 0) continue
-			if (!header) {
-				print ""
-				printf "batched stepping (batched vs scalar, new recording; floor %.2fx at gomaxprocs=%d):\n", bsmin, gmp
-				header = 1
-			}
-			sp = newv[base] / newv[batched]
-			printf "%-42s %13.2fx vs %s\n", batched, sp, base
-			if (sp < bsmin) {
-				printf "FAIL: %s is %.2fx its scalar twin, below the %.2fx floor\n", batched, sp, bsmin
-				status = 1
-			}
 		}
 		# Warm-start lane: restoring settled baselines from the snapshot
 		# cache must beat re-settling cold by the floor on the
@@ -367,22 +321,13 @@ awk -v threshold="$threshold" -v guard="$guard" -v rthreshold="$rthreshold" \
 				status = 1
 			}
 		}
-		# The batched step loop must stay alloc-free with the recorder
-		# attached, like its scalar twin. (No percentage gate: the batch
-		# covers 8 chips per op, so the recorder share of an op is within
-		# run-to-run noise.)
-		brecd = "BenchmarkBatchStepRecorded"
-		if ((brecd in newv) && newa[brecd] != "" && newa[brecd] + 0 > 0) {
-			printf "FAIL: %s allocates (%s allocs/op, want 0)\n", brecd, newa[brecd]
-			status = 1
-		}
 		# Sweep allocation budget, measured inside the new recording:
 		# absolute ceilings on the pooled sweep lanes. The 64-node fleet
 		# lanes have their own ceilings below.
 		header = 0
 		for (i = 1; i <= cnt; i++) {
 			name = order[i]
-			if (name !~ /^Benchmark(Sweep|DatacenterSweep|BatchSweep)/) continue
+			if (name !~ /^Benchmark(Sweep|DatacenterSweep)/) continue
 			if (name ~ /Parallel64/) continue
 			if (name ~ /(LongHorizon|Sampled)$/) continue
 			if (name ~ /(WarmStart|SteadyExact)/) continue
@@ -402,7 +347,7 @@ awk -v threshold="$threshold" -v guard="$guard" -v rthreshold="$rthreshold" \
 				status = 1
 			}
 		}
-		# Fleet allocation budget: the 64-node lanes, scalar and batched.
+		# Fleet allocation budget: the 64-node lane.
 		header = 0
 		for (i = 1; i <= cnt; i++) {
 			name = order[i]
