@@ -367,67 +367,6 @@ func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 4, false) }
 func BenchmarkSweepSerialMesh(b *testing.B)   { benchSweep(b, 1, true) }
 func BenchmarkSweepParallelMesh(b *testing.B) { benchSweep(b, 4, true) }
 
-// Warm-start benches: the settle-dominated steady-state sweep, cold vs
-// restoring each point's settled baseline from the snapshot cache. The
-// exact 1 ms lane is where settling dominates a point's wall-clock (the
-// macro lane leaps through it), so that pair carries the gate:
-// BenchmarkSweepSteadyExact / BenchmarkSweepWarmStartExact ns/op is the
-// warm-start speedup scripts/bench_compare.sh holds above
-// WARMSTART_SPEEDUP_MIN, and snap_bytes (the cache's resident image
-// total) stays under SNAP_BYTES_BUDGET.
-
-// benchSweepSteady runs the full-suite borrowing sweep (Fig13), a pure
-// settle-then-measure driver with no run-to-completion span diluting the
-// settle share.
-func benchSweepSteady(b *testing.B, exact, warm bool) {
-	experiments.ResetWarmCache()
-	defer experiments.ResetWarmCache()
-	o := benchOptions()
-	o.Workers = 1
-	o.Exact = exact
-	o.WarmStart = warm
-	var r experiments.Fig13Result
-	if warm {
-		r = experiments.Fig13BorrowingSweep(o) // prime the cache, untimed
-		b.ResetTimer()
-	}
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig13BorrowingSweep(o)
-	}
-	if warm {
-		st := experiments.WarmCacheStats()
-		b.ReportMetric(float64(st.Bytes), "snap_bytes")
-	}
-	b.ReportMetric(r.AvgBorrowingAt8, "borrowing@8core_%")
-}
-
-func BenchmarkSweepSteadyExact(b *testing.B)    { benchSweepSteady(b, true, false) }
-func BenchmarkSweepWarmStartExact(b *testing.B) { benchSweepSteady(b, true, true) }
-
-// Macro-lane twin: the event-horizon lane already leaps through most of
-// the settle span, so the warm win here is modest — reported for the
-// record, not gated.
-func BenchmarkSweepWarmStart(b *testing.B) { benchSweepSteady(b, false, true) }
-
-// BenchmarkSweepWarmStartFullSuite warm-starts the run-to-completion full
-// suite (Fig14): the settle share is smaller there, so this tracks the
-// blended win on a mixed driver rather than the gated ceiling.
-func BenchmarkSweepWarmStartFullSuite(b *testing.B) {
-	experiments.ResetWarmCache()
-	defer experiments.ResetWarmCache()
-	o := benchOptions()
-	o.Workers = 1
-	o.Exact = true
-	o.WarmStart = true
-	var r experiments.Fig14Result
-	r = experiments.Fig14FullSuite(o)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig14FullSuite(o)
-	}
-	b.ReportMetric(r.AvgPowerImprovement, "avg_power_imp_%")
-}
-
 func BenchmarkFig07VoltageDropMesh(b *testing.B) {
 	o := benchOptions()
 	o.Mesh = true

@@ -55,7 +55,6 @@ func main() {
 	quick := flag.Bool("quick", false, "sweep mode: reduced-fidelity sweeps")
 	sweepWorkers := flag.Int("sweep-workers", 1, "sweep mode: per-unit worker pool each agsim worker uses")
 	exact := flag.Bool("exact", false, "sweep mode: pure 1 ms reference lane")
-	warm := flag.Bool("warmstart", false, "sweep mode: workers restore settled baselines from their snapshot caches")
 	name := flag.String("workload", "raytrace", "benchmark to run (server mode)")
 	threads := flag.Int("threads", 8, "thread count (server mode)")
 	mode := flag.String("mode", "undervolt", "guardband mode: static | undervolt | overclock")
@@ -80,7 +79,6 @@ func main() {
 		}
 		o.Workers = *sweepWorkers
 		o.Exact = *exact
-		o.WarmStart = *warm
 		if err := coordinate(*listen, *sweep, o, *leaseTTL); err != nil {
 			fmt.Fprintln(os.Stderr, "amesterd:", err)
 			os.Exit(1)
@@ -97,7 +95,7 @@ func main() {
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "usage: amesterd -listen ADDR [server flags] | amesterd -connect ADDR [-watch sensors]")
-		fmt.Fprintln(os.Stderr, "       amesterd -listen ADDR -sweep all [-quick] [-seed N] [-exact] [-warmstart] [-lease-ttl D]")
+		fmt.Fprintln(os.Stderr, "       amesterd -listen ADDR -sweep all [-quick] [-seed N] [-exact] [-lease-ttl D]")
 		os.Exit(2)
 	}
 }

@@ -13,29 +13,12 @@
 // counts, mesh topologies, ablation parameter overrides — never mix.
 // Correctness never depends on a hit: a miss simply means the caller
 // constructs fresh, which is also how the first point of every shape
-// proceeds.
+// proceeds. Pools live and die with their process, so a pooled object
+// never meets a binary with another struct layout and the keys are the
+// plain shape keys.
 package arena
 
 import "sync"
-
-// FormatVersion is the binary-layout generation of poolable simulation
-// state. It is baked into every arena key (see Versioned) and into the
-// snapshot wire header (internal/snapshot), so pooled or cached state
-// produced by an older struct layout can never be handed to — or restored
-// into — a binary that laid its state out differently. Bump it whenever a
-// Reset-managed or snapshot-walked struct changes shape.
-//
-// Version 2 dropped the batched stepping lane's fields: fleet.Config's
-// Batched flag, the fleet's per-shard engine pointer and sealed flag, and
-// the cluster's batched flag, engine, gathered-server list and slot map.
-const FormatVersion byte = 2
-
-// Versioned prefixes a shape key with the format-version byte. Arena
-// methods apply it internally; external caches keyed by shape (the warm
-// snapshot cache) use it directly so their keys age out with the layout.
-func Versioned(key string) string {
-	return string([]byte{'v', FormatVersion, ':'}) + key
-}
 
 // Arena is a keyed pool of reusable objects of type T. It is safe for
 // concurrent use: parallel sweep workers acquire and release through one
@@ -57,12 +40,12 @@ func New[T any]() *Arena[T] {
 func (a *Arena[T]) Get(key string) (v T, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	pool := a.pools[Versioned(key)]
+	pool := a.pools[key]
 	if n := len(pool) - 1; n >= 0 {
 		v = pool[n]
 		var zero T
 		pool[n] = zero
-		a.pools[Versioned(key)] = pool[:n]
+		a.pools[key] = pool[:n]
 		a.hits++
 		return v, true
 	}
@@ -77,8 +60,7 @@ func (a *Arena[T]) Get(key string) (v T, ok bool) {
 func (a *Arena[T]) Put(key string, v T) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	k := Versioned(key)
-	a.pools[k] = append(a.pools[k], v)
+	a.pools[key] = append(a.pools[key], v)
 }
 
 // Stats reports hit and miss counts since construction, for tests and
@@ -103,5 +85,5 @@ func (a *Arena[T]) Drain() {
 func (a *Arena[T]) Len(key string) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.pools[Versioned(key)])
+	return len(a.pools[key])
 }

@@ -68,7 +68,7 @@ func measureWithReserve(o Options, name string, n int, mode firmware.Mode, reser
 	c.Controller().LoadReserveMilliohm = reserve
 	placeThreads(c, workload.MustGet(name), n)
 	c.SetMode(mode)
-	p := measureChip(o, c, tag).PowerW
+	p := measureChip(o, c).PowerW
 	releaseChip(c)
 	return p
 }
@@ -83,7 +83,7 @@ func serverSteadyWithReserve(o Options, tag string, d workload.Descriptor, pl []
 	s.MustSubmit("j", d, pl, 1e9)
 	s.GateUnloadedCores(keepOn...)
 	s.SetMode(firmware.Undervolt)
-	o.settleServer(s, "abl-srv/"+tag)
+	s.Settle(o.SettleSec)
 	var power float64
 	k := serverMeasureSpan(s, o.MeasureSec, func(dt float64) {
 		power += float64(s.TotalPower()) * dt
@@ -179,7 +179,7 @@ func AblationCPMVariation(o Options) AblationCPMVariationResult {
 		c := acquireChip(cfg)
 		placeThreads(c, workload.MustGet("raytrace"), 4)
 		c.SetMode(firmware.Undervolt)
-		uv := measureChip(o, c, tag).UndervoltMV
+		uv := measureChip(o, c).UndervoltMV
 		releaseChip(c)
 		return uv
 	})

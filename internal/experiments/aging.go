@@ -60,7 +60,7 @@ func AgingSweep(o Options) AgingResult {
 			placeThreads(c, workload.MustGet(bench), threads)
 			c.AgeBy(wear)
 			c.SetMode(mode)
-			o.settleChip(c, tag)
+			c.Settle(o.SettleSec)
 			base := c.MarginViolations()
 			var uvSum, fSum float64
 			k := o.measureSpan(c, o.MeasureSec, func(dt float64) {

@@ -144,8 +144,8 @@ func runNaive(o Options, jobs int) (float64, float64) {
 		srvs[node].MustSubmit(fmt.Sprintf("j%d", j), d, pl, 1e9)
 		perNode[node]++
 	}
-	for i, s := range srvs {
-		o.settleServer(s, fmt.Sprintf("dc/naive/%d/node%02d", jobs, i))
+	for _, s := range srvs {
+		s.Settle(o.SettleSec)
 	}
 	for _, s := range srvs {
 		if o.Sampled {
@@ -190,7 +190,7 @@ func runCluster(o Options, jobs int, ags bool) (float64, float64) {
 			panic(err)
 		}
 	}
-	o.settleCluster(c, fmt.Sprintf("dc/cluster/%d/ags=%v", jobs, ags))
+	c.Settle(o.SettleSec)
 	if g := o.governor(c); g != nil {
 		g.Run(o.MeasureSec, nil)
 	} else {

@@ -70,7 +70,7 @@ func DroopCensus(o Options) DroopCensusResult {
 		c := newChip(o, tag)
 		placeThreads(c, d, n)
 		c.SetMode(firmware.Undervolt)
-		o.settleChip(c, tag)
+		c.Settle(o.SettleSec)
 		c.ResetDroopStats()
 
 		// Multi-rate census: events always fire inside micro-steps and the

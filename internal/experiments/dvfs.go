@@ -51,7 +51,7 @@ func DVFSComparison(o Options) DVFSResult {
 			c.Place(i, threadsList[i])
 		}
 		configure(c)
-		o.settleChip(c, "dvfs/"+tag)
+		c.Settle(o.SettleSec)
 		for _, th := range threadsList {
 			th.Reset(per)
 		}

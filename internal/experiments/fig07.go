@@ -62,7 +62,7 @@ func Fig07VoltageDrop(o Options) Fig07Result {
 		c := newChip(o, tag)
 		placeThreads(c, pt.d, pt.n)
 		c.SetMode(firmware.Static)
-		o.settleChip(c, tag)
+		c.Settle(o.SettleSec)
 		drops := make([]float64, cores)
 		span := o.measureSpan(c, o.MeasureSec, func(dt float64) {
 			for i := 0; i < cores; i++ {

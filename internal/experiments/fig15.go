@@ -63,7 +63,7 @@ func Fig15Colocation(o Options) Fig15Result {
 			c.Place(i, workload.NewThread(other, 1e9, nil))
 		}
 		c.SetMode(firmware.Overclock)
-		f := measureChip(o, c, tag).Freq0MHz
+		f := measureChip(o, c).Freq0MHz
 		releaseChip(c)
 		return f
 	})

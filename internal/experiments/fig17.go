@@ -68,7 +68,7 @@ func colocatedChip(o Options, tag string, r coRunner) *chip.Chip {
 		c.SetIssueThrottle(i, r.throttle)
 	}
 	c.SetMode(firmware.Overclock)
-	o.settleChip(c, "fig17/"+tag+fmt.Sprintf("/co=%.2f", r.throttle))
+	c.Settle(o.SettleSec)
 	return c
 }
 
@@ -156,7 +156,7 @@ func Fig17AdaptiveMapping(o Options) Fig17Result {
 	trainSts := parallel.Sweep(o.pool(), []float64{0.1, 0.3, 0.5, 0.7, 0.96}, func(_ int, th float64) steady {
 		tag := fmt.Sprintf("train/%.2f", th)
 		c := colocatedChip(o, tag, coRunner{"train", th})
-		st := measureChip(o, c, tag)
+		st := measureChip(o, c)
 		releaseChip(c)
 		return st
 	})

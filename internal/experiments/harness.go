@@ -75,14 +75,6 @@ type Options struct {
 	// (half-width / mean) that must close before the governor extrapolates;
 	// 0 selects the default 0.01 (1%).
 	TargetCI float64
-	// WarmStart restores each sweep point's settled baseline from the
-	// process-wide snapshot cache (internal/snapshot) instead of
-	// re-settling from cold, priming the cache on first execution of each
-	// point key. Results are bit-identical with the flag on or off —
-	// restore reproduces the settled state exactly, RNG positions and
-	// recorder shards included — so only wall-clock changes; repeat runs
-	// and settle-dominated benchmarks see the full settle span removed.
-	WarmStart bool
 	// sampleStats collects governor outcomes across every span of one
 	// experiment run; Registry's instrumentation installs it and stamps
 	// each headline Stat's CI from the aggregate. Nil is a valid sink.
@@ -266,11 +258,10 @@ func (o Options) serverMeasureSpan(s *server.Server, spanSec float64, fn func(dt
 	return serverMeasureSpan(s, spanSec, fn)
 }
 
-// measureChip settles the chip — warm-starting from the snapshot cache
-// when the options ask for it; tag is the point's cache coordinate — and
-// time-averages its sensors over the measurement span.
-func measureChip(o Options, c *chip.Chip, tag string) steady {
-	o.settleChip(c, tag)
+// measureChip settles the chip and time-averages its sensors over the
+// measurement span.
+func measureChip(o Options, c *chip.Chip) steady {
+	c.Settle(o.SettleSec)
 	var s steady
 	// The passive-drop heuristic needs the shared-path resistance; the
 	// paper verified its equation against hardware, we read the model's
@@ -313,7 +304,7 @@ func chipSteady(o Options, name string, n int, mode firmware.Mode) steady {
 	c := newChip(o, tag)
 	placeThreads(c, workload.MustGet(name), n)
 	c.SetMode(mode)
-	s := measureChip(o, c, tag)
+	s := measureChip(o, c)
 	releaseChip(c)
 	return s
 }
@@ -349,7 +340,7 @@ func runChipToCompletion(o Options, name string, n int, mode firmware.Mode) runR
 		c.Place(i, threads[i])
 	}
 	c.SetMode(mode)
-	o.settleChip(c, tag)
+	c.Settle(o.SettleSec)
 	for _, th := range threads {
 		th.Reset(per)
 	}
@@ -388,7 +379,7 @@ func serverRun(o Options, tag string, d workload.Descriptor, placements []server
 	j := s.MustSubmit("j", d, placements, 1e9)
 	s.GateUnloadedCores(keepOn...)
 	s.SetMode(mode)
-	o.settleServer(s, tag)
+	s.Settle(o.SettleSec)
 	// Reset each thread to the measured work budget so settling progress
 	// does not bias the schedule comparison.
 	n := len(placements)
@@ -424,7 +415,7 @@ func serverSteady(o Options, tag string, d workload.Descriptor, placements []ser
 	s.MustSubmit("j", d, placements, 1e9)
 	s.GateUnloadedCores(keepOn...)
 	s.SetMode(mode)
-	o.settleServer(s, tag)
+	s.Settle(o.SettleSec)
 	uv := make([]float64, s.Sockets())
 	var power float64
 	k := o.serverMeasureSpan(s, o.MeasureSec, func(dt float64) {

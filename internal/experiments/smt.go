@@ -50,7 +50,7 @@ func SMTScaling(o Options) SMTResult {
 			}
 		}
 		c.SetMode(firmware.Undervolt)
-		st := measureChip(o, c, tag)
+		st := measureChip(o, c)
 		releaseChip(c)
 		return st
 	})

@@ -28,7 +28,6 @@ type WireOptions struct {
 	Nodes      int     `json:"nodes"`
 	Sampled    bool    `json:"sampled"`
 	TargetCI   float64 `json:"target_ci"`
-	WarmStart  bool    `json:"warm_start"`
 }
 
 // Wire extracts the deterministic knobs for a sweep lease.
@@ -37,7 +36,7 @@ func (o Options) Wire() WireOptions {
 		Seed: o.Seed, SettleSec: o.SettleSec, MeasureSec: o.MeasureSec,
 		WorkScale: o.WorkScale, Quick: o.Quick, Workers: o.Workers,
 		Mesh: o.Mesh, Exact: o.Exact, Nodes: o.Nodes,
-		Sampled: o.Sampled, TargetCI: o.TargetCI, WarmStart: o.WarmStart,
+		Sampled: o.Sampled, TargetCI: o.TargetCI,
 	}
 }
 
@@ -47,7 +46,7 @@ func (w WireOptions) Options() Options {
 		Seed: w.Seed, SettleSec: w.SettleSec, MeasureSec: w.MeasureSec,
 		WorkScale: w.WorkScale, Quick: w.Quick, Workers: w.Workers,
 		Mesh: w.Mesh, Exact: w.Exact, Nodes: w.Nodes,
-		Sampled: w.Sampled, TargetCI: w.TargetCI, WarmStart: w.WarmStart,
+		Sampled: w.Sampled, TargetCI: w.TargetCI,
 	}
 }
 

@@ -104,7 +104,7 @@ func wsqCapacityGIPS(o Options) float64 {
 	s := acquireServer(cfg)
 	s.MustSubmit("serve", workload.MustGet("websearch"), wsqPlacements(cfg), 1e9)
 	s.SetMode(firmware.Static)
-	o.settleServer(s, "wsq/probe")
+	s.Settle(o.SettleSec)
 	var mips float64
 	k := o.serverMeasureSpan(s, o.MeasureSec, func(dt float64) {
 		for si := 0; si < s.Sockets(); si++ {

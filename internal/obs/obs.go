@@ -158,19 +158,6 @@ func (r *Recorder) EnableTimeSeries(spec tsdb.Spec) {
 	r.mu.Unlock()
 }
 
-// Fingerprint describes the recorder's construction parameters — event
-// capacity and time-series spec — for cache keys that must distinguish
-// recorded from unrecorded (and differently-recorded) runs: the warm
-// snapshot cache keys settled state by it. Nil-safe.
-func (r *Recorder) Fingerprint() string {
-	if r == nil {
-		return "none"
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return fmt.Sprintf("ev%d,ts%v,%v", r.eventCap, r.tsOn, r.tsSpec)
-}
-
 // TimeSeriesEnabled reports whether Series returns live handles.
 func (r *Recorder) TimeSeriesEnabled() bool { return r != nil && r.tsOn }
 

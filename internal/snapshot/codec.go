@@ -1,8 +1,8 @@
 // Binary primitives for the snapshot wire format: varint-packed integers,
 // raw IEEE-754 float bits, and length-prefixed byte strings. The encoding
 // is deliberately boring — every value has exactly one representation, so
-// Save→Load→Save is byte-identical by construction and the size budget
-// (SNAP_BYTES_BUDGET in CI) tracks real state growth, not format noise.
+// Save→Load→Save is byte-identical by construction and image size tracks
+// real state growth, not format noise.
 package snapshot
 
 import (

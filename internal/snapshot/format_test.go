@@ -90,7 +90,7 @@ func sha(img []byte) string {
 // TestWireFormatPinned holds deterministic images to SHA-256 hashes
 // recorded from the field-by-field reflective walk: the walker's fast
 // paths may make encoding faster but must not change a byte. A deliberate
-// format change bumps codecVersion (or arena.FormatVersion) and re-records
+// format change bumps codecVersion (or layoutVersion) and re-records
 // these hashes in the same commit.
 func TestWireFormatPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {

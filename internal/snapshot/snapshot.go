@@ -1,8 +1,8 @@
 // Package snapshot serializes live simulation state — a chip, a server, a
 // cluster, a fleet, a traffic generator — to a compact binary image and
-// restores it bit-identically. It is the engine behind warm-started
-// sweeps (internal/experiments), multi-process sweep sharding and replay
-// (cmd/amesterd, cmd/agsim), and ROADMAP item 2's checkpoint/restore.
+// restores it bit-identically. It is the engine behind amesterd's
+// checkpoints and agsim's replay (cmd/amesterd, cmd/agsim), and ROADMAP
+// item 2's checkpoint/restore.
 //
 // The design is restore-into-same-shape: Load requires a target freshly
 // constructed (or Reset) from the same configuration as the saved object,
@@ -21,9 +21,7 @@
 //
 // Determinism contract: Save(Load(Save(x))) == Save(x) byte-for-byte, and
 // a restored object's subsequent step trace is bit-identical to the
-// original's — across macro/exact/sampled lanes and any worker count.
-// internal/experiments' identity tests pin both properties for every
-// registered experiment.
+// original's.
 package snapshot
 
 import (
@@ -34,13 +32,22 @@ import (
 	"reflect"
 	"sort"
 	"unsafe"
-
-	"agsim/internal/arena"
 )
 
+// layoutVersion is the binary-layout generation of the simulation state
+// the walker serializes. It is header byte 7, right after the magic, so an
+// image captured from an older struct layout is rejected at Load rather
+// than misread by a binary that lays its state out differently. Bump it
+// whenever a snapshot-walked struct changes shape.
+//
+// Version 2 dropped the batched stepping lane's fields: fleet.Config's
+// Batched flag, the fleet's per-shard engine pointer and sealed flag, and
+// the cluster's batched flag, engine, gathered-server list and slot map.
+const layoutVersion byte = 2
+
 // codecVersion is the wire-format generation of this package's walker,
-// independent of arena.FormatVersion (which tracks simulation struct
-// layout). Both are enforced at Load.
+// independent of layoutVersion (which tracks simulation struct layout).
+// Both are enforced at Load.
 const codecVersion byte = 1
 
 const magic = "agsnap\n"
@@ -615,7 +622,7 @@ func image(rootType string, meta Meta, payload []byte) []byte {
 		uvarintLen(uint64(len(payload))) + len(payload) + uvarintLen(crc)
 	h := writer{buf: make([]byte, 0, size)}
 	h.buf = append(h.buf, magic...)
-	h.u8(arena.FormatVersion)
+	h.u8(layoutVersion)
 	h.u8(codecVersion)
 	h.str(rootType)
 	h.str(meta.ShapeKey)
@@ -652,8 +659,8 @@ func readHeader(data []byte) (Meta, string, []byte, error) {
 	if r.err != nil {
 		return meta, "", nil, r.err
 	}
-	if fv != arena.FormatVersion {
-		return meta, "", nil, fmt.Errorf("snapshot: format version %d, this binary uses %d (state layout changed; re-capture)", fv, arena.FormatVersion)
+	if fv != layoutVersion {
+		return meta, "", nil, fmt.Errorf("snapshot: format version %d, this binary uses %d (state layout changed; re-capture)", fv, layoutVersion)
 	}
 	if cv != codecVersion {
 		return meta, "", nil, fmt.Errorf("snapshot: codec version %d, this binary uses %d", cv, codecVersion)

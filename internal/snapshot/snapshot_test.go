@@ -132,14 +132,21 @@ func TestCorruptImagesRejected(t *testing.T) {
 func magicLen() string { return "agsnap\n" }
 
 func testChip(seed uint64, rec *obs.Recorder) *chip.Chip {
+	return laneChip(seed, rec, false, firmware.Undervolt)
+}
+
+// laneChip builds the test chip on the exact or the macro step lane and
+// puts it in the given guardband mode.
+func laneChip(seed uint64, rec *obs.Recorder, exact bool, mode firmware.Mode) *chip.Chip {
 	cfg := chip.DefaultConfig("P0", seed)
 	cfg.Recorder = rec
+	cfg.Exact = exact
 	c := chip.MustNew(cfg)
 	d := workload.MustGet("swaptions")
 	for i := 0; i < 4; i++ {
 		c.Place(i, workload.NewThread(d, 1e9, nil))
 	}
-	c.SetMode(firmware.Undervolt)
+	c.SetMode(mode)
 	return c
 }
 
@@ -155,19 +162,41 @@ func stepTrace(c *chip.Chip, spanSec float64) string {
 	return sb.String()
 }
 
+// TestChipRestoreThenStepIdentity restores a settled chip and steps it
+// beside the original on both step lanes and in every guardband mode.
+// The sensor trace alone can miss restored state the span does not read
+// back, such as RNG stream positions, so the two chips' images must also
+// match after the span.
 func TestChipRestoreThenStepIdentity(t *testing.T) {
-	orig := testChip(11, nil)
-	orig.Settle(0.8)
-	img, err := snapshot.Save(orig, snapshot.Meta{Seed: 11})
-	if err != nil {
-		t.Fatalf("save chip: %v", err)
-	}
-	restored := testChip(11, nil)
-	if _, err := snapshot.Load(img, restored); err != nil {
-		t.Fatalf("load chip: %v", err)
-	}
-	if got, want := stepTrace(restored, 0.5), stepTrace(orig, 0.5); got != want {
-		t.Fatalf("restored chip step trace diverges from original:\n%s\nvs\n%s", got[:120], want[:120])
+	for _, exact := range []bool{false, true} {
+		for _, mode := range []firmware.Mode{firmware.Static, firmware.Undervolt, firmware.Overclock, firmware.Manual} {
+			t.Run(fmt.Sprintf("exact=%v/%v", exact, mode), func(t *testing.T) {
+				orig := laneChip(11, nil, exact, mode)
+				orig.Settle(0.8)
+				img, err := snapshot.Save(orig, snapshot.Meta{Seed: 11})
+				if err != nil {
+					t.Fatalf("save chip: %v", err)
+				}
+				restored := laneChip(11, nil, exact, mode)
+				if _, err := snapshot.Load(img, restored); err != nil {
+					t.Fatalf("load chip: %v", err)
+				}
+				if got, want := stepTrace(restored, 0.5), stepTrace(orig, 0.5); got != want {
+					t.Fatalf("restored chip step trace diverges from original:\n%s\nvs\n%s", got[:120], want[:120])
+				}
+				want, err := snapshot.Save(orig, snapshot.Meta{Seed: 11})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := snapshot.Save(restored, snapshot.Meta{Seed: 11})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("restored chip's image diverges after stepping (%d vs %d bytes)", len(got), len(want))
+				}
+			})
+		}
 	}
 }
 

@@ -50,16 +50,6 @@
 # anchors its Sweep alternative so these lanes never leak into the
 # 2000x-budget pass.
 #
-# The warm-start benches (WARM_BENCHES, default the settle-dominated
-# steady-state sweep pair plus the macro and full-suite warm lanes) run
-# in their own pass at WARM_BENCHTIME (default 1x) with WARM_COUNT
-# repetitions (default 3, min wins): each op re-runs the Fig13 borrowing
-# sweep, and the warm lanes prime the snapshot cache untimed before the
-# clock starts. The warm lanes report snap_bytes (the cache's resident
-# image footprint); bench_compare.sh derives the cold/warm speedup and
-# gates it with WARMSTART_SPEEDUP_MIN, and holds snap_bytes to
-# SNAP_BYTES_BUDGET.
-#
 # Cluster-scale benchmark lines that report a sim_s/op metric (simulated
 # seconds covered per op) gain a derived "ns/sim_s" field in the JSON:
 # wall-clock nanoseconds per simulated second, the figure that stays
@@ -82,9 +72,6 @@ fleetscale_count="${FLEETSCALE_COUNT:-2}"
 sampled_pattern="${SAMPLED_BENCHES:-Benchmark(DatacenterSweep|Sweep)(LongHorizon|Sampled)\$}"
 sampled_benchtime="${SAMPLED_BENCHTIME:-1x}"
 sampled_count="${SAMPLED_COUNT:-3}"
-warm_pattern="${WARM_BENCHES:-BenchmarkSweep(SteadyExact|WarmStart(Exact|FullSuite)?)\$}"
-warm_benchtime="${WARM_BENCHTIME:-1x}"
-warm_count="${WARM_COUNT:-3}"
 
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
@@ -93,7 +80,6 @@ go test -run '^$' -bench "$micro_pattern" -benchmem -benchtime "$micro_benchtime
 go test -run '^$' -bench "$fleet_pattern" -benchmem -benchtime "$fleet_benchtime" -count "$fleet_count" . | tee -a "$tmp"
 go test -run '^$' -bench "$fleetscale_pattern" -benchmem -benchtime "$fleetscale_benchtime" -count "$fleetscale_count" . | tee -a "$tmp"
 go test -run '^$' -bench "$sampled_pattern" -benchmem -benchtime "$sampled_benchtime" -count "$sampled_count" . | tee -a "$tmp"
-go test -run '^$' -bench "$warm_pattern" -benchmem -benchtime "$warm_benchtime" -count "$warm_count" . | tee -a "$tmp"
 go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" . | tee -a "$tmp"
 
 # The worker parallelism the benchmarks actually ran at: Go stamps

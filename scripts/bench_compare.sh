@@ -46,20 +46,6 @@
 # from the percentage regression gate for the same few-iteration reason
 # as the 64-node lane.
 #
-# The warm-start lane carries the snapshot engine's headline gate: the
-# settle-dominated steady-state sweep pair (BenchmarkSweepSteadyExact
-# cold vs BenchmarkSweepWarmStartExact restoring settled baselines from
-# the snapshot cache) must show warm >= WARMSTART_SPEEDUP_MIN x cold
-# (default 2: the win is algorithmic — a ~100 us restore replacing a
-# 1.2 s settle — so it does not scale with gomaxprocs). Every warm lane
-# also reports snap_bytes, the warm cache's resident image footprint for
-# the whole sweep, held to the SNAP_BYTES_BUDGET ceiling (default 8 MB;
-# the Fig13 suite sits near 2.5 MB) so image bloat — a skipped-type
-# regression, a recorder leaking into images — is caught by size, not
-# just speed. The warm lanes run at single-digit iterations, so like the
-# fleet lanes they are exempt from the percentage regression gate and
-# the sweep allocation budget (the cache itself is the allocation).
-#
 # The sampled lane carries its own twin gates: each long-horizon pair
 # (BenchmarkXSampled vs BenchmarkXLongHorizon in the new recording) must
 # show sampled >= SAMPLED_SPEEDUP_MIN x macro (default 10: the win is
@@ -97,10 +83,6 @@
 #   FLEET_SCALING_MAX       ceiling on FleetAdvance4096's ns/sim_s_node
 #                           relative to FleetAdvance256's (default 1.5;
 #                           enforced at gomaxprocs >= 4, advisory below)
-#   WARMSTART_SPEEDUP_MIN   warm-vs-cold floor on the steady-state sweep
-#                           pair (default 2)
-#   SNAP_BYTES_BUDGET       ceiling on each warm lane's snap_bytes cache
-#                           footprint (default 8000000)
 #   SAMPLED_SPEEDUP_MIN     sampled-vs-macro floor on the long-horizon
 #                           pairs (default 10)
 #   SAMPLED_ERR_MAX         ceiling on each sampled bench's
@@ -115,8 +97,6 @@ abudget="${SWEEP_ALLOC_BUDGET:-4500}"
 bbudget="${SWEEP_BYTES_BUDGET:-250000}"
 fabudget="${FLEET_ALLOC_BUDGET:-40000}"
 fbbudget="${FLEET_BYTES_BUDGET:-2000000}"
-wsmin="${WARMSTART_SPEEDUP_MIN:-2}"
-snapbudget="${SNAP_BYTES_BUDGET:-8000000}"
 smin="${SAMPLED_SPEEDUP_MIN:-10}"
 emax="${SAMPLED_ERR_MAX:-0.01}"
 fsmax="${FLEET_SCALING_MAX:-1.5}"
@@ -163,8 +143,7 @@ awk -v threshold="$threshold" -v guard="$guard" -v rthreshold="$rthreshold" \
 	-v abudget="$abudget" -v bbudget="$bbudget" \
 	-v fabudget="$fabudget" -v fbbudget="$fbbudget" \
 	-v gmp="$gmp" \
-	-v smin="$smin" -v emax="$emax" -v fsmax="$fsmax" \
-	-v wsmin="$wsmin" -v snapbudget="$snapbudget" '
+	-v smin="$smin" -v emax="$emax" -v fsmax="$fsmax" '
 	/"Benchmark/ {
 		line = $0
 		gsub(/^[ \t]*"/, "", line)
@@ -177,14 +156,12 @@ awk -v threshold="$threshold" -v guard="$guard" -v rthreshold="$rthreshold" \
 		bb = ""
 		e = ""
 		nsn = ""
-		sb = ""
 		for (i = 2; i < n; i++) {
 			if (f[i+1] == "ns/op") v = f[i]
 			if (f[i+1] == "allocs/op") a = f[i]
 			if (f[i+1] == "B/op") bb = f[i]
 			if (f[i+1] == "sampled_err_rel") e = f[i]
 			if (f[i+1] == "ns/sim_s_node") nsn = f[i]
-			if (f[i+1] == "snap_bytes") sb = f[i]
 		}
 		if (v == "") next
 		if (FILENAME == ARGV[1]) {
@@ -195,7 +172,6 @@ awk -v threshold="$threshold" -v guard="$guard" -v rthreshold="$rthreshold" \
 			newb[name] = bb
 			newerr[name] = e
 			newnsn[name] = nsn
-			newsnap[name] = sb
 			order[++cnt] = name
 		}
 	}
@@ -215,8 +191,7 @@ awk -v threshold="$threshold" -v guard="$guard" -v rthreshold="$rthreshold" \
 			# below.
 			if (name ~ guard && name !~ /Parallel64/ && \
 			    name !~ /(FleetAdvance|WebsearchQoS)/ && \
-			    name !~ /(LongHorizon|Sampled)$/ && \
-			    name !~ /(WarmStart|SteadyExact)/ && d > threshold) {
+			    name !~ /(LongHorizon|Sampled)$/ && d > threshold) {
 				flag = "  << REGRESSION"
 				status = 1
 			}
@@ -235,31 +210,6 @@ awk -v threshold="$threshold" -v guard="$guard" -v rthreshold="$rthreshold" \
 				header = 1
 			}
 			printf "%-42s %13.1fx faster than %s\n", name, newv[exact] / newv[name], exact
-		}
-		# Warm-start lane: restoring settled baselines from the snapshot
-		# cache must beat re-settling cold by the floor on the
-		# settle-dominated steady-state pair, and every warm lane must
-		# keep its cache footprint under the snap_bytes ceiling.
-		cold = "BenchmarkSweepSteadyExact"
-		warmb = "BenchmarkSweepWarmStartExact"
-		if ((cold in newv) && (warmb in newv) && newv[warmb] > 0) {
-			sp = newv[cold] / newv[warmb]
-			print ""
-			printf "warm-start lane (new recording; floor %.1fx, snap_bytes ceiling %d):\n", wsmin, snapbudget
-			printf "%-42s %13.2fx vs %s\n", warmb, sp, cold
-			if (sp < wsmin + 0) {
-				printf "FAIL: %s is %.2fx its cold twin, below the %.1fx floor\n", warmb, sp, wsmin
-				status = 1
-			}
-		}
-		for (i = 1; i <= cnt; i++) {
-			name = order[i]
-			if (newsnap[name] == "") continue
-			printf "%-42s %13s snap_bytes\n", name, newsnap[name]
-			if (newsnap[name] + 0 > snapbudget + 0) {
-				printf "FAIL: %s cache footprint %s snap_bytes exceeds the %d ceiling\n", name, newsnap[name], snapbudget
-				status = 1
-			}
 		}
 		# Sampled lane: each BenchmarkXSampled must beat its macro twin
 		# BenchmarkXLongHorizon by the speedup floor and keep its headline
@@ -330,7 +280,6 @@ awk -v threshold="$threshold" -v guard="$guard" -v rthreshold="$rthreshold" \
 			if (name !~ /^Benchmark(Sweep|DatacenterSweep)/) continue
 			if (name ~ /Parallel64/) continue
 			if (name ~ /(LongHorizon|Sampled)$/) continue
-			if (name ~ /(WarmStart|SteadyExact)/) continue
 			if (newa[name] == "" && newb[name] == "") continue
 			if (!header) {
 				print ""
