@@ -29,9 +29,11 @@
 #                        exporter and the telemetry plane enabled, validate
 #                        the Chrome trace (including the guardband-attribution
 #                        counter track) with cmd/tracecheck -attrib, grep the
-#                        Prometheus output for the core metric families, then
-#                        boot amesterd with -http/-timeseries and curl the
-#                        live /health, /timeseries and /stream endpoints
+#                        Prometheus output for the core metric families, run
+#                        every program under examples/ (a non-zero exit
+#                        fails), then boot amesterd with -http/-timeseries and
+#                        curl the live /health, /timeseries and /stream
+#                        endpoints
 #   make dist-smoke    — the distributed-sweep and checkpoint/replay smoke:
 #                        sweep DIST_SMOKE_UNITS through a two-worker fleet
 #                        and through a single worker and require the merges
@@ -111,6 +113,13 @@ smoke:
 	@grep -q '^# TYPE agsim_macro_leap_seconds histogram' $(SMOKE_DIR)/metrics.prom
 	@grep -q '^agsim_sim_time_seconds{' $(SMOKE_DIR)/metrics.prom
 	@grep -q '^agsim_series_registered ' $(SMOKE_DIR)/metrics.prom
+	mkdir -p $(SMOKE_DIR)/examples
+	$(GO) build -o $(SMOKE_DIR)/examples/ ./examples/...
+	@set -e; for ex in examples/*/; do \
+		name=$$(basename $$ex); \
+		$(SMOKE_DIR)/examples/$$name >$(SMOKE_DIR)/example-$$name.out; \
+		echo "smoke: example $$name ran"; \
+	done
 	$(GO) build -o $(SMOKE_DIR)/amesterd ./cmd/amesterd
 	@set -e; \
 	$(SMOKE_DIR)/amesterd -listen 127.0.0.1:$(SMOKE_AMESTER_PORT) \

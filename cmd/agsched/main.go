@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"agsim/internal/chip"
@@ -75,6 +76,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "agsched: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
+	steps := int(math.Round(*duration / chip.DefaultStepSec))
+	if steps < 1 {
+		fmt.Fprintf(os.Stderr, "agsched: -duration %v is shorter than one %v s step\n", *duration, chip.DefaultStepSec)
+		os.Exit(2)
+	}
 
 	s := server.MustNew(server.DefaultConfig(*seed))
 	sched, err := core.NewBorrowing(s.Sockets(), 8, *onCores)
@@ -108,7 +114,6 @@ func main() {
 	s.Settle(2)
 	sampler.Reset()
 	reb := core.NewRebalancer()
-	steps := int(*duration / chip.DefaultStepSec)
 	for i := 0; i < steps; i++ {
 		s.Step(chip.DefaultStepSec)
 		if *rebalance {
@@ -124,8 +129,8 @@ func main() {
 	if *borrow {
 		schedule = "loadline-borrowing"
 	}
-	fmt.Printf("%s: %d threads of %s, %s mode, %.0f s measured\n",
-		schedule, *threads, d.Name, m, *duration)
+	fmt.Printf("%s: %d threads of %s, %s mode, %.3f s measured\n",
+		schedule, *threads, d.Name, m, float64(steps)*chip.DefaultStepSec)
 	fmt.Printf("  total power      %8.1f W\n", sampler.Mean("total_power_w"))
 	for si := 0; si < s.Sockets(); si++ {
 		p := fmt.Sprintf("p%d_", si)

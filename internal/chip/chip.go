@@ -218,8 +218,8 @@ type Chip struct {
 
 	// Step-loop scratch, reused every step so the hot path allocates
 	// nothing. Their presence is why a Chip is NOT safe for concurrent
-	// Step calls; parallelism lives at the chip/server/cluster level,
-	// where each unit owns its own Chip.
+	// Step calls; parallelism lives above the chip (sweep points, fleet
+	// shards), where each unit owns its own Chip.
 	scratchCurrents []units.Ampere
 	scratchProfiles []didt.Profile
 	scratchDrops    []units.Millivolt
@@ -271,7 +271,7 @@ type Chip struct {
 	tsMargin *tsdb.Series
 
 	// lastHorizon* remember what HorizonSec last computed so MacroStep can
-	// attribute the leap: when the server/cluster leaps by a shorter
+	// attribute the leap: when the server leaps its chips by a shorter
 	// synchronized minimum, the reason becomes obs.ReasonExternal.
 	lastHorizonSec    float64
 	lastHorizonReason obs.Reason

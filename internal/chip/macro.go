@@ -254,9 +254,9 @@ func (c *Chip) MacroStep(h float64) {
 	c.macroThermal(h)
 	c.timeSec += h
 	if r := c.rec; r != nil {
-		// Attribute the leap: when the caller (server/cluster) bounded it
-		// below this chip's own horizon, another chip's event did — the
-		// reason is external to this chip.
+		// Attribute the leap: when the server bounded it below this chip's
+		// own horizon, another socket's event did — the reason is
+		// external to this chip.
 		reason := c.lastHorizonReason
 		if h < c.lastHorizonSec-1e-12 {
 			reason = obs.ReasonExternal

@@ -9,15 +9,18 @@
 // onto as few nodes as possible. Within each powered node, however,
 // consolidating onto one socket wastes guardband, so threads spread across
 // the node's sockets with unused cores power-gated (loadline borrowing).
+//
+// The policy acts only when a job arrives or leaves. In between, each
+// node's firmware and CPM–DPLL loops depend on that node alone, so Settle
+// advances the powered nodes one after another, each through its own
+// multi-rate loop (server.Settle) — the per-node loop internal/fleet runs.
 package cluster
 
 import (
 	"fmt"
 	"sort"
 
-	"agsim/internal/chip"
 	"agsim/internal/firmware"
-	"agsim/internal/parallel"
 	"agsim/internal/server"
 	"agsim/internal/units"
 	"agsim/internal/workload"
@@ -99,16 +102,10 @@ func (n *Node) Capacity() int { return n.capacity() }
 type Cluster struct {
 	nodes []*Node
 	mode  firmware.Mode
-	seed  uint64
 
 	// policy decides two-level placement on Submit; ConsolidateFirst by
 	// default, replaceable via SetPolicy.
 	policy Policy
-
-	// pool, when non-serial, steps powered nodes concurrently. Nodes share
-	// no state within a Step call (each server owns its chips, jobs and
-	// RNG streams), so per-node results are identical to the serial order.
-	pool *parallel.Pool
 }
 
 // New creates a cluster of n nodes from the template configuration; node
@@ -117,15 +114,14 @@ func New(n int, template NodeConfig) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: need at least one node")
 	}
-	c := &Cluster{mode: firmware.Undervolt, seed: template.Server.Seed, policy: ConsolidateFirst{}}
+	c := &Cluster{mode: firmware.Undervolt, policy: ConsolidateFirst{}}
 	for i := 0; i < n; i++ {
 		cfg := template
 		cfg.Server.Seed = template.Server.Seed + uint64(i)*104729
-		// Each node owns a recorder shard: nodes step concurrently under
-		// SetWorkers, and per-node shards (created here, deterministically,
-		// in index order) keep the merged log independent of scheduling. A
-		// re-powered node re-registers its chips into the same shard, so
-		// counters accumulate across power cycles.
+		// Each node owns a recorder shard, created here deterministically
+		// in index order, so a node's log is its own. A re-powered node
+		// re-registers its chips into the same shard, so counters
+		// accumulate across power cycles.
 		cfg.Server.Recorder = template.Server.Recorder.Shard(fmt.Sprintf("node%02d", i))
 		node := &Node{Index: i, cfg: cfg, jobs: map[string]*server.Job{}}
 		c.nodes = append(c.nodes, node)
@@ -144,14 +140,12 @@ func MustNew(n int, template NodeConfig) *Cluster {
 
 // Reset rewinds the cluster to the state New(len(nodes), template) would
 // produce: every node suspended with its per-node seed and recorder shard
-// re-derived from the template, job maps cleared, Undervolt mode, serial
-// stepping. Servers retained from a previous run are NOT reset here — they
-// rewind lazily in powerOn — so a pooled cluster registers exactly the
-// flight-recorder sources a fresh one would, in the same order.
+// re-derived from the template, job maps cleared, Undervolt mode. Servers
+// retained from a previous run are NOT reset here — they rewind lazily in
+// powerOn — so a pooled cluster registers exactly the flight-recorder
+// sources a fresh one would, in the same order.
 func (c *Cluster) Reset(template NodeConfig) {
 	c.mode = firmware.Undervolt
-	c.seed = template.Server.Seed
-	c.pool = nil
 	c.policy = ConsolidateFirst{}
 	for i, n := range c.nodes {
 		cfg := template
@@ -273,100 +267,29 @@ func (c *Cluster) Release(id string) error {
 	return fmt.Errorf("cluster: unknown job %s", id)
 }
 
-// SetWorkers enables parallel node stepping: n >= 2 steps powered nodes on
-// up to n goroutines, n <= 1 restores the serial path, and 0 selects
-// parallel.DefaultWorkers(). Safe because Step touches each node's private
-// state only, so the worker count never changes results; see
-// ARCHITECTURE.md "Concurrency and determinism".
-func (c *Cluster) SetWorkers(n int) {
-	c.pool = parallel.NewPool(n)
-}
-
-// Step advances all powered nodes, concurrently when SetWorkers enabled a
-// multi-worker pool. Per-node state after the step is identical either
-// way: a node's step reads and writes only that node's server.
+// Step advances every powered node by one dtSec step. The trace player
+// drives the cluster this way on purpose: its Poisson arrival draws are
+// indexed by 1 ms step.
 func (c *Cluster) Step(dtSec float64) {
-	if c.pool.Serial() {
-		for _, n := range c.nodes {
-			if n.on {
-				n.srv.Step(dtSec)
-			}
-		}
-		return
-	}
-	parallel.ForEach(c.pool, len(c.nodes), func(i int) {
-		if n := c.nodes[i]; n.on {
-			n.srv.Step(dtSec)
-		}
-	})
-}
-
-// Advance moves every powered node forward by one multi-rate segment of at
-// most maxSec and returns the simulated seconds covered. The horizon gather
-// is serial and synchronized: only when *every* powered node is quiescent
-// does the cluster leap, and all nodes leap by the same cluster-wide minimum
-// horizon, so node state is independent of the worker count. The leap (or
-// the micro fallback step) then runs on the pool like Step does. The
-// fallback uses the earliest per-node grid re-sync fragment (see
-// chip.MicroStepSec) so nodes powered on together stay tick-aligned with
-// the exact lane.
-func (c *Cluster) Advance(maxSec float64) float64 {
-	micro := chip.DefaultStepSec
 	for _, n := range c.nodes {
 		if n.on {
-			if m := n.srv.MicroStepSec(); m < micro {
-				micro = m
-			}
+			n.srv.Step(dtSec)
 		}
 	}
-	if maxSec < micro {
-		c.Step(maxSec)
-		return maxSec
-	}
-	h := maxSec
-	for _, n := range c.nodes {
-		if !n.on {
-			continue
-		}
-		quiescent, nh := n.srv.Horizon(maxSec)
-		if !quiescent {
-			c.Step(micro)
-			return micro
-		}
-		if nh < h {
-			h = nh
-		}
-	}
-	if h <= micro {
-		c.Step(micro)
-		return micro
-	}
-	if c.pool.Serial() {
-		for _, n := range c.nodes {
-			if n.on {
-				n.srv.MacroStep(h)
-			}
-		}
-		return h
-	}
-	parallel.ForEach(c.pool, len(c.nodes), func(i int) {
-		if n := c.nodes[i]; n.on {
-			n.srv.MacroStep(h)
-		}
-	})
-	return h
 }
 
-// settleEps matches chip.Settle's residue threshold: spans within a
-// nanosecond of covered are complete, never silently truncated.
-const settleEps = 1e-9
-
-// Settle advances the cluster for the given simulated seconds on the
-// multi-rate path, including any fractional remainder shorter than a step
-// (the old int(seconds/step) loop dropped it).
+// Settle advances every powered node by the given simulated seconds, one
+// node after another, each through its own multi-rate loop
+// (server.Settle). Between the cluster's own mutations — Submit, Release
+// and ReapFinished, which callers run between Settle and Step calls — a
+// node reads and writes only its own server, so its trajectory is a pure
+// function of its seed and jobs, and those call boundaries are the only
+// synchronization the cluster needs.
 func (c *Cluster) Settle(seconds float64) {
-	for remaining := seconds; remaining > settleEps; {
-		remaining -= c.Advance(remaining)
+	for _, n := range c.nodes {
+		if n.on {
+			n.srv.Settle(seconds)
+		}
 	}
 }
 

@@ -303,3 +303,46 @@ func TestClusterMacroLaneMatchesExact(t *testing.T) {
 		t.Errorf("macro lane covered %v s, exact %v s", mt, et)
 	}
 }
+
+// TestClusterNodeIndependentOfNeighbours pins the per-node loop: a node's
+// trajectory depends on its own seed and jobs alone, so loading a
+// neighbour must not move a single bit of it, even on the macro lane
+// where leap boundaries follow each node's own event horizons.
+func TestClusterNodeIndependentOfNeighbours(t *testing.T) {
+	build := func(neighbour bool) *Cluster {
+		c := newCluster(t, 2)
+		c.SetMode(firmware.Undervolt)
+		if n, err := c.Submit("a", workload.MustGet("raytrace"), 12, 1e9); err != nil || n != 0 {
+			t.Fatalf("raytrace job on node %d: %v", n, err)
+		}
+		if neighbour {
+			if n, err := c.Submit("b", workload.MustGet("lu_cb"), 12, 1e9); err != nil || n != 1 {
+				t.Fatalf("lu_cb job on node %d, want 1: %v", n, err)
+			}
+		}
+		c.Settle(2)
+		return c
+	}
+	alone, beside := build(false), build(true)
+	a, b := alone.Node(0).Server(), beside.Node(0).Server()
+	if a.Time() != b.Time() {
+		t.Errorf("node 0 time %v alone, %v beside a neighbour", a.Time(), b.Time())
+	}
+	if a.TotalEnergyJ() != b.TotalEnergyJ() {
+		t.Errorf("node 0 energy %v J alone, %v J beside a neighbour", a.TotalEnergyJ(), b.TotalEnergyJ())
+	}
+	if a.TotalPower() != b.TotalPower() {
+		t.Errorf("node 0 power %v alone, %v beside a neighbour", a.TotalPower(), b.TotalPower())
+	}
+	for si := 0; si < a.Sockets(); si++ {
+		ca, cb := a.Chip(si), b.Chip(si)
+		if ca.UndervoltMV() != cb.UndervoltMV() {
+			t.Errorf("P%d undervolt %v alone, %v beside a neighbour", si, ca.UndervoltMV(), cb.UndervoltMV())
+		}
+		for core := 0; core < ca.Cores(); core++ {
+			if ca.CoreFreq(core) != cb.CoreFreq(core) {
+				t.Errorf("P%d core %d at %v alone, %v beside a neighbour", si, core, ca.CoreFreq(core), cb.CoreFreq(core))
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"agsim/internal/chip"
 	"agsim/internal/rng"
@@ -59,11 +60,11 @@ type PlayerStats struct {
 	// MaxQueueDepth is the deepest backlog observed.
 	MaxQueueDepth int
 	// AvgPowerW is the time-averaged cluster draw including platform and
-	// suspended floors.
+	// suspended floors, over every step played so far.
 	AvgPowerW float64
 	// AvgPoweredNodes is the time-averaged count of powered servers.
 	AvgPoweredNodes float64
-	// Seconds is the simulated span.
+	// Seconds is the simulated span played so far.
 	Seconds float64
 }
 
@@ -76,6 +77,11 @@ type Player struct {
 	queue  []pendingJob
 	nextID int
 	stats  PlayerStats
+
+	// steps, powerSum and nodesSum accumulate across Run calls, so split
+	// runs average exactly as one run of the same total length.
+	steps              int
+	powerSum, nodesSum float64
 }
 
 type pendingJob struct {
@@ -92,12 +98,12 @@ func NewPlayer(c *Cluster, cfg TraceConfig) (*Player, error) {
 	return &Player{c: c, cfg: cfg, r: rng.New(cfg.Seed, "cluster/trace")}, nil
 }
 
-// Run plays the trace for the given simulated seconds and returns the
-// accumulated statistics. Jobs that do not fit queue FIFO and are retried
-// as capacity frees up.
+// Run plays the trace for the given simulated seconds, rounded to whole
+// 1 ms steps, and returns the statistics accumulated over every Run so
+// far. Jobs that do not fit queue FIFO and are retried as capacity frees
+// up.
 func (p *Player) Run(seconds float64) PlayerStats {
-	steps := int(seconds / chip.DefaultStepSec)
-	var powerSum, nodesSum float64
+	steps := int(math.Round(seconds / chip.DefaultStepSec))
 	for i := 0; i < steps; i++ {
 		// Arrivals for this step.
 		for n := p.r.Poisson(p.cfg.ArrivalPerSec * chip.DefaultStepSec); n > 0; n-- {
@@ -122,13 +128,16 @@ func (p *Player) Run(seconds float64) PlayerStats {
 
 		p.c.Step(chip.DefaultStepSec)
 		p.stats.Completed += len(p.c.ReapFinished())
-		powerSum += float64(p.c.TotalPower())
-		nodesSum += float64(p.c.PoweredNodes())
+		p.powerSum += float64(p.c.TotalPower())
+		p.nodesSum += float64(p.c.PoweredNodes())
 	}
+	p.steps += steps
 	p.stats.Queued = len(p.queue)
-	p.stats.AvgPowerW = powerSum / float64(steps)
-	p.stats.AvgPoweredNodes = nodesSum / float64(steps)
-	p.stats.Seconds += seconds
+	if p.steps > 0 {
+		p.stats.AvgPowerW = p.powerSum / float64(p.steps)
+		p.stats.AvgPoweredNodes = p.nodesSum / float64(p.steps)
+	}
+	p.stats.Seconds = float64(p.steps) * chip.DefaultStepSec
 	return p.stats
 }
 

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"agsim/internal/firmware"
+	"agsim/internal/workload"
 )
 
 func traceConfig() TraceConfig {
@@ -108,5 +110,64 @@ func TestPlayerPowerTracksLoad(t *testing.T) {
 	heavy := run(3)
 	if light >= heavy {
 		t.Errorf("power not proportional to load: light %v vs heavy %v", light, heavy)
+	}
+}
+
+// newPinnedPlayer builds a trace player on a two-node cluster whose node 0
+// is held on from time zero by an endless job, so its server clock counts
+// every step the player plays.
+func newPinnedPlayer(t *testing.T) (*Player, *Cluster) {
+	t.Helper()
+	c := MustNew(2, DefaultNodeConfig(19))
+	c.SetMode(firmware.Static)
+	if _, err := c.Submit("pin", workload.MustGet("coremark"), 2, 1e9); err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPlayer(c, traceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, c
+}
+
+// TestPlayerRunRoundsToWholeSteps holds Run to the rounded step count: a
+// span that is not a float multiple of the step plays every step it
+// names, and Seconds reports the span actually played.
+func TestPlayerRunRoundsToWholeSteps(t *testing.T) {
+	p, c := newPinnedPlayer(t)
+	stats := p.Run(0.7)
+	if got := c.Node(0).Server().Time(); math.Abs(got-0.7) > 1e-9 {
+		t.Errorf("Run(0.7) advanced node time %v s, want 0.7", got)
+	}
+	if math.Abs(stats.Seconds-0.7) > 1e-12 {
+		t.Errorf("Run(0.7) reports %v s played", stats.Seconds)
+	}
+}
+
+// TestPlayerSubStepRunKeepsAverages: a span shorter than half a step
+// plays nothing and must not turn the averages into NaN.
+func TestPlayerSubStepRunKeepsAverages(t *testing.T) {
+	p, _ := newPinnedPlayer(t)
+	stats := p.Run(0.0004)
+	if stats.Seconds != 0 || stats.AvgPowerW != 0 || stats.AvgPoweredNodes != 0 {
+		t.Errorf("Run(0.0004) on a fresh player = %+v, want zero span and averages", stats)
+	}
+	before := p.Run(0.05)
+	after := p.Run(0.0004)
+	if after != before {
+		t.Errorf("a sub-step Run changed the statistics: %+v, then %+v", before, after)
+	}
+}
+
+// TestPlayerSplitRunMatchesOneRun: statistics accumulate across Run calls,
+// so Run(1); Run(1) reports exactly what Run(2) does.
+func TestPlayerSplitRunMatchesOneRun(t *testing.T) {
+	split, _ := newPinnedPlayer(t)
+	split.Run(1)
+	got := split.Run(1)
+	whole, _ := newPinnedPlayer(t)
+	want := whole.Run(2)
+	if got != want {
+		t.Errorf("Run(1); Run(1) = %+v\nRun(2)         = %+v", got, want)
 	}
 }

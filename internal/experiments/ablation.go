@@ -85,7 +85,7 @@ func serverSteadyWithReserve(o Options, tag string, d workload.Descriptor, pl []
 	s.SetMode(firmware.Undervolt)
 	s.Settle(o.SettleSec)
 	var power float64
-	k := serverMeasureSpan(s, o.MeasureSec, func(dt float64) {
+	k := measureSpan(s, o.MeasureSec, func(dt float64) {
 		power += float64(s.TotalPower()) * dt
 	})
 	releaseServer(s)
@@ -132,9 +132,7 @@ func AblationDPLLAuthority(o Options) AblationDPLLAuthorityResult {
 		// The droop census rides the multi-rate path: worst-case events
 		// come from the time-indexed schedule, so the counts match the
 		// 1 ms reference exactly.
-		for remaining := seconds; remaining > settleEps; {
-			remaining -= c.Advance(remaining)
-		}
+		c.Settle(seconds)
 		absorbed, violations := c.DroopStats()
 		releaseChip(c)
 		return droopRow{absorbed: absorbed, violations: violations}

@@ -154,9 +154,7 @@ func runNaive(o Options, jobs int) (float64, float64) {
 			o.governor(s).Run(o.MeasureSec, nil)
 			continue
 		}
-		for remaining := o.MeasureSec; remaining > settleEps; {
-			remaining -= s.Advance(remaining)
-		}
+		s.Settle(o.MeasureSec)
 	}
 	var power, mips float64
 	cfg := cluster.DefaultNodeConfig(0)
@@ -191,12 +189,16 @@ func runCluster(o Options, jobs int, ags bool) (float64, float64) {
 		}
 	}
 	c.Settle(o.SettleSec)
-	if g := o.governor(c); g != nil {
-		g.Run(o.MeasureSec, nil)
-	} else {
-		for remaining := o.MeasureSec; remaining > settleEps; {
-			remaining -= c.Advance(remaining)
+	if o.Sampled {
+		// Nodes advance independently, so each powered node's server gets
+		// its own governor for the measurement span, as in runNaive.
+		for i := 0; i < c.Nodes(); i++ {
+			if s := c.Node(i).Server(); s != nil {
+				o.governor(s).Run(o.MeasureSec, nil)
+			}
 		}
+	} else {
+		c.Settle(o.MeasureSec)
 	}
 	power := float64(c.TotalPower())
 	mips := c.TotalMIPS()

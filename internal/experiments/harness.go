@@ -199,21 +199,22 @@ func placeThreads(c *chip.Chip, d workload.Descriptor, n int) {
 	}
 }
 
-// measureSpan drives the chip over spanSec on the multi-rate path, calling
-// sample(dt) with each segment's duration after it lands. Averages built as
-// sum(value*dt)/span are time-weighted, so a single macro leap contributes
-// the same weight as the micro-steps it replaces. It returns the covered
-// span (== spanSec up to float residue, never less than one step).
-func measureSpan(c *chip.Chip, spanSec float64, sample func(dt float64)) float64 {
+// measureSpan drives the target over spanSec on the multi-rate path,
+// calling fn(dt) with each segment's duration after it lands. Averages
+// built as sum(value*dt)/span are time-weighted, so a single macro leap
+// contributes the same weight as the micro-steps it replaces. It returns
+// the covered span (== spanSec up to float residue, never less than one
+// step).
+func measureSpan(t sample.Target, spanSec float64, fn func(dt float64)) float64 {
 	if spanSec < chip.DefaultStepSec {
 		spanSec = chip.DefaultStepSec
 	}
 	covered := 0.0
 	for remaining := spanSec; remaining > settleEps; {
-		dt := c.Advance(remaining)
+		dt := t.Advance(remaining)
 		remaining -= dt
 		covered += dt
-		sample(dt)
+		fn(dt)
 	}
 	return covered
 }
@@ -233,29 +234,18 @@ func (o Options) governor(t sample.Target) *sample.Governor {
 	return sample.New(t, sample.Config{TargetRelCI: o.TargetCI, Stats: o.sampleStats})
 }
 
-// measureSpan routes a chip measurement span through the sampling governor
+// measureSpan routes a measurement span through the sampling governor
 // when the options select it, and through the detailed multi-rate path
 // otherwise. Observers see fast-forwarded spans as one wide dt at frozen
 // sensors, so time-weighted sums stay correctly normalized.
-func (o Options) measureSpan(c *chip.Chip, spanSec float64, fn func(dt float64)) float64 {
-	if g := o.governor(c); g != nil {
+func (o Options) measureSpan(t sample.Target, spanSec float64, fn func(dt float64)) float64 {
+	if g := o.governor(t); g != nil {
 		if spanSec < chip.DefaultStepSec {
 			spanSec = chip.DefaultStepSec
 		}
 		return g.Run(spanSec, fn)
 	}
-	return measureSpan(c, spanSec, fn)
-}
-
-// serverMeasureSpan is measureSpan's server-level counterpart.
-func (o Options) serverMeasureSpan(s *server.Server, spanSec float64, fn func(dt float64)) float64 {
-	if g := o.governor(s); g != nil {
-		if spanSec < chip.DefaultStepSec {
-			spanSec = chip.DefaultStepSec
-		}
-		return g.Run(spanSec, fn)
-	}
-	return serverMeasureSpan(s, spanSec, fn)
+	return measureSpan(t, spanSec, fn)
 }
 
 // measureChip settles the chip and time-averages its sensors over the
@@ -418,7 +408,7 @@ func serverSteady(o Options, tag string, d workload.Descriptor, placements []ser
 	s.Settle(o.SettleSec)
 	uv := make([]float64, s.Sockets())
 	var power float64
-	k := o.serverMeasureSpan(s, o.MeasureSec, func(dt float64) {
+	k := o.measureSpan(s, o.MeasureSec, func(dt float64) {
 		power += float64(s.TotalPower()) * dt
 		for si := 0; si < s.Sockets(); si++ {
 			uv[si] += float64(s.Chip(si).UndervoltMV()) * dt
@@ -429,21 +419,6 @@ func serverSteady(o Options, tag string, d workload.Descriptor, placements []ser
 	}
 	releaseServer(s)
 	return power / k, uv
-}
-
-// serverMeasureSpan is measureSpan for a whole server.
-func serverMeasureSpan(s *server.Server, spanSec float64, sample func(dt float64)) float64 {
-	if spanSec < chip.DefaultStepSec {
-		spanSec = chip.DefaultStepSec
-	}
-	covered := 0.0
-	for remaining := spanSec; remaining > settleEps; {
-		dt := s.Advance(remaining)
-		remaining -= dt
-		covered += dt
-		sample(dt)
-	}
-	return covered
 }
 
 // improvementPct returns (base-new)/base in percent.

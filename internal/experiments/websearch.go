@@ -106,7 +106,7 @@ func wsqCapacityGIPS(o Options) float64 {
 	s.SetMode(firmware.Static)
 	s.Settle(o.SettleSec)
 	var mips float64
-	k := o.serverMeasureSpan(s, o.MeasureSec, func(dt float64) {
+	k := o.measureSpan(s, o.MeasureSec, func(dt float64) {
 		for si := 0; si < s.Sockets(); si++ {
 			mips += float64(s.Chip(si).TotalMIPS()) * dt
 		}

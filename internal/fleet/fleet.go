@@ -5,17 +5,14 @@
 // shard's nodes through their private multi-rate loops with no per-step
 // global barrier.
 //
-// The synchronization model is the inverse of cluster.Advance. The cluster
-// leaps all nodes together by the fleet-wide minimum horizon — a global
-// barrier per segment, correct for co-scheduled jobs but quadratic in
-// wasted wake-ups at fleet scale. Here each node's trajectory is advanced
-// independently to the caller's horizon (Advance's dtSec — typically a
-// traffic epoch boundary): server.Advance consults only that node's state,
-// so a node's leap schedule — and therefore its entire trajectory — is a
-// pure function of its own seed and workload. Shards exist purely to place
-// execution: their count is a function of the node count alone (never the
-// worker count), workers steal whole shards, and per-node results are
-// bit-identical at any worker count or shard size by construction.
+// Each node's trajectory is advanced independently to the caller's horizon
+// (Advance's dtSec — typically a traffic epoch boundary) by server.Settle,
+// which consults only that node's state, so a node's leap schedule — and
+// therefore its entire trajectory — is a pure function of its own seed and
+// workload. Shards exist purely to place execution: their count is a
+// function of the node count alone (never the worker count), workers steal
+// whole shards, and per-node results are bit-identical at any worker count
+// or shard size by construction.
 //
 // Aggregation is merge-on-read: TotalPower/TotalMIPS fold per-node values
 // in node-index order straight out of the servers — no synchronization
@@ -36,10 +33,6 @@ import (
 // to 16-way keep every worker fed at 256 nodes, large enough that a stolen
 // shard amortizes its scheduling cost.
 const DefaultShardNodes = 16
-
-// advanceEps matches the simulation layers' Settle residue: a node within
-// a nanosecond of the horizon is there.
-const advanceEps = 1e-9
 
 // seedStride spaces per-node seeds; same convention as internal/cluster.
 const seedStride = 104729
@@ -164,11 +157,8 @@ func (f *Fleet) ShapeKey() string {
 // servers in place.
 func (f *Fleet) advanceShard(si int) {
 	sh := &f.shards[si]
-	for n := sh.lo; n < sh.hi; n++ {
-		s := f.servers[n]
-		for remaining := f.dt; remaining > advanceEps; {
-			remaining -= s.Advance(remaining)
-		}
+	for _, s := range f.servers[sh.lo:sh.hi] {
+		s.Settle(f.dt)
 	}
 }
 

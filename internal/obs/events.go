@@ -92,8 +92,8 @@ const (
 	ReasonDidtEvent
 	// ReasonWobble: the ripple wobble redraw boundary.
 	ReasonWobble
-	// ReasonExternal: a server- or cluster-wide minimum shorter than this
-	// chip's own horizon (another chip's event bound the synchronized leap).
+	// ReasonExternal: a server-wide minimum shorter than this chip's own
+	// horizon (another socket's event bound the synchronized leap).
 	ReasonExternal
 )
 

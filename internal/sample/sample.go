@@ -40,8 +40,8 @@ import (
 	"agsim/internal/stats"
 )
 
-// Target is a simulation layer the governor can drive: chip.Chip,
-// server.Server, and cluster.Cluster all implement it.
+// Target is a simulation layer the governor can drive: chip.Chip and
+// server.Server implement it.
 type Target interface {
 	// Advance moves forward one multi-rate segment of at most maxSec and
 	// returns the simulated seconds covered.

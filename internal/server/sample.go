@@ -1,15 +1,14 @@
 package server
 
 // Sampled-lane seam: the server-level counterparts of the chip's
-// SampleHint/FastForward pair, aggregated the same way Horizon/MacroStep
-// aggregate the macro lane — memory factors applied before the hint so
-// completion times are computed at the MIPS the extrapolation will retire
-// work at, and all chips advanced by the same synchronized span.
+// SampleHint/FastForward pair, aggregated the same way Advance aggregates
+// the macro lane — memory factors applied before the hint so completion
+// times are computed at the MIPS the extrapolation will retire work at,
+// and all chips advanced by the same synchronized span.
 
 // SampleHint applies the memory factors for the upcoming span and returns
 // the server-wide fast-forward bound: the minimum of the per-chip hints,
-// capped at maxSec. Callers bound FastForward with it, as with
-// Horizon/MacroStep.
+// capped at maxSec. Callers bound FastForward with it.
 func (s *Server) SampleHint(maxSec float64) float64 {
 	s.applyMemFactors()
 	h := maxSec

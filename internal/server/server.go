@@ -410,58 +410,36 @@ func (s *Server) Step(dtSec float64) {
 	s.timeSec += dtSec
 }
 
-// Horizon applies the memory factors for the upcoming segment and reports
-// whether every chip is quiescent, and if so the server-wide event horizon
-// (the minimum of the per-chip horizons, capped at maxSec). Applying
-// factors first matters twice over: a factor change marks the chip dirty
-// (so quiescent correctly reads false), and the thread-completion horizons
-// are computed at the same MIPS a subsequent MacroStep will retire work at.
-func (s *Server) Horizon(maxSec float64) (quiescent bool, horizonSec float64) {
+// Advance moves the server forward by one segment — a synchronized
+// macro-step to the earliest per-chip event horizon when every chip is
+// quiescent, one grid-aligned micro-step otherwise — and returns the
+// simulated seconds consumed. All chips always advance by the same dt, so
+// cross-socket coupling (memory factors) stays synchronous, and they have
+// advanced in lockstep from time zero, so socket 0's grid re-sync fragment
+// (see chip.MicroStepSec) applies server-wide.
+func (s *Server) Advance(maxSec float64) float64 {
+	micro := s.chips[0].MicroStepSec()
+	if maxSec < micro {
+		s.Step(maxSec)
+		return maxSec
+	}
+	// Apply the memory factors for this segment before asking the chips
+	// for their horizons. It matters twice over: a factor change marks the
+	// chip dirty (so it correctly reads not quiescent), and the
+	// thread-completion horizons are computed at the same MIPS the leap
+	// will retire work at.
 	s.applyMemFactors()
 	h := maxSec
 	for _, c := range s.chips {
 		if !c.Quiescent() {
-			return false, 0
+			h = 0 // a chip still converging vetoes the leap
+			break
 		}
 		if ch := c.HorizonSec(maxSec); ch < h {
 			h = ch
 		}
 	}
-	return true, h
-}
-
-// MacroStep leaps every chip by h seconds. The caller must have bounded h
-// with Horizon (which also applied the memory factors for this segment).
-func (s *Server) MacroStep(h float64) {
-	for _, c := range s.chips {
-		c.MacroStep(h)
-	}
-	s.timeSec += h
-}
-
-// MicroStepSec returns the server's next micro-step duration. All chips
-// advance in lockstep from time zero, so socket 0's grid re-sync fragment
-// (see chip.MicroStepSec) applies server-wide.
-func (s *Server) MicroStepSec() float64 {
-	if len(s.chips) == 0 {
-		return chip.DefaultStepSec
-	}
-	return s.chips[0].MicroStepSec()
-}
-
-// Advance moves the server forward by one segment — a synchronized
-// macro-step to the earliest per-chip event horizon when every chip is
-// quiescent, one grid-aligned micro-step otherwise — and returns the
-// simulated seconds consumed. All chips always advance by the same dt, so
-// cross-socket coupling (memory factors) stays synchronous.
-func (s *Server) Advance(maxSec float64) float64 {
-	micro := s.MicroStepSec()
-	if maxSec < micro {
-		s.Step(maxSec)
-		return maxSec
-	}
-	quiescent, h := s.Horizon(maxSec)
-	if !quiescent || h <= micro {
+	if h <= micro {
 		// Factors are already applied for this segment; step the chips
 		// directly rather than re-deriving them through Step.
 		for _, c := range s.chips {
@@ -470,7 +448,10 @@ func (s *Server) Advance(maxSec float64) float64 {
 		s.timeSec += micro
 		return micro
 	}
-	s.MacroStep(h)
+	for _, c := range s.chips {
+		c.MacroStep(h)
+	}
+	s.timeSec += h
 	return h
 }
 

@@ -123,6 +123,6 @@ func TestWireFormatPinned(t *testing.T) {
 }
 
 const (
-	pinChipSHA  = "778fa01411ba36c0cb4f35531f3dd70ecdf9a5cf8d2f2db67f0273edf27ab9e3"
-	pinFleetSHA = "1ea101e4f80b091c3d3ed97947e89997ee15492b67a528bdc2d8a31dc2d3a7ff"
+	pinChipSHA  = "0551e4fcc77bbbe0a73a9d1d5ceaef347db653b83c80444dd0fb06e406a1b961"
+	pinFleetSHA = "4206b596b4991d7a001a111f8789dd76b1bc6f9a2f894b9d7e83bd0aad16f636"
 )

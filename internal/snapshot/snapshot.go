@@ -43,7 +43,9 @@ import (
 // Version 2 dropped the batched stepping lane's fields: fleet.Config's
 // Batched flag, the fleet's per-shard engine pointer and sealed flag, and
 // the cluster's batched flag, engine, gathered-server list and slot map.
-const layoutVersion byte = 2
+// Version 3 dropped the cluster's node-stepping worker pool and its unread
+// seed.
+const layoutVersion byte = 3
 
 // codecVersion is the wire-format generation of this package's walker,
 // independent of layoutVersion (which tracks simulation struct layout).

@@ -13,6 +13,7 @@ package stress
 
 import (
 	"fmt"
+	"math"
 
 	"agsim/internal/chip"
 	"agsim/internal/firmware"
@@ -110,7 +111,9 @@ type Report struct {
 func (r Report) Safe() bool { return r.TimingViolations == 0 }
 
 // Run executes the stressmark on all eight cores of a fresh chip for the
-// given simulated duration and returns the droop accounting.
+// given simulated duration, rounded to whole 1 ms steps, and returns the
+// droop accounting. A run shorter than half a step plays none: it reports
+// a zero span and a zero mean undervolt.
 func Run(l Level, mode firmware.Mode, seconds float64, seed uint64) Report {
 	c := chip.MustNew(chip.DefaultConfig("stress", seed))
 	d := Synthesize(l)
@@ -121,9 +124,9 @@ func Run(l Level, mode firmware.Mode, seconds float64, seed uint64) Report {
 	c.Settle(2)
 	c.ResetDroopStats() // count only steady-state events
 
-	rep := Report{Level: l, Mode: mode, Seconds: seconds, MinMarginMV: 1e9}
+	steps := int(math.Round(seconds / chip.DefaultStepSec))
+	rep := Report{Level: l, Mode: mode, Seconds: float64(steps) * chip.DefaultStepSec, MinMarginMV: 1e9}
 	law := c.Law()
-	steps := int(seconds / chip.DefaultStepSec)
 	var uv float64
 	for i := 0; i < steps; i++ {
 		c.Step(chip.DefaultStepSec)
@@ -135,7 +138,9 @@ func Run(l Level, mode firmware.Mode, seconds float64, seed uint64) Report {
 			}
 		}
 	}
-	rep.MeanUndervoltMV = uv / float64(steps)
+	if steps > 0 {
+		rep.MeanUndervoltMV = uv / float64(steps)
+	}
 	rep.DroopsAbsorbed, rep.TimingViolations = c.DroopStats()
 	return rep
 }

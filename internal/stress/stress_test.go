@@ -1,8 +1,10 @@
 package stress
 
 import (
+	"math"
 	"testing"
 
+	"agsim/internal/chip"
 	"agsim/internal/firmware"
 )
 
@@ -98,5 +100,22 @@ func TestUndervoltShallowerUnderStress(t *testing.T) {
 	virus := Run(Virus, firmware.Undervolt, 5, 47)
 	if virus.MeanUndervoltMV > heavy.MeanUndervoltMV+1 {
 		t.Errorf("virus undervolt %.1f deeper than heavy %.1f", virus.MeanUndervoltMV, heavy.MeanUndervoltMV)
+	}
+}
+
+// TestRunRoundsToWholeSteps holds Run to the rounded 1 ms step count: a
+// span shorter than half a step plays none and reports a zero mean rather
+// than NaN, and a longer one reports the span it played.
+func TestRunRoundsToWholeSteps(t *testing.T) {
+	empty := Run(Heavy, firmware.Undervolt, 0.0004, 53)
+	if empty.Seconds != 0 || empty.MeanUndervoltMV != 0 {
+		t.Errorf("sub-step run = %+v, want zero span and mean undervolt", empty)
+	}
+	one := Run(Heavy, firmware.Undervolt, 0.0007, 53)
+	if one.Seconds != chip.DefaultStepSec {
+		t.Errorf("Run(0.0007) played %v s, want one step", one.Seconds)
+	}
+	if math.IsNaN(one.MeanUndervoltMV) || math.IsNaN(one.MinMarginMV) || one.MeanUndervoltMV <= 0 {
+		t.Errorf("one-step run = %+v, want a finite positive undervolt", one)
 	}
 }
