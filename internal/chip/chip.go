@@ -244,12 +244,15 @@ type Chip struct {
 	frozenRNG       *rng.Source
 
 	// Multi-rate stepping state (see macro.go). exact pins the chip to the
-	// 1 ms reference lane; stable counts consecutive micro-steps whose
-	// electrical state stayed within the convergence bands, against the
-	// prev* snapshots from the previous step. Any mutation that can move
-	// the operating point resets stable via markDirty.
+	// 1 ms reference lane. stable is how far the quiescence proof has got
+	// since markDirty last cleared it: 0 with no movement on record, 1 with
+	// one (lastMove, the last micro-step's largest movement in band units,
+	// measured against the prev* snapshots), quiescentAfter once the last
+	// two movements prove the relaxation settled. Any mutation that can
+	// move the operating point resets stable via markDirty.
 	exact     bool
 	stable    int
+	lastMove  float64
 	prevRailV units.Millivolt
 	prevCoreV []units.Millivolt
 	prevCoreF []units.Megahertz

@@ -17,6 +17,15 @@ import (
 // state. The engine in this file detects that quiescence and crosses the
 // gap to the next event horizon in one closed-form macro-step.
 //
+// Quiescence is proved from each micro-step's largest movement in band
+// units (updateStability): the last two movements either both sit inside
+// the bands, or they contract and the geometric tail of the relaxation
+// still to come fits inside one band. A leap keeps that proof unless the
+// horizon it reached was one of the chip's own thread events (completion,
+// phase boundary, phase walk), which change the next step's power; a
+// tick, a wobble redraw or a di/dt event either moves nothing the bands
+// watch or shows up as a fresh movement in the step that resolves it.
+//
 // Correctness rests on two pillars:
 //
 //  1. Time-indexed randomness. Every stochastic process consumed during a
@@ -41,24 +50,26 @@ import (
 // What is NOT bit-exact versus the 1 ms reference: thermal relaxation uses
 // the continuous-time exponential instead of the iterated Euler map (~1e-7
 // relative difference per window), and slow thermal drift of power/voltage
-// below the convergence bands is frozen for the duration of a leap (the
-// bands bound the excursion to ~0.3 mV per window, self-correcting at the
-// next micro-step). Both sit orders of magnitude below the 1% accuracy
-// budget the harness enforces.
+// is frozen for the duration of a leap. The bands bound drift per step,
+// not a leap's accumulated drift — the first step after a 29 ms leap on a
+// Fig. 17 chip moves the DPLL by about 1.3 bands — and the next micro-step
+// resolves whatever accumulated. Both sit orders of magnitude below the 1%
+// accuracy budget the harness enforces.
 
 const (
-	// quiescentAfter is how many consecutive in-band micro-steps the chip
-	// must string together before it may leap: two steps prove the
-	// successive-relaxation loop has stopped moving.
+	// quiescentAfter is how many post-perturbation micro-steps the proof
+	// needs: two successive movements, to tell a settled or contracting
+	// relaxation from one still under way.
 	quiescentAfter = 2
 
-	// stableEpsMV is the per-step voltage movement (rail and per-core DC)
-	// considered "settled"; thermal drift near equilibrium sits well below
-	// it, active transients well above.
+	// stableEpsMV is one band of per-step voltage movement (rail and
+	// per-core DC): thermal drift near equilibrium sits well below it,
+	// active transients well above. Quiescence needs the relaxation's
+	// remaining movement to fit inside one band.
 	stableEpsMV = 0.01
 
-	// stableEpsMHz is the per-step DPLL movement considered settled; the
-	// overclock tracking loop jitters below this once converged.
+	// stableEpsMHz is one band of per-step DPLL movement; the overclock
+	// tracking loop jitters below it once converged.
 	stableEpsMHz = 0.01
 
 	// gridSnapSec is the distance within which chip time counts as sitting
@@ -71,33 +82,45 @@ const (
 // move the operating point calls it so the next steps run at micro rate.
 func (c *Chip) markDirty() { c.stable = 0 }
 
-// updateStability runs at the end of every micro-step: it compares the
-// step's electrical outcome against the previous step's and extends or
-// resets the quiescence streak.
+// updateStability runs at the end of every micro-step, on both lanes. It
+// measures the step's largest movement m — of the rail, any core's DC
+// voltage or any DPLL, in band units — and advances the quiescence proof.
+// The chip is settled once the last two movements, both measured since the
+// last markDirty, either sit inside the bands or contract with a geometric
+// tail inside one band: with ρ = m/m_prev < 1 the relaxation still has at
+// most m·ρ/(1−ρ) = m²/(m_prev−m) to move. The in-band branch covers
+// sub-band drift that does not contract (thermal drift, ρ ≈ 1). Running
+// maxima and two divisions keep the exact lane's per-step cost flat.
 func (c *Chip) updateStability() {
-	ok := math.Abs(float64(c.lastRailV-c.prevRailV)) <= stableEpsMV
+	dv := math.Abs(float64(c.lastRailV - c.prevRailV))
+	var df float64
 	for i, co := range c.cores {
-		if ok {
-			if math.Abs(float64(co.voltageDC-c.prevCoreV[i])) > stableEpsMV ||
-				math.Abs(float64(co.dpll.Freq()-c.prevCoreF[i])) > stableEpsMHz {
-				ok = false
-			}
+		if d := math.Abs(float64(co.voltageDC - c.prevCoreV[i])); d > dv {
+			dv = d
+		}
+		if d := math.Abs(float64(co.dpll.Freq() - c.prevCoreF[i])); d > df {
+			df = d
 		}
 		c.prevCoreV[i] = co.voltageDC
 		c.prevCoreF[i] = co.dpll.Freq()
 	}
 	c.prevRailV = c.lastRailV
-	if ok {
-		c.stable++
-	} else {
-		c.stable = 0
+	m := dv / stableEpsMV
+	if mf := df / stableEpsMHz; mf > m {
+		m = mf
+	}
+	prev, measured := c.lastMove, c.stable > 0
+	c.lastMove = m
+	c.stable = 1
+	if measured && (m <= 1 && prev <= 1 || m < prev && m*m <= prev-m) {
+		c.stable = quiescentAfter
 	}
 }
 
 // Quiescent reports whether the chip has earned a macro-step: the exact
-// lane never does; otherwise the electrical state must have held still for
-// quiescentAfter micro-steps and every clocked core's DPLL must sit at its
-// control target (a slewing clock changes power every step).
+// lane never does; otherwise updateStability must have proved the
+// relaxation settled and every clocked core's DPLL must sit at its control
+// target (a slewing clock changes power every step).
 func (c *Chip) Quiescent() bool {
 	if c.exact || c.stable < quiescentAfter {
 		return false
@@ -253,14 +276,14 @@ func (c *Chip) MacroStep(h float64) {
 	c.energyJ += float64(c.lastChipPower) * h
 	c.macroThermal(h)
 	c.timeSec += h
+	// Attribute the leap: when the server bounded it below this chip's own
+	// horizon, another socket's event did — the reason is external to this
+	// chip.
+	reason := c.lastHorizonReason
+	if h < c.lastHorizonSec-1e-12 {
+		reason = obs.ReasonExternal
+	}
 	if r := c.rec; r != nil {
-		// Attribute the leap: when the server bounded it below this chip's
-		// own horizon, another socket's event did — the reason is
-		// external to this chip.
-		reason := c.lastHorizonReason
-		if h < c.lastHorizonSec-1e-12 {
-			reason = obs.ReasonExternal
-		}
 		r.Inc(c.src, obs.CMacroSteps)
 		r.Observe(obs.HLeapSec, h)
 		r.SetGauge(c.src, obs.GTimeSec, c.timeSec)
@@ -277,9 +300,16 @@ func (c *Chip) MacroStep(h float64) {
 		c.tsRail.Fill(t0, t1, float64(c.lastRailV), stepGridUS)
 	}
 
-	// The horizon may coincide with a state change (thread completion,
-	// phase switch); require fresh micro-steps to re-prove convergence.
-	c.stable = 0
+	// A thread event at the horizon the leap reached changes the next
+	// step's power without moving anything the last step measured, so it
+	// restarts the proof. The tick marks dirty inside its own step, and a
+	// wobble redraw or a di/dt event either moves nothing the bands watch
+	// or shows up as movement in the step that resolves it, so the proof
+	// survives every other horizon.
+	switch reason {
+	case obs.ReasonCompletion, obs.ReasonPhaseBoundary, obs.ReasonPhaseWalk:
+		c.markDirty()
+	}
 
 	c.sinceTick += h
 	if c.sinceTick >= firmware.TickSeconds {

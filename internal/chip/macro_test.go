@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"agsim/internal/firmware"
+	"agsim/internal/obs"
 	"agsim/internal/workload"
 )
 
@@ -100,6 +101,102 @@ func TestMacroLaneActuallyLeaps(t *testing.T) {
 	if macro.Quiescent() == false && macro.ActiveCores() > 0 {
 		// Not fatal — just informative if quiescence was never reached.
 		t.Logf("note: chip not quiescent at end of run (stable=%d)", macro.stable)
+	}
+}
+
+// leapGap is one leap of an Advance loop: the horizon that bounded it and
+// the micro-steps the chip took after it before leaping again.
+type leapGap struct {
+	reason obs.Reason
+	micro  int
+}
+
+// traceLeaps drives c through span seconds of Advance segments. It returns
+// a leapGap for every leap that another leap followed, and the total
+// micro-step count. A segment longer than the grid step is a leap: Advance
+// leaps only past a full micro-step.
+func traceLeaps(c *Chip, span float64) (gaps []leapGap, micro int) {
+	var last obs.Reason
+	leapt := false
+	since := 0
+	for remaining := span; remaining > settleEps; {
+		step := c.MicroStepSec()
+		d := c.Advance(remaining)
+		remaining -= d
+		if d <= step {
+			micro++
+			since++
+			continue
+		}
+		if leapt {
+			gaps = append(gaps, leapGap{last, since})
+		}
+		last, leapt, since = c.lastHorizonReason, true, 0
+	}
+	return gaps, micro
+}
+
+// TestContractionBoundLeapsEarly pins the contraction branch of the
+// quiescence proof on a Fig. 17 chip: after each tick the ripple redraw
+// moves the overclock DPLL by 10-150 bands and the relaxation then shrinks
+// 10-40x per step, so the geometric tail fits inside one band after the
+// first contracting step. Waiting for two in-band steps instead costs
+// about 4.9 micro-steps per firmware tick.
+func TestContractionBoundLeapsEarly(t *testing.T) {
+	c := MustNew(DefaultConfig("fig17-like", 12345))
+	c.Place(0, workload.NewThread(workload.MustGet("websearch"), 1e9, nil))
+	for i := 1; i < 8; i++ {
+		c.Place(i, workload.NewThread(workload.MustGet("coremark"), 1e9, nil))
+		c.SetIssueThrottle(i, 0.39)
+	}
+	c.SetMode(firmware.Overclock)
+	c.Settle(2.5)
+	ticks0 := c.Controller().Ticks()
+	_, micro := traceLeaps(c, 24)
+	ticks := c.Controller().Ticks() - ticks0
+	perTick := float64(micro) / float64(ticks)
+	t.Logf("%d micro-steps over %d firmware ticks: %.2f per tick", micro, ticks, perTick)
+	if perTick > 3.4 {
+		t.Errorf("%.2f micro-steps per firmware tick, want ≤ 3.4", perTick)
+	}
+}
+
+// TestMacroStepKeepsProofOnlyAcrossInertHorizons pins which horizons a
+// leap may carry the quiescence proof across, on an Undervolt chip whose
+// eight raytrace threads run out of work one after another. A di/dt event
+// moves no operating point (the DPLL only absorbs the droop), so the chip
+// leaps again straight after the event step. A thread completion changes
+// the next step's power without moving anything the last step measured,
+// so the chip must re-prove quiescence over at least two micro-steps.
+func TestMacroStepKeepsProofOnlyAcrossInertHorizons(t *testing.T) {
+	c := MustNew(DefaultConfig("staggered", 99))
+	d := workload.MustGet("raytrace")
+	for i := 0; i < c.Cores(); i++ {
+		c.Place(i, workload.NewThread(d, float64(i+1)*2, nil))
+	}
+	c.SetMode(firmware.Undervolt)
+	c.Settle(0.5)
+	gaps, _ := traceLeaps(c, 4)
+	var didt, didtMicro, completions int
+	for _, g := range gaps {
+		switch g.reason {
+		case obs.ReasonDidtEvent:
+			didt++
+			didtMicro += g.micro
+		case obs.ReasonCompletion:
+			completions++
+			if g.micro < 2 {
+				t.Errorf("leap to a thread completion followed by %d micro-steps, want ≥ 2", g.micro)
+			}
+		}
+	}
+	if didt == 0 || completions == 0 {
+		t.Fatalf("%d di/dt-bounded and %d completion-bounded leaps; the run must have both", didt, completions)
+	}
+	mean := float64(didtMicro) / float64(didt)
+	t.Logf("%d di/dt-bounded leaps followed by %.2f micro-steps each; %d completion-bounded leaps", didt, mean, completions)
+	if mean >= 1.5 {
+		t.Errorf("di/dt-bounded leaps are followed by %.2f micro-steps on average, want < 1.5", mean)
 	}
 }
 

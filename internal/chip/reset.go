@@ -85,6 +85,7 @@ func (c *Chip) Reset(name string, seed uint64, rec *obs.Recorder) {
 	// Multi-rate state: New leaves the prev* snapshots at their zero
 	// values (not VNom) — the first step can never count as stable.
 	c.stable = 0
+	c.lastMove = 0
 	c.prevRailV = 0
 	for i := range c.prevCoreV {
 		c.prevCoreV[i] = 0

@@ -106,3 +106,26 @@ func TestRecorderSameSeedRunsMatch(t *testing.T) {
 		t.Error("two same-seed recorded runs diverged")
 	}
 }
+
+// TestFig17MicroStepsPerTick gates the macro lane's quiescence detector on
+// the experiment that stresses it most: after each firmware tick an
+// overclocked Fig. 17 chip needs the tick step, the wobble step and one
+// contracting relaxation step before it may leap again. A detector that
+// waits for the relaxation to finish inside the bands spends over five
+// micro-steps per tick here.
+func TestFig17MicroStepsPerTick(t *testing.T) {
+	o := QuickOptions()
+	o.Workers = 1
+	o.Recorder = obs.New("fig17", 0)
+	Fig17AdaptiveMapping(o)
+	lg := o.Recorder.Snapshot()
+	micro, ticks := lg.TotalCounter(obs.CMicroSteps), lg.TotalCounter(obs.CFirmwareTicks)
+	if ticks == 0 {
+		t.Fatal("no firmware ticks recorded")
+	}
+	perTick := float64(micro) / float64(ticks)
+	t.Logf("fig17: %.2f micro-steps per firmware tick (%d / %d)", perTick, micro, ticks)
+	if perTick > 4.0 {
+		t.Errorf("fig17 spends %.2f micro-steps per firmware tick, want ≤ 4.0", perTick)
+	}
+}

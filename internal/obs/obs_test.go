@@ -388,6 +388,17 @@ func TestSummaryTableAndTimeline(t *testing.T) {
 	if _, ok := tab.Row("events_recorded"); !ok {
 		t.Error("summary missing events_recorded")
 	}
+	if row, ok := tab.Row("micro_steps_per_tick"); ok {
+		t.Errorf("summary has micro_steps_per_tick %+v without a firmware tick", row)
+	}
+	r.Inc(src, CMicroSteps)
+	r.Inc(src, CMicroSteps)
+	r.Add(src, CFirmwareTicks, 2)
+	lg = r.Snapshot()
+	row, ok = lg.SummaryTable().Row("micro_steps_per_tick")
+	if !ok || row.Values[0] != 1.5 {
+		t.Errorf("summary row micro_steps_per_tick = %+v ok=%v, want 3 steps / 2 ticks = 1.5", row, ok)
+	}
 	fig := lg.TimelineFigure()
 	if fig == nil {
 		t.Fatal("nil timeline figure")

@@ -22,6 +22,11 @@ func (l *Log) SummaryTable() *trace.Table {
 		t.AddRow("macro_leap_mean_ms",
 			l.Hists[HLeapSec].Sum/float64(l.Hists[HLeapSec].Count)*1000)
 	}
+	// The ratio the quiescence gates read: a settled chip needs only a few
+	// micro-steps per 32 ms tick, the 1 ms lane needs 32.
+	if ticks := l.TotalCounter(CFirmwareTicks); ticks > 0 {
+		t.AddRow("micro_steps_per_tick", float64(l.TotalCounter(CMicroSteps))/float64(ticks))
+	}
 	return t
 }
 

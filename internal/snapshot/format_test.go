@@ -123,6 +123,6 @@ func TestWireFormatPinned(t *testing.T) {
 }
 
 const (
-	pinChipSHA  = "0551e4fcc77bbbe0a73a9d1d5ceaef347db653b83c80444dd0fb06e406a1b961"
-	pinFleetSHA = "4206b596b4991d7a001a111f8789dd76b1bc6f9a2f894b9d7e83bd0aad16f636"
+	pinChipSHA  = "eb149182d4abffe11f3a473399000529e0e0593ded224d72fcbc950404d8948a"
+	pinFleetSHA = "db3729a364559a0418822bfaf954c7d53c22f85ff55caf57d814c82184471228"
 )

@@ -44,8 +44,9 @@ import (
 // Batched flag, the fleet's per-shard engine pointer and sealed flag, and
 // the cluster's batched flag, engine, gathered-server list and slot map.
 // Version 3 dropped the cluster's node-stepping worker pool and its unread
-// seed.
-const layoutVersion byte = 3
+// seed. Version 4 added the chip's lastMove, the quiescence proof's last
+// micro-step movement.
+const layoutVersion byte = 4
 
 // codecVersion is the wire-format generation of this package's walker,
 // independent of layoutVersion (which tracks simulation struct layout).
