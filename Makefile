@@ -31,9 +31,11 @@
 #                        counter track) with cmd/tracecheck -attrib, grep the
 #                        Prometheus output for the core metric families, run
 #                        every program under examples/ (a non-zero exit
-#                        fails), then boot amesterd with -http/-timeseries and
+#                        fails), then boot amesterd with -http/-timeseries,
 #                        curl the live /health, /timeseries and /stream
-#                        endpoints
+#                        endpoints, read the probe set with amesterd -connect,
+#                        require amesterd and an attached -watch client to
+#                        exit within 5s of SIGTERM, and run agsched once
 #   make dist-smoke    — the distributed-sweep and checkpoint/replay smoke:
 #                        sweep DIST_SMOKE_UNITS through a two-worker fleet
 #                        and through a single worker and require the merges
@@ -44,8 +46,8 @@
 #   make fuzz-smoke    — run each fuzz target for 20s: snapshot FuzzLoad
 #                        (mutated image payloads decoded into a live chip
 #                        and a small fleet must never panic or allocate
-#                        without bound), pdn FuzzMeshSolve and qos
-#                        FuzzRunWindow
+#                        without bound), pdn FuzzMeshSolve, qos
+#                        FuzzRunWindow and amester FuzzTimeseriesQuery
 #   make ci            — everything CI runs: check + race + smoke +
 #                        dist-smoke + fuzz-smoke + bench + bench-compare
 #                        (bench-compare gates ns/op regressions and the
@@ -135,7 +137,30 @@ smoke:
 	curl -sf "$$url/timeseries?name=power_w&res=1" | grep -q '"levels"'; \
 	curl -sf $$url/health | grep -q '"status"'; \
 	curl -sf --max-time 5 $$url/stream | sed -n '/^data:/{p;q;}' | grep -q '"seq"'; \
-	echo "smoke: amesterd endpoints validated on $$url"
+	echo "smoke: amesterd endpoints validated on $$url"; \
+	$(SMOKE_DIR)/amesterd -connect 127.0.0.1:$(SMOKE_AMESTER_PORT) >$(SMOKE_DIR)/probes.out; \
+	grep -q '^total_power_w ' $(SMOKE_DIR)/probes.out; \
+	grep -q '^p1_undervolt_mv ' $(SMOKE_DIR)/probes.out; \
+	echo "smoke: amesterd -connect read the server probe set"; \
+	$(SMOKE_DIR)/amesterd -connect 127.0.0.1:$(SMOKE_AMESTER_PORT) -watch p0_power_w -samples 100000 \
+		>$(SMOKE_DIR)/watch.out 2>&1 & wpid=$$!; \
+	trap 'kill $$pid $$wpid 2>/dev/null' EXIT INT TERM; \
+	i=0; until [ "$$(wc -l <$(SMOKE_DIR)/watch.out)" -ge 2 ]; do \
+		i=$$((i+1)); [ $$i -lt 50 ] || { cat $(SMOKE_DIR)/watch.out; exit 1; }; \
+		sleep 0.1; \
+	done; \
+	kill -TERM $$pid; \
+	(sleep 5; kill -KILL $$pid $$wpid 2>/dev/null) & timer=$$!; \
+	wait $$pid && st=0 || st=$$?; \
+	wait $$wpid && wst=0 || wst=$$?; \
+	kill $$timer 2>/dev/null || true; trap - EXIT INT TERM; \
+	[ $$st -eq 0 ] || { echo "smoke: amesterd exit status $$st after SIGTERM (137: still running after 5s)"; cat $(SMOKE_DIR)/amesterd.log; exit 1; }; \
+	[ $$wst -ne 137 ] || { echo "smoke: watcher still running 5s after amesterd's SIGTERM"; exit 1; }; \
+	echo "smoke: amesterd and its watcher exited after SIGTERM"
+	$(GO) build -o $(SMOKE_DIR)/agsched ./cmd/agsched
+	$(SMOKE_DIR)/agsched -duration 0.5 >$(SMOKE_DIR)/agsched.out
+	@grep -q '^  total power ' $(SMOKE_DIR)/agsched.out
+	@echo "smoke: agsched printed its total power line"
 	@echo "smoke: exporters validated in $(SMOKE_DIR)"
 
 # Distributed-sweep smoke: the same unit list swept by a two-worker fleet
@@ -186,7 +211,8 @@ dist-smoke:
 # per invocation). Minimization of a new input is capped well below the
 # run time so a large seed cannot spend the whole budget shrinking one case.
 fuzz-smoke:
-	@set -e; for t in ./internal/snapshot:FuzzLoad ./internal/pdn:FuzzMeshSolve ./internal/qos:FuzzRunWindow; do \
+	@set -e; for t in ./internal/snapshot:FuzzLoad ./internal/pdn:FuzzMeshSolve ./internal/qos:FuzzRunWindow \
+		./internal/amester:FuzzTimeseriesQuery; do \
 		echo "fuzz-smoke: $${t%%:*} $${t##*:} for 20s"; \
 		$(GO) test $${t%%:*} -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime 20s -fuzzminimizetime 5s; \
 	done

@@ -1,7 +1,7 @@
 // Command agsched is a scheduling playground for the simulated Power 720:
 // it places a workload under either the consolidation baseline or the
 // loadline-borrowing schedule, runs it in a chosen guardband mode, and
-// prints live telemetry the way AMESTER would.
+// prints the server's sensors averaged over every step of the run.
 //
 // Usage:
 //
@@ -20,7 +20,6 @@ import (
 	"agsim/internal/core"
 	"agsim/internal/firmware"
 	"agsim/internal/server"
-	"agsim/internal/telemetry"
 	"agsim/internal/workload"
 )
 
@@ -110,33 +109,40 @@ func main() {
 	}
 	s.SetMode(m)
 
-	sampler := telemetry.NewSampler(telemetry.ServerProbes(s)...)
 	s.Settle(2)
-	sampler.Reset()
 	reb := core.NewRebalancer()
+	// Sum each sensor once per 1 ms step; dividing by the step count gives
+	// the time average over the measured span.
+	type socketSums struct{ power, undervolt, freq, mips, temp float64 }
+	var totalPower float64
+	sockets := make([]socketSums, s.Sockets())
 	for i := 0; i < steps; i++ {
 		s.Step(chip.DefaultStepSec)
 		if *rebalance {
 			reb.Tick(s, chip.DefaultStepSec)
 		}
-		sampler.Tick(chip.DefaultStepSec)
+		totalPower += float64(s.TotalPower())
+		for si := range sockets {
+			c, sum := s.Chip(si), &sockets[si]
+			sum.power += float64(c.ChipPower())
+			sum.undervolt += float64(c.UndervoltMV())
+			sum.freq += float64(c.CoreFreq(0))
+			sum.mips += float64(c.TotalMIPS())
+			sum.temp += float64(c.Temperature())
+		}
 	}
-	// A duration that is not a multiple of 32 ms leaves a window in
-	// flight; flush it so the report reflects the whole measured span.
-	sampler.Flush()
 
 	schedule := "consolidated"
 	if *borrow {
 		schedule = "loadline-borrowing"
 	}
+	n := float64(steps)
 	fmt.Printf("%s: %d threads of %s, %s mode, %.3f s measured\n",
-		schedule, *threads, d.Name, m, float64(steps)*chip.DefaultStepSec)
-	fmt.Printf("  total power      %8.1f W\n", sampler.Mean("total_power_w"))
-	for si := 0; si < s.Sockets(); si++ {
-		p := fmt.Sprintf("p%d_", si)
+		schedule, *threads, d.Name, m, n*chip.DefaultStepSec)
+	fmt.Printf("  total power      %8.1f W\n", totalPower/n)
+	for si, sum := range sockets {
 		fmt.Printf("  socket %d: %6.1f W  undervolt %5.1f mV  freq %6.0f MHz  %8.0f MIPS  %5.1f °C\n",
-			si, sampler.Mean(p+"power_w"), sampler.Mean(p+"undervolt_mv"),
-			sampler.Mean(p+"freq0_mhz"), sampler.Mean(p+"mips"), sampler.Mean(p+"temp_c"))
+			si, sum.power/n, sum.undervolt/n, sum.freq/n, sum.mips/n, sum.temp/n)
 	}
 	absorbed, violations := s.Chip(0).DroopStats()
 	fmt.Printf("  droops absorbed %d, timing violations %d\n", absorbed, violations)

@@ -374,7 +374,7 @@ func reportCmd(args []string) {
 	fmt.Println("prints nothing. The same plane is served live by")
 	fmt.Println("`amesterd -listen ADDR -http HADDR -timeseries`: `GET /timeseries`")
 	fmt.Println("(inventory, or `?name=power_w&res=1` for one series' windows),")
-	fmt.Println("`GET /health`, `GET /fleet`, `GET /stream` (one SSE frame per publish)")
+	fmt.Println("`GET /health`, `GET /stream` (one SSE frame per publish)")
 	fmt.Println("alongside `/metrics`, `/manifest` and `/debug/pprof`. Like the")
 	fmt.Println("recorder, the plane never perturbs results and the instrumented step")
 	fmt.Println("stays at 0 allocs/op; see ARCHITECTURE.md, \"Telemetry plane\".")

@@ -11,7 +11,7 @@
 // Client (one-shot dump or watch):
 //
 //	amesterd -connect 127.0.0.1:7007
-//	amesterd -connect 127.0.0.1:7007 -watch power_w,p0_undervolt_mv -samples 20
+//	amesterd -connect 127.0.0.1:7007 -watch total_power_w,p0_undervolt_mv -samples 20
 //
 // With -http ADDR the server also exposes the flight recorder over HTTP:
 // GET /metrics returns the merged counters, gauges and histograms in
@@ -41,10 +41,10 @@ import (
 	"agsim/internal/amester"
 	"agsim/internal/chip"
 	"agsim/internal/experiments"
+	"agsim/internal/firmware"
 	"agsim/internal/obs"
 	"agsim/internal/snapshot"
 	"agsim/internal/sweepd"
-	"agsim/internal/telemetry"
 )
 
 func main() {
@@ -176,7 +176,7 @@ func serve(addr, httpAddr, name string, threads int, modeName string, borrow boo
 		return err
 	}
 
-	svc := amester.NewService(telemetry.ServerProbes(srv)...)
+	svc := amester.NewService(amester.ServerProbes(srv)...)
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -229,9 +229,9 @@ func serve(addr, httpAddr, name string, threads int, modeName string, borrow boo
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
-	ticker := time.NewTicker(time.Duration(telemetry.Interval * float64(time.Second)))
+	ticker := time.NewTicker(time.Duration(firmware.TickSeconds * float64(time.Second)))
 	defer ticker.Stop()
-	stepsPerTick := int(telemetry.Interval / chip.DefaultStepSec)
+	stepsPerTick := int(firmware.TickSeconds / chip.DefaultStepSec)
 	nextSnap := snapEvery
 	writeSnap := func() error {
 		img, err := snapshot.Save(srv, snapshot.Meta{

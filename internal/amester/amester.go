@@ -30,13 +30,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"agsim/internal/telemetry"
 )
 
 // Service publishes telemetry snapshots to network clients.
 type Service struct {
-	probes []telemetry.Probe
+	probes []Probe
 
 	mu   sync.RWMutex
 	vals map[string]float64
@@ -45,11 +43,14 @@ type Service struct {
 	listener net.Listener
 	wg       sync.WaitGroup
 	closed   chan struct{}
+
+	connMu sync.Mutex // guards conns
+	conns  map[net.Conn]struct{}
 }
 
 // NewService creates a service over the given probes. Probe names must be
-// unique (the telemetry sampler enforces the same rule).
-func NewService(probes ...telemetry.Probe) *Service {
+// unique.
+func NewService(probes ...Probe) *Service {
 	seen := map[string]bool{}
 	for _, p := range probes {
 		if p.Read == nil {
@@ -64,6 +65,7 @@ func NewService(probes ...telemetry.Probe) *Service {
 		probes: probes,
 		vals:   map[string]float64{},
 		closed: make(chan struct{}),
+		conns:  map[net.Conn]struct{}{},
 	}
 }
 
@@ -106,22 +108,54 @@ func (s *Service) Start(l net.Listener) {
 					continue
 				}
 			}
+			if !s.track(conn) {
+				return
+			}
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
+				defer s.untrack(conn)
 				s.handle(conn)
 			}()
 		}
 	}()
 }
 
-// Close stops accepting and waits for in-flight connections to finish.
+// track registers a live connection so Close can unblock its handler. It
+// closes conn and reports false once Close has begun.
+func (s *Service) track(conn net.Conn) bool {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	select {
+	case <-s.closed:
+		conn.Close()
+		return false
+	default:
+	}
+	s.conns[conn] = struct{}{}
+	return true
+}
+
+func (s *Service) untrack(conn net.Conn) {
+	s.connMu.Lock()
+	delete(s.conns, conn)
+	s.connMu.Unlock()
+}
+
+// Close stops accepting, closes every live connection (a handler blocked
+// reading an idle client would otherwise never return) and waits for the
+// handlers to finish.
 func (s *Service) Close() error {
 	close(s.closed)
 	var err error
 	if s.listener != nil {
 		err = s.listener.Close()
 	}
+	s.connMu.Lock()
+	for conn := range s.conns {
+		conn.Close()
+	}
+	s.connMu.Unlock()
 	s.wg.Wait()
 	return err
 }

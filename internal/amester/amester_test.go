@@ -5,14 +5,15 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"agsim/internal/chip"
 	"agsim/internal/firmware"
-	"agsim/internal/telemetry"
+	"agsim/internal/server"
 	"agsim/internal/workload"
 )
 
-func startService(t *testing.T, probes ...telemetry.Probe) (*Service, string) {
+func startService(t *testing.T, probes ...Probe) (*Service, string) {
 	t.Helper()
 	svc := NewService(probes...)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -31,7 +32,7 @@ func TestServiceValidation(t *testing.T) {
 				t.Error("expected panic for nil reader")
 			}
 		}()
-		NewService(telemetry.Probe{Name: "x"})
+		NewService(Probe{Name: "x"})
 	}()
 	func() {
 		defer func() {
@@ -40,15 +41,15 @@ func TestServiceValidation(t *testing.T) {
 			}
 		}()
 		r := func() float64 { return 0 }
-		NewService(telemetry.Probe{Name: "x", Read: r}, telemetry.Probe{Name: "x", Read: r})
+		NewService(Probe{Name: "x", Read: r}, Probe{Name: "x", Read: r})
 	}()
 }
 
 func TestProtocolRoundTrips(t *testing.T) {
 	v := 1.0
 	svc, addr := startService(t,
-		telemetry.Probe{Name: "power_w", Read: func() float64 { return v }},
-		telemetry.Probe{Name: "freq_mhz", Read: func() float64 { return 4200 }},
+		Probe{Name: "power_w", Read: func() float64 { return v }},
+		Probe{Name: "freq_mhz", Read: func() float64 { return 4200 }},
 	)
 	svc.Publish()
 
@@ -101,7 +102,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 }
 
 func TestUnknownCommand(t *testing.T) {
-	_, addr := startService(t, telemetry.Probe{Name: "x", Read: func() float64 { return 0 }})
+	_, addr := startService(t, Probe{Name: "x", Read: func() float64 { return 0 }})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +122,7 @@ func TestUnknownCommand(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
-	svc, addr := startService(t, telemetry.Probe{Name: "x", Read: func() float64 { return 7 }})
+	svc, addr := startService(t, Probe{Name: "x", Read: func() float64 { return 7 }})
 	svc.Publish()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -156,7 +157,7 @@ func TestEndToEndWithSimulatedChip(t *testing.T) {
 	}
 	c.SetMode(firmware.Undervolt)
 
-	svc, addr := startService(t, telemetry.ChipProbes("", c)...)
+	svc, addr := startService(t, ChipProbes("", c)...)
 	client, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +169,7 @@ func TestEndToEndWithSimulatedChip(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		c.Step(chip.DefaultStepSec)
 		since += chip.DefaultStepSec
-		if since >= telemetry.Interval {
+		if since >= firmware.TickSeconds {
 			since = 0
 			svc.Publish()
 			v, err := client.Get("power_w")
@@ -188,5 +189,109 @@ func TestEndToEndWithSimulatedChip(t *testing.T) {
 	// Undervolting must be visible remotely.
 	if uv, err := client.Get("undervolt_mv"); err != nil || uv <= 0 {
 		t.Errorf("remote undervolt = %v, %v", uv, err)
+	}
+}
+
+// TestCloseUnblocksIdleClient pins shutdown with a client attached: a
+// handler parked reading an idle connection must not hold Close up, and
+// the client must see its connection end.
+func TestCloseUnblocksIdleClient(t *testing.T) {
+	svc := NewService(Probe{Name: "x", Read: func() float64 { return 0 }})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start(l)
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.conn.Close()
+	// One round trip proves the handler is up and waiting on the client.
+	if _, err := c.Seq(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- svc.Close() }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close still blocked on an idle client after 2s")
+	}
+	if _, err := c.Seq(); err == nil {
+		t.Fatal("Seq succeeded after Close")
+	}
+}
+
+// remoteMeans steps a simulation, publishes once per firmware tick and
+// reads every probe back through GETALL, returning each probe's mean over
+// the remote reads.
+func remoteMeans(t *testing.T, svc *Service, addr string, step func(dtSec float64), steps int) map[string]float64 {
+	t.Helper()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sums := map[string]float64{}
+	reads := 0
+	perTick := int(firmware.TickSeconds / chip.DefaultStepSec)
+	for i := 1; i <= steps; i++ {
+		step(chip.DefaultStepSec)
+		if i%perTick != 0 {
+			continue
+		}
+		svc.Publish()
+		all, err := c.GetAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, v := range all {
+			sums[name] += v
+		}
+		reads++
+	}
+	for name := range sums {
+		sums[name] /= float64(reads)
+	}
+	return sums
+}
+
+func TestChipProbesRecordPlausibleValues(t *testing.T) {
+	c := chip.MustNew(chip.DefaultConfig("p0", 3))
+	d := workload.MustGet("raytrace")
+	for i := 0; i < 4; i++ {
+		c.Place(i, workload.NewThread(d, 1e9, nil))
+	}
+	c.SetMode(firmware.Undervolt)
+	svc, addr := startService(t, ChipProbes("", c)...)
+	m := remoteMeans(t, svc, addr, c.Step, 3000)
+	if len(m) != 9 {
+		t.Fatalf("GETALL returned %d probes, want 9: %v", len(m), m)
+	}
+	if p := m["power_w"]; p < 40 || p > 160 {
+		t.Errorf("power = %v", p)
+	}
+	if v := m["rail_mv"]; v < 1000 || v > 1300 {
+		t.Errorf("rail = %v", v)
+	}
+	if uv := m["undervolt_mv"]; uv <= 0 {
+		t.Errorf("undervolt = %v", uv)
+	}
+}
+
+func TestServerProbes(t *testing.T) {
+	srv := server.MustNew(server.DefaultConfig(5))
+	srv.MustSubmit("j", workload.MustGet("mcf"), server.BorrowedPlacements(2, 2), 1e9)
+	srv.SetMode(firmware.Static)
+	svc, addr := startService(t, ServerProbes(srv)...)
+	m := remoteMeans(t, svc, addr, srv.Step, 2000)
+	if len(m) != 19 {
+		t.Fatalf("GETALL returned %d probes, want 19: %v", len(m), m)
+	}
+	total := m["total_power_w"]
+	parts := m["p0_power_w"] + m["p1_power_w"]
+	if total < 0.99*parts || total > 1.01*parts {
+		t.Errorf("total %v != parts %v", total, parts)
 	}
 }

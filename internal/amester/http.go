@@ -19,10 +19,9 @@ import (
 //
 //	GET /metrics             merged counters/gauges/histograms, Prometheus text
 //	GET /manifest            the JSON run manifest
-//	GET /timeseries          series inventory (names, specs, push counts)
+//	GET /timeseries          series inventory (name, source and spec per series)
 //	GET /timeseries?name=N   one merged series, every level (&res=L for one)
 //	GET /health              detector findings over a fresh snapshot
-//	GET /fleet               topology snapshot (when a fleet feeds the API)
 //	GET /stream              server-sent events, one per Publish
 //	GET /debug/pprof/...     the runtime profiler
 //
@@ -48,9 +47,6 @@ type APIConfig struct {
 	Mu *sync.Mutex
 	// SimTime reports the simulated clock (optional).
 	SimTime func() float64
-	// Topology, when non-nil, backs /fleet with any JSON-marshalable
-	// snapshot (fleet.Topology in the fleet drivers). Called under Mu.
-	Topology func() any
 	// Thresholds configures /health; the zero value selects
 	// health.Default().
 	Thresholds health.Thresholds
@@ -111,7 +107,6 @@ func (a *API) Handler() http.Handler {
 	mux.HandleFunc("/manifest", a.handleManifest)
 	mux.HandleFunc("/timeseries", a.handleTimeseries)
 	mux.HandleFunc("/health", a.handleHealth)
-	mux.HandleFunc("/fleet", a.handleFleet)
 	mux.HandleFunc("/stream", a.handleStream)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -228,18 +223,6 @@ func (a *API) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, body)
-}
-
-func (a *API) handleFleet(w http.ResponseWriter, r *http.Request) {
-	if a.cfg.Topology == nil {
-		http.Error(w, "no fleet configured", http.StatusNotFound)
-		return
-	}
-	unlock := a.lock()
-	top := a.cfg.Topology()
-	unlock()
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, top)
 }
 
 // streamFrame is one SSE data payload: the heartbeat a dashboard polls

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +17,7 @@ import (
 
 // testAPI builds an API over a hand-populated recorder: two sources, a
 // power series on each, a droop storm on chip0, and a manifest.
-func testAPI(t *testing.T) (*API, *obs.Recorder) {
+func testAPI(t testing.TB) (*API, *obs.Recorder) {
 	t.Helper()
 	rec := obs.New("t", 256)
 	rec.EnableTimeSeries(tsdb.DefaultSpec())
@@ -142,25 +143,6 @@ func TestAPIHealth(t *testing.T) {
 	}
 }
 
-func TestAPIFleet(t *testing.T) {
-	api, _ := testAPI(t)
-	if w := get(t, api.Handler(), "/fleet"); w.Code != http.StatusNotFound {
-		t.Fatalf("fleet-less /fleet status %d", w.Code)
-	}
-
-	api.cfg.Topology = func() any {
-		return map[string]any{"nodes": 4, "shards": 1}
-	}
-	var top struct {
-		Nodes  int `json:"nodes"`
-		Shards int `json:"shards"`
-	}
-	decode(t, get(t, api.Handler(), "/fleet"), &top)
-	if top.Nodes != 4 || top.Shards != 1 {
-		t.Fatalf("topology %+v", top)
-	}
-}
-
 func TestAPIStream(t *testing.T) {
 	api, _ := testAPI(t)
 	srv := httptest.NewServer(api.Handler())
@@ -216,4 +198,36 @@ func TestAPIPprof(t *testing.T) {
 	if _, err := io.ReadAll(w.Result().Body); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzTimeseriesQuery feeds arbitrary name/res pairs to /timeseries: a
+// query string must only ever yield the inventory or a series (200, with a
+// JSON body), an out-of-range or malformed res (400) or an unknown name
+// (404).
+func FuzzTimeseriesQuery(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"", ""},
+		{"power_w", "1"},
+		{"power_w", "-1"},
+		{"power_w", "99999999999999999999"},
+		{"nope", "0"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	api, _ := testAPI(f)
+	h := api.Handler()
+	f.Fuzz(func(t *testing.T, name, res string) {
+		q := url.Values{"name": {name}, "res": {res}}.Encode()
+		w := get(t, h, "/timeseries?"+q)
+		switch w.Code {
+		case http.StatusOK:
+			var v any
+			if err := json.Unmarshal(w.Body.Bytes(), &v); err != nil {
+				t.Fatalf("%s: 200 body is not JSON: %v", q, err)
+			}
+		case http.StatusBadRequest, http.StatusNotFound:
+		default:
+			t.Fatalf("%s: status %d", q, w.Code)
+		}
+	})
 }

@@ -28,36 +28,6 @@ func ExampleFreqPredictor() {
 	// predicted frequency at 48k MIPS: 4480 MHz
 }
 
-// ExamplePacker plans a colocation: fill a chip's free cores with batch
-// work without breaking the critical application's frequency requirement.
-func ExamplePacker() {
-	var p core.FreqPredictor
-	for _, obs := range [][2]float64{
-		{0, 4600}, {20000, 4550}, {40000, 4500}, {80000, 4400},
-	} {
-		p.Observe(units.MIPS(obs[0]), units.Megahertz(obs[1]))
-	}
-	if err := p.Train(); err != nil {
-		panic(err)
-	}
-	pk, err := core.NewPacker(&p)
-	if err != nil {
-		panic(err)
-	}
-	candidates := []core.Candidate{
-		{Name: "analytics", MIPS: 30000},
-		{Name: "batch", MIPS: 12000},
-	}
-	// Critical app contributes 5k MIPS and needs 4480 MHz.
-	picks, total, err := pk.Pack(5000, 4480, 7, candidates)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("packed %d co-runners, %.0fk MIPS of batch work\n", len(picks), float64(total)/1000)
-	// Output:
-	// packed 2 co-runners, 42k MIPS of batch work
-}
-
 // ExampleBorrowing shows the loadline-borrowing plan for five threads on a
 // two-socket server keeping eight cores powered.
 func ExampleBorrowing() {

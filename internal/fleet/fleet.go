@@ -258,65 +258,6 @@ func (f *Fleet) ResetEnergy() {
 // Advance calls).
 func (f *Fleet) Time() float64 { return f.servers[0].Time() }
 
-// NodeInfo is one node's row in a Topology snapshot: its shard
-// assignment, recorder path, and a point read of its live state.
-type NodeInfo struct {
-	Index   int     `json:"index"`
-	Shard   int     `json:"shard"`
-	Name    string  `json:"name"`
-	PowerW  float64 `json:"power_w"`
-	MIPS    float64 `json:"mips"`
-	EnergyJ float64 `json:"energy_j"`
-}
-
-// ShardInfo is one shard's row in a Topology snapshot.
-type ShardInfo struct {
-	Index int    `json:"index"`
-	Name  string `json:"name"`
-	Lo    int    `json:"lo"`
-	Hi    int    `json:"hi"`
-}
-
-// Topology is a point-in-time snapshot of the fleet's layout and
-// per-node state, shaped for the amesterd /fleet endpoint. The layout is
-// a pure function of Nodes and ShardNodes — never of the worker count —
-// so two runs of the same configuration report identical topologies.
-type Topology struct {
-	TimeSec float64     `json:"time_sec"`
-	Shards  []ShardInfo `json:"shards"`
-	Nodes   []NodeInfo  `json:"nodes"`
-}
-
-// Topology snapshots the fleet layout and per-node readouts. Call
-// between Advance calls (the fleet is not concurrency-safe mid-advance).
-func (f *Fleet) Topology() Topology {
-	top := Topology{
-		TimeSec: f.Time(),
-		Shards:  make([]ShardInfo, len(f.shards)),
-		Nodes:   make([]NodeInfo, len(f.servers)),
-	}
-	for si := range f.shards {
-		sh := &f.shards[si]
-		top.Shards[si] = ShardInfo{
-			Index: si,
-			Name:  fmt.Sprintf("shard%03d", si),
-			Lo:    sh.lo,
-			Hi:    sh.hi,
-		}
-	}
-	for i := range f.servers {
-		top.Nodes[i] = NodeInfo{
-			Index:   i,
-			Shard:   i / f.cfg.ShardNodes,
-			Name:    fmt.Sprintf("shard%03d/node%04d", i/f.cfg.ShardNodes, i),
-			PowerW:  f.NodePower(i),
-			MIPS:    f.NodeMIPS(i),
-			EnergyJ: f.NodeEnergyJ(i),
-		}
-	}
-	return top
-}
-
 // Close hands every server to the Release hook, if any. The fleet must
 // not be used afterwards.
 func (f *Fleet) Close() {

@@ -78,32 +78,3 @@ func TestFleetTelemetryWorkerInvariance(t *testing.T) {
 		}
 	}
 }
-
-// TestFleetTopology pins the /fleet snapshot shape: layout independent
-// of worker count, readouts equal to the accessor folds.
-func TestFleetTopology(t *testing.T) {
-	f := testFleet(t, 10, 4, 4)
-	f.Advance(0.5)
-	top := f.Topology()
-	if top.TimeSec != f.Time() {
-		t.Fatalf("snapshot header %+v", top)
-	}
-	if len(top.Shards) != 3 || len(top.Nodes) != 10 {
-		t.Fatalf("layout %d shards / %d nodes, want 3/10", len(top.Shards), len(top.Nodes))
-	}
-	if s := top.Shards[2]; s.Lo != 8 || s.Hi != 10 || s.Name != "shard002" {
-		t.Fatalf("tail shard %+v", s)
-	}
-	for i, n := range top.Nodes {
-		if n.Index != i || n.Shard != i/4 {
-			t.Fatalf("node %d row %+v", i, n)
-		}
-		if want := fmt.Sprintf("shard%03d/node%04d", i/4, i); n.Name != want {
-			t.Fatalf("node %d name %q, want %q", i, n.Name, want)
-		}
-		if n.PowerW != f.NodePower(i) || n.MIPS != f.NodeMIPS(i) || n.EnergyJ != f.NodeEnergyJ(i) {
-			t.Fatalf("node %d readout %+v diverges from accessors", i, n)
-		}
-	}
-	f.Close()
-}

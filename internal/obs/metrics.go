@@ -99,9 +99,6 @@ var gaugeMeta = [NumGauges]struct{ name, help string }{
 	GFreqMHz:    {"freq0_mhz", "core 0 clock frequency"},
 }
 
-// GaugeName returns the exposition name of a gauge.
-func GaugeName(g GaugeID) string { return gaugeMeta[g].name }
-
 // HistID names one fixed-bucket histogram, shared across a recorder's
 // sources and summed across shards on read.
 type HistID uint8
@@ -142,9 +139,6 @@ var histMeta = [NumHists]struct {
 	HRequestLatencySec: {"request_latency_seconds", "traffic request sojourn times",
 		[]float64{0.0025, 0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 1.28, 2.56, 5.12, 10.24, 20.48}},
 }
-
-// HistName returns the exposition name of a histogram.
-func HistName(h HistID) string { return histMeta[h].name }
 
 // HistBuckets returns the fixed upper bounds of a histogram (a +Inf bin is
 // implied above the last bound). Callers that keep private per-worker

@@ -158,17 +158,6 @@ func (r *Recorder) EnableTimeSeries(spec tsdb.Spec) {
 	r.mu.Unlock()
 }
 
-// TimeSeriesEnabled reports whether Series returns live handles.
-func (r *Recorder) TimeSeriesEnabled() bool { return r != nil && r.tsOn }
-
-// TimeSeriesSpec returns the level shape series are built with.
-func (r *Recorder) TimeSeriesSpec() tsdb.Spec {
-	if r == nil {
-		return tsdb.Spec{}
-	}
-	return r.tsSpec
-}
-
 // Series registers (idempotently) a time-series for the given source and
 // metric name and returns its handle. Returns nil — a valid, inert
 // series — on a nil recorder, a negative source, or when time-series
@@ -550,21 +539,6 @@ func (l *Log) TotalCounter(c CounterID) uint64 {
 		total += l.Sources[i].Counters[c]
 	}
 	return total
-}
-
-// SeriesNames returns the distinct time-series metric names in the log,
-// sorted.
-func (l *Log) SeriesNames() []string {
-	seen := map[string]bool{}
-	var names []string
-	for i := range l.Series {
-		if n := l.Series[i].Name; !seen[n] {
-			seen[n] = true
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // MergedSeries folds every dump of the named metric across sources —

@@ -184,66 +184,3 @@ func TestPercentileWithinRange(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestRolling(t *testing.T) {
-	var r Rolling
-	if r.Mean() != 0 || r.N() != 0 {
-		t.Error("zero Rolling not empty")
-	}
-	for _, x := range []float64{2, 4, 6} {
-		r.Add(x)
-	}
-	if r.N() != 3 || r.Mean() != 4 || r.Min() != 2 || r.Max() != 6 {
-		t.Errorf("Rolling stats wrong: n=%d mean=%v min=%v max=%v", r.N(), r.Mean(), r.Min(), r.Max())
-	}
-	if v := r.Variance(); math.Abs(v-8.0/3) > 1e-12 {
-		t.Errorf("Rolling variance = %v", v)
-	}
-	r.Reset()
-	if r.N() != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestRollingMatchesBatch(t *testing.T) {
-	r := rng.New(9, "roll")
-	var roll Rolling
-	var xs []float64
-	for i := 0; i < 1000; i++ {
-		x := r.Normal(50, 10)
-		roll.Add(x)
-		xs = append(xs, x)
-	}
-	if math.Abs(roll.Mean()-Mean(xs)) > 1e-9 {
-		t.Errorf("mean mismatch: %v vs %v", roll.Mean(), Mean(xs))
-	}
-	if math.Abs(roll.Variance()-Variance(xs)) > 1e-6 {
-		t.Errorf("variance mismatch: %v vs %v", roll.Variance(), Variance(xs))
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.5, 5, 9.9, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	// -1, 0, 1.5 land in bin 0; 5 in bin 2; 9.9 and 42 in bin 4.
-	if h.Counts[0] != 3 || h.Counts[2] != 1 || h.Counts[4] != 2 {
-		t.Errorf("Counts = %v", h.Counts)
-	}
-	if f := h.Fraction(0); math.Abs(f-0.5) > 1e-12 {
-		t.Errorf("Fraction = %v", f)
-	}
-}
-
-func TestHistogramPanicsOnBadParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
