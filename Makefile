@@ -35,7 +35,8 @@
 #                        curl the live /health, /timeseries and /stream
 #                        endpoints, read the probe set with amesterd -connect,
 #                        require amesterd and an attached -watch client to
-#                        exit within 5s of SIGTERM, and run agsched once
+#                        exit within 5s of SIGTERM, run agsched once, and
+#                        run cpmcal's calibration sweep (its 4200 MHz fit)
 #   make dist-smoke    — the distributed-sweep and checkpoint/replay smoke:
 #                        sweep DIST_SMOKE_UNITS through a two-worker fleet
 #                        and through a single worker and require the merges
@@ -161,6 +162,10 @@ smoke:
 	$(SMOKE_DIR)/agsched -duration 0.5 >$(SMOKE_DIR)/agsched.out
 	@grep -q '^  total power ' $(SMOKE_DIR)/agsched.out
 	@echo "smoke: agsched printed its total power line"
+	$(GO) build -o $(SMOKE_DIR)/cpmcal ./cmd/cpmcal
+	$(SMOKE_DIR)/cpmcal >$(SMOKE_DIR)/cpmcal.out
+	@grep -q '^ *4200 MHz: ' $(SMOKE_DIR)/cpmcal.out
+	@echo "smoke: cpmcal printed its 4200 MHz fit"
 	@echo "smoke: exporters validated in $(SMOKE_DIR)"
 
 # Distributed-sweep smoke: the same unit list swept by a two-worker fleet

@@ -20,6 +20,8 @@
 //	-quick        reduced sweeps (seconds instead of minutes)
 //	-seed N       experiment seed (default 20151205)
 //	-workers N    sweep worker count (0 = GOMAXPROCS, 1 = serial)
+//	-exact        disable event-horizon macro-stepping; pure 1 ms
+//	              reference lane
 //	-mesh         run every chip on the distributed-grid PDN (mesh lane)
 //	-sampled      alternate detailed windows with analytic fast-forwards
 //	              (phase detector + confidence tracker); headline statistics

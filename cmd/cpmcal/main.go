@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"agsim/internal/chip"
+	"agsim/internal/experiments"
 	"agsim/internal/stats"
 	"agsim/internal/units"
 	"agsim/internal/workload"
@@ -49,23 +50,11 @@ func main() {
 	for f := *fmin; f <= *fmax+1e-9; f += *fstep {
 		var xs, ys []float64
 		for v := *vmin; v <= *vmax+1e-9; v += *vstep {
-			c.SetManual(units.Millivolt(v), units.Megahertz(f))
-			c.Settle(0.15)
-			mean := 0.0
-			const steps = 100
-			for i := 0; i < steps; i++ {
-				c.Step(chip.DefaultStepSec)
-				sum := 0.0
-				for core := 0; core < c.Cores(); core++ {
-					sum += c.CoreCPMMean(core)
-				}
-				mean += sum / float64(c.Cores())
-			}
-			mean /= steps
+			mean, linear := experiments.CPMCalibrationPoint(c, units.Millivolt(v), units.Megahertz(f))
 			if *csv {
 				fmt.Printf("%.0f,%.0f,%.3f\n", f, v, mean)
 			}
-			if mean > 0.5 && mean < 10.5 {
+			if linear {
 				xs = append(xs, v)
 				ys = append(ys, mean)
 			}

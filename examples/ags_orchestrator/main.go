@@ -55,7 +55,7 @@ func main() {
 	rel, _ := predictor.RelRMSE()
 	fmt.Printf("frequency predictor trained: relative RMSE %.2f%%\n\n", rel*100)
 
-	ags, err := core.NewAGS(srv, core.AGSConfig{OnCoresTotal: 16, Predictor: predictor, Seed: 2026})
+	ags, err := core.NewAGS(srv, core.AGSConfig{OnCoresTotal: 16, Predictor: predictor})
 	if err != nil {
 		panic(err)
 	}

@@ -1,5 +1,5 @@
 // WebSearch QoS: the fleet-scale serving study, run through the registered
-// `websearch-qos` experiment driver — the same code path `agsim -run
+// `websearch-qos` experiment driver — the same code path `agsim run
 // websearch-qos` and the accuracy harness execute, so this example cannot
 // drift from the registered experiment.
 //

@@ -181,38 +181,8 @@ func (c *Chip) HorizonSec(maxSec float64) float64 {
 		reason = obs.ReasonTick
 	}
 
-	profiles := c.scratchProfiles[:0]
-	for _, co := range c.cores {
-		if co.state != power.Active {
-			continue
-		}
-		profiles = append(profiles, co.didtProfile())
-		f := co.dpll.Freq()
-		smt := float64(len(co.threads))
-		inv := 1 / co.issueThrottle // thread time runs at throttle × wall time
-		for _, th := range co.threads {
-			if th.Done() {
-				continue
-			}
-			// Stop just short of completion (like the di/dt events below):
-			// the finishing step then runs at micro rate with the thread
-			// alive at its start, so the final step's power and time
-			// accounting matches the 1 ms lane.
-			if tc := th.TimeToCompletion(f, co.memFactor, smt) * inv * (1 - 1e-9); tc < h {
-				h = tc
-				reason = obs.ReasonCompletion
-			}
-			if pb := th.TimeToPhaseBoundary() * inv; pb < h {
-				h = pb
-				reason = obs.ReasonPhaseBoundary
-			}
-			if pw := th.TimeToPhaseWalk() * inv; pw < h {
-				h = pw
-				reason = obs.ReasonPhaseWalk
-			}
-		}
-	}
-	if te := c.noise.TimeToNextEvent(profiles) * (1 - 1e-9); te < h {
+	h, reason = c.threadHorizon(h, reason, true)
+	if te := c.noise.TimeToNextEvent(c.activeProfiles()) * (1 - 1e-9); te < h {
 		h = te
 		reason = obs.ReasonDidtEvent
 	}
@@ -231,51 +201,65 @@ func (c *Chip) HorizonSec(maxSec float64) float64 {
 	return h
 }
 
-// MacroStep advances a quiescent chip by h seconds in closed form: threads
-// retire work at the frozen operating conditions, energy integrates at
-// constant power, thermals follow the continuous-time first-order decay,
-// and the margin-violation counter keeps its per-micro-step accounting.
-// The caller must have bounded h by HorizonSec; crossing a scheduled di/dt
-// event is a contract violation and panics.
+// threadHorizon lowers h to the nearest live-thread event and reports
+// which one bound it (reason is kept when none is nearer): each thread's
+// completion, its deterministic phase boundary and, with walks, its
+// stochastic phase-walk update, all in wall seconds (thread time runs at
+// throttle × wall time). Completion stops one part in 1e9 short, so the
+// finishing step runs at detailed rate with the thread alive at its start
+// and its power and time accounting match the 1 ms lane. Leaps stop at
+// phase walks; fast-forwards cross them, since a walk consumes its
+// time-indexed draw inside advanceThreads either way.
+func (c *Chip) threadHorizon(h float64, reason obs.Reason, walks bool) (float64, obs.Reason) {
+	for _, co := range c.cores {
+		if co.state != power.Active {
+			continue
+		}
+		f := co.dpll.Freq()
+		smt := float64(len(co.threads))
+		inv := 1 / co.issueThrottle
+		for _, th := range co.threads {
+			if th.Done() {
+				continue
+			}
+			if tc := th.TimeToCompletion(f, co.memFactor, smt) * inv * (1 - 1e-9); tc < h {
+				h = tc
+				reason = obs.ReasonCompletion
+			}
+			if pb := th.TimeToPhaseBoundary() * inv; pb < h {
+				h = pb
+				reason = obs.ReasonPhaseBoundary
+			}
+			if !walks {
+				continue
+			}
+			if pw := th.TimeToPhaseWalk() * inv; pw < h {
+				h = pw
+				reason = obs.ReasonPhaseWalk
+			}
+		}
+	}
+	return h, reason
+}
+
+// MacroStep advances a quiescent chip by h seconds in closed form: one
+// held span (holdSpan), the integrator a fast-forward runs too. The caller
+// must have bounded h by HorizonSec; crossing the firmware tick or a
+// scheduled di/dt event is a contract violation and panics.
 func (c *Chip) MacroStep(h float64) {
 	if h <= 0 {
 		panic(fmt.Sprintf("chip %s: non-positive macro-step %v", c.cfg.Name, h))
 	}
-
-	// Profiles reflect pre-advance thread state, as in the micro-step.
-	profiles := c.scratchProfiles[:0]
-	for _, co := range c.cores {
-		if co.state == power.Active {
-			profiles = append(profiles, co.didtProfile())
-		}
+	if c.sinceTick+h >= firmware.TickSeconds {
+		panic(fmt.Sprintf("chip %s: macro-step crossed the firmware tick (horizon bug)", c.cfg.Name))
 	}
 
-	for _, co := range c.cores {
-		co.advanceThreads(c, h)
-	}
-
-	sample := c.noise.Step(h, profiles)
+	sample, _ := c.holdSpan(h)
 	if sample.Events > 0 {
 		panic(fmt.Sprintf("chip %s: di/dt event inside a %v s macro-step (horizon bug)", c.cfg.Name, h))
 	}
 	c.lastSample = sample
 
-	steps := int(h/DefaultStepSec + 0.5)
-	if steps > 0 {
-		for _, co := range c.cores {
-			if co.state == power.Gated {
-				continue
-			}
-			agedMin := co.voltageMin - units.Millivolt(c.agingMV)
-			if c.cfg.Law.MarginMV(agedMin, co.dpll.Freq()) < 0 {
-				c.marginViolations += steps
-			}
-		}
-	}
-
-	c.energyJ += float64(c.lastChipPower) * h
-	c.macroThermal(h)
-	c.timeSec += h
 	// Attribute the leap: when the server bounded it below this chip's own
 	// horizon, another socket's event did — the reason is external to this
 	// chip.
@@ -289,15 +273,6 @@ func (c *Chip) MacroStep(h float64) {
 		r.SetGauge(c.src, obs.GTimeSec, c.timeSec)
 		r.Emit(obs.Event{TimeUS: obs.StampUS(c.timeSec), Kind: obs.KindLeap,
 			Source: c.src, Core: -1, A: h, C: int64(reason)})
-		// Backfill the step-rate series across the leap: the operating
-		// point is frozen for its duration, so every skipped grid sample
-		// is the held value (analytic downsample, bit-equal to pushing
-		// each point).
-		t1 := obs.StampUS(c.timeSec)
-		t0 := obs.StampUS(c.timeSec - h)
-		c.tsPower.Fill(t0, t1, float64(c.lastChipPower), stepGridUS)
-		c.tsFreq.Fill(t0, t1, float64(c.cores[0].dpll.Freq()), stepGridUS)
-		c.tsRail.Fill(t0, t1, float64(c.lastRailV), stepGridUS)
 	}
 
 	// A thread event at the horizon the leap reached changes the next
@@ -310,34 +285,96 @@ func (c *Chip) MacroStep(h float64) {
 	case obs.ReasonCompletion, obs.ReasonPhaseBoundary, obs.ReasonPhaseWalk:
 		c.markDirty()
 	}
-
-	c.sinceTick += h
-	if c.sinceTick >= firmware.TickSeconds {
-		panic(fmt.Sprintf("chip %s: macro-step crossed the firmware tick (horizon bug)", c.cfg.Name))
-	}
 }
 
-// macroThermal is stepThermal's closed-form counterpart: the exact
-// solution of the first-order model at constant power, which the iterated
-// 1 ms Euler map approaches as dt→0.
-func (c *Chip) macroThermal(h float64) { c.relaxThermal(c.thermalDecay(h)) }
+// holdSpan is the held-span integrator macro-steps and fast-forwards
+// share. It advances the chip h seconds at the held operating point:
+// threads retire work at the held conditions, the di/dt exposure schedule
+// advances over the span (from pre-advance profiles, as in the
+// micro-step), and margin violations keep their per-micro-step accounting
+// in the chip's count and the recorder's alike. It returns the span's
+// di/dt sample and whether a firmware tick fired inside it.
+func (c *Chip) holdSpan(h float64) (sample didt.Sample, ticked bool) {
+	profiles := c.activeProfiles()
+	for _, co := range c.cores {
+		co.advanceThreads(c, h)
+	}
+	sample = c.noise.Step(h, profiles)
+	if steps := int(h/DefaultStepSec + 0.5); steps > 0 {
+		for _, co := range c.cores {
+			if co.state == power.Gated {
+				continue
+			}
+			agedMin := co.voltageMin - units.Millivolt(c.agingMV)
+			if c.cfg.Law.MarginMV(agedMin, co.dpll.Freq()) < 0 {
+				c.marginViolations += steps
+				c.rec.Add(c.src, obs.CMarginViolations, uint64(steps))
+			}
+		}
+	}
+
+	// Walk the span on the 32 ms grid. Each segment integrates energy at
+	// the held power, relaxes the package and every core toward their
+	// held-power targets along the exact solution of the first-order
+	// thermal model (stepThermal's 1 ms Euler map approaches it as dt→0),
+	// advances the clock and tick phase, and backfills the step-rate
+	// series at the held values (analytic downsample, bit-equal to pushing
+	// each grid point; bindSeries attaches the three together). A tick the
+	// span reaches fires as a frozen tick, which may re-anchor the
+	// operating point for the next segment; a leap never reaches one, since
+	// its horizon stops a micro-step short. Two inputs hold across
+	// segments: the thermal decay of a full segment (after a tick, seg is
+	// exactly TickSeconds), and the rail's sensed current, which moves only
+	// when a frozen tick's rail command re-solves the operating point.
+	var tickDecay, senseA float64
+	if h >= firmware.TickSeconds {
+		tickDecay = c.thermalDecay(firmware.TickSeconds)
+	}
+	for rem := h; rem > settleEps; {
+		seg := firmware.TickSeconds - c.sinceTick
+		if seg > rem {
+			seg = rem
+		}
+		decay := tickDecay
+		if seg != firmware.TickSeconds {
+			decay = c.thermalDecay(seg)
+		}
+		c.energyJ += float64(c.lastChipPower) * seg
+		packageTarget := c.cfg.AmbientC + units.Celsius(c.cfg.ThermalResCPerW*float64(c.lastChipPower))
+		c.tempC += units.Celsius(decay * float64(packageTarget-c.tempC))
+		for _, co := range c.cores {
+			target := packageTarget + units.Celsius(c.cfg.ThermalResCoreCPerW*float64(co.lastPower))
+			co.tempC += units.Celsius(decay * float64(target-co.tempC))
+		}
+		c.timeSec += seg
+		c.sinceTick += seg
+		rem -= seg
+		if c.tsPower != nil {
+			t1 := obs.StampUS(c.timeSec)
+			t0 := obs.StampUS(c.timeSec - seg)
+			c.tsPower.Fill(t0, t1, float64(c.lastChipPower), stepGridUS)
+			c.tsFreq.Fill(t0, t1, float64(c.cores[0].dpll.Freq()), stepGridUS)
+			c.tsRail.Fill(t0, t1, float64(c.lastRailV), stepGridUS)
+		}
+		if c.sinceTick+gridSnapSec >= firmware.TickSeconds {
+			if !ticked {
+				senseA = float64(c.rail.SenseCurrent())
+				ticked = true
+			}
+			c.sinceTick = 0
+			if c.frozenTick(senseA) {
+				senseA = float64(c.rail.SenseCurrent())
+			}
+		}
+	}
+	return sample, ticked
+}
 
 // thermalDecay is the fraction of the gap to its constant-power target a
 // thermal node closes in h seconds. It depends on h alone, so a
 // fast-forward computes it once for all its full 32 ms segments.
 func (c *Chip) thermalDecay(h float64) float64 {
 	return 1 - math.Exp(-h/c.cfg.ThermalTauSec)
-}
-
-// relaxThermal moves the package and every core the given decay fraction
-// toward their targets at the held power.
-func (c *Chip) relaxThermal(decay float64) {
-	packageTarget := c.cfg.AmbientC + units.Celsius(c.cfg.ThermalResCPerW*float64(c.lastChipPower))
-	c.tempC += units.Celsius(decay * float64(packageTarget-c.tempC))
-	for _, co := range c.cores {
-		target := packageTarget + units.Celsius(c.cfg.ThermalResCoreCPerW*float64(co.lastPower))
-		co.tempC += units.Celsius(decay * float64(target-co.tempC))
-	}
 }
 
 // Advance moves the chip forward by one segment — a macro-step to the next

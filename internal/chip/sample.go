@@ -14,11 +14,12 @@ import (
 // Sampled-lane seam. The sampling governor (internal/sample) alternates
 // detailed spans — ordinary Advance segments with full electrical,
 // firmware, and telemetry fidelity — with fast-forward spans that
-// extrapolate from the last detailed operating point using the same
-// closed-form integrators the macro lane leaps with. The split of
-// responsibilities mirrors the macro engine's Horizon/MacroStep pair:
-// SampleHint bounds how far an extrapolation may run, FastForward takes
-// the span.
+// extrapolate from the last detailed operating point. A fast-forward runs
+// the macro lane's own code: its horizon is threadHorizon, its span is
+// holdSpan, and a rail command inside it re-solves the operating point
+// with the step kernel's deliver. The split of responsibilities mirrors
+// the macro engine's HorizonSec/MacroStep pair: SampleHint bounds how far
+// an extrapolation may run, FastForward takes the span.
 //
 // A fast-forward is deliberately coarser than a macro-leap: it crosses
 // wobble redraws, phase-walk updates, and scheduled di/dt events, holding
@@ -34,132 +35,38 @@ import (
 // probabilities); what is frozen is the electrical solve, droop reaction,
 // wobble state, and per-sensor telemetry (lastCPM and the window-sticky
 // latches hold their last detailed values through a span), with the
-// operating point re-anchored in closed form when a tick moves the rail.
+// operating point re-solved when a tick moves the rail.
 // Sampled-lane results are statistically, not bit-, comparable to the
 // exact lane, while remaining bit-identical across worker counts.
 
 // SampleHint returns how far a fast-forward may run from now without
 // crossing a deterministic change of operating point, capped at maxSec:
-// the earliest live-thread completion (stopping one part in 1e9 short so
-// the finish resolves at detailed rate, exactly like the macro horizon)
-// or deterministic workload phase boundary.
+// the macro lane's live-thread horizon (threadHorizon) without its phase
+// walks, which a fast-forward crosses.
 func (c *Chip) SampleHint(maxSec float64) float64 {
-	h := maxSec
-	for _, co := range c.cores {
-		if co.state != power.Active {
-			continue
-		}
-		f := co.dpll.Freq()
-		smt := float64(len(co.threads))
-		inv := 1 / co.issueThrottle
-		for _, th := range co.threads {
-			if th.Done() {
-				continue
-			}
-			if tc := th.TimeToCompletion(f, co.memFactor, smt) * inv * (1 - 1e-9); tc < h {
-				h = tc
-			}
-			if pb := th.TimeToPhaseBoundary() * inv; pb < h {
-				h = pb
-			}
-		}
-	}
+	h, _ := c.threadHorizon(maxSec, obs.ReasonCap, false)
 	return h
 }
 
 // FastForward advances the chip h seconds analytically at the frozen
-// operating point: threads retire work at current conditions, energy
-// integrates at constant power, thermals follow the continuous-time decay,
-// the margin-violation counter keeps its per-micro-step accounting, and
-// the di/dt exposure schedule is consumed (so event counts and later
-// draws stay indexed by simulated time). Firmware ticks inside the span
-// fire as frozen ticks — the voltage-loop decision on a sensed minimum
-// drawn from the exact window-read distribution at the held electrical
-// point — and the tick phase is carried across so subsequent detailed
-// windows tick on the same absolute 32 ms grid. The caller must have
+// operating point: the held span a macro-step leaps (holdSpan), here
+// crossing firmware ticks, which fire as frozen ticks — the voltage-loop
+// decision on a sensed minimum drawn from the exact window-read
+// distribution at the held electrical point — with the tick phase carried
+// across so subsequent detailed windows tick on the same absolute 32 ms
+// grid. The exposure schedule ticks over the whole span: event counts are
+// exact and the next detailed window sees the same pending-event state the
+// exact lane would. Reaction (DPLL absorb, sticky latching) is frozen —
+// that is the sampled lane's stated fidelity trade. The caller must have
 // bounded h by SampleHint.
 func (c *Chip) FastForward(h float64) {
 	if h <= 0 {
 		panic(fmt.Sprintf("chip %s: non-positive fast-forward %v", c.cfg.Name, h))
 	}
 
-	profiles := c.scratchProfiles[:0]
-	for _, co := range c.cores {
-		if co.state == power.Active {
-			profiles = append(profiles, co.didtProfile())
-		}
-	}
-
-	for _, co := range c.cores {
-		co.advanceThreads(c, h)
-	}
-
-	// The exposure schedule ticks over the whole span: event counts are
-	// exact and the next detailed window sees the same pending-event state
-	// the exact lane would. Reaction (DPLL absorb, sticky latching) is
-	// frozen — that is the sampled lane's stated fidelity trade.
-	sample := c.noise.Step(h, profiles)
-
-	steps := int(h/DefaultStepSec + 0.5)
-	if steps > 0 {
-		for _, co := range c.cores {
-			if co.state == power.Gated {
-				continue
-			}
-			agedMin := co.voltageMin - units.Millivolt(c.agingMV)
-			if c.cfg.Law.MarginMV(agedMin, co.dpll.Freq()) < 0 {
-				c.marginViolations += steps
-			}
-		}
-	}
-
-	// Walk the 32 ms grid so every firmware tick the span crosses fires
-	// (as a frozen tick), integrating energy and thermals piecewise at the
-	// operating point each segment actually held. Two inputs hold for the
-	// whole span: the thermal decay of a full segment (after a tick, seg is
-	// exactly TickSeconds, the same argument macroThermal would see), and
-	// the rail's sensed current, which moves only when a frozen tick's rail
-	// command re-anchors the operating point.
 	c.refreshFrozenReadCache()
 	c.frozenCarry = true
-	ticked := false
-	var tickDecay float64
-	if h >= firmware.TickSeconds {
-		tickDecay = c.thermalDecay(firmware.TickSeconds)
-	}
-	senseA := float64(c.rail.SenseCurrent())
-	for rem := h; rem > settleEps; {
-		seg := firmware.TickSeconds - c.sinceTick
-		if seg > rem {
-			seg = rem
-		}
-		c.energyJ += float64(c.lastChipPower) * seg
-		if seg == firmware.TickSeconds {
-			c.relaxThermal(tickDecay)
-		} else {
-			c.macroThermal(seg)
-		}
-		c.timeSec += seg
-		c.sinceTick += seg
-		rem -= seg
-		// Backfill the step-rate series for the segment at the operating
-		// point it actually held (a frozen tick below may re-anchor it for
-		// the next segment). bindSeries attaches the three together.
-		if c.tsPower != nil {
-			segEnd := obs.StampUS(c.timeSec)
-			segStart := obs.StampUS(c.timeSec - seg)
-			c.tsPower.Fill(segStart, segEnd, float64(c.lastChipPower), stepGridUS)
-			c.tsFreq.Fill(segStart, segEnd, float64(c.cores[0].dpll.Freq()), stepGridUS)
-			c.tsRail.Fill(segStart, segEnd, float64(c.lastRailV), stepGridUS)
-		}
-		if c.sinceTick+gridSnapSec >= firmware.TickSeconds {
-			c.sinceTick = 0
-			if c.frozenTick(senseA) {
-				senseA = float64(c.rail.SenseCurrent())
-			}
-			ticked = true
-		}
-	}
+	sample, ticked := c.holdSpan(h)
 	c.frozenCarry = false
 	if ticked {
 		// Close the span's final window exactly as the detailed rollover
@@ -201,9 +108,12 @@ func (c *Chip) FastForward(h float64) {
 // control loop keeps its stochastic dynamics — in particular the rare
 // plateau hops the CPM quantization deadband produces, which set the
 // long-horizon undervolt mean — at their exact per-window probabilities. A
-// rail command re-anchors the frozen operating point through
-// refreezeOperatingPoint; frozenTick reports it, so the caller re-reads
-// the sensed current senseA it passes in.
+// rail command re-anchors the frozen operating point — the step kernel's
+// delivery solve at the new set point, enough for the millivolt-scale
+// moves the voltage loop makes between windows, and a read-model rebuild
+// — and frozenTick reports it, so the caller re-reads the sensed current
+// senseA it passes in. The next detailed window re-proves the point at
+// micro rate (FastForward ends in markDirty).
 func (c *Chip) frozenTick(senseA float64) (moved bool) {
 	reading := firmware.MarginReading{
 		MinCPM:       cpm.MaxValue,
@@ -278,7 +188,8 @@ func (c *Chip) frozenTick(senseA float64) (moved bool) {
 	moved = c.ctrl.Mode() == firmware.Undervolt && next != old
 	if moved {
 		c.rail.Command(next)
-		c.refreezeOperatingPoint()
+		c.deliver()
+		c.refreshFrozenReadCache()
 	}
 	if r := c.rec; r != nil {
 		r.Inc(c.src, obs.CFirmwareTicks)
@@ -293,53 +204,6 @@ func (c *Chip) frozenTick(senseA float64) (moved bool) {
 	c.lastWindowWorstDidt = c.noise.WorstSinceReset()
 	c.noise.StickyReset()
 	return moved
-}
-
-// refreezeOperatingPoint re-solves the frozen electrical point after a
-// rail command inside a fast-forward: per-core power seeded from the
-// last-known voltages, delivery drops at the resulting currents, then the
-// new DC voltages — one pass of the successive relaxation Step runs every
-// millisecond, enough for the millivolt-scale moves the voltage loop makes
-// between windows. The next detailed window re-proves the point at micro
-// rate (FastForward ends in markDirty).
-func (c *Chip) refreezeOperatingPoint() {
-	coreCurrents := c.scratchCurrents
-	var chipPower units.Watt
-	for i, co := range c.cores {
-		act, util := co.workloadDemand()
-		p := c.cfg.Power.Core(co.state, co.voltageDC, co.dpll.Freq(), act, util, co.tempC)
-		co.lastPower = p
-		chipPower += p
-		coreCurrents[i] = units.Current(p, co.voltageDC)
-	}
-	uncoreP := c.cfg.Power.Uncore(c.lastRailV)
-	chipPower += uncoreP
-	uncoreI := units.Current(uncoreP, c.lastRailV)
-	var total units.Ampere
-	for _, i := range coreCurrents {
-		total += i
-	}
-	total += uncoreI
-	railV := c.rail.Output(total)
-	drops := c.plane.DropsInto(c.scratchDrops, coreCurrents, uncoreI)
-	ripple := units.Millivolt(c.lastSample.TypicalMV)
-	for i, co := range c.cores {
-		co.voltageDC = railV - drops[i]
-		if co.voltageDC < 1 {
-			co.voltageDC = 1
-		}
-		co.voltageMin = co.voltageDC - ripple
-	}
-	pathLoss := units.Watt((float64(c.rail.SetPoint()-railV)*float64(total) +
-		float64(c.plane.GlobalDropMV(total))*float64(uncoreI)) / 1000)
-	for i := range coreCurrents {
-		pathLoss += units.Watt(float64(drops[i]) * float64(coreCurrents[i]) / 1000)
-	}
-	c.lastChipPower = chipPower + pathLoss
-	c.lastCurrent = total
-	c.lastRailV = railV
-	copy(c.lastDrops, drops)
-	c.refreshFrozenReadCache()
 }
 
 // refreshFrozenReadCache rebuilds the frozen-span read model at the held

@@ -24,40 +24,12 @@ func (c *Chip) Step(dtSec float64) {
 		panic(fmt.Sprintf("chip %s: non-positive step %v", c.cfg.Name, dtSec))
 	}
 
-	// 1. Workload conditions and per-core power at last-known voltages.
-	// The slices here are per-chip scratch (allocated once in New), which
-	// keeps the step loop allocation-free; see the scratch fields in Chip.
-	coreCurrents := c.scratchCurrents
-	var chipPower units.Watt
-	profiles := c.scratchProfiles[:0]
-	for i, co := range c.cores {
-		act, util := co.workloadDemand()
-		f := co.dpll.Freq()
-		p := c.cfg.Power.Core(co.state, co.voltageDC, f, act, util, co.tempC)
-		co.lastPower = p
-		chipPower += p
-		coreCurrents[i] = units.Current(p, co.voltageDC)
-		if co.state == power.Active {
-			profiles = append(profiles, co.didtProfile())
-		}
-	}
-	uncoreP := c.cfg.Power.Uncore(c.lastRailV)
-	chipPower += uncoreP
-	uncoreI := units.Current(uncoreP, c.lastRailV)
-
-	// 2. Power delivery: loadline at the VRM, then the on-chip PDN.
-	var total units.Ampere
-	for _, i := range coreCurrents {
-		total += i
-	}
-	total += uncoreI
-	railV := c.rail.Output(total)
-	drops := c.plane.DropsInto(c.scratchDrops, coreCurrents, uncoreI)
-
-	// 3. Chip-wide di/dt noise for this step. Droop events stamp the end
-	// of the step they fire in; micro-steps end on the 1 ms grid in both
-	// stepping lanes, so the recorded stream is lane-invariant.
-	sample := c.noise.Step(dtSec, profiles)
+	// 1. Chip-wide di/dt noise for this step, from the cores' pre-step
+	// profiles. Droop events stamp the end of the step they fire in;
+	// micro-steps end on the 1 ms grid in both stepping lanes, so the
+	// recorded stream is lane-invariant.
+	sample := c.noise.Step(dtSec, c.activeProfiles())
+	c.lastSample = sample
 	if c.rec != nil && sample.Events > 0 {
 		c.rec.Add(c.src, obs.CDidtEvents, uint64(sample.Events))
 		c.rec.Observe(obs.HDroopDepthMV, sample.WorstEventMV)
@@ -65,18 +37,16 @@ func (c *Chip) Step(dtSec float64) {
 			Source: c.src, Core: -1, A: sample.WorstEventMV, B: sample.TypicalMV, C: int64(sample.Events)})
 	}
 
+	// 2. Power at last-known voltages, then delivery: loadline at the VRM,
+	// the on-chip PDN, and each core's DC and ripple-bottom voltage.
+	c.deliver()
+
 	mode := c.ctrl.Mode()
 	adaptive := mode == firmware.Undervolt || mode == firmware.Overclock
-	for i, co := range c.cores {
-		co.voltageDC = railV - drops[i]
-		if co.voltageDC < 1 {
-			co.voltageDC = 1 // rail collapse; keep the model defined
-		}
-		co.voltageMin = co.voltageDC - units.Millivolt(sample.TypicalMV)
-
-		// Aging raises the circuit's requirement; everything margin-facing
-		// (CPMs, DPLLs, the violation check) sees the aged voltage while
-		// power still follows the real one.
+	for _, co := range c.cores {
+		// 3. Aging raises the circuit's requirement; everything
+		// margin-facing (CPMs, DPLLs, the violation check) sees the aged
+		// voltage while power still follows the real one.
 		agedMin := co.voltageMin - units.Millivolt(c.agingMV)
 		if co.state != power.Gated && c.cfg.Law.MarginMV(agedMin, co.dpll.Freq()) < 0 {
 			c.marginViolations++
@@ -149,21 +119,8 @@ func (c *Chip) Step(dtSec float64) {
 		co.advanceThreads(c, dtSec)
 	}
 
-	// 8. Bookkeeping: energy, thermals, telemetry state. The rail power
-	// sensor sits at the regulator output, so measured power includes the
-	// resistive dissipation of the delivery path itself (loadline plus
-	// PDN) on top of the silicon's consumption.
-	pathLoss := units.Watt((float64(c.rail.SetPoint()-railV)*float64(total) +
-		float64(c.plane.GlobalDropMV(total))*float64(uncoreI)) / 1000)
-	for i := range coreCurrents {
-		pathLoss += units.Watt(float64(drops[i]) * float64(coreCurrents[i]) / 1000)
-	}
-	chipPower += pathLoss
-	c.lastChipPower = chipPower
-	c.lastCurrent = total
-	c.lastRailV = railV
-	copy(c.lastDrops, drops)
-	c.lastSample = sample
+	// 8. Bookkeeping: energy, thermals, telemetry state.
+	chipPower := c.lastChipPower
 	c.energyJ += float64(chipPower) * dtSec
 	c.stepThermal(dtSec, chipPower)
 	c.timeSec += dtSec
@@ -171,7 +128,7 @@ func (c *Chip) Step(dtSec float64) {
 	if r := c.rec; r != nil {
 		r.Inc(c.src, obs.CMicroSteps)
 		r.SetGauge(c.src, obs.GTimeSec, c.timeSec)
-		r.SetGauge(c.src, obs.GRailMV, float64(railV))
+		r.SetGauge(c.src, obs.GRailMV, float64(c.lastRailV))
 		r.SetGauge(c.src, obs.GSetPointMV, float64(c.rail.SetPoint()))
 		r.SetGauge(c.src, obs.GPowerW, float64(chipPower))
 		r.SetGauge(c.src, obs.GTempC, float64(c.tempC))
@@ -179,7 +136,7 @@ func (c *Chip) Step(dtSec float64) {
 		tUS := obs.StampUS(c.timeSec)
 		c.tsPower.Push(tUS, float64(chipPower))
 		c.tsFreq.Push(tUS, float64(c.cores[0].dpll.Freq()))
-		c.tsRail.Push(tUS, float64(railV))
+		c.tsRail.Push(tUS, float64(c.lastRailV))
 	}
 
 	// 9. Firmware voltage loop on its 32 ms tick. The slop covers macro-lane
@@ -191,6 +148,64 @@ func (c *Chip) Step(dtSec float64) {
 		c.sinceTick = 0
 		c.firmwareTick()
 	}
+}
+
+// deliver is the chip's one delivery solve, run by every micro-step and by
+// every rail command inside a fast-forward: per-core power at the
+// last-known voltages (one pass of the successive relaxation), the
+// currents through the VRM loadline and the on-chip PDN, each core's DC
+// voltage and its ripple bottom at the last di/dt sample, and the
+// operating-point bookkeeping. The rail power sensor sits at the regulator
+// output, so chip power includes the resistive dissipation of the delivery
+// path itself (loadline plus PDN) on top of the silicon's consumption. The
+// slices are per-chip scratch (allocated once in New), which keeps the
+// step loop allocation-free.
+func (c *Chip) deliver() {
+	currents := c.scratchCurrents
+	var chipPower units.Watt
+	var total units.Ampere
+	for i, co := range c.cores {
+		act, util := co.workloadDemand()
+		p := c.cfg.Power.Core(co.state, co.voltageDC, co.dpll.Freq(), act, util, co.tempC)
+		co.lastPower = p
+		chipPower += p
+		currents[i] = units.Current(p, co.voltageDC)
+		total += currents[i]
+	}
+	uncoreP := c.cfg.Power.Uncore(c.lastRailV)
+	chipPower += uncoreP
+	uncoreI := units.Current(uncoreP, c.lastRailV)
+	total += uncoreI
+	railV := c.rail.Output(total)
+	drops := c.plane.DropsInto(c.scratchDrops, currents, uncoreI)
+	ripple := units.Millivolt(c.lastSample.TypicalMV)
+	pathLoss := units.Watt((float64(c.rail.SetPoint()-railV)*float64(total) +
+		float64(c.plane.GlobalDropMV(total))*float64(uncoreI)) / 1000)
+	for i, co := range c.cores {
+		co.voltageDC = railV - drops[i]
+		if co.voltageDC < 1 {
+			co.voltageDC = 1 // rail collapse; keep the model defined
+		}
+		co.voltageMin = co.voltageDC - ripple
+		pathLoss += units.Watt(float64(drops[i]) * float64(currents[i]) / 1000)
+	}
+	c.lastChipPower = chipPower + pathLoss
+	c.lastCurrent = total
+	c.lastRailV = railV
+	copy(c.lastDrops, drops)
+}
+
+// activeProfiles gathers every active core's di/dt profile, in core order,
+// into the chip's scratch slice: the input of the noise process's step and
+// of its next-event horizon.
+func (c *Chip) activeProfiles() []didt.Profile {
+	profiles := c.scratchProfiles[:0]
+	for _, co := range c.cores {
+		if co.state == power.Active {
+			profiles = append(profiles, co.didtProfile())
+		}
+	}
+	return profiles
 }
 
 // workloadDemand summarizes the core's current switching activity and

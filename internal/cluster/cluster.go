@@ -234,7 +234,7 @@ func (c *Cluster) Submit(id string, d workload.Descriptor, threads int, workGIns
 			return -1, err
 		}
 	}
-	placements, err := c.policy.PlaceWithin(node, freeCores(node), d, threads)
+	placements, err := c.policy.PlaceWithin(node, node.srv.FreeCores(nil), d, threads)
 	if err != nil {
 		return -1, err
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 
+	"agsim/internal/core"
 	"agsim/internal/server"
 	"agsim/internal/workload"
 )
@@ -33,21 +34,6 @@ func (c *Cluster) SetPolicy(p Policy) {
 		p = ConsolidateFirst{}
 	}
 	c.policy = p
-}
-
-// freeCores lists the powered node's unoccupied core indices per socket.
-func freeCores(n *Node) [][]int {
-	srv := n.srv
-	free := make([][]int, srv.Sockets())
-	for si := 0; si < srv.Sockets(); si++ {
-		ch := srv.Chip(si)
-		for core := 0; core < ch.Cores(); core++ {
-			if len(ch.Core(core).Threads()) == 0 {
-				free[si] = append(free[si], core)
-			}
-		}
-	}
-	return free
 }
 
 // ConsolidateFirst is the default two-level AGS policy (§5.1.1):
@@ -85,42 +71,13 @@ func (ConsolidateFirst) PickNode(c *Cluster, threads int) *Node {
 }
 
 // PlaceWithin selects free cores balanced across the node's sockets —
-// loadline borrowing with respect to existing occupancy. Sharing-heavy
-// jobs stay on one socket when possible.
+// loadline borrowing with respect to existing occupancy
+// (server.PlaceOnFree). Sharing-heavy jobs stay on one socket when
+// possible.
 func (ConsolidateFirst) PlaceWithin(n *Node, free [][]int, d workload.Descriptor, threads int) ([]server.Placement, error) {
-	borrow := d.Sharing < 0.6
-	if !borrow {
-		// Try to keep the job on a single socket; fall back to spreading
-		// when no socket has room.
-		for si := range free {
-			if len(free[si]) >= threads {
-				ps := make([]server.Placement, threads)
-				for i := 0; i < threads; i++ {
-					ps[i] = server.Placement{Socket: si, Core: free[si][i]}
-				}
-				return ps, nil
-			}
-		}
-	}
-
-	// Balanced spread: repeatedly take a core from the socket with the
-	// most free cores.
-	ps := make([]server.Placement, 0, threads)
-	for len(ps) < threads {
-		best := -1
-		for si := range free {
-			if len(free[si]) == 0 {
-				continue
-			}
-			if best < 0 || len(free[si]) > len(free[best]) {
-				best = si
-			}
-		}
-		if best < 0 {
-			return nil, fmt.Errorf("cluster: node %d ran out of cores mid-placement", n.Index)
-		}
-		ps = append(ps, server.Placement{Socket: best, Core: free[best][0]})
-		free[best] = free[best][1:]
+	ps, ok := server.PlaceOnFree(free, threads, !core.ShouldBorrow(d))
+	if !ok {
+		return nil, fmt.Errorf("cluster: node %d ran out of cores mid-placement", n.Index)
 	}
 	return ps, nil
 }

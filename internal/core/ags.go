@@ -24,10 +24,11 @@ type AGS struct {
 
 	predictor *FreqPredictor
 
-	// critical tracks each protected application.
-	critical map[string]*protectedApp
+	// critical tracks each protected application, in submission order.
+	critical []*protectedApp
 
-	// quantumSec is the scheduling quantum for QoS evaluation.
+	// quantumSec is the scheduling quantum for QoS evaluation: the QoS
+	// measurement window.
 	quantumSec float64
 	sinceSec   float64
 
@@ -39,6 +40,7 @@ type AGS struct {
 
 // protectedApp is one critical application under QoS protection.
 type protectedApp struct {
+	id      string
 	job     *server.Job
 	mapper  *AdaptiveMapper
 	tracker *qos.Tracker
@@ -50,13 +52,9 @@ type protectedApp struct {
 type AGSConfig struct {
 	// OnCoresTotal is the responsiveness floor (cores kept powered).
 	OnCoresTotal int
-	// QuantumSec is the QoS evaluation quantum; zero selects the QoS
-	// window length.
-	QuantumSec float64
 	// Predictor must be trained (profile the platform first, or reuse the
 	// Fig. 16 experiment's model).
 	Predictor *FreqPredictor
-	Seed      uint64
 }
 
 // NewAGS wraps a server with the scheduler.
@@ -81,17 +79,12 @@ func NewAGS(srv *server.Server, cfg AGSConfig) (*AGS, error) {
 	if err != nil {
 		return nil, err
 	}
-	quantum := cfg.QuantumSec
-	if quantum <= 0 {
-		quantum = qos.DefaultConfig().WindowSec
-	}
 	return &AGS{
 		srv:        srv,
 		borrowing:  b,
 		rebalancer: NewRebalancer(),
 		predictor:  cfg.Predictor,
-		critical:   map[string]*protectedApp{},
-		quantumSec: quantum,
+		quantumSec: qos.DefaultConfig().WindowSec,
 		events:     NewEventLog(256),
 	}, nil
 }
@@ -130,13 +123,14 @@ func (a *AGS) SubmitCritical(id string, d workload.Descriptor, spec AppSpec, qcf
 		a.srv.Remove(j)
 		return nil, err
 	}
-	a.critical[id] = &protectedApp{
+	a.critical = append(a.critical, &protectedApp{
+		id:      id,
 		job:     j,
 		mapper:  mapper,
 		tracker: qos.NewTracker(qcfg, rng.New(seed, "ags/"+id)),
 		socket:  placements[0].Socket,
 		core:    placements[0].Core,
-	}
+	})
 	a.events.Record(Event{AtSec: a.clockSec, Kind: EventPlace, Job: id,
 		Detail: fmt.Sprintf("critical %s on P%d core %d, target p90 %.2fs",
 			d.Name, placements[0].Socket, placements[0].Core, spec.QoSTarget)})
@@ -147,45 +141,9 @@ func (a *AGS) SubmitCritical(id string, d workload.Descriptor, spec AppSpec, qcf
 // placeBatch finds free cores under the borrowing policy given current
 // occupancy.
 func (a *AGS) placeBatch(d workload.Descriptor, threads int) ([]server.Placement, error) {
-	free := make([][]int, a.srv.Sockets())
-	total := 0
-	for si := 0; si < a.srv.Sockets(); si++ {
-		ch := a.srv.Chip(si)
-		for core := 0; core < ch.Cores(); core++ {
-			if len(ch.Core(core).Threads()) == 0 {
-				free[si] = append(free[si], core)
-				total++
-			}
-		}
-	}
-	if total < threads {
-		return nil, fmt.Errorf("core: need %d free cores, have %d", threads, total)
-	}
-	if !ShouldBorrow(d) {
-		for si := range free {
-			if len(free[si]) >= threads {
-				ps := make([]server.Placement, threads)
-				for i := range ps {
-					ps[i] = server.Placement{Socket: si, Core: free[si][i]}
-				}
-				return ps, nil
-			}
-		}
-		// No single socket fits; fall through to spreading.
-	}
-	ps := make([]server.Placement, 0, threads)
-	for len(ps) < threads {
-		best := -1
-		for si := range free {
-			if len(free[si]) == 0 {
-				continue
-			}
-			if best < 0 || len(free[si]) > len(free[best]) {
-				best = si
-			}
-		}
-		ps = append(ps, server.Placement{Socket: best, Core: free[best][0]})
-		free[best] = free[best][1:]
+	ps, ok := server.PlaceOnFree(a.srv.FreeCores(nil), threads, !ShouldBorrow(d))
+	if !ok {
+		return nil, fmt.Errorf("core: need %d free cores", threads)
 	}
 	return ps, nil
 }
@@ -240,7 +198,7 @@ func (a *AGS) Step(dtSec float64) []QoSReport {
 	a.sinceSec = 0
 
 	var reports []QoSReport
-	for id, app := range a.critical {
+	for _, app := range a.critical {
 		ch := a.srv.Chip(app.socket)
 		own := ch.CoreMIPS(app.core)
 		if own <= 0 {
@@ -254,18 +212,18 @@ func (a *AGS) Step(dtSec float64) []QoSReport {
 			OwnMIPS:   own,
 		}, a.candidates(app))
 		rep := QoSReport{
-			ID:            id,
+			ID:            app.id,
 			P90Sec:        res.P90Sec,
 			Violated:      res.Violated,
 			ViolationRate: app.mapper.ViolationRate(),
 		}
 		if res.Violated {
-			a.events.Record(Event{AtSec: a.clockSec, Kind: EventQoSViolation, Job: id,
+			a.events.Record(Event{AtSec: a.clockSec, Kind: EventQoSViolation, Job: app.id,
 				Detail: fmt.Sprintf("window p90 %.3fs (rate %.0f%%)", res.P90Sec, app.mapper.ViolationRate()*100)})
 		}
 		if decision.Swap {
 			rep.Alert = decision.Reason
-			a.events.Record(Event{AtSec: a.clockSec, Kind: EventSwapAdvice, Job: id,
+			a.events.Record(Event{AtSec: a.clockSec, Kind: EventSwapAdvice, Job: app.id,
 				Detail: decision.Reason})
 		}
 		reports = append(reports, rep)

@@ -13,7 +13,7 @@ func newAGS(t *testing.T) *AGS {
 	t.Helper()
 	srv := server.MustNew(server.DefaultConfig(41))
 	srv.SetMode(firmware.Undervolt)
-	a, err := NewAGS(srv, AGSConfig{OnCoresTotal: 16, Predictor: trainedPredictor(t), Seed: 41})
+	a, err := NewAGS(srv, AGSConfig{OnCoresTotal: 16, Predictor: trainedPredictor(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestCriticalAppProtection(t *testing.T) {
 	}
 	a.Server().Settle(2)
 	// Shrink the evidence window so the test needs fewer quanta.
-	a.critical["web"].mapper.WindowQuanta = 5
+	a.critical[0].mapper.WindowQuanta = 5
 
 	var reports []QoSReport
 	alerted := false
@@ -113,6 +113,58 @@ func TestCriticalAppProtection(t *testing.T) {
 	}
 }
 
+// TestStepReportsInSubmissionOrder: with several protected applications,
+// every quantum's reports, and the decision-log entries each quantum
+// records, follow the order the applications were submitted in.
+func TestStepReportsInSubmissionOrder(t *testing.T) {
+	a := newAGS(t)
+	cfg := qos.DefaultConfig()
+	ids := []string{"web-a", "web-b", "web-c", "web-d"}
+	rank := map[string]int{}
+	for i, id := range ids {
+		rank[id] = i
+		if _, err := a.SubmitCritical(id, workload.MustGet("websearch"), AppSpec{
+			Name: id, Critical: true, QoSTarget: cfg.TargetP90Sec,
+		}, cfg, uint64(61+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A hostile co-runner makes the quanta log violations and advice too.
+	if _, err := a.SubmitBatch("hog", workload.MustGet("lu_cb"), 8, 1e9); err != nil {
+		t.Fatal(err)
+	}
+	for quanta := 0; quanta < 10; {
+		rs := a.Step(0.001)
+		if rs == nil {
+			continue
+		}
+		quanta++
+		if len(rs) != len(ids) {
+			t.Fatalf("quantum %d: %d reports, want %d", quanta, len(rs), len(ids))
+		}
+		for i, r := range rs {
+			if r.ID != ids[i] {
+				t.Errorf("quantum %d: report %d is %q, want %q", quanta, i, r.ID, ids[i])
+			}
+		}
+	}
+	logged := 0
+	var prev Event
+	for _, e := range a.Events().Events() {
+		if e.Kind != EventQoSViolation && e.Kind != EventSwapAdvice {
+			continue
+		}
+		logged++
+		if logged > 1 && e.AtSec == prev.AtSec && rank[e.Job] < rank[prev.Job] {
+			t.Errorf("at %.3f s %s for %q logged after %s for %q", e.AtSec, e.Kind, e.Job, prev.Kind, prev.Job)
+		}
+		prev = e
+	}
+	if logged == 0 {
+		t.Error("no quantum logged a violation or advice; the log order is not exercised")
+	}
+}
+
 func TestAGSQuantumDefaults(t *testing.T) {
 	srv := server.MustNew(server.DefaultConfig(43))
 	a, err := NewAGS(srv, AGSConfig{Predictor: trainedPredictor(t)})
@@ -139,7 +191,7 @@ func TestCandidatesSeeSocketMates(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Server().Settle(1)
-	app := a.critical["web"]
+	app := a.critical[0]
 	cands := a.candidates(app)
 	found := false
 	for _, c := range cands {

@@ -39,18 +39,15 @@ func NewBorrowing(sockets, coresPerSocket, onCoresTotal int) (*Borrowing, error)
 	return &Borrowing{Sockets: sockets, CoresPerSocket: coresPerSocket, OnCoresTotal: onCoresTotal}, nil
 }
 
-// Plan returns balanced placements for n threads: thread i goes to socket
-// i mod Sockets, filling cores in order. It panics if n exceeds the
-// machine, which is an admission-control bug upstream of the scheduler.
+// Plan returns balanced placements for n threads
+// (server.BorrowedPlacements: thread i goes to socket i mod Sockets,
+// filling cores in order). It panics if n exceeds the machine, which is an
+// admission-control bug upstream of the scheduler.
 func (b *Borrowing) Plan(n int) []server.Placement {
 	if n < 1 || n > b.Sockets*b.CoresPerSocket {
 		panic(fmt.Sprintf("core: cannot place %d threads on %dx%d", n, b.Sockets, b.CoresPerSocket))
 	}
-	ps := make([]server.Placement, n)
-	for i := range ps {
-		ps[i] = server.Placement{Socket: i % b.Sockets, Core: i / b.Sockets}
-	}
-	return ps
+	return server.BorrowedPlacements(n, b.Sockets)
 }
 
 // KeepOn returns the per-socket count of unloaded cores to keep merely
@@ -100,13 +97,6 @@ func (b *Borrowing) Apply(s *server.Server, id string, d workload.Descriptor, n 
 	}
 	s.GateUnloadedCores(b.KeepOn(n)...)
 	return j, nil
-}
-
-// PlanConsolidated returns the conventional consolidation placements the
-// paper uses as its baseline (all threads packed onto socket 0), provided
-// here so callers can express both schedules through one vocabulary.
-func PlanConsolidated(n int) []server.Placement {
-	return server.ConsolidatedPlacements(n)
 }
 
 // ShouldBorrow encodes the paper's applicability rule for a candidate

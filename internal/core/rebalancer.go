@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"agsim/internal/server"
-)
+import "agsim/internal/server"
 
 // Rebalancer is the runtime form of loadline borrowing: the paper emulates
 // it with Linux taskset affinity on a live system (§5.1.2), moving threads
@@ -65,7 +61,8 @@ func (r *Rebalancer) rebalance(s *server.Server) bool {
 	if j == nil {
 		return false
 	}
-	placements, ok := r.balancedPlacements(s, j)
+	// Spread j across sockets, treating its current cores as free.
+	placements, ok := server.PlaceOnFree(s.FreeCores(j), len(j.Threads), false)
 	if !ok {
 		return false
 	}
@@ -100,44 +97,4 @@ func (r *Rebalancer) pickMovable(s *server.Server, overloaded int) *server.Job {
 		}
 	}
 	return best
-}
-
-// balancedPlacements computes placements for job j spread across sockets,
-// treating j's current cores as free.
-func (r *Rebalancer) balancedPlacements(s *server.Server, j *server.Job) ([]server.Placement, bool) {
-	own := map[server.Placement]bool{}
-	for _, p := range j.Placements {
-		own[p] = true
-	}
-	free := make([][]int, s.Sockets())
-	for si := 0; si < s.Sockets(); si++ {
-		ch := s.Chip(si)
-		for core := 0; core < ch.Cores(); core++ {
-			p := server.Placement{Socket: si, Core: core}
-			if len(ch.Core(core).Threads()) == 0 || own[p] {
-				free[si] = append(free[si], core)
-			}
-		}
-	}
-
-	need := len(j.Threads)
-	placements := make([]server.Placement, 0, need)
-	for len(placements) < need {
-		// Take from the socket with the most free cores; ties break by
-		// index for determinism.
-		order := make([]int, s.Sockets())
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return len(free[order[a]]) > len(free[order[b]])
-		})
-		si := order[0]
-		if len(free[si]) == 0 {
-			return nil, false
-		}
-		placements = append(placements, server.Placement{Socket: si, Core: free[si][0]})
-		free[si] = free[si][1:]
-	}
-	return placements, true
 }

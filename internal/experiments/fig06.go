@@ -71,23 +71,9 @@ func Fig06CPMCalibration(o Options) Fig06Result {
 		series := res.Mapping.NewSeries(fmt.Sprintf("%.0fMHz", float64(f)), "mV", "CPM value")
 		var xs, ys []float64
 		for v := units.Millivolt(940); v <= 1240; v += voltStep {
-			c.SetManual(v, f)
-			c.Settle(0.15)
-			var mean float64
-			const steps = 100
-			for i := 0; i < steps; i++ {
-				c.Step(chip.DefaultStepSec)
-				sum := 0.0
-				for core := 0; core < c.Cores(); core++ {
-					sum += c.CoreCPMMean(core)
-				}
-				mean += sum / float64(c.Cores())
-			}
-			mean /= steps
+			mean, linear := CPMCalibrationPoint(c, v, f)
 			series.Add(float64(v), mean)
-			// Only the unsaturated middle of the detector is usable for
-			// the linear fit.
-			if mean > 0.5 && mean < float64(cpm.MaxValue)-0.5 {
+			if linear {
 				xs = append(xs, float64(v))
 				ys = append(ys, mean)
 			}
@@ -121,4 +107,25 @@ func Fig06CPMCalibration(o Options) Fig06Result {
 	}
 	releaseChip(c)
 	return res
+}
+
+// CPMCalibrationPoint measures one point of the Fig. 6 calibration sweep
+// on c: Manual mode at (v, f), a 0.15 s settle, then the mean CPM output
+// over 100 micro-steps, averaged across cores. linear reports whether the
+// mean sits in the unsaturated middle of the detector, the only part
+// usable for the linear sensitivity fit.
+func CPMCalibrationPoint(c *chip.Chip, v units.Millivolt, f units.Megahertz) (mean float64, linear bool) {
+	c.SetManual(v, f)
+	c.Settle(0.15)
+	const steps = 100
+	for i := 0; i < steps; i++ {
+		c.Step(chip.DefaultStepSec)
+		sum := 0.0
+		for core := 0; core < c.Cores(); core++ {
+			sum += c.CoreCPMMean(core)
+		}
+		mean += sum / float64(c.Cores())
+	}
+	mean /= steps
+	return mean, mean > 0.5 && mean < float64(cpm.MaxValue)-0.5
 }

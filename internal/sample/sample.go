@@ -10,7 +10,7 @@
 //     dt-weighted signature (chip power and MIPS, per-core frequency,
 //     power, and throughput) and compares it against the previous
 //     window's. A change point — any element moving more than the
-//     configured tolerance — discards the accumulated statistics and
+//     phase tolerance — discards the accumulated statistics and
 //     drops the governor back to detailed stepping at minimum leap ratio.
 //   - An online confidence tracker: window means of power and throughput
 //     feed streaming Welford accumulators (internal/stats); the governor
@@ -20,7 +20,7 @@
 //     leaves detailed mode — full simulation is the guaranteed fallback,
 //     not a separate code path.
 //   - Geometric leap pacing: each successful fast-forward doubles the
-//     skip-to-window ratio up to MaxLeapRatio; failed convergence halves
+//     skip-to-window ratio up to maxLeapRatio; failed convergence halves
 //     it. Long steady phases are skipped in multi-second spans while
 //     unstable ones are resolved at full fidelity.
 //
@@ -61,62 +61,54 @@ type Target interface {
 
 // Config tunes the governor. Zero values select the defaults.
 type Config struct {
-	// WindowSec is the detailed-interval length (default 0.072 s — a bit
-	// over two firmware ticks, enough for the sticky-window telemetry to
-	// cycle, and deliberately NOT a multiple of the 32 ms tick: windows
-	// then end at rotating tick phases, so the sensor state each
-	// fast-forward freezes samples the whole tick limit cycle instead of
-	// always the same point of it, and extrapolation error averages out
-	// across windows rather than accumulating as a systematic bias).
-	WindowSec float64
 	// TargetRelCI is the relative confidence-interval half-width (CI /
 	// |mean|) every tracked statistic must reach before the governor
 	// extrapolates (default 0.01).
 	TargetRelCI float64
-	// Confidence is the Student-t confidence level (default 0.95).
-	Confidence float64
-	// MaxLeapRatio caps the fast-forward span as a multiple of WindowSec
-	// (default 128). The cap bounds how stale the frozen electrical point
-	// may grow before a detailed window re-anchors it; the slow firmware
-	// dynamics keep running inside fast-forwards (frozen ticks), so the cap
-	// prices phase-change reaction latency, not control-loop fidelity.
-	MaxLeapRatio float64
-	// PhaseTolerance is the per-element relative signature distance that
-	// counts as a phase change (default 0.10).
-	PhaseTolerance float64
-	// MinWindows is the number of consecutive same-phase detailed windows
-	// required before the first extrapolation (default 3).
-	MinWindows int
 	// Stats, when non-nil, aggregates span outcomes for error-bar
 	// reporting across a whole experiment.
 	Stats *RunStats
 }
 
 func (c Config) withDefaults() Config {
-	if c.WindowSec <= 0 {
-		c.WindowSec = 0.072
-	}
 	if c.TargetRelCI <= 0 {
 		c.TargetRelCI = 0.01
-	}
-	if c.Confidence <= 0 {
-		c.Confidence = 0.95
-	}
-	if c.MaxLeapRatio <= 0 {
-		c.MaxLeapRatio = 128
-	}
-	if c.PhaseTolerance <= 0 {
-		c.PhaseTolerance = 0.10
-	}
-	if c.MinWindows <= 0 {
-		c.MinWindows = 3
 	}
 	return c
 }
 
-// initialLeapRatio is the skip-to-window ratio after a phase change; it
-// doubles per successful extrapolation up to Config.MaxLeapRatio.
-const initialLeapRatio = 4
+const (
+	// windowSec is the detailed-interval length: a bit over two firmware
+	// ticks, enough for the sticky-window telemetry to cycle, and
+	// deliberately NOT a multiple of the 32 ms tick. Windows then end at
+	// rotating tick phases, so the sensor state each fast-forward freezes
+	// samples the whole tick limit cycle instead of always the same point
+	// of it, and extrapolation error averages out across windows rather
+	// than accumulating as a systematic bias.
+	windowSec = 0.072
+
+	// confidence is the Student-t confidence level of the tracked CIs.
+	confidence = 0.95
+
+	// maxLeapRatio caps the fast-forward span as a multiple of windowSec.
+	// The cap bounds how stale the frozen electrical point may grow before
+	// a detailed window re-anchors it; the slow firmware dynamics keep
+	// running inside fast-forwards (frozen ticks), so the cap prices
+	// phase-change reaction latency, not control-loop fidelity.
+	maxLeapRatio = 128
+
+	// phaseTolerance is the per-element relative signature distance that
+	// counts as a phase change.
+	phaseTolerance = 0.10
+
+	// minWindows is the number of consecutive same-phase detailed windows
+	// required before the first extrapolation.
+	minWindows = 3
+
+	// initialLeapRatio is the skip-to-window ratio after a phase change;
+	// it doubles per successful extrapolation up to maxLeapRatio.
+	initialLeapRatio = 4
+)
 
 // spanEps mirrors the chip layer's Settle residue: spans within a
 // nanosecond of covered are complete.
@@ -177,7 +169,7 @@ func (g *Governor) run(spanSec float64, done func() bool, observe func(dt float6
 		if done != nil && done() {
 			break
 		}
-		w := g.cfg.WindowSec
+		w := windowSec
 		if rem := spanSec - covered; w > rem {
 			w = rem
 		}
@@ -191,12 +183,12 @@ func (g *Governor) run(spanSec float64, done func() bool, observe func(dt float6
 			}
 			continue
 		}
-		ff := g.ratio * g.cfg.WindowSec
+		ff := g.ratio * windowSec
 		if rem := spanSec - covered; ff > rem {
 			ff = rem
 		}
 		ff = g.t.SampleHint(ff)
-		if ff < g.cfg.WindowSec {
+		if ff < windowSec {
 			// An operating-point change (completion, phase boundary) is
 			// nearer than a window: nothing worth skipping, resolve it at
 			// detailed rate.
@@ -217,8 +209,8 @@ func (g *Governor) run(spanSec float64, done func() bool, observe func(dt float6
 		if ci > g.worstCI {
 			g.worstCI = ci
 		}
-		if g.ratio = g.ratio * 2; g.ratio > g.cfg.MaxLeapRatio {
-			g.ratio = g.cfg.MaxLeapRatio
+		if g.ratio = g.ratio * 2; g.ratio > maxLeapRatio {
+			g.ratio = maxLeapRatio
 		}
 	}
 	g.finish()
@@ -253,7 +245,7 @@ func (g *Governor) detailedWindow(w float64, done func() bool, observe func(dt f
 		g.sig[i] *= inv
 	}
 	dist := g.distance()
-	if g.havePrev && dist > g.cfg.PhaseTolerance {
+	if g.havePrev && dist > phaseTolerance {
 		// Change point: the accumulated statistics describe the previous
 		// phase. Start over from this window and leap cautiously.
 		g.t.EmitSampleMode(false, g.relCI(), dist)
@@ -316,9 +308,9 @@ func (g *Governor) distance() float64 {
 }
 
 // converged reports whether enough same-phase evidence is in hand to
-// extrapolate: MinWindows windows and every tracked CI within target.
+// extrapolate: minWindows windows and every tracked CI within target.
 func (g *Governor) converged() bool {
-	return g.windows >= g.cfg.MinWindows && g.relCI() <= g.cfg.TargetRelCI
+	return g.windows >= minWindows && g.relCI() <= g.cfg.TargetRelCI
 }
 
 // relCI returns the worst relative confidence-interval half-width across
@@ -330,7 +322,7 @@ func (g *Governor) relCI() float64 {
 		return math.Inf(1)
 	}
 	if n != g.tCritN {
-		g.tCrit = stats.TCriticalCached(g.cfg.Confidence, n-1)
+		g.tCrit = stats.TCriticalCached(confidence, n-1)
 		g.tCritN = n
 	}
 	worst := 0.0

@@ -604,6 +604,56 @@ func BorrowedPlacements(n, sockets int) []Placement {
 	return ps
 }
 
+// FreeCores lists each socket's unoccupied cores in index order — the
+// input of PlaceOnFree. Cores that own (nil for none) occupies count as
+// free, so a job can be re-placed over its own cores.
+func (s *Server) FreeCores(own *Job) [][]int {
+	free := make([][]int, len(s.chips))
+	for si, ch := range s.chips {
+		for core := 0; core < ch.Cores(); core++ {
+			if len(ch.Core(core).Threads()) == 0 || own != nil && s.coreJob[si][core] == own {
+				free[si] = append(free[si], core)
+			}
+		}
+	}
+	return free
+}
+
+// PlaceOnFree places threads on the free cores FreeCores listed (scratch
+// it consumes) under the loadline-borrowing rule with respect to existing
+// occupancy: a job kept together (sharing-heavy, see core.ShouldBorrow)
+// goes on the first socket with room for all of it; otherwise, or when no
+// socket has room, each thread takes the socket with the most free cores,
+// ties to the lower index. ok is false when the free cores run out.
+func PlaceOnFree(free [][]int, threads int, together bool) (ps []Placement, ok bool) {
+	if together {
+		for si := range free {
+			if len(free[si]) >= threads {
+				ps = make([]Placement, threads)
+				for i := range ps {
+					ps[i] = Placement{Socket: si, Core: free[si][i]}
+				}
+				return ps, true
+			}
+		}
+	}
+	ps = make([]Placement, 0, threads)
+	for len(ps) < threads {
+		best := -1
+		for si := range free {
+			if len(free[si]) > 0 && (best < 0 || len(free[si]) > len(free[best])) {
+				best = si
+			}
+		}
+		if best < 0 {
+			return nil, false
+		}
+		ps = append(ps, Placement{Socket: best, Core: free[best][0]})
+		free[best] = free[best][1:]
+	}
+	return ps, true
+}
+
 // contentionExp returns the configured contention exponent, defaulting to
 // DefaultContentionExponent when unset.
 func (s *Server) contentionExp() float64 {
