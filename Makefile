@@ -48,7 +48,9 @@
 #                        (mutated image payloads decoded into a live chip
 #                        and a small fleet must never panic or allocate
 #                        without bound), pdn FuzzMeshSolve, qos
-#                        FuzzRunWindow and amester FuzzTimeseriesQuery
+#                        FuzzRunWindow, amester FuzzTimeseriesQuery and
+#                        cpm FuzzSensorRead (a memoized CPM must read and
+#                        latch exactly as the memo-free expression)
 #   make ci            — everything CI runs: check + race + smoke +
 #                        dist-smoke + fuzz-smoke + bench + bench-compare
 #                        (bench-compare gates ns/op regressions and the
@@ -217,7 +219,7 @@ dist-smoke:
 # run time so a large seed cannot spend the whole budget shrinking one case.
 fuzz-smoke:
 	@set -e; for t in ./internal/snapshot:FuzzLoad ./internal/pdn:FuzzMeshSolve ./internal/qos:FuzzRunWindow \
-		./internal/amester:FuzzTimeseriesQuery; do \
+		./internal/amester:FuzzTimeseriesQuery ./internal/cpm:FuzzSensorRead; do \
 		echo "fuzz-smoke: $${t%%:*} $${t##*:} for 20s"; \
 		$(GO) test $${t%%:*} -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime 20s -fuzzminimizetime 5s; \
 	done

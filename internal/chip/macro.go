@@ -291,27 +291,16 @@ func (c *Chip) MacroStep(h float64) {
 // share. It advances the chip h seconds at the held operating point:
 // threads retire work at the held conditions, the di/dt exposure schedule
 // advances over the span (from pre-advance profiles, as in the
-// micro-step), and margin violations keep their per-micro-step accounting
-// in the chip's count and the recorder's alike. It returns the span's
-// di/dt sample and whether a firmware tick fired inside it.
+// micro-step), and each segment charges its margin violations per 1 ms
+// grid point (chargeViolations), in the chip's count and the recorder's
+// alike. It returns the span's di/dt sample and whether a firmware tick
+// fired inside it.
 func (c *Chip) holdSpan(h float64) (sample didt.Sample, ticked bool) {
 	profiles := c.activeProfiles()
 	for _, co := range c.cores {
 		co.advanceThreads(c, h)
 	}
 	sample = c.noise.Step(h, profiles)
-	if steps := int(h/DefaultStepSec + 0.5); steps > 0 {
-		for _, co := range c.cores {
-			if co.state == power.Gated {
-				continue
-			}
-			agedMin := co.voltageMin - units.Millivolt(c.agingMV)
-			if c.cfg.Law.MarginMV(agedMin, co.dpll.Freq()) < 0 {
-				c.marginViolations += steps
-				c.rec.Add(c.src, obs.CMarginViolations, uint64(steps))
-			}
-		}
-	}
 
 	// Walk the span on the 32 ms grid. Each segment integrates energy at
 	// the held power, relaxes the package and every core toward their
@@ -322,11 +311,13 @@ func (c *Chip) holdSpan(h float64) (sample didt.Sample, ticked bool) {
 	// each grid point; bindSeries attaches the three together). A tick the
 	// span reaches fires as a frozen tick, which may re-anchor the
 	// operating point for the next segment; a leap never reaches one, since
-	// its horizon stops a micro-step short. Two inputs hold across
+	// its horizon stops a micro-step short. Three inputs hold across
 	// segments: the thermal decay of a full segment (after a tick, seg is
-	// exactly TickSeconds), and the rail's sensed current, which moves only
-	// when a frozen tick's rail command re-solves the operating point.
+	// exactly TickSeconds), and the rail's sensed current and the count of
+	// violating cores, which move only when a frozen tick's rail command
+	// re-solves the operating point.
 	var tickDecay, senseA float64
+	violating := c.violatingCores()
 	if h >= firmware.TickSeconds {
 		tickDecay = c.thermalDecay(firmware.TickSeconds)
 	}
@@ -338,6 +329,9 @@ func (c *Chip) holdSpan(h float64) (sample didt.Sample, ticked bool) {
 		decay := tickDecay
 		if seg != firmware.TickSeconds {
 			decay = c.thermalDecay(seg)
+		}
+		if violating > 0 {
+			c.chargeViolations(violating, c.timeSec, c.timeSec+seg)
 		}
 		c.energyJ += float64(c.lastChipPower) * seg
 		packageTarget := c.cfg.AmbientC + units.Celsius(c.cfg.ThermalResCPerW*float64(c.lastChipPower))
@@ -364,10 +358,39 @@ func (c *Chip) holdSpan(h float64) (sample didt.Sample, ticked bool) {
 			c.sinceTick = 0
 			if c.frozenTick(senseA) {
 				senseA = float64(c.rail.SenseCurrent())
+				violating = c.violatingCores()
 			}
 		}
 	}
 	return sample, ticked
+}
+
+// violatingCores counts the clocked cores whose aged ripple-bottom
+// voltage leaves negative timing margin at their clock. It depends only
+// on the operating point, so a held span counts once per delivery solve.
+func (c *Chip) violatingCores() int {
+	n := 0
+	for _, co := range c.cores {
+		if co.state != power.Gated && c.cfg.Law.MarginMV(co.voltageMin-units.Millivolt(c.agingMV), co.dpll.Freq()) < 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// chargeViolations charges n violating cores over the span (t0, t1] with
+// one violation each per 1 ms grid point the span covers: the core-steps
+// the exact lane takes there. Leaps, fast-forward segments, micro-steps
+// and off-grid fragments all charge this way, so the count does not
+// depend on where a lane's spans fall on the grid. A point within
+// gridSnapSec of an end counts as sitting on it.
+func (c *Chip) chargeViolations(n int, t0, t1 float64) {
+	points := int(math.Floor((t1+gridSnapSec)/DefaultStepSec)) - int(math.Floor((t0+gridSnapSec)/DefaultStepSec))
+	if points <= 0 {
+		return
+	}
+	c.marginViolations += n * points
+	c.rec.Add(c.src, obs.CMarginViolations, uint64(n*points))
 }
 
 // thermalDecay is the fraction of the gap to its constant-power target a

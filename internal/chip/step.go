@@ -40,6 +40,9 @@ func (c *Chip) Step(dtSec float64) {
 	// 2. Power at last-known voltages, then delivery: loadline at the VRM,
 	// the on-chip PDN, and each core's DC and ripple-bottom voltage.
 	c.deliver()
+	if n := c.violatingCores(); n > 0 {
+		c.chargeViolations(n, c.timeSec, c.timeSec+dtSec)
+	}
 
 	mode := c.ctrl.Mode()
 	adaptive := mode == firmware.Undervolt || mode == firmware.Overclock
@@ -48,10 +51,6 @@ func (c *Chip) Step(dtSec float64) {
 		// margin-facing (CPMs, DPLLs, the violation check) sees the aged
 		// voltage while power still follows the real one.
 		agedMin := co.voltageMin - units.Millivolt(c.agingMV)
-		if co.state != power.Gated && c.cfg.Law.MarginMV(agedMin, co.dpll.Freq()) < 0 {
-			c.marginViolations++
-			c.rec.Inc(c.src, obs.CMarginViolations)
-		}
 
 		// 4. Droop reaction: with adaptive guardbanding on, the DPLL
 		// sheds frequency fast enough to absorb worst-case events — and

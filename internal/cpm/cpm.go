@@ -10,6 +10,28 @@
 // CPM bit at peak frequency (Fig. 6a) with 10-30 mV/bit spread across
 // sensors and frequencies (Fig. 6b), which this model reproduces through
 // per-sensor process-variation parameters.
+//
+// A read is the quantized affine function clamp(CalibTarget +
+// round(m/d), 0, MaxValue) of the sensor's margin m, at a divisor d fixed
+// by its sensitivity and the core's clock. Every clocked core's sensors
+// read every 1 ms micro-step, so each Sensor keeps a read memo: the exact
+// interval of margins that read as its last output at its current
+// divisor. A read with the same divisor, bit for bit, and a margin inside
+// the interval returns the output without dividing.
+//
+// The memo is exact: division by a positive divisor and the rounding are
+// monotone, so one output's margins form an interval, and its ends are
+// found by walking float by float from the rounded threshold to the last
+// float that reads the output. It covers margins within ±1e15 mV; larger
+// ones read directly, since the quotient's conversion wraps past ±2⁶³.
+// The memo is not simulation state: it caches a pure function of margin
+// and divisor, keyed by the divisor itself, so after Reset, a snapshot
+// Load, a mode switch or Kill it can only miss or return the right
+// output, and the snapshot codec skips it. Reads at a held clock hit —
+// Static and Undervolt cores, about 99% of reads on the exact lane; a
+// droop re-read or a threshold crossing misses once and searches; an
+// overclocked core's clock moves every step, so its reads mostly miss,
+// and a new divisor only keys an empty memo, so they pay no search.
 package cpm
 
 import (
@@ -63,13 +85,22 @@ type Sensor struct {
 	// the state New would produce without allocating new streams.
 	calib *rng.Source
 
+	// The read memo (see the package comment): margins in [memoLo,
+	// memoHi] read memoOut at divisor memoDiv. A cache, not state, so the
+	// snapshot codec skips it.
+	memoDiv, memoLo, memoHi float64 `snapshot:"-"`
+
 	// dead simulates a failed sensor for fail-safe testing: it always
 	// outputs 0 (worst case), which a correct controller treats as "no
 	// margin" and refuses to undervolt on.
 	dead bool
 
-	stickyMin int
+	// stickyMin is the lowest output since the window opened, when
+	// hasSticky; one byte holds every output 0..MaxValue.
+	stickyMin int8
 	hasSticky bool
+
+	memoOut int8 `snapshot:"-"`
 }
 
 // Config controls sensor construction.
@@ -179,26 +210,114 @@ func CoreTerms(law *vf.Law, v units.Millivolt, f units.Megahertz) Terms {
 // millivolts per position.
 func MVPerBitAt(mvPerBitNom, fScale float64) float64 {
 	// Sensitivity cannot collapse below a physical floor.
-	return math.Max(mvPerBitNom*fScale, 5)
+	return max(mvPerBitNom*fScale, 5)
 }
 
-// Raw is the per-sensor read arithmetic: the output of a sensor with the
-// given calibration and held window noise, for one core's read terms,
-// before the sticky latch sees it. Sensor.Read reads through it.
-func Raw(t Terms, dead bool, pathOffsetMV, noiseOffsetMV, mvPerBitNom float64) int {
-	if dead {
-		return 0
+// rawAt is the output for margin marginMV at divisor mvPerBit:
+// CalibTarget plus the rounded quotient, clamped to the detector.
+func rawAt(marginMV, mvPerBit float64) int {
+	return min(max(CalibTarget+roundHalfAway(marginMV/mvPerBit), 0), MaxValue)
+}
+
+// roundHalfAway returns int(math.Round(q)) without the call: it
+// truncates and compares the exact remainder with ½. Beyond ±2⁵² every
+// float is an integer, so there, and for NaN and the infinities,
+// math.Round(q) is q and the conversion alone is the expression, whatever
+// it returns on the host for values outside int range.
+func roundHalfAway(q float64) int {
+	n := int(q)
+	if q > -0x1p52 && q < 0x1p52 {
+		// q − n is exact: both share a sign and n is q's integral part.
+		if r := q - float64(n); r >= 0.5 {
+			n++
+		} else if r <= -0.5 {
+			n--
+		}
 	}
-	marginMV := t.MarginMV + pathOffsetMV
-	marginMV += noiseOffsetMV
-	raw := CalibTarget + int(math.Round(marginMV/MVPerBitAt(mvPerBitNom, t.FScale)))
-	if raw < 0 {
-		raw = 0
+	return n
+}
+
+// memoLimitMV bounds the margins the read memo covers. Inside it the
+// quotient stays far within int range, where the read is monotone in the
+// margin; past ±2⁶³ the conversion wraps, so larger margins read
+// directly.
+const memoLimitMV = 1e15
+
+// remember returns the read of margin marginMV at the memo's divisor
+// mvPerBit, a margin outside the memo's interval, and keeps the interval
+// of the new output when the margin is within ±memoLimitMV. A margin
+// that crossed into the next output up or down starts its interval one
+// float past the end it crossed, which was exact, so only the far end
+// needs a search.
+func (s *Sensor) remember(marginMV, mvPerBit float64) int {
+	out := rawAt(marginMV, mvPerBit)
+	if !(marginMV >= -memoLimitMV && marginMV <= memoLimitMV) {
+		return out
 	}
-	if raw > MaxValue {
-		raw = MaxValue
+	lo, hi := s.memoLo, s.memoHi
+	switch held := lo <= hi; {
+	case held && out == int(s.memoOut)+1:
+		lo, hi = math.Nextafter(hi, math.Inf(1)), highEnd(marginMV, mvPerBit, out)
+	case held && out == int(s.memoOut)-1:
+		lo, hi = lowEnd(marginMV, mvPerBit, out), math.Nextafter(lo, math.Inf(-1))
+	default:
+		lo, hi = lowEnd(marginMV, mvPerBit, out), highEnd(marginMV, mvPerBit, out)
 	}
-	return raw
+	s.memoLo, s.memoHi, s.memoOut = lo, hi, int8(out)
+	return out
+}
+
+// lowEnd and highEnd bound the interval within ±memoLimitMV on which
+// every margin reads out at divisor mvPerBit, given that marginMV, inside
+// the limit, does. The read is monotone in the margin there, so the low
+// end is the least margin reading at least out and the high end the
+// greatest reading at most out. Each starts from its threshold
+// (out − CalibTarget ∓ ½)·mvPerBit, which the rounded product misses by
+// an ulp or so, and walks to the exact end one float at a time.
+func lowEnd(marginMV, mvPerBit float64, out int) float64 {
+	if out == 0 {
+		return -memoLimitMV
+	}
+	lo := min(max((float64(out-CalibTarget)-0.5)*mvPerBit, -memoLimitMV), marginMV)
+	if rawAt(lo, mvPerBit) < out {
+		for {
+			lo = math.Nextafter(lo, math.Inf(1))
+			if rawAt(lo, mvPerBit) >= out {
+				return lo
+			}
+		}
+	}
+	for lo > -memoLimitMV {
+		next := math.Nextafter(lo, math.Inf(-1))
+		if rawAt(next, mvPerBit) < out {
+			break
+		}
+		lo = next
+	}
+	return lo
+}
+
+func highEnd(marginMV, mvPerBit float64, out int) float64 {
+	if out == MaxValue {
+		return memoLimitMV
+	}
+	hi := max(min((float64(out-CalibTarget)+0.5)*mvPerBit, memoLimitMV), marginMV)
+	if rawAt(hi, mvPerBit) > out {
+		for {
+			hi = math.Nextafter(hi, math.Inf(-1))
+			if rawAt(hi, mvPerBit) <= out {
+				return hi
+			}
+		}
+	}
+	for hi < memoLimitMV {
+		next := math.Nextafter(hi, math.Inf(1))
+		if rawAt(next, mvPerBit) > out {
+			break
+		}
+		hi = next
+	}
+	return hi
 }
 
 // MVPerBit returns the sensor's sensitivity at frequency f.
@@ -216,11 +335,29 @@ func (s *Sensor) Value(v units.Millivolt, f units.Megahertz) int {
 
 // Read returns the CPM output for read terms computed by CoreTerms under
 // the sensor's law, latching it like Value: Value(v, f) is
-// Read(CoreTerms(law, v, f)).
+// Read(CoreTerms(law, v, f)). The read memo (see the package comment)
+// answers it when the divisor holds and the margin stays in the memo's
+// interval.
 func (s *Sensor) Read(t Terms) int {
-	raw := Raw(t, s.dead, s.pathOffsetMV, s.noiseOffsetMV, s.mvPerBitNom)
-	s.observeSticky(raw)
-	return raw
+	out := 0
+	if !s.dead {
+		m := t.MarginMV + s.pathOffsetMV
+		m += s.noiseOffsetMV
+		d := MVPerBitAt(s.mvPerBitNom, t.FScale)
+		switch {
+		case d != s.memoDiv:
+			// A new divisor keys an empty memo. The interval search waits
+			// until the divisor repeats, so a moving clock pays none.
+			out = rawAt(m, d)
+			s.memoDiv, s.memoLo, s.memoHi = d, 1, 0
+		case m >= s.memoLo && m <= s.memoHi:
+			out = int(s.memoOut)
+		default:
+			out = s.remember(m, d)
+		}
+	}
+	s.observeSticky(out)
+	return out
 }
 
 // DetMarginMV returns the deterministic component of a read with terms t —
@@ -233,8 +370,8 @@ func (s *Sensor) DetMarginMV(t Terms) float64 {
 }
 
 func (s *Sensor) observeSticky(v int) {
-	if !s.hasSticky || v < s.stickyMin {
-		s.stickyMin = v
+	if !s.hasSticky || v < int(s.stickyMin) {
+		s.stickyMin = int8(v)
 		s.hasSticky = true
 	}
 }
@@ -244,7 +381,7 @@ func (s *Sensor) observeSticky(v int) {
 // output of each CPM during the past 32 ms"). The second result reports
 // whether any observation occurred.
 func (s *Sensor) Sticky() (int, bool) {
-	return s.stickyMin, s.hasSticky
+	return int(s.stickyMin), s.hasSticky
 }
 
 // StickyReset clears the sticky latch and redraws the held measurement

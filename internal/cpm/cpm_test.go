@@ -212,11 +212,11 @@ func valueByExpression(law *vf.Law, v units.Millivolt, f units.Megahertz, dead b
 }
 
 // TestCoreReadMatchesValue pins the per-core read path to Value: CoreTerms
-// once per core, then Read on each sensor — or Raw on the sensor's
-// calibration and window state — must return exactly what
-// Value(v, f) returns and leave the same sticky latch, through the droop
-// re-read that only latches, for table and random operating points. Value
-// itself is held to the written-out expression.
+// once per core, then Read on each sensor — or the expression on the
+// terms and the sensor's calibration and window state — must return
+// exactly what Value(v, f) returns and leave the same sticky latch,
+// through the droop re-read that only latches, for table and random
+// operating points. Value itself is held to the written-out expression.
 func TestCoreReadMatchesValue(t *testing.T) {
 	law := vf.Default()
 	byValue, byTerms := coreSensors(law, 21), coreSensors(law, 21)
@@ -251,8 +251,8 @@ func TestCoreReadMatchesValue(t *testing.T) {
 			if ref := valueByExpression(&law, p.v, p.f, dead, poff, noff, mvb); want != ref {
 				t.Fatalf("point %d (%v, %v) sensor %d: Value = %d, expression = %d", i, p.v, p.f, j, want, ref)
 			}
-			if got := Raw(terms, dead, poff, noff, mvb); got != want {
-				t.Fatalf("point %d (%v, %v) sensor %d: Raw = %d, Value = %d", i, p.v, p.f, j, got, want)
+			if got := rawByExpression(terms, dead, poff, noff, mvb); got != want {
+				t.Fatalf("point %d (%v, %v) sensor %d: expression on the terms = %d, Value = %d", i, p.v, p.f, j, got, want)
 			}
 			if got := byTerms[j].Read(terms); got != want {
 				t.Fatalf("point %d (%v, %v) sensor %d: Read = %d, Value = %d", i, p.v, p.f, j, got, want)
@@ -291,19 +291,31 @@ func TestCoreReadMatchesValue(t *testing.T) {
 var sinkRead int
 
 // BenchmarkCoreReads times one core's five CPM reads at a step's sensed
-// voltage and frequency: the law terms once, then each sensor's read.
+// voltage and frequency: the law terms once, then each sensor's read. At a
+// held clock the voltage wanders within a detector position, as a settled
+// core's does, so the memo answers nearly every read; a cycling clock
+// changes every sensor's divisor each read, so every read divides.
 func BenchmarkCoreReads(b *testing.B) {
-	law := vf.Default()
-	ss := coreSensors(law, 23)
-	vs := []units.Millivolt{1150, 1162, 1171, 1183}
-	fs := []units.Megahertz{4200, 4310, 4420, 3900}
-	b.ReportAllocs()
-	i := 0
-	for b.Loop() {
-		terms := CoreTerms(&law, vs[i&3], fs[i&3])
-		for _, s := range ss {
-			sinkRead = s.Read(terms)
-		}
-		i++
+	for _, bc := range []struct {
+		name string
+		vs   []units.Millivolt
+		fs   []units.Megahertz
+	}{
+		{"held", []units.Millivolt{1150, 1150.4, 1149.7, 1150.2}, []units.Megahertz{4200, 4200, 4200, 4200}},
+		{"cycling", []units.Millivolt{1150, 1162, 1171, 1183}, []units.Megahertz{4200, 4310, 4420, 3900}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			law := vf.Default()
+			ss := coreSensors(law, 23)
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				terms := CoreTerms(&law, bc.vs[i&3], bc.fs[i&3])
+				for _, s := range ss {
+					sinkRead = s.Read(terms)
+				}
+				i++
+			}
+		})
 	}
 }

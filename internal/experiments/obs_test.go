@@ -97,6 +97,48 @@ func TestRecorderMacroExactEventStreamsMatch(t *testing.T) {
 	}
 }
 
+// TestRecorderViolationCountsAgreeAcrossLanes runs the two experiments
+// whose chips run short of timing margin, Fig. 6's calibration sweep and
+// the aging sweep, on the macro, sampled and exact lanes, and requires
+// each lane to count the same margin violations and firmware ticks. Every
+// span a lane takes — a leap, a fast-forward segment, a micro-step, a
+// re-sync fragment — charges the 1 ms grid points it covers, so the
+// counts cannot depend on where the spans fall. The di/dt event count is
+// left out: a fast-forward evaluates the exposure schedule at its frozen
+// operating point, so the sampled lane may see one event more or less.
+func TestRecorderViolationCountsAgreeAcrossLanes(t *testing.T) {
+	for _, x := range []struct {
+		name string
+		run  func(Options)
+	}{
+		{"fig6", func(o Options) { Fig06CPMCalibration(o) }},
+		{"ext-aging", func(o Options) { AgingSweep(o) }},
+	} {
+		type counts struct{ violations, ticks uint64 }
+		lanes := map[string]counts{}
+		for _, lane := range []string{"exact", "macro", "sampled"} {
+			o := QuickOptions()
+			o.Workers = 2
+			o.Exact = lane == "exact"
+			o.Sampled = lane == "sampled"
+			o.Recorder = obs.New(x.name, 0)
+			x.run(o)
+			lg := o.Recorder.Snapshot()
+			lanes[lane] = counts{lg.TotalCounter(obs.CMarginViolations), lg.TotalCounter(obs.CFirmwareTicks)}
+		}
+		exact := lanes["exact"]
+		if exact.violations == 0 {
+			t.Fatalf("%s: no margin violation on the exact lane; the check is vacuous", x.name)
+		}
+		for _, lane := range []string{"macro", "sampled"} {
+			if got := lanes[lane]; got != exact {
+				t.Errorf("%s: %s lane counts %d margin violations and %d firmware ticks, exact lane %d and %d",
+					x.name, lane, got.violations, got.ticks, exact.violations, exact.ticks)
+			}
+		}
+	}
+}
+
 func TestRecorderSameSeedRunsMatch(t *testing.T) {
 	a := recordedOpts(4, false)
 	b := recordedOpts(4, false)

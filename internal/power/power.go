@@ -112,9 +112,13 @@ func (p *Params) Validate() error {
 	return nil
 }
 
-// vScale returns (V/Vnom)^exp.
-func (p *Params) vScale(v units.Millivolt, exp float64) float64 {
-	ratio := float64(v) / float64(p.NominalV)
+// vRatio returns V/Vnom, the base of every voltage scaling.
+func (p *Params) vRatio(v units.Millivolt) float64 {
+	return float64(v) / float64(p.NominalV)
+}
+
+// scale returns ratio^exp.
+func scale(ratio, exp float64) float64 {
 	switch exp {
 	case 2:
 		return ratio * ratio
@@ -142,7 +146,12 @@ func (p *Params) Dynamic(v units.Millivolt, f units.Megahertz, a, u float64) uni
 
 // Leakage returns one powered core's leakage at voltage v and temperature t.
 func (p *Params) Leakage(v units.Millivolt, t units.Celsius) units.Watt {
-	w := float64(p.CoreLeakW) * p.vScale(v, p.LeakVoltExp)
+	return p.leakage(p.vRatio(v), t)
+}
+
+// leakage is Leakage at voltage ratio V/Vnom.
+func (p *Params) leakage(ratio float64, t units.Celsius) units.Watt {
+	w := float64(p.CoreLeakW) * scale(ratio, p.LeakVoltExp)
 	w *= 1 + p.LeakTempCoeff*float64(t-p.NominalT)
 	if w < 0 {
 		w = 0
@@ -156,10 +165,12 @@ func (p *Params) Core(state CoreState, v units.Millivolt, f units.Megahertz, a, 
 	case Gated:
 		return p.GatedLeakW
 	case IdleOn:
-		return p.Leakage(v, t) + units.Watt(float64(p.IdleClockW)*p.vScale(v, 2))
+		r := p.vRatio(v)
+		return p.leakage(r, t) + units.Watt(float64(p.IdleClockW)*scale(r, 2))
 	case Active:
-		return p.Leakage(v, t) +
-			units.Watt(float64(p.IdleClockW+p.ActiveBaseW)*p.vScale(v, 2)) +
+		r := p.vRatio(v)
+		return p.leakage(r, t) +
+			units.Watt(float64(p.IdleClockW+p.ActiveBaseW)*scale(r, 2)) +
 			p.Dynamic(v, f, a, u)
 	default:
 		panic(fmt.Sprintf("power: unknown core state %d", int(state)))
@@ -168,5 +179,5 @@ func (p *Params) Core(state CoreState, v units.Millivolt, f units.Megahertz, a, 
 
 // Uncore returns the shared (non-core) Vdd-rail power at voltage v.
 func (p *Params) Uncore(v units.Millivolt) units.Watt {
-	return units.Watt(float64(p.UncoreW) * p.vScale(v, 2))
+	return units.Watt(float64(p.UncoreW) * scale(p.vRatio(v), 2))
 }

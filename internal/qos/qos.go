@@ -14,6 +14,7 @@ package qos
 
 import (
 	"fmt"
+	"sort"
 
 	"agsim/internal/rng"
 	"agsim/internal/stats"
@@ -90,6 +91,10 @@ type Tracker struct {
 	windows    int
 	violations int
 	history    []WindowResult
+
+	// sojourns is the current window's query sojourn times, sorted in
+	// place for its percentile; the buffer is reused window to window.
+	sojourns []float64
 }
 
 // NewTracker creates a tracker; it panics on an invalid configuration or a
@@ -125,7 +130,7 @@ func (t *Tracker) RunWindow(coreMIPS units.MIPS) WindowResult {
 	}
 
 	end := t.now + t.cfg.WindowSec
-	var sojourns []float64
+	sojourns := t.sojourns[:0]
 	for {
 		t.now += t.r.Exp(1 / rate)
 		if t.now >= end {
@@ -147,12 +152,14 @@ func (t *Tracker) RunWindow(coreMIPS units.MIPS) WindowResult {
 		sojourns = append(sojourns, t.serverFreeAt-t.now)
 	}
 
+	t.sojourns = sojourns
 	res := WindowResult{Queries: len(sojourns)}
 	if len(sojourns) == 0 {
 		// No arrivals in the window: trivially compliant.
 		res.P90Sec = 0
 	} else {
-		res.P90Sec = stats.Percentile(sojourns, 90)
+		sort.Float64s(sojourns)
+		res.P90Sec = stats.PercentileSorted(sojourns, 90)
 	}
 	res.Violated = res.P90Sec > t.cfg.TargetP90Sec
 	t.windows++

@@ -136,3 +136,16 @@ func TestNewTrackerPanics(t *testing.T) {
 		NewTracker(Config{}, rng.New(1, "x"))
 	}()
 }
+
+// TestRunWindowReusesItsBuffer pins the tracker's one sojourn buffer: once
+// it has grown to a window's query count, a window allocates nothing
+// beyond its share of the history's amortized growth.
+func TestRunWindowReusesItsBuffer(t *testing.T) {
+	tr := tracker(7)
+	for i := 0; i < 8; i++ {
+		tr.RunWindow(6000)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { tr.RunWindow(6000) }); allocs != 0 {
+		t.Errorf("RunWindow allocates %v times per window; want 0 once its buffer has grown", allocs)
+	}
+}

@@ -1,5 +1,7 @@
 package snapshot
 
+import "hash/crc32"
+
 // PayloadOf returns an image's CRC-checked payload.
 func PayloadOf(img []byte) ([]byte, error) {
 	_, _, payload, err := readHeader(img)
@@ -15,3 +17,21 @@ func Rewrap(img, payload []byte) []byte {
 	}
 	return image(rootType, meta, payload)
 }
+
+// image frames a payload with its header and CRC, in one allocation of
+// exactly the image size: the bytes Save frames in place around that
+// payload.
+func image(rootType string, meta Meta, payload []byte) []byte {
+	crc := uint64(crc32.ChecksumIEEE(payload))
+	size := len(magic) + 2 + strLen(rootType) + strLen(meta.ShapeKey) + uvarintLen(meta.Seed) +
+		strLen(meta.Revision) + strLen(meta.Extra) + 8 +
+		uvarintLen(uint64(len(payload))) + len(payload) + uvarintLen(crc)
+	h := writer{buf: make([]byte, 0, size)}
+	h.header(rootType, meta)
+	h.bytes(payload)
+	h.u64(crc)
+	return h.buf
+}
+
+// strLen is the encoded size of a length-prefixed string.
+func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }

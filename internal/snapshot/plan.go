@@ -3,6 +3,7 @@ package snapshot
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 )
 
 // typeInfo is what the walker needs to know about one type, computed once
@@ -13,9 +14,12 @@ type typeInfo struct {
 	kind reflect.Kind
 	size uintptr
 
-	elem   *typeInfo   // Ptr, Slice, Array: element type; Map: value type
-	key    *typeInfo   // Map: key type
-	fields []*typeInfo // Struct: field types in declaration order
+	elem *typeInfo // Ptr, Slice, Array: element type; Map: value type
+	key  *typeInfo // Map: key type
+	// fields are a struct's field types in declaration order, nil for a
+	// field tagged `snapshot:"-"`: a cache, which writes no bytes and
+	// keeps the target's value.
+	fields []*typeInfo
 
 	// flat marks a struct whose fields are all bool, int, uint or float:
 	// it encodes and decodes by offset, following plan, with the same
@@ -31,6 +35,11 @@ type typeInfo struct {
 	skip    bool // Struct: runtime-only type, no bytes; Ptr: presence only
 	hooked  bool // Ptr: serializes through its BinaryMarshaler pair
 	keyPtrs bool // Map: key type contains pointers
+
+	// lastImage and lastPtrs are the image size and identity-table size
+	// of the last Save with a root of this type, which size the next
+	// one's buffer and table.
+	lastImage, lastPtrs atomic.Int64
 }
 
 // flatField is one scalar field of a flat struct.
@@ -104,6 +113,9 @@ func buildInfo(t reflect.Type, building map[reflect.Type]*typeInfo) *typeInfo {
 		ti.flat = true
 		for i := range ti.fields {
 			f := t.Field(i)
+			if f.Tag.Get("snapshot") == "-" {
+				continue
+			}
 			fi := buildInfo(f.Type, building)
 			ti.fields[i] = fi
 			ti.minBytes += fi.minBytes

@@ -15,9 +15,10 @@
 // a job, a core run queue and a free list restores as one object), keeps
 // nil-vs-empty slice distinctions, writes maps in sorted-key order, and
 // round-trips RNG stream positions through rng.Source's BinaryMarshaler
-// hook. Funcs, channels and registered runtime-only types (parallel.Pool,
-// the immutable pdn networks) keep the target's value; for registered
-// pointer types presence must match between image and target.
+// hook. Funcs, channels, registered runtime-only types (parallel.Pool,
+// the immutable pdn networks) and struct fields tagged `snapshot:"-"`
+// (caches, such as a CPM's read memo) keep the target's value; for
+// registered pointer types presence must match between image and target.
 //
 // Determinism contract: Save(Load(Save(x))) == Save(x) byte-for-byte, and
 // a restored object's subsequent step trace is bit-identical to the
@@ -26,6 +27,7 @@ package snapshot
 
 import (
 	"encoding"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -298,6 +300,9 @@ func (e *encoder) value(v reflect.Value, ti *typeInfo) {
 			return
 		}
 		for i, fi := range ti.fields {
+			if fi == nil {
+				continue
+			}
 			e.path = append(e.path, pathFrame{ti.t, i})
 			e.value(v.Field(i), fi)
 			e.path = e.path[:len(e.path)-1]
@@ -584,6 +589,9 @@ func (d *decoder) value(v reflect.Value, ti *typeInfo) {
 			if d.bad() {
 				break
 			}
+			if fi == nil {
+				continue
+			}
 			d.path = append(d.path, pathFrame{t, i})
 			d.value(v.Field(i), fi)
 			d.path = d.path[:len(d.path)-1]
@@ -608,38 +616,58 @@ func Save(root any, meta Meta) ([]byte, error) {
 			meta.ShapeKey = s.ShapeKey()
 		}
 	}
-	e := &encoder{ids: map[ptrKey]uint64{}}
-	e.value(rv, infoOf(rv.Type()))
+	// The image is framed in place: the header, the payload encoded right
+	// after it and the CRC, in one buffer sized from the last image of
+	// the same root type with 1/16 to spare for growth, so a Save in a
+	// steady series allocates its image and little else. The payload's
+	// length prefix, reserved at the size the last image's needed, moves
+	// the payload only when it needs a byte more or less.
+	ti := infoOf(rv.Type())
+	e := &encoder{ids: make(map[ptrKey]uint64, ti.lastPtrs.Load())}
+	last := ti.lastImage.Load()
+	e.w.buf = make([]byte, 0, last+last/16)
+	e.w.header(rv.Type().String(), meta)
+	head := len(e.w.buf)
+	prefix := uvarintLen(uint64(max(last-int64(head), 0)))
+	e.w.grow(prefix)
+	e.w.buf = e.w.buf[:head+prefix]
+	e.value(rv, ti)
 	if e.err != nil {
 		return nil, e.err
 	}
-	return image(rv.Type().String(), meta, e.w.buf), nil
+	n := len(e.w.buf) - head - prefix
+	if need := uvarintLen(uint64(n)); need != prefix {
+		e.w.grow(need - prefix)
+		e.w.buf = e.w.buf[:head+need+n]
+		copy(e.w.buf[head+need:], e.w.buf[head+prefix:head+prefix+n])
+		prefix = need
+	}
+	binary.PutUvarint(e.w.buf[head:], uint64(n))
+	e.w.u64(uint64(crc32.ChecksumIEEE(e.w.buf[head+prefix:])))
+	img := e.w.buf
+	ti.lastImage.Store(int64(len(img)))
+	ti.lastPtrs.Store(int64(len(e.ids)))
+	if cap(img)-len(img) > len(img)/8 {
+		// The image outgrew the spare room, or shrank well below the last
+		// one: hand back exactly its size, not the doubled or stale buffer.
+		img = append(make([]byte, 0, len(img)), img...)
+	}
+	return img, nil
 }
 
-// image frames a payload with its header and CRC, in one allocation of
-// exactly the image size.
-func image(rootType string, meta Meta, payload []byte) []byte {
-	crc := uint64(crc32.ChecksumIEEE(payload))
-	size := len(magic) + 2 + strLen(rootType) + strLen(meta.ShapeKey) + uvarintLen(meta.Seed) +
-		strLen(meta.Revision) + strLen(meta.Extra) + 8 +
-		uvarintLen(uint64(len(payload))) + len(payload) + uvarintLen(crc)
-	h := writer{buf: make([]byte, 0, size)}
-	h.buf = append(h.buf, magic...)
-	h.u8(layoutVersion)
-	h.u8(codecVersion)
-	h.str(rootType)
-	h.str(meta.ShapeKey)
-	h.u64(meta.Seed)
-	h.str(meta.Revision)
-	h.str(meta.Extra)
-	h.f64(meta.TimeSec)
-	h.bytes(payload)
-	h.u64(crc)
-	return h.buf
+// header writes everything an image carries before its payload.
+func (w *writer) header(rootType string, meta Meta) {
+	w.grow(len(magic))
+	w.buf = append(w.buf, magic...)
+	w.u8(layoutVersion)
+	w.u8(codecVersion)
+	w.str(rootType)
+	w.str(meta.ShapeKey)
+	w.u64(meta.Seed)
+	w.str(meta.Revision)
+	w.str(meta.Extra)
+	w.f64(meta.TimeSec)
 }
-
-// strLen is the encoded size of a length-prefixed string.
-func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
 // readHeader consumes the header and returns the meta, the root type
 // name, and the payload (CRC-verified).

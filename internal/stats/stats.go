@@ -80,16 +80,19 @@ func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 // Percentile returns the p-th percentile (0-100) of xs using linear
 // interpolation between order statistics. It panics on an empty slice.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty slice")
-	}
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	return PercentileSorted(sorted, p)
 }
 
-func percentileSorted(sorted []float64, p float64) float64 {
+// PercentileSorted is Percentile of a sample already sorted ascending,
+// read in place; a caller that owns its sample sorts it once and copies
+// nothing. It panics on an empty slice.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		panic("stats: Percentile of empty slice")
+	}
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -133,7 +136,7 @@ func (c *CDF) Quantile(q float64) float64 {
 	if len(c.sorted) == 0 {
 		return math.NaN()
 	}
-	return percentileSorted(c.sorted, q*100)
+	return PercentileSorted(c.sorted, q*100)
 }
 
 // Len returns the number of samples in the CDF.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -70,6 +71,25 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	Percentile(xs, 50)
 	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
 		t.Errorf("Percentile mutated input: %v", xs)
+	}
+}
+
+// TestPercentileSortedMatchesPercentile reads percentiles in place from a
+// sorted copy and requires Percentile's values bit for bit.
+func TestPercentileSortedMatchesPercentile(t *testing.T) {
+	r := rng.New(5, "sorted")
+	for n := 1; n < 60; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = r.Exp(1)
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		for _, p := range []float64{-1, 0, 10, 50, 90, 99.9, 100, 120} {
+			if got, want := PercentileSorted(sorted, p), Percentile(xs, p); got != want {
+				t.Fatalf("n=%d p=%v: PercentileSorted %v, Percentile %v", n, p, got, want)
+			}
+		}
 	}
 }
 

@@ -15,7 +15,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"agsim/internal/units"
@@ -171,7 +170,7 @@ func (d *Descriptor) effectiveIPC(smtThreads float64) float64 {
 	}
 	// Total core IPC grows as 1 + 0.35*(t-1) up to 4 threads, then divides
 	// among the threads.
-	total := d.IPC * (1 + 0.35*(math.Min(smtThreads, 4)-1))
+	total := d.IPC * (1 + 0.35*(min(smtThreads, 4)-1))
 	return total / smtThreads
 }
 
@@ -187,7 +186,7 @@ func (d *Descriptor) MIPSPerThread(f units.Megahertz, memFactor, smtThreads floa
 // workloads end up low-power.
 func (d *Descriptor) Utilization(f units.Megahertz, memFactor, smtThreads float64) float64 {
 	total := d.TimeNsPerInst(f, memFactor, smtThreads)
-	mem := d.MemNsPerInst * math.Max(memFactor, 1)
+	mem := d.MemNsPerInst * max(memFactor, 1)
 	return (total - mem) / total
 }
 
