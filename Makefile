@@ -35,24 +35,22 @@
 #                        curl the live /health, /timeseries and /stream
 #                        endpoints, read the probe set with amesterd -connect,
 #                        require amesterd and an attached -watch client to
-#                        exit within 5s of SIGTERM, run agsched once, and
-#                        run cpmcal's calibration sweep (its 4200 MHz fit)
-#   make dist-smoke    — the distributed-sweep and checkpoint/replay smoke:
-#                        sweep DIST_SMOKE_UNITS through a two-worker fleet
-#                        and through a single worker and require the merges
-#                        byte-identical, then serve with -snap-dir, SIGTERM
-#                        (graceful shutdown writes a final snapshot) and
-#                        `agsim replay` the newest image to the next
-#                        cpm-window event
+#                        exit within 5s of SIGTERM, serve again with
+#                        -snap-dir, SIGTERM (graceful shutdown writes a final
+#                        snapshot), `agsim replay` the newest image to the
+#                        next cpm-window event and require `-until droops`
+#                        to exit 2 at once, run agsched once, and run
+#                        cpmcal's calibration sweep (its 4200 MHz fit)
 #   make fuzz-smoke    — run each fuzz target for 20s: snapshot FuzzLoad
 #                        (mutated image payloads decoded into a live chip
 #                        and a small fleet must never panic or allocate
 #                        without bound), pdn FuzzMeshSolve, qos
-#                        FuzzRunWindow, amester FuzzTimeseriesQuery and
-#                        cpm FuzzSensorRead (a memoized CPM must read and
-#                        latch exactly as the memo-free expression)
+#                        FuzzRunWindow, amester FuzzTimeseriesQuery, cpm
+#                        FuzzSensorRead (a memoized CPM must read and
+#                        latch exactly as the memo-free expression) and
+#                        agsim FuzzParseUntil (`agsim replay -until`)
 #   make ci            — everything CI runs: check + race + smoke +
-#                        dist-smoke + fuzz-smoke + bench + bench-compare
+#                        fuzz-smoke + bench + bench-compare
 #                        (bench-compare gates ns/op regressions and the
 #                        recorder's overhead/alloc budget)
 #
@@ -67,10 +65,8 @@ SMOKE_EXP   ?= fig3
 SMOKE_DIR   ?= /tmp/agsim-smoke
 SMOKE_AMESTER_PORT ?= 7207
 SMOKE_HTTP_PORT    ?= 7208
-DIST_SMOKE_PORT    ?= 7209
-DIST_SMOKE_UNITS   ?= fig3,fig16
 
-.PHONY: all fmt build vet test check race bench bench-compare profile smoke dist-smoke fuzz-smoke ci
+.PHONY: all fmt build vet test check race bench bench-compare profile smoke fuzz-smoke ci
 
 all: check
 
@@ -160,47 +156,10 @@ smoke:
 	[ $$st -eq 0 ] || { echo "smoke: amesterd exit status $$st after SIGTERM (137: still running after 5s)"; cat $(SMOKE_DIR)/amesterd.log; exit 1; }; \
 	[ $$wst -ne 137 ] || { echo "smoke: watcher still running 5s after amesterd's SIGTERM"; exit 1; }; \
 	echo "smoke: amesterd and its watcher exited after SIGTERM"
-	$(GO) build -o $(SMOKE_DIR)/agsched ./cmd/agsched
-	$(SMOKE_DIR)/agsched -duration 0.5 >$(SMOKE_DIR)/agsched.out
-	@grep -q '^  total power ' $(SMOKE_DIR)/agsched.out
-	@echo "smoke: agsched printed its total power line"
-	$(GO) build -o $(SMOKE_DIR)/cpmcal ./cmd/cpmcal
-	$(SMOKE_DIR)/cpmcal >$(SMOKE_DIR)/cpmcal.out
-	@grep -q '^ *4200 MHz: ' $(SMOKE_DIR)/cpmcal.out
-	@echo "smoke: cpmcal printed its 4200 MHz fit"
-	@echo "smoke: exporters validated in $(SMOKE_DIR)"
-
-# Distributed-sweep smoke: the same unit list swept by a two-worker fleet
-# and by a single worker must merge byte-identically (the coordinator
-# assembles renders in unit order, so worker count can't show). Then the
-# snapshot/replay loop: serve with periodic snapshots, SIGTERM (graceful
-# shutdown writes a final image), and time-travel from the newest image to
-# the next cpm-window event.
-dist-smoke:
-	mkdir -p $(SMOKE_DIR)
-	$(GO) build -o $(SMOKE_DIR)/amesterd ./cmd/amesterd
 	$(GO) build -o $(SMOKE_DIR)/agsim ./cmd/agsim
 	@set -e; \
-	for n in 2 1; do \
-		$(SMOKE_DIR)/amesterd -listen 127.0.0.1:$(DIST_SMOKE_PORT) \
-			-sweep $(DIST_SMOKE_UNITS) -quick \
-			>$(SMOKE_DIR)/dist$$n.out 2>$(SMOKE_DIR)/dist$$n.log & cpid=$$!; \
-		trap 'kill $$cpid 2>/dev/null' EXIT INT TERM; \
-		i=0; until curl -sf http://127.0.0.1:$(DIST_SMOKE_PORT)/status >/dev/null 2>&1; do \
-			i=$$((i+1)); [ $$i -lt 50 ] || { cat $(SMOKE_DIR)/dist$$n.log; exit 1; }; \
-			sleep 0.2; \
-		done; \
-		w=0; while [ $$w -lt $$n ]; do w=$$((w+1)); \
-			$(SMOKE_DIR)/agsim worker http://127.0.0.1:$(DIST_SMOKE_PORT) \
-				2>$(SMOKE_DIR)/dist$$n-w$$w.log & \
-		done; \
-		wait $$cpid; trap - EXIT INT TERM; \
-	done; \
-	cmp $(SMOKE_DIR)/dist2.out $(SMOKE_DIR)/dist1.out; \
-	echo "dist-smoke: two-worker merge byte-identical to single-worker ($$(wc -c <$(SMOKE_DIR)/dist2.out) bytes)"
-	@set -e; \
 	rm -rf $(SMOKE_DIR)/snaps; mkdir -p $(SMOKE_DIR)/snaps; \
-	$(SMOKE_DIR)/amesterd -listen 127.0.0.1:$(DIST_SMOKE_PORT) -seed 7 \
+	$(SMOKE_DIR)/amesterd -listen 127.0.0.1:$(SMOKE_AMESTER_PORT) -seed 7 \
 		-snap-dir $(SMOKE_DIR)/snaps -snap-every 0.5 \
 		>$(SMOKE_DIR)/serve.log 2>&1 & spid=$$!; \
 	trap 'kill $$spid 2>/dev/null' EXIT INT TERM; \
@@ -212,16 +171,30 @@ dist-smoke:
 	snap=$$(ls $(SMOKE_DIR)/snaps/*.snap | sort | tail -1); \
 	$(SMOKE_DIR)/agsim replay -from $$snap -until cpm-window | tee $(SMOKE_DIR)/replay.out; \
 	grep -q 'cpm-window #1' $(SMOKE_DIR)/replay.out; \
-	echo "dist-smoke: replayed $$snap to the next cpm-window event"
+	echo "smoke: replayed $$snap to the next cpm-window event"; \
+	timeout 5 $(SMOKE_DIR)/agsim replay -from $$snap -until droops \
+		>$(SMOKE_DIR)/replay-bad.out 2>&1 && st=0 || st=$$?; \
+	[ $$st -eq 2 ] || { echo "smoke: agsim replay -until droops exit status $$st, want 2 (124: still stepping after 5s)"; cat $(SMOKE_DIR)/replay-bad.out; exit 1; }; \
+	grep -q 'cpm-window' $(SMOKE_DIR)/replay-bad.out; \
+	echo "smoke: agsim replay -until droops exited 2, listing the event kinds"
+	$(GO) build -o $(SMOKE_DIR)/agsched ./cmd/agsched
+	$(SMOKE_DIR)/agsched -duration 0.5 >$(SMOKE_DIR)/agsched.out
+	@grep -q '^  total power ' $(SMOKE_DIR)/agsched.out
+	@echo "smoke: agsched printed its total power line"
+	$(GO) build -o $(SMOKE_DIR)/cpmcal ./cmd/cpmcal
+	$(SMOKE_DIR)/cpmcal >$(SMOKE_DIR)/cpmcal.out
+	@grep -q '^ *4200 MHz: ' $(SMOKE_DIR)/cpmcal.out
+	@echo "smoke: cpmcal printed its 4200 MHz fit"
+	@echo "smoke: exporters validated in $(SMOKE_DIR)"
 
 # Fuzz smoke: a short run of each fuzz target (go test fuzzes one target
 # per invocation). Minimization of a new input is capped well below the
 # run time so a large seed cannot spend the whole budget shrinking one case.
 fuzz-smoke:
 	@set -e; for t in ./internal/snapshot:FuzzLoad ./internal/pdn:FuzzMeshSolve ./internal/qos:FuzzRunWindow \
-		./internal/amester:FuzzTimeseriesQuery ./internal/cpm:FuzzSensorRead; do \
+		./internal/amester:FuzzTimeseriesQuery ./internal/cpm:FuzzSensorRead ./cmd/agsim:FuzzParseUntil; do \
 		echo "fuzz-smoke: $${t%%:*} $${t##*:} for 20s"; \
 		$(GO) test $${t%%:*} -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime 20s -fuzzminimizetime 5s; \
 	done
 
-ci: check race smoke dist-smoke fuzz-smoke bench bench-compare
+ci: check race smoke fuzz-smoke bench bench-compare

@@ -1,8 +1,7 @@
-// Package agsim_test benchmarks regenerate every table and figure of the
-// paper's evaluation. Each benchmark runs the corresponding experiment
-// driver and reports the headline statistics as custom benchmark metrics,
-// so `go test -bench=. -benchmem` doubles as a regression harness for the
-// reproduced results.
+// Package agsim_test benchmarks the simulator's hot paths, sweep engine,
+// fleet and sampled lanes: the passes scripts/bench.sh records and
+// scripts/bench_compare.sh gates. Each experiment's own cost is timed by
+// bench/agbench (its paper workload's per-experiment layers).
 //
 // Benchmarks default to the reduced (Quick) sweeps so the full suite stays
 // in benchmark-friendly time; set AGSIM_BENCH_FULL=1 for the full-fidelity
@@ -15,12 +14,10 @@ import (
 	"testing"
 
 	"agsim/internal/chip"
-	"agsim/internal/cluster"
 	"agsim/internal/experiments"
 	"agsim/internal/firmware"
 	"agsim/internal/fleet"
 	"agsim/internal/obs"
-	"agsim/internal/pdn"
 	"agsim/internal/sample"
 	"agsim/internal/server"
 	"agsim/internal/traffic"
@@ -33,144 +30,6 @@ func benchOptions() experiments.Options {
 		return experiments.DefaultOptions()
 	}
 	return experiments.QuickOptions()
-}
-
-func BenchmarkFig03CoreScalingPower(b *testing.B) {
-	o := benchOptions()
-	var r experiments.Fig03Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig03CoreScaling(o)
-	}
-	b.ReportMetric(r.SavingAt1, "saving@1core_%")
-	b.ReportMetric(r.SavingAt8, "saving@8core_%")
-	b.ReportMetric(r.EDPImprovementAt1, "edp@1core_%")
-}
-
-func BenchmarkFig04FrequencyBoost(b *testing.B) {
-	o := benchOptions()
-	var r experiments.Fig04Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig04FrequencyBoost(o)
-	}
-	b.ReportMetric(r.BoostAt1, "boost@1core_%")
-	b.ReportMetric(r.BoostAt8, "boost@8core_%")
-	b.ReportMetric(r.SpeedupAt1, "speedup@1core_%")
-	b.ReportMetric(r.SpeedupAt8, "speedup@8core_%")
-}
-
-func BenchmarkFig05Heterogeneity(b *testing.B) {
-	o := benchOptions()
-	var r experiments.Fig05Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig05Heterogeneity(o)
-	}
-	b.ReportMetric(r.AvgPowerAt1, "avg@1core_%")
-	b.ReportMetric(r.AvgPowerAt8, "avg@8core_%")
-	b.ReportMetric(r.MaxFreqAt1, "maxfreq@1core_%")
-}
-
-func BenchmarkFig06CPMCalibration(b *testing.B) {
-	o := benchOptions()
-	var r experiments.Fig06Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig06CPMCalibration(o)
-	}
-	b.ReportMetric(r.MVPerBitAtPeak, "mV/bit@4.2GHz")
-	b.ReportMetric(r.R2AtPeak, "R2")
-}
-
-func BenchmarkFig07VoltageDrop(b *testing.B) {
-	o := benchOptions()
-	var r experiments.Fig07Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig07VoltageDrop(o)
-	}
-	b.ReportMetric(r.Core0DropAt1, "drop@1core_%")
-	b.ReportMetric(r.Core0DropAt8, "drop@8core_%")
-}
-
-func BenchmarkFig09Decomposition(b *testing.B) {
-	o := benchOptions()
-	var r experiments.Fig09Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig09Decomposition(o)
-	}
-	b.ReportMetric(r.PassiveShareAt8, "passive_share")
-	b.ReportMetric(r.TypTrend, "typ_trend_%")
-	b.ReportMetric(r.WorstTrend, "worst_trend_%")
-}
-
-func BenchmarkFig10PassiveDropCorrelation(b *testing.B) {
-	o := benchOptions()
-	var r experiments.Fig10Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig10PassiveDropCorrelation(o)
-	}
-	b.ReportMetric(r.PowerPassiveR2, "R2")
-	b.ReportMetric(r.UndervoltSlope, "uv_slope_mV/mV")
-	b.ReportMetric(r.SavingMax, "saving_max_%")
-}
-
-func BenchmarkFig12LoadlineBorrowing(b *testing.B) {
-	o := benchOptions()
-	var r experiments.Fig12Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig12LoadlineBorrowing(o)
-	}
-	b.ReportMetric(r.ExtraUndervoltAt8, "extra_uv@8core_mV")
-	b.ReportMetric(r.ImprovementAt8, "improvement@8core_%")
-}
-
-func BenchmarkFig13BorrowingSweep(b *testing.B) {
-	o := benchOptions()
-	var r experiments.Fig13Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig13BorrowingSweep(o)
-	}
-	b.ReportMetric(r.AvgBaselineAt8, "baseline@8core_%")
-	b.ReportMetric(r.AvgBorrowingAt8, "borrowing@8core_%")
-}
-
-func BenchmarkFig14FullSuite(b *testing.B) {
-	o := benchOptions()
-	var r experiments.Fig14Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig14FullSuite(o)
-	}
-	b.ReportMetric(r.AvgPowerImprovement, "avg_power_%")
-	b.ReportMetric(r.AvgEnergyImprovement, "avg_energy_%")
-	b.ReportMetric(r.BestEnergy, "best_energy_%")
-}
-
-func BenchmarkFig15Colocation(b *testing.B) {
-	o := benchOptions()
-	var r experiments.Fig15Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig15Colocation(o)
-	}
-	b.ReportMetric(r.CoremarkOnly, "coremark_only_MHz")
-	b.ReportMetric(r.SwingMHz, "swing_MHz")
-}
-
-func BenchmarkFig16MIPSPredictor(b *testing.B) {
-	o := benchOptions()
-	var r experiments.Fig16Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig16MIPSPredictor(o)
-	}
-	b.ReportMetric(r.RelRMSE*100, "rel_rmse_%")
-	b.ReportMetric(r.SlopeMHzPerKMIPS, "slope_MHz/kMIPS")
-}
-
-func BenchmarkFig17AdaptiveMapping(b *testing.B) {
-	o := benchOptions()
-	var r experiments.Fig17Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig17AdaptiveMapping(o)
-	}
-	b.ReportMetric(r.ViolationHeavy*100, "viol_heavy_%")
-	b.ReportMetric(r.ViolationAfterSwap*100, "viol_after_swap_%")
-	b.ReportMetric(r.TailImprovementPct, "tail_improvement_%")
 }
 
 // Microbenchmarks for the simulator's hot paths.
@@ -298,38 +157,6 @@ func BenchmarkChipStepMesh(b *testing.B) {
 	}
 }
 
-// BenchmarkNewMesh prices the one-off setup the constant-time step buys:
-// Laplacian assembly, sparse Cholesky, and Cores+1 unit-injection solves.
-// It calls pdn.NewMesh directly because chip construction now draws the
-// kernel from the process-wide cache and no longer pays this cost.
-func BenchmarkNewMesh(b *testing.B) {
-	mp := pdn.DefaultMeshParams()
-	var m *pdn.Mesh
-	for i := 0; i < b.N; i++ {
-		var err error
-		m, err = pdn.NewMesh(mp)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	_ = m
-}
-
-// BenchmarkSharedMeshHit prices what mesh-lane chip construction pays
-// instead of BenchmarkNewMesh: one lookup in the shared kernel cache.
-func BenchmarkSharedMeshHit(b *testing.B) {
-	mp := pdn.DefaultMeshParams()
-	if _, err := pdn.SharedMesh(mp); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pdn.SharedMesh(mp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkChipStepOverclock(b *testing.B) {
 	c := chip.MustNew(chip.DefaultConfig("bench", 1))
 	d := workload.MustGet("lu_cb")
@@ -366,17 +193,6 @@ func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 4, false) }
 // distributed-grid PDN, pricing the transfer-matrix kernel end to end.
 func BenchmarkSweepSerialMesh(b *testing.B)   { benchSweep(b, 1, true) }
 func BenchmarkSweepParallelMesh(b *testing.B) { benchSweep(b, 4, true) }
-
-func BenchmarkFig07VoltageDropMesh(b *testing.B) {
-	o := benchOptions()
-	o.Mesh = true
-	var r experiments.Fig07Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig07VoltageDrop(o)
-	}
-	b.ReportMetric(r.Core0DropAt1, "drop@1core_%")
-	b.ReportMetric(r.Core0DropAt8, "drop@8core_%")
-}
 
 // Multi-rate lane benches: the sweep and datacenter drivers on the pure
 // 1 ms reference lane (Options.Exact, the -exact flag). Their macro
@@ -649,49 +465,6 @@ func TestSampledRunRecordedZeroAlloc(t *testing.T) {
 	}
 }
 
-// Ablation benches: the design-choice sweeps DESIGN.md calls out.
-
-func BenchmarkAblationLoadReserve(b *testing.B) {
-	o := benchOptions()
-	var r experiments.AblationLoadReserveResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.AblationLoadReserve(o)
-	}
-	if row, ok := r.Table.Row("k=1.08"); ok {
-		b.ReportMetric(row.Values[2], "llb_imp@8_%")
-	}
-}
-
-func BenchmarkAblationDPLLAuthority(b *testing.B) {
-	o := benchOptions()
-	var r experiments.AblationDPLLAuthorityResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.AblationDPLLAuthority(o)
-	}
-	b.ReportMetric(float64(r.ViolationsWithoutSlew), "violations_no_slew")
-	b.ReportMetric(float64(r.ViolationsWithSlew), "violations_full_slew")
-}
-
-func BenchmarkAblationCPMVariation(b *testing.B) {
-	o := benchOptions()
-	var r experiments.AblationCPMVariationResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.AblationCPMVariation(o)
-	}
-	b.ReportMetric(r.UndervoltTight-r.UndervoltWide, "uv_cost_of_spread_mV")
-}
-
-func BenchmarkAblationContention(b *testing.B) {
-	o := benchOptions()
-	var r experiments.AblationContentionResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.AblationContention(o)
-	}
-	if row, ok := r.Table.Row("exp=1.4"); ok {
-		b.ReportMetric(row.Values[0], "radix_split_speedup_x")
-	}
-}
-
 func BenchmarkDatacenterSweep(b *testing.B) {
 	o := benchOptions()
 	var r experiments.DatacenterResult
@@ -700,65 +473,4 @@ func BenchmarkDatacenterSweep(b *testing.B) {
 	}
 	b.ReportMetric(r.SavingAtHalfLoad, "ags_vs_naive_%")
 	b.ReportMetric(experiments.DatacenterSimSeconds(o), "sim_s/op")
-}
-
-func BenchmarkExtDVFSComparison(b *testing.B) {
-	o := benchOptions()
-	var r experiments.DVFSResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.DVFSComparison(o)
-	}
-	b.ReportMetric(r.AdaptiveSavingVsNominalPct, "adaptive_vs_pstate_%")
-}
-
-func BenchmarkExtAgingSweep(b *testing.B) {
-	o := benchOptions()
-	var r experiments.AgingResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.AgingSweep(o)
-	}
-	b.ReportMetric(r.StaticFailureOnsetMV, "static_failure_onset_mV")
-	b.ReportMetric(float64(r.AdaptiveViolations), "adaptive_violations")
-}
-
-func BenchmarkExtSMTScaling(b *testing.B) {
-	o := benchOptions()
-	var r experiments.SMTResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.SMTScaling(o)
-	}
-	b.ReportMetric(r.ThroughputGainSMT4, "smt4_throughput_gain_%")
-	b.ReportMetric(r.EfficiencyGainSMT4, "smt4_mips_per_w_gain_%")
-}
-
-func BenchmarkExtDatacenterTrace(b *testing.B) {
-	var stats cluster.PlayerStats
-	for i := 0; i < b.N; i++ {
-		c := cluster.MustNew(2, cluster.DefaultNodeConfig(33))
-		c.SetMode(firmware.Undervolt)
-		p, err := cluster.NewPlayer(c, cluster.TraceConfig{
-			ArrivalPerSec: 1,
-			Mix: []cluster.MixEntry{
-				{Bench: "coremark", Threads: 2, Weight: 2, WorkGInst: 10},
-				{Bench: "raytrace", Threads: 4, Weight: 1, WorkGInst: 20},
-			},
-			Seed: 33,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		stats = p.Run(10)
-	}
-	b.ReportMetric(stats.AvgPowerW, "avg_cluster_w")
-	b.ReportMetric(stats.AvgPoweredNodes, "avg_powered_nodes")
-}
-
-func BenchmarkExtDroopCensus(b *testing.B) {
-	o := benchOptions()
-	var r experiments.DroopCensusResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.DroopCensus(o)
-	}
-	b.ReportMetric(r.RateAt8, "droops_per_sec@8")
-	b.ReportMetric(r.DepthGrowth, "depth_growth_x")
 }

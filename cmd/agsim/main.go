@@ -9,9 +9,6 @@
 //	                           statistics against the paper's numbers
 //	agsim report [flags]       emit the full markdown report EXPERIMENTS.md
 //	                           is built from
-//	agsim worker URL           join a distributed sweep as a pull-based
-//	                           worker (URL = the coordinator started by
-//	                           `amesterd -listen ADDR -sweep ...`)
 //	agsim replay -from F.snap  restore an amesterd snapshot and step until
 //	                           a flight-recorder event (-until kind[:N])
 //
@@ -68,8 +65,6 @@ func main() {
 		os.Exit(2)
 	}
 	switch os.Args[1] {
-	case "worker", "-worker":
-		workerCmd(os.Args[2:])
 	case "replay":
 		replayCmd(os.Args[2:])
 	case "list":
@@ -92,7 +87,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: agsim {list | run <id|all> [flags] [-full] | report [flags] | workloads | worker <url> | replay -from <snap> [-until kind[:n]]}")
+	fmt.Fprintln(os.Stderr, "usage: agsim {list | run <id|all> [flags] [-full] | report [flags] | workloads | replay -from <snap> [-until kind[:n]]}")
 	fmt.Fprintln(os.Stderr, "flags: [-quick] [-seed N] [-workers N] [-mesh] [-exact] [-sampled] [-ci F] [-nodes N] [-events]")
 	fmt.Fprintln(os.Stderr, "       [-timeseries] [-trace-out f] [-metrics-out f] [-cpuprofile f] [-memprofile f]")
 }
@@ -214,7 +209,7 @@ func options(fs *flag.FlagSet, args []string) (experiments.Options, recording, f
 	o.Sampled = *sampled
 	o.TargetCI = *ci
 	o.Nodes = *nodes
-	if err := o.Wire().Validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "agsim:", err)
 		os.Exit(2)
 	}
@@ -381,12 +376,9 @@ func reportCmd(args []string) {
 	fmt.Println("recorder, the plane never perturbs results and the instrumented step")
 	fmt.Println("stays at 0 allocs/op; see ARCHITECTURE.md, \"Telemetry plane\".")
 	fmt.Println()
-	fmt.Println("Distributed sweeps and checkpoint/restore: this whole report shards")
-	fmt.Println("across processes (`amesterd -listen ADDR -sweep all` + N x `agsim worker")
-	fmt.Println("URL`, merged byte-identically to a serial run), and the snapshot engine")
-	fmt.Println("time-travels serving daemons (`amesterd -snap-dir` + `agsim replay -from")
-	fmt.Println("FILE.snap -until kind`). See ARCHITECTURE.md, \"Checkpoint/restore and")
-	fmt.Println("distributed sweeps\".")
+	fmt.Println("Checkpoint/restore: the snapshot engine time-travels serving daemons")
+	fmt.Println("(`amesterd -snap-dir` + `agsim replay -from FILE.snap -until kind`). See")
+	fmt.Println("ARCHITECTURE.md, \"Checkpoint/restore\".")
 	runtimes := make([]time.Duration, 0, len(experiments.Registry()))
 	for _, e := range experiments.Registry() {
 		o.Recorder = rc.recorder(e.ID)

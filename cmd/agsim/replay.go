@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -32,27 +33,47 @@ func replayCmd(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	if err := replay(*from, *until, *maxSec); err != nil {
+	// Bad flags exit before the snapshot is read, as run/report flags do.
+	var kind obs.Kind
+	want := 0
+	if *until != "" {
+		var err error
+		if kind, want, err = parseUntil(*until); err != nil {
+			fmt.Fprintln(os.Stderr, "agsim replay:", err)
+			os.Exit(2)
+		}
+	}
+	if !(*maxSec > 0) || math.IsInf(*maxSec, 1) {
+		fmt.Fprintf(os.Stderr, "agsim replay: bad -max-sec %v: want a finite value > 0\n", *maxSec)
+		os.Exit(2)
+	}
+	if err := replay(*from, kind, want, *maxSec); err != nil {
 		fmt.Fprintln(os.Stderr, "agsim replay:", err)
 		os.Exit(1)
 	}
 }
 
-// parseUntil splits "kind" or "kind:N" into the event-kind name and the
-// occurrence count.
-func parseUntil(s string) (kind string, n int, err error) {
-	kind, n = s, 1
+// parseUntil splits "kind" or "kind:N" into the event kind and the
+// occurrence count N >= 1.
+func parseUntil(s string) (obs.Kind, int, error) {
+	name, n := s, 1
 	if i := strings.LastIndex(s, ":"); i >= 0 {
-		kind = s[:i]
-		n, err = strconv.Atoi(s[i+1:])
-		if err != nil || n < 1 {
-			return "", 0, fmt.Errorf("bad -until %q: want kind or kind:N with N >= 1", s)
+		name = s[:i]
+		var err error
+		if n, err = strconv.Atoi(s[i+1:]); err != nil || n < 1 {
+			return 0, 0, fmt.Errorf("bad -until %q: want kind or kind:N with N >= 1", s)
 		}
+	}
+	kind, err := obs.ParseKind(name)
+	if err != nil {
+		return 0, 0, fmt.Errorf("bad -until %q: %w", s, err)
 	}
 	return kind, n, nil
 }
 
-func replay(path, until string, maxSec float64) error {
+// replay restores the snapshot at path and steps until the want-th event
+// of kind; with want 0 it only reports the restored state.
+func replay(path string, kind obs.Kind, want int, maxSec float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -75,15 +96,11 @@ func replay(path, until string, maxSec float64) error {
 	fmt.Printf("replay: restored %s at t=%.3fs (%d threads of %s, %s, seed %d)\n",
 		path, srv.Time(), sc.Threads, sc.Workload, sc.Mode, sc.Seed)
 
-	if until == "" {
+	if want == 0 {
 		// No target: just confirm the restore and report the state.
 		fmt.Printf("replay: power %.1f W at t=%.3fs — pass -until kind[:N] to step forward\n",
 			float64(srv.TotalPower()), srv.Time())
 		return nil
-	}
-	kind, want, err := parseUntil(until)
-	if err != nil {
-		return err
 	}
 
 	// Step forward one firmware tick at a time, scanning only events newer
@@ -97,7 +114,7 @@ func replay(path, until string, maxSec float64) error {
 			srv.Step(chip.DefaultStepSec)
 		}
 		for _, ev := range rec.Snapshot().Events {
-			if ev.TimeUS <= afterUS || ev.Kind.String() != kind {
+			if ev.TimeUS <= afterUS || ev.Kind != kind {
 				continue
 			}
 			seen++

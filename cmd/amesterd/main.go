@@ -24,7 +24,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -40,21 +39,14 @@ import (
 
 	"agsim/internal/amester"
 	"agsim/internal/chip"
-	"agsim/internal/experiments"
 	"agsim/internal/firmware"
 	"agsim/internal/obs"
 	"agsim/internal/snapshot"
-	"agsim/internal/sweepd"
 )
 
 func main() {
 	listen := flag.String("listen", "", "serve a simulated server's telemetry on this address")
 	connect := flag.String("connect", "", "connect to a running amesterd and read sensors")
-	sweep := flag.String("sweep", "", `coordinate a distributed sweep over these experiment ids ("all" = every registered experiment) on the -listen address`)
-	leaseTTL := flag.Duration("lease-ttl", sweepd.DefaultLeaseTTL, "sweep mode: how long a worker may hold a unit before it is re-queued")
-	quick := flag.Bool("quick", false, "sweep mode: reduced-fidelity sweeps")
-	sweepWorkers := flag.Int("sweep-workers", 1, "sweep mode: per-unit worker pool each agsim worker uses")
-	exact := flag.Bool("exact", false, "sweep mode: pure 1 ms reference lane")
 	name := flag.String("workload", "raytrace", "benchmark to run (server mode)")
 	threads := flag.Int("threads", 8, "thread count (server mode)")
 	mode := flag.String("mode", "undervolt", "guardband mode: static | undervolt | overclock")
@@ -69,20 +61,6 @@ func main() {
 	flag.Parse()
 
 	switch {
-	case *sweep != "" && *listen != "":
-		o := experiments.DefaultOptions()
-		if *quick {
-			o = experiments.QuickOptions()
-		}
-		if *seed != 0 {
-			o.Seed = *seed
-		}
-		o.Workers = *sweepWorkers
-		o.Exact = *exact
-		if err := coordinate(*listen, *sweep, o, *leaseTTL); err != nil {
-			fmt.Fprintln(os.Stderr, "amesterd:", err)
-			os.Exit(1)
-		}
 	case *listen != "" && *connect == "":
 		if err := serve(*listen, *httpAddr, *name, *threads, *mode, *borrow, *seed, *timeseries, *snapDir, *snapEvery); err != nil {
 			fmt.Fprintln(os.Stderr, "amesterd:", err)
@@ -95,72 +73,8 @@ func main() {
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "usage: amesterd -listen ADDR [server flags] | amesterd -connect ADDR [-watch sensors]")
-		fmt.Fprintln(os.Stderr, "       amesterd -listen ADDR -sweep all [-quick] [-seed N] [-exact] [-lease-ttl D]")
 		os.Exit(2)
 	}
-}
-
-// coordinate runs the distributed-sweep coordinator: lease units to agsim
-// workers over /work, merge their renders from /result, print the
-// assembled sweep (byte-identical to a serial run of the same units) and
-// exit. SIGINT/SIGTERM drains gracefully: no new leases are issued,
-// workers exit on their next poll, and whatever merged so far is printed
-// with the missing units listed — expired leases were already re-queued
-// along the way, so an interrupted sweep never silently drops coverage.
-func coordinate(addr, sweep string, o experiments.Options, ttl time.Duration) error {
-	var units []string
-	if sweep == "all" {
-		units = experiments.UnitIDs()
-	} else {
-		for _, id := range strings.Split(sweep, ",") {
-			id = strings.TrimSpace(id)
-			if _, ok := experiments.Lookup(id); !ok {
-				return fmt.Errorf("unknown experiment %q (try: agsim list)", id)
-			}
-			units = append(units, id)
-		}
-	}
-	opts, err := json.Marshal(o.Wire())
-	if err != nil {
-		return err
-	}
-	coord := sweepd.New(units, opts, ttl)
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer l.Close()
-	go func() {
-		if err := http.Serve(l, coord.Handler()); err != nil && !strings.Contains(err.Error(), "use of closed") {
-			fmt.Fprintln(os.Stderr, "amesterd: sweep http:", err)
-		}
-	}()
-	fmt.Fprintf(os.Stderr, "amesterd: coordinating %d units on http://%s (lease ttl %s)\n", len(units), l.Addr(), ttl)
-	fmt.Fprintf(os.Stderr, "amesterd: start workers with: agsim worker http://%s\n", l.Addr())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case <-coord.Done():
-	case s := <-sig:
-		coord.Drain()
-		st := coord.Status()
-		fmt.Fprintf(os.Stderr, "amesterd: %v: draining (%d/%d done, %d leased, %d re-queued)\n",
-			s, st.Done, st.Total, st.Leased, st.Requeued)
-	}
-	// Grace window: keep answering /work with 410 for a beat so workers
-	// mid-poll exit cleanly instead of hitting a closed listener.
-	coord.Drain()
-	defer time.Sleep(1 * time.Second)
-	merged, missing := coord.Merge()
-	fmt.Print(merged)
-	st := coord.Status()
-	fmt.Fprintf(os.Stderr, "amesterd: sweep %d/%d units merged (%d re-queued after lease expiry)\n",
-		st.Done, st.Total, st.Requeued)
-	if len(missing) > 0 {
-		return fmt.Errorf("sweep incomplete, missing: %s", strings.Join(missing, ", "))
-	}
-	return nil
 }
 
 func serve(addr, httpAddr, name string, threads int, modeName string, borrow bool, seed uint64, timeseries bool, snapDir string, snapEvery float64) error {

@@ -89,7 +89,7 @@ func (c *Chip) Step(dtSec float64) {
 				droopV := agedMin + units.Millivolt(sample.TypicalMV-sample.WorstEventMV)
 				droop := cpm.CoreTerms(&c.cfg.CPM.Law, droopV, f)
 				for _, s := range co.cpms {
-					s.Read(droop) // sticky latch only
+					s.Latch(droop)
 				}
 			}
 		}

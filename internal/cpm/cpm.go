@@ -29,9 +29,10 @@
 // Load, a mode switch or Kill it can only miss or return the right
 // output, and the snapshot codec skips it. Reads at a held clock hit —
 // Static and Undervolt cores, about 99% of reads on the exact lane; a
-// droop re-read or a threshold crossing misses once and searches; an
-// overclocked core's clock moves every step, so its reads mostly miss,
-// and a new divisor only keys an empty memo, so they pay no search.
+// threshold crossing misses once and searches; an overclocked core's
+// clock moves every step, so its reads mostly miss, and a new divisor
+// only keys an empty memo, so they pay no search. A droop's latch-only
+// read (Latch) bypasses the memo, which stays at the steady read.
 package cpm
 
 import (
@@ -341,9 +342,7 @@ func (s *Sensor) Value(v units.Millivolt, f units.Megahertz) int {
 func (s *Sensor) Read(t Terms) int {
 	out := 0
 	if !s.dead {
-		m := t.MarginMV + s.pathOffsetMV
-		m += s.noiseOffsetMV
-		d := MVPerBitAt(s.mvPerBitNom, t.FScale)
+		m, d := s.operands(t)
 		switch {
 		case d != s.memoDiv:
 			// A new divisor keys an empty memo. The interval search waits
@@ -358,6 +357,26 @@ func (s *Sensor) Read(t Terms) int {
 	}
 	s.observeSticky(out)
 	return out
+}
+
+// Latch feeds the sticky latch the output Read(t) would return and
+// leaves the read memo alone. A droop latches a voltage the next step
+// does not read, so moving the memo there would cost that read a search.
+func (s *Sensor) Latch(t Terms) {
+	out := 0
+	if !s.dead {
+		out = rawAt(s.operands(t))
+	}
+	s.observeSticky(out)
+}
+
+// operands returns the margin and divisor a read with terms t quantizes:
+// the terms' margin plus the path offset, then plus the held noise, and
+// the sensitivity at the terms' clock.
+func (s *Sensor) operands(t Terms) (marginMV, mvPerBit float64) {
+	marginMV = t.MarginMV + s.pathOffsetMV
+	marginMV += s.noiseOffsetMV
+	return marginMV, MVPerBitAt(s.mvPerBitNom, t.FScale)
 }
 
 // DetMarginMV returns the deterministic component of a read with terms t —

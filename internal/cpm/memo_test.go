@@ -101,7 +101,9 @@ func TestReadIntervalExact(t *testing.T) {
 // the memo answered, counted from the memo's state before each read.
 //
 // Each op byte is an action in its low two bits and a signed argument
-// a = byte>>2 − 32 in the rest: 0 reads; 1 steps the margin a floats
+// a = byte>>2 − 32 in the rest: 0 reads, first latching (Latch) a margin
+// a/16 of a detector position lower when a > 0, which must feed the
+// sticky latch and leave the memo as it was; 1 steps the margin a floats
 // (across a threshold when it starts beside one); 2 moves it a/16 of a
 // detector position; 3 closes the window when a ≥ 0 (the sticky latch
 // clears, the held noise redraws) and otherwise scales the clock by
@@ -127,6 +129,24 @@ func runReadScript(t *testing.T, s *Sensor, marginMV, fScale float64, ops []byte
 	for _, b := range ops {
 		a := int(b>>2) - 32
 		switch b & 3 {
+		case 0:
+			if a <= 0 {
+				break
+			}
+			latch := Terms{MarginMV: marginMV - float64(a)/16*MVPerBitAt(s.mvPerBitNom, fScale), FScale: fScale}
+			memo := func() [4]uint64 {
+				return [4]uint64{math.Float64bits(s.memoDiv), math.Float64bits(s.memoLo),
+					math.Float64bits(s.memoHi), uint64(s.memoOut)}
+			}
+			before := memo()
+			s.Latch(latch)
+			if after := memo(); after != before {
+				t.Fatalf("latch at margin %v moved the memo from %x to %x", latch.MarginMV, before, after)
+			}
+			want := rawByExpression(latch, s.dead, s.pathOffsetMV, s.noiseOffsetMV, s.mvPerBitNom)
+			if !wantHas || want < wantMin {
+				wantMin, wantHas = want, true
+			}
 		case 1:
 			dir := math.Inf(1)
 			if a < 0 {
@@ -166,9 +186,10 @@ func scriptSensor(mvPerBitNom, pathOffsetMV, noiseOffsetMV float64, dead bool) *
 
 // TestSensorReadMemoMatchesExpression runs random read scripts — held
 // clocks with margins that wander across thresholds float by float and
-// bit by bit, window closes, clock moves — on sensors with random
-// calibrations, and requires every read to equal the memo-free
-// expression and the memo to answer most reads at a held clock.
+// bit by bit, droop latches, window closes, clock moves — on sensors
+// with random calibrations, and requires every read and latch to equal
+// the memo-free expression and the memo to answer most reads at a held
+// clock.
 func TestSensorReadMemoMatchesExpression(t *testing.T) {
 	r := rng.New(34, "memo")
 	var hits, reads int
@@ -182,8 +203,10 @@ func TestSensorReadMemoMatchesExpression(t *testing.T) {
 		ops := make([]byte, 300)
 		for j := range ops {
 			switch x := r.Uniform(0, 1); {
-			case x < 0.6:
+			case x < 0.5:
 				ops[j] = 0
+			case x < 0.6:
+				ops[j] = byte(int(r.Uniform(33, 64)) << 2)
 			case x < 0.8:
 				ops[j] = byte(int(r.Uniform(28, 36))<<2 | 1)
 			case x < 0.95:
@@ -236,6 +259,12 @@ func FuzzSensorRead(f *testing.F) {
 	f.Add(21.0, 1.0, 0.999e15, 0.0, 0.0, false, walkUp)      // at the memo's limit
 	f.Add(21.0, 1.0, 10.0, 0.0, 0.0, true, walkUp)           // dead sensor
 	f.Add(-21.0, 1.0, 10.0, math.Inf(1), 0.0, false, walkUp) // nonsense calibration
+	// Droop latches one and two positions down between reads of a held
+	// memo, across a threshold and a window close.
+	latchWalk := []byte{0, 0, 48 << 2, 48 << 2, up, 40 << 2, down, 63 << 2, 0, 40<<2 | 3, 48 << 2}
+	f.Add(21.0, 1.0, math.Nextafter(10.5, 0), 0.0, 0.0, false, latchWalk)
+	f.Add(5.0, 1.0, math.Nextafter(2.5, 3), 0.0, 0.0, false, latchWalk)
+	f.Add(21.0, 1.0, 10.0, 0.0, 0.0, true, latchWalk) // dead sensor
 	f.Fuzz(func(t *testing.T, mvPerBitNom, fScale, marginMV, pathOffsetMV, noiseOffsetMV float64, dead bool, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]

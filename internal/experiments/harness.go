@@ -2,7 +2,7 @@
 // evaluation. Each FigNN function is a self-contained driver that builds
 // the simulated Power 720, runs the paper's methodology, and returns the
 // same series or rows the paper plots, plus the headline statistics its
-// text quotes. cmd/agsim prints them; bench_test.go wraps them; and
+// text quotes. cmd/agsim prints them; bench/agbench times them; and
 // EXPERIMENTS.md records them against the paper's numbers.
 package experiments
 
@@ -89,6 +89,33 @@ func DefaultOptions() Options {
 // QuickOptions returns reduced-fidelity settings for tests.
 func QuickOptions() Options {
 	return Options{Seed: 20151205, SettleSec: 1.2, MeasureSec: 0.5, WorkScale: 0.05, Quick: true}
+}
+
+// Validate reports the first option no experiment can run with: a
+// non-finite or negative settle, measure or CI value, a work scale that is
+// not finite and positive, or a negative worker or node count. Zero
+// settle and measure spans are valid; zero CI, workers and nodes select
+// their defaults. Experiments panic on a non-positive work scale, and a
+// NaN CI target never closes, so the sampled lane would never extrapolate.
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"settle_sec", o.SettleSec}, {"measure_sec", o.MeasureSec}, {"target_ci", o.TargetCI}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("experiments: %s %v: want a finite value >= 0", f.name, f.v)
+		}
+	}
+	if !(o.WorkScale > 0) || math.IsInf(o.WorkScale, 1) {
+		return fmt.Errorf("experiments: work_scale %v: want a finite value > 0", o.WorkScale)
+	}
+	if o.Workers < 0 {
+		return fmt.Errorf("experiments: workers %d: want >= 0", o.Workers)
+	}
+	if o.Nodes < 0 {
+		return fmt.Errorf("experiments: nodes %d: want >= 0", o.Nodes)
+	}
+	return nil
 }
 
 // pool returns the worker pool the options select for sweep fan-out.

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"agsim/internal/firmware"
@@ -45,6 +47,52 @@ func TestOptionsCoreCounts(t *testing.T) {
 		}
 		if !has1 || !has8 {
 			t.Errorf("sweep %v missing endpoints", sweep)
+		}
+	}
+}
+
+// TestWireOptionsValidate holds Options.Validate, the check on the
+// run/report flags: it rejects each bad field on its own, starting from
+// options that validate, and accepts the zero values that select
+// defaults.
+func TestWireOptionsValidate(t *testing.T) {
+	for _, o := range []Options{DefaultOptions(), QuickOptions()} {
+		if err := o.Validate(); err != nil {
+			t.Fatalf("stock options rejected: %v", err)
+		}
+	}
+	ok := QuickOptions()
+	ok.SettleSec, ok.MeasureSec, ok.TargetCI, ok.Workers, ok.Nodes = 0, 0, 0, 0, 0
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("zero settle/measure/ci/workers/nodes rejected: %v", err)
+	}
+
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		set   func(*Options)
+	}{
+		{"settle_sec", func(o *Options) { o.SettleSec = -1 }},
+		{"settle_sec", func(o *Options) { o.SettleSec = nan }},
+		{"settle_sec", func(o *Options) { o.SettleSec = inf }},
+		{"measure_sec", func(o *Options) { o.MeasureSec = -0.5 }},
+		{"measure_sec", func(o *Options) { o.MeasureSec = nan }},
+		{"measure_sec", func(o *Options) { o.MeasureSec = -inf }},
+		{"target_ci", func(o *Options) { o.TargetCI = -1 }},
+		{"target_ci", func(o *Options) { o.TargetCI = nan }},
+		{"target_ci", func(o *Options) { o.TargetCI = inf }},
+		{"work_scale", func(o *Options) { o.WorkScale = 0 }},
+		{"work_scale", func(o *Options) { o.WorkScale = -1 }},
+		{"work_scale", func(o *Options) { o.WorkScale = nan }},
+		{"work_scale", func(o *Options) { o.WorkScale = inf }},
+		{"workers", func(o *Options) { o.Workers = -1 }},
+		{"nodes", func(o *Options) { o.Nodes = -4 }},
+	} {
+		o := QuickOptions()
+		tc.set(&o)
+		err := o.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: got %v, want an error naming %s", o, err, tc.field)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package obs
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"strings"
+)
 
 // Kind tags one structured event record.
 type Kind uint8
@@ -72,6 +76,21 @@ func (k Kind) String() string {
 		return "health"
 	}
 	return "unknown"
+}
+
+// ParseKind is the inverse of Kind.String: it returns the kind String
+// names name, or an error listing every kind's name.
+func ParseKind(name string) (Kind, error) {
+	var names []string
+	// The kinds run from KindDroop without gaps, so the first value
+	// String does not name ends them.
+	for k := KindDroop; k.String() != "unknown"; k++ {
+		if k.String() == name {
+			return k, nil
+		}
+		names = append(names, k.String())
+	}
+	return 0, fmt.Errorf("obs: unknown event kind %q (want one of %s)", name, strings.Join(names, ", "))
 }
 
 // Reason says which event horizon bounded a macro-leap (KindLeap's C).
