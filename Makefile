@@ -39,8 +39,12 @@
 #                        -snap-dir, SIGTERM (graceful shutdown writes a final
 #                        snapshot), `agsim replay` the newest image to the
 #                        next cpm-window event and require `-until droops`
-#                        to exit 2 at once, run agsched once, and run
-#                        cpmcal's calibration sweep (its 4200 MHz fit)
+#                        to exit 2 at once, require amesterd `-snap-every
+#                        -1` (writing no image) and `-threads -3` and
+#                        agsched `-threads -2` to exit 2 within 5s without
+#                        a Go panic (which also exits 2), run agsched once,
+#                        and run cpmcal's calibration sweep (its 4200 MHz
+#                        fit)
 #   make fuzz-smoke    — run each fuzz target for 20s: snapshot FuzzLoad
 #                        (mutated image payloads decoded into a live chip
 #                        and a small fleet must never panic or allocate
@@ -67,6 +71,15 @@ SMOKE_AMESTER_PORT ?= 7207
 SMOKE_HTTP_PORT    ?= 7208
 
 .PHONY: all fmt build vet test check race bench bench-compare profile smoke fuzz-smoke ci
+
+# smoke_exit2 NAME,COMMAND: run COMMAND under a 5 s timeout into
+# $(SMOKE_DIR)/NAME.out and fail unless it exits 2 without a Go panic
+# (a panic exits 2 too; 124 means it was still running).
+smoke_exit2 = timeout 5 $(2) >$(SMOKE_DIR)/$(1).out 2>&1 && st=0 || st=$$?; \
+	if [ $$st -ne 2 ] || grep -q 'panic:' $(SMOKE_DIR)/$(1).out; then \
+		echo "smoke: $(2): exit status $$st, want 2 without a panic (124: still running after 5s)"; \
+		cat $(SMOKE_DIR)/$(1).out; exit 1; \
+	fi
 
 all: check
 
@@ -177,7 +190,14 @@ smoke:
 	[ $$st -eq 2 ] || { echo "smoke: agsim replay -until droops exit status $$st, want 2 (124: still stepping after 5s)"; cat $(SMOKE_DIR)/replay-bad.out; exit 1; }; \
 	grep -q 'cpm-window' $(SMOKE_DIR)/replay-bad.out; \
 	echo "smoke: agsim replay -until droops exited 2, listing the event kinds"
+	@set -e; rm -rf $(SMOKE_DIR)/badsnaps; mkdir -p $(SMOKE_DIR)/badsnaps; \
+	$(call smoke_exit2,amesterd-snap-every,$(SMOKE_DIR)/amesterd -listen 127.0.0.1:$(SMOKE_AMESTER_PORT) -snap-dir $(SMOKE_DIR)/badsnaps -snap-every -1); \
+	[ -z "$$(ls $(SMOKE_DIR)/badsnaps)" ] || { echo "smoke: amesterd -snap-every -1 wrote an image"; exit 1; }; \
+	$(call smoke_exit2,amesterd-threads,$(SMOKE_DIR)/amesterd -listen 127.0.0.1:$(SMOKE_AMESTER_PORT) -threads -3); \
+	echo "smoke: amesterd -snap-every -1 and -threads -3 exited 2 before listening"
 	$(GO) build -o $(SMOKE_DIR)/agsched ./cmd/agsched
+	@set -e; $(call smoke_exit2,agsched-threads,$(SMOKE_DIR)/agsched -threads -2); \
+	echo "smoke: agsched -threads -2 exited 2"
 	$(SMOKE_DIR)/agsched -duration 0.5 >$(SMOKE_DIR)/agsched.out
 	@grep -q '^  total power ' $(SMOKE_DIR)/agsched.out
 	@echo "smoke: agsched printed its total power line"

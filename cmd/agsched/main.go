@@ -81,7 +81,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	s := server.MustNew(server.DefaultConfig(*seed))
+	cfg := server.DefaultConfig(*seed)
+	if cores := cfg.Sockets * cfg.CoresPerSocket; *threads < 1 || *threads > cores {
+		fmt.Fprintf(os.Stderr, "agsched: -threads %d outside [1, %d], the server's core count\n", *threads, cores)
+		os.Exit(2)
+	}
+
+	s := server.MustNew(cfg)
 	sched, err := core.NewBorrowing(s.Sockets(), 8, *onCores)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "agsched:", err)

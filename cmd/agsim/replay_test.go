@@ -1,10 +1,15 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"agsim/internal/amester"
 	"agsim/internal/obs"
+	"agsim/internal/server"
+	"agsim/internal/snapshot"
 )
 
 // FuzzParseUntil holds `agsim replay -until` to its contract: parsing
@@ -35,4 +40,24 @@ func FuzzParseUntil(f *testing.F) {
 			t.Fatalf("parseUntil(%q) accepted kind %d, N %d", s, k, n)
 		}
 	})
+}
+
+// TestReplayRefusesBadScenario: an image whose header scenario claims a
+// thread count outside the server's cores is an error from replay before
+// anything is sized by it, not a panic.
+func TestReplayRefusesBadScenario(t *testing.T) {
+	for _, threads := range []int{-3, 0, 17, 1 << 40} {
+		sc := amester.Scenario{Workload: "raytrace", Threads: threads, Mode: "undervolt", Borrow: true, Seed: 7}
+		img, err := snapshot.Save(server.MustNew(server.DefaultConfig(7)), snapshot.Meta{Seed: 7, Extra: sc.Marshal()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "bad.snap")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := replay(path, obs.KindWindow, 1, 1); err == nil || !strings.Contains(err.Error(), "threads") {
+			t.Errorf("replay of a %d-thread scenario = %v, want a thread-count error", threads, err)
+		}
+	}
 }

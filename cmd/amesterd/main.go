@@ -26,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -41,6 +42,7 @@ import (
 	"agsim/internal/chip"
 	"agsim/internal/firmware"
 	"agsim/internal/obs"
+	"agsim/internal/server"
 	"agsim/internal/snapshot"
 )
 
@@ -62,7 +64,24 @@ func main() {
 
 	switch {
 	case *listen != "" && *connect == "":
-		if err := serve(*listen, *httpAddr, *name, *threads, *mode, *borrow, *seed, *timeseries, *snapDir, *snapEvery); err != nil {
+		// Bad server flags exit 2 before anything listens.
+		if !(*snapEvery > 0) || math.IsInf(*snapEvery, 1) {
+			fmt.Fprintf(os.Stderr, "amesterd: bad -snap-every %v: want a finite value > 0\n", *snapEvery)
+			os.Exit(2)
+		}
+		if *seed == 0 {
+			*seed = uint64(time.Now().UnixNano())
+		}
+		scenario := amester.Scenario{
+			Workload: *name, Threads: *threads, Mode: *mode,
+			Borrow: *borrow, Seed: *seed, Timeseries: *timeseries,
+		}
+		srv, rec, err := scenario.Build()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "amesterd:", err)
+			os.Exit(2)
+		}
+		if err := serve(*listen, *httpAddr, scenario, srv, rec, *snapDir, *snapEvery); err != nil {
 			fmt.Fprintln(os.Stderr, "amesterd:", err)
 			os.Exit(1)
 		}
@@ -77,19 +96,10 @@ func main() {
 	}
 }
 
-func serve(addr, httpAddr, name string, threads int, modeName string, borrow bool, seed uint64, timeseries bool, snapDir string, snapEvery float64) error {
-	if seed == 0 {
-		seed = uint64(time.Now().UnixNano())
-	}
-	scenario := amester.Scenario{
-		Workload: name, Threads: threads, Mode: modeName,
-		Borrow: borrow, Seed: seed, Timeseries: timeseries,
-	}
-	srv, rec, err := scenario.Build()
-	if err != nil {
-		return err
-	}
-
+// serve publishes srv, built from scenario with recorder rec, on addr
+// (and httpAddr when set) until SIGINT or SIGTERM.
+func serve(addr, httpAddr string, scenario amester.Scenario, srv *server.Server, rec *obs.Recorder, snapDir string, snapEvery float64) error {
+	seed := scenario.Seed
 	svc := amester.NewService(amester.ServerProbes(srv)...)
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -98,7 +108,7 @@ func serve(addr, httpAddr, name string, threads int, modeName string, borrow boo
 	svc.Start(l)
 	defer svc.Close()
 	fmt.Printf("amesterd: serving %d threads of %s (%s, borrow=%v) on %s\n",
-		threads, name, modeName, borrow, l.Addr())
+		scenario.Threads, scenario.Workload, scenario.Mode, scenario.Borrow, l.Addr())
 
 	// The step loop owns the server and recorder; scrape handlers take the
 	// same mutex so a snapshot never races a live step. The recorder's hot
@@ -108,11 +118,11 @@ func serve(addr, httpAddr, name string, threads int, modeName string, borrow boo
 	if httpAddr != "" {
 		manifest := obs.NewManifest("amesterd", seed)
 		manifest.Config = map[string]any{
-			"workload":   name,
-			"threads":    threads,
-			"mode":       modeName,
-			"borrow":     borrow,
-			"timeseries": timeseries,
+			"workload":   scenario.Workload,
+			"threads":    scenario.Threads,
+			"mode":       scenario.Mode,
+			"borrow":     scenario.Borrow,
+			"timeseries": scenario.Timeseries,
 		}
 		api = amester.NewAPI(amester.APIConfig{
 			Recorder: rec,

@@ -56,7 +56,11 @@ func ParseScenario(extra string) (Scenario, error) {
 }
 
 // Build constructs the server and recorder exactly as the serve loop
-// does, so a snapshot taken there restores here.
+// does, so a snapshot taken there restores here. It first checks what
+// comes from outside — amesterd's flags, a snapshot header: the workload
+// and mode must be known and the thread count within [1, sockets × cores]
+// of the server it builds, so a bad count is an error before any
+// placement is sized by it.
 func (sc Scenario) Build() (*server.Server, *obs.Recorder, error) {
 	d, err := workload.Get(sc.Workload)
 	if err != nil {
@@ -66,11 +70,14 @@ func (sc Scenario) Build() (*server.Server, *obs.Recorder, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	cfg := server.DefaultConfig(sc.Seed)
+	if cores := cfg.Sockets * cfg.CoresPerSocket; sc.Threads < 1 || sc.Threads > cores {
+		return nil, nil, fmt.Errorf("amester: %d threads outside [1, %d], the server's core count", sc.Threads, cores)
+	}
 	rec := obs.New("amesterd", obs.DefaultEventCap)
 	if sc.Timeseries {
 		rec.EnableTimeSeries(tsdb.DefaultSpec())
 	}
-	cfg := server.DefaultConfig(sc.Seed)
 	cfg.Recorder = rec
 	srv := server.MustNew(cfg)
 	var placements []server.Placement

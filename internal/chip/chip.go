@@ -279,17 +279,17 @@ type Chip struct {
 	lastHorizonSec    float64
 	lastHorizonReason obs.Reason
 
-	// Retained RNG hierarchy: the root stream and each core's sensor-
-	// calibration parent, kept so Reset can rewind every stream in place —
-	// replaying New's exact split order — instead of allocating new ones.
+	// The RNG hierarchy the rewind walks: root splits the di/dt stream
+	// (noiseSrc, the noise model's own) and each core's sensor parent
+	// (coreWalk), which splits each sensor's calibration stream
+	// (sensorWalk). The walk streams are reused for every core and sensor
+	// and nothing draws from them between rewinds, so they are storage,
+	// not state, and noiseSrc is imaged through the model.
 	root       *rng.Source
-	sensorSrcs []*rng.Source
+	noiseSrc   *rng.Source `snapshot:"-"`
+	coreWalk   *rng.Source `snapshot:"-"`
+	sensorWalk *rng.Source `snapshot:"-"`
 }
-
-// coreSrcName returns the split name New uses for core i's sensor parent
-// stream; Reset replays the same names so pooled chips re-derive identical
-// streams.
-func coreSrcName(i int) string { return fmt.Sprintf("cpm/core%d", i) }
 
 // sensorSplitNames are the per-sensor split names within a core.
 var sensorSplitNames = func() [CPMsPerCore]string {
@@ -300,7 +300,9 @@ var sensorSplitNames = func() [CPMsPerCore]string {
 	return names
 }()
 
-// New builds a chip from the configuration.
+// New builds a chip from the configuration: it allocates the chip's
+// storage and runs the rewind a pooled chip's Reset runs (reset.go),
+// which sets every piece of state.
 func New(cfg Config) (*Chip, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -323,65 +325,52 @@ func New(cfg Config) (*Chip, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := rng.New(cfg.Seed, "chip/"+cfg.Name)
+	n := cfg.Cores
 	ch := &Chip{
-		cfg:       cfg,
-		shapeKey:  cfg.ShapeKey(),
-		plane:     plane,
-		rail:      rail,
-		ctrl:      firmware.NewController(cfg.Law),
-		noise:     didt.New(cfg.Didt, root.Split("didt")),
-		tempC:     cfg.AmbientC + 8,
-		lastRailV: cfg.Law.VNom,
-		lastDrops: make([]units.Millivolt, cfg.Cores),
+		cfg:      cfg,
+		shapeKey: cfg.ShapeKey(),
+		cores:    make([]*Core, n),
+		plane:    plane,
+		rail:     rail,
+		ctrl:     new(firmware.Controller),
+		noise:    new(didt.Model),
 
-		scratchCurrents: make([]units.Ampere, cfg.Cores),
-		scratchProfiles: make([]didt.Profile, 0, cfg.Cores),
-		scratchDrops:    make([]units.Millivolt, cfg.Cores),
-		frozenDetMV:     make([]float64, cfg.Cores*CPMsPerCore),
-		frozenMVB:       make([]float64, cfg.Cores*CPMsPerCore),
-		frozenQ:         make([]float64, cfg.Cores*CPMsPerCore*frozenRowLen),
-		frozenSuf:       make([]float64, cfg.Cores*CPMsPerCore+1),
-		frozenArgW:      make([]float64, (cpm.MaxValue+1)*cfg.Cores*CPMsPerCore),
-		frozenRNG:       rng.New(cfg.Seed, "chip/"+cfg.Name+"/frozen"),
+		lastDrops:       make([]units.Millivolt, n),
+		scratchCurrents: make([]units.Ampere, n),
+		scratchProfiles: make([]didt.Profile, 0, n),
+		scratchDrops:    make([]units.Millivolt, n),
+		frozenDetMV:     make([]float64, n*CPMsPerCore),
+		frozenMVB:       make([]float64, n*CPMsPerCore),
+		frozenQ:         make([]float64, n*CPMsPerCore*frozenRowLen),
+		frozenSuf:       make([]float64, n*CPMsPerCore+1),
+		frozenArgW:      make([]float64, (cpm.MaxValue+1)*n*CPMsPerCore),
+		frozenRNG:       new(rng.Source),
+		prevCoreV:       make([]units.Millivolt, n),
+		prevCoreF:       make([]units.Megahertz, n),
 
-		exact:     cfg.Exact,
-		prevCoreV: make([]units.Millivolt, cfg.Cores),
-		prevCoreF: make([]units.Megahertz, cfg.Cores),
-
-		rec: cfg.Recorder,
-		src: cfg.Recorder.Source(cfg.Name),
-
-		root:       root,
-		sensorSrcs: make([]*rng.Source, 0, cfg.Cores),
+		root:       new(rng.Source),
+		noiseSrc:   new(rng.Source),
+		coreWalk:   new(rng.Source),
+		sensorWalk: new(rng.Source),
 	}
-	for i := 0; i < cfg.Cores; i++ {
-		core := &Core{
-			Index:         i,
-			state:         power.IdleOn,
-			dpll:          dpll.New(cfg.Law),
-			memFactor:     1,
-			issueThrottle: 1,
-			voltageDC:     cfg.Law.VNom,
-			voltageMin:    cfg.Law.VNom,
-			tempC:         cfg.AmbientC + 8,
-			lastCPM:       make([]int, CPMsPerCore),
-			lastWindowSticky: func() []int {
-				s := make([]int, CPMsPerCore)
-				for i := range s {
-					s[i] = cpm.MaxValue
-				}
-				return s
-			}(),
+	// Each core's thread slice starts empty, never nil, with one slot in
+	// a backing array the cores share; ClearCore and Reset truncate it.
+	threads := make([]*workload.Thread, n)
+	for i := range ch.cores {
+		co := &Core{
+			Index:            i,
+			threads:          threads[i : i : i+1],
+			dpll:             new(dpll.DPLL),
+			cpms:             make([]*cpm.Sensor, CPMsPerCore),
+			lastCPM:          make([]int, CPMsPerCore),
+			lastWindowSticky: make([]int, CPMsPerCore),
 		}
-		sensorSrc := root.Split(coreSrcName(i))
-		ch.sensorSrcs = append(ch.sensorSrcs, sensorSrc)
-		for j := 0; j < CPMsPerCore; j++ {
-			core.cpms = append(core.cpms, cpm.New(cfg.CPM, sensorSrc.Split(sensorSplitNames[j])))
+		for j := range co.cpms {
+			co.cpms[j] = new(cpm.Sensor)
 		}
-		ch.cores = append(ch.cores, core)
+		ch.cores[i] = co
 	}
-	ch.bindSeries()
+	ch.rewind()
 	return ch, nil
 }
 
@@ -516,7 +505,7 @@ func (c *Chip) Place(i int, threads ...*workload.Thread) {
 func (c *Chip) ClearCore(i int) {
 	c.markDirty()
 	co := c.cores[i]
-	co.threads = nil
+	co.threads = co.threads[:0]
 	if co.state == power.Active {
 		co.state = power.IdleOn
 	}

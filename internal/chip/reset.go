@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"agsim/internal/cpm"
-	"agsim/internal/didt"
 	"agsim/internal/obs"
 	"agsim/internal/power"
 )
@@ -12,91 +11,82 @@ import (
 // Reset rewinds the chip to the state New would produce for the same
 // configuration shape with the given identity — name, seed, and recorder
 // are the only fields a sweep varies between points of one experiment —
-// without allocating. Every retained random stream is reseeded in place,
-// replaying New's exact split order, so a pooled chip's subsequent
-// simulation is bit-identical to a freshly constructed one.
+// without allocating. It zeroes what New's fresh allocations leave zero,
+// keeping the storage, then runs New's rewind, so a pooled chip images
+// and simulates byte for byte like a freshly constructed one.
 //
 // Reset does not change the configuration shape (core count, law, PDN,
 // mesh, thermal model, Exact lane): arenas key pooled chips by
 // Config.ShapeKey so a chip is only ever reused for a matching shape.
 func (c *Chip) Reset(name string, seed uint64, rec *obs.Recorder) {
-	c.cfg.Name = name
-	c.cfg.Seed = seed
-	c.cfg.Recorder = rec
-
-	// RNG rewind in New's order: root, then the didt split, then per-core
-	// sensor parents with their per-sensor calibration children.
-	c.root.Reseed(seed, "chip/"+name)
-	c.root.SplitInto(c.noise.Source(), "didt")
-	c.noise.Reset(c.cfg.Didt)
-	// The frozen-tick stream is seeded directly from the experiment seed
-	// (New does the same), not split from root, so its existence never
-	// perturbs the calibration draws of pre-existing consumers.
-	c.frozenRNG.Reseed(seed, "chip/"+name+"/frozen")
-	c.frozenCarry = false
-	c.frozenAnyDead = false
-	c.frozenNoSensors = false
+	c.cfg.Name, c.cfg.Seed, c.cfg.Recorder = name, seed, rec
+	*c = Chip{
+		cfg: c.cfg, shapeKey: c.shapeKey, cores: c.cores,
+		plane: c.plane, rail: c.rail, ctrl: c.ctrl, noise: c.noise,
+		lastDrops:       c.lastDrops,
+		scratchCurrents: c.scratchCurrents, scratchProfiles: c.scratchProfiles, scratchDrops: c.scratchDrops,
+		frozenDetMV: c.frozenDetMV, frozenMVB: c.frozenMVB, frozenQ: c.frozenQ,
+		frozenSuf: c.frozenSuf, frozenArgW: c.frozenArgW, frozenRNG: c.frozenRNG,
+		prevCoreV: c.prevCoreV, prevCoreF: c.prevCoreF,
+		root: c.root, noiseSrc: c.noiseSrc, coreWalk: c.coreWalk, sensorWalk: c.sensorWalk,
+	}
+	clear(c.lastDrops)
+	clear(c.scratchCurrents)
+	clear(c.scratchDrops)
 	c.clearFrozenModel()
+	clear(c.prevCoreV)
+	clear(c.prevCoreF)
+	for _, co := range c.cores {
+		*co = Core{Index: co.Index, threads: co.threads[:0], dpll: co.dpll, cpms: co.cpms,
+			lastCPM: co.lastCPM, lastWindowSticky: co.lastWindowSticky}
+		clear(co.lastCPM)
+	}
+	c.rewind()
+}
 
-	c.rail.Reset(name+"/vdd", c.cfg.Law.VNom)
-	c.ctrl.Reset(c.cfg.Law)
+// rewind sets every piece of chip state a fresh allocation does not leave
+// zero, for the identity in the configuration; New runs it on new storage
+// and Reset on cleared storage. The RNG tree is walked once, in
+// construction order: the root, its di/dt split, then per core the sensor
+// parent and per sensor the calibration child, from which the sensor
+// draws its process variation and splits its read stream. The frozen-tick
+// stream is seeded from the experiment seed, not split from root, so its
+// existence never perturbs the calibration draws.
+func (c *Chip) rewind() {
+	name, seed, law := c.cfg.Name, c.cfg.Seed, c.cfg.Law
+
+	c.root.Reseed(seed, "chip/"+name)
+	c.root.SplitInto(c.noiseSrc, "didt")
+	c.noise.Reset(c.cfg.Didt, c.noiseSrc)
+	c.frozenRNG.Reseed(seed, "chip/"+name+"/frozen")
+	c.rail.Reset(name+"/vdd", law.VNom)
+	c.ctrl.Reset(law)
 
 	for i, co := range c.cores {
 		co.state = power.IdleOn
-		co.threads = co.threads[:0]
-		co.dpll.Reset(c.cfg.Law)
+		co.dpll.Reset(law)
 		co.memFactor = 1
 		co.issueThrottle = 1
-		co.voltageDC = c.cfg.Law.VNom
-		co.voltageMin = c.cfg.Law.VNom
-		co.lastPower = 0
-		co.lastMIPS = 0
-		for k := range co.lastCPM {
-			co.lastCPM[k] = 0
-		}
+		co.voltageDC = law.VNom
+		co.voltageMin = law.VNom
 		for k := range co.lastWindowSticky {
 			co.lastWindowSticky[k] = cpm.MaxValue
 		}
 		co.tempC = c.cfg.AmbientC + 8
-
-		src := c.sensorSrcs[i]
-		c.root.SplitInto(src, coreSrcName(i))
+		c.root.SplitInto(c.coreWalk, fmt.Sprintf("cpm/core%d", i))
 		for j, s := range co.cpms {
-			src.SplitInto(s.CalibSource(), sensorSplitNames[j])
-			s.Reset(c.cfg.CPM)
+			c.coreWalk.SplitInto(c.sensorWalk, sensorSplitNames[j])
+			s.Reset(c.cfg.CPM, c.sensorWalk)
 		}
 	}
 
-	c.timeSec = 0
-	c.sinceTick = 0
 	c.tempC = c.cfg.AmbientC + 8
-	c.lastSample = didt.Sample{}
-	c.lastChipPower = 0
-	c.lastCurrent = 0
-	c.lastRailV = c.cfg.Law.VNom
-	for i := range c.lastDrops {
-		c.lastDrops[i] = 0
-	}
-	c.lastWindowWorstDidt = 0
-	c.energyJ = 0
-	c.agingMV = 0
-	c.marginViolations = 0
+	c.lastRailV = law.VNom
+	c.exact = c.cfg.Exact
 
-	// Multi-rate state: New leaves the prev* snapshots at their zero
-	// values (not VNom) — the first step can never count as stable.
-	c.stable = 0
-	c.lastMove = 0
-	c.prevRailV = 0
-	for i := range c.prevCoreV {
-		c.prevCoreV[i] = 0
-		c.prevCoreF[i] = 0
-	}
-
-	c.rec = rec
-	c.src = rec.Source(name)
+	c.rec = c.cfg.Recorder
+	c.src = c.rec.Source(name)
 	c.bindSeries()
-	c.lastHorizonSec = 0
-	c.lastHorizonReason = 0
 }
 
 // ShapeKey identifies the allocation shape of the configuration: every

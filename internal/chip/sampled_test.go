@@ -192,11 +192,9 @@ func TestSampledPoolMatchesFresh(t *testing.T) {
 		}
 		return img
 	}
-	// Each previous life places threads on no core the next life leaves
-	// idle: Reset truncates a core's thread slice to empty, and the codec
-	// images an empty slice differently from the nil one New leaves.
 	for _, tc := range []struct{ prev, next sampledLife }{
 		{sampledLife{mode: firmware.Undervolt, active: 8}, sampledLife{mode: firmware.Static, active: 8}},
+		{sampledLife{mode: firmware.Undervolt, active: 8}, sampledLife{mode: firmware.Undervolt, active: 1}},
 		{sampledLife{mode: firmware.Static, active: 8, recorded: true}, sampledLife{mode: firmware.Static, active: 8}},
 		{sampledLife{mode: firmware.Undervolt, active: 1}, sampledLife{mode: firmware.Undervolt, active: 8}},
 		{sampledLife{mode: firmware.Static, active: 8}, sampledLife{mode: firmware.Undervolt, active: 8, dead: true}},

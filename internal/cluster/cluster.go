@@ -108,24 +108,18 @@ type Cluster struct {
 	policy Policy
 }
 
-// New creates a cluster of n nodes from the template configuration; node
-// seeds derive from the template seed.
+// New creates a cluster of n nodes from the template configuration: it
+// allocates the nodes and runs Reset, which derives each node's seed and
+// recorder shard from the template.
 func New(n int, template NodeConfig) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: need at least one node")
 	}
-	c := &Cluster{mode: firmware.Undervolt, policy: ConsolidateFirst{}}
-	for i := 0; i < n; i++ {
-		cfg := template
-		cfg.Server.Seed = template.Server.Seed + uint64(i)*104729
-		// Each node owns a recorder shard, created here deterministically
-		// in index order, so a node's log is its own. A re-powered node
-		// re-registers its chips into the same shard, so counters
-		// accumulate across power cycles.
-		cfg.Server.Recorder = template.Server.Recorder.Shard(fmt.Sprintf("node%02d", i))
-		node := &Node{Index: i, cfg: cfg, jobs: map[string]*server.Job{}}
-		c.nodes = append(c.nodes, node)
+	c := &Cluster{nodes: make([]*Node, n)}
+	for i := range c.nodes {
+		c.nodes[i] = &Node{Index: i, jobs: map[string]*server.Job{}}
 	}
+	c.Reset(template)
 	return c, nil
 }
 
@@ -138,12 +132,15 @@ func MustNew(n int, template NodeConfig) *Cluster {
 	return c
 }
 
-// Reset rewinds the cluster to the state New(len(nodes), template) would
-// produce: every node suspended with its per-node seed and recorder shard
-// re-derived from the template, job maps cleared, Undervolt mode. Servers
-// retained from a previous run are NOT reset here — they rewind lazily in
-// powerOn — so a pooled cluster registers exactly the flight-recorder
-// sources a fresh one would, in the same order.
+// Reset sets the cluster's state, for New and for a pooled cluster: every
+// node suspended with its seed (template seed + i·104729) and recorder
+// shard ("node%02d", created in index order, so a node's log is its own)
+// derived from the template, job maps cleared, Undervolt mode. A
+// re-powered node re-registers its chips into the same shard, so counters
+// accumulate across power cycles. Servers retained from a previous run
+// are NOT reset here — they rewind lazily in powerOn — so a pooled cluster
+// registers exactly the flight-recorder sources a fresh one would, in the
+// same order.
 func (c *Cluster) Reset(template NodeConfig) {
 	c.mode = firmware.Undervolt
 	c.policy = ConsolidateFirst{}
@@ -159,17 +156,20 @@ func (c *Cluster) Reset(template NodeConfig) {
 }
 
 // ShapeKey identifies the allocation shape of the node template — every
-// field except the identity (seed, recorder) Reset rewrites. Arena keys
-// for clusters combine it with the node count.
+// field except the identity (seed, recorder) Reset rewrites.
 func (nc NodeConfig) ShapeKey() string {
 	return fmt.Sprintf("node{%v %v %s}", nc.PlatformIdleW, nc.SuspendedW, nc.Server.ShapeKey())
 }
 
-// ShapeKey returns the cluster's shape key: node count plus the node
-// template's shape.
-func (c *Cluster) ShapeKey() string {
-	return fmt.Sprintf("cluster{%d %s}", len(c.nodes), c.nodes[0].cfg.ShapeKey())
+// ShapeKey is the pool key of a cluster of n nodes built from template:
+// the node count plus the template's shape. Every node's shape equals the
+// template's, so a built cluster's key (Cluster.ShapeKey) is this too.
+func ShapeKey(n int, template NodeConfig) string {
+	return fmt.Sprintf("cluster{%d %s}", n, template.ShapeKey())
 }
+
+// ShapeKey returns the cluster's pool key.
+func (c *Cluster) ShapeKey() string { return ShapeKey(len(c.nodes), c.nodes[0].cfg) }
 
 // Nodes returns the node count.
 func (c *Cluster) Nodes() int { return len(c.nodes) }

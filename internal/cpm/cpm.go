@@ -81,11 +81,6 @@ type Sensor struct {
 
 	r *rng.Source
 
-	// calib is the construction-time source the calibration parameters
-	// were drawn from, retained so Reset can rewind the sensor to exactly
-	// the state New would produce without allocating new streams.
-	calib *rng.Source
-
 	// The read memo (see the package comment): margins in [memoLo,
 	// memoHi] read memoOut at divisor memoDiv. A cache, not state, so the
 	// snapshot codec skips it.
@@ -136,51 +131,38 @@ func DefaultConfig(law vf.Law) Config {
 // instantiated with process variation, a zero-variation chip hides
 // calibration bugs).
 func New(cfg Config, r *rng.Source) *Sensor {
+	s := new(Sensor)
+	s.Reset(cfg, r)
+	return s
+}
+
+// Reset sets the sensor's whole state, for New and for a pooled chip's
+// rewind: it draws the calibration parameters from r — sensitivity, then
+// path offset — splits the sensor's read stream off r, and draws the
+// first held noise realization from it. r is read only here, so a chip
+// can pass one stream it rewinds for every sensor. The zero Sensor is a
+// valid receiver; a live one reuses its read stream without allocating.
+func (s *Sensor) Reset(cfg Config, r *rng.Source) {
 	if r == nil {
 		panic("cpm: nil randomness source")
 	}
 	if cfg.MeanMVPerBit <= 0 {
 		panic(fmt.Sprintf("cpm: non-positive MeanMVPerBit %v", cfg.MeanMVPerBit))
 	}
-	spread := cfg.MVPerBitSpread
-	mvPerBit := cfg.MeanMVPerBit * (1 + r.Uniform(-spread, spread))
-	s := &Sensor{
-		law:          cfg.Law,
-		mvPerBitNom:  mvPerBit,
-		pathOffsetMV: r.Normal(0, cfg.PathOffsetSpreadMV),
-		noiseMV:      cfg.NoiseMV,
-		r:            r.Split("reads"),
-		calib:        r,
-	}
-	s.noiseOffsetMV = s.r.Normal(0, s.noiseMV)
-	return s
-}
-
-// Reset rewinds the sensor to the state New(cfg, r) produces, where the
-// caller has already rewound the retained calibration source (via
-// rng.SplitInto from the chip's reseeded root hierarchy) to r's fresh
-// state. The draw order replicates New exactly — sensitivity, path
-// offset, the "reads" child split, then the first held noise realization
-// — so pooled and fresh sensors emit bit-identical read sequences.
-func (s *Sensor) Reset(cfg Config) {
-	if cfg.MeanMVPerBit <= 0 {
-		panic(fmt.Sprintf("cpm: non-positive MeanMVPerBit %v", cfg.MeanMVPerBit))
+	if s.r == nil {
+		s.r = new(rng.Source)
 	}
 	spread := cfg.MVPerBitSpread
 	s.law = cfg.Law
-	s.mvPerBitNom = cfg.MeanMVPerBit * (1 + s.calib.Uniform(-spread, spread))
-	s.pathOffsetMV = s.calib.Normal(0, cfg.PathOffsetSpreadMV)
+	s.mvPerBitNom = cfg.MeanMVPerBit * (1 + r.Uniform(-spread, spread))
+	s.pathOffsetMV = r.Normal(0, cfg.PathOffsetSpreadMV)
 	s.noiseMV = cfg.NoiseMV
-	s.calib.SplitInto(s.r, "reads")
+	r.SplitInto(s.r, "reads")
 	s.noiseOffsetMV = s.r.Normal(0, s.noiseMV)
 	s.dead = false
 	s.stickyMin = 0
 	s.hasSticky = false
 }
-
-// CalibSource exposes the retained calibration source so the chip's reset
-// path can rewind it in place before calling Reset.
-func (s *Sensor) CalibSource() *rng.Source { return s.calib }
 
 // Terms is the law-dependent part of a read at one voltage and frequency.
 // It is the same for every sensor on a core, so a step computes it once

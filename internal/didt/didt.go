@@ -92,29 +92,22 @@ type Model struct {
 
 // New creates a model drawing randomness from r (must not be nil).
 func New(p Params, r *rng.Source) *Model {
+	m := new(Model)
+	m.Reset(p, r)
+	return m
+}
+
+// Reset sets the model's whole state to draw from r (must not be nil),
+// for New and for a pooled chip's rewind, which passes its di/dt stream
+// rewound in place. The first event-schedule draw is New's, so pooled and
+// fresh models generate identical noise histories. The zero Model is a
+// valid receiver.
+func (m *Model) Reset(p Params, r *rng.Source) {
 	if r == nil {
 		panic("didt: nil randomness source")
 	}
-	return &Model{p: p, r: r, wobble: 1, unitToEvent: r.Exp(1)}
+	*m = Model{p: p, r: r, wobble: 1, unitToEvent: r.Exp(1)}
 }
-
-// Reset rewinds the model to the state New(p, r) produces, given the
-// caller has already rewound the retained source r in place (the chip
-// reseeds it from its root stream exactly as construction split it). The
-// first event-schedule draw replicates New's, so pooled and fresh models
-// generate identical noise histories.
-func (m *Model) Reset(p Params) {
-	m.p = p
-	m.worstSeen = 0
-	m.timeSec = 0
-	m.wobble = 1
-	m.nextWobbleAt = 0
-	m.unitToEvent = m.r.Exp(1)
-}
-
-// Source exposes the model's retained random stream so the chip's reset
-// path can rewind it in place before calling Reset.
-func (m *Model) Source() *rng.Source { return m.r }
 
 // Step produces the chip-wide noise sample for a step of dtSec seconds
 // given the profiles of the currently active cores. An empty profile list

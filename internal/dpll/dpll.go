@@ -52,12 +52,14 @@ const FastSlewFrac = 0.07
 
 // New creates a DPLL at the law's nominal frequency.
 func New(law vf.Law) *DPLL {
-	return &DPLL{law: law, freq: law.FNom, MaxSlewFracPerStep: 0.25}
+	d := new(DPLL)
+	d.Reset(law)
+	return d
 }
 
-// Reset rewinds the DPLL to the state New(law) produces: nominal
-// frequency, default slew bound, no ablation override, zeroed droop
-// statistics. Arena-pooled chips call it instead of reallocating.
+// Reset sets the DPLL's whole state, for New and for a pooled chip's
+// rewind: nominal frequency, default slew bound, no ablation override,
+// zeroed droop statistics.
 func (d *DPLL) Reset(law vf.Law) {
 	*d = DPLL{law: law, freq: law.FNom, MaxSlewFracPerStep: 0.25}
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"agsim/internal/arena"
 	"agsim/internal/chip"
 	"agsim/internal/cluster"
@@ -55,7 +53,7 @@ func releaseServer(s *server.Server) { serverArena.Put(s.ShapeKey(), s) }
 // acquireCluster is acquireChip's cluster-level counterpart; n is the
 // node count (part of the shape).
 func acquireCluster(n int, nc cluster.NodeConfig) *cluster.Cluster {
-	if c, ok := clusterArena.Get(clusterKey(n, nc)); ok {
+	if c, ok := clusterArena.Get(cluster.ShapeKey(n, nc)); ok {
 		c.Reset(nc)
 		return c
 	}
@@ -64,10 +62,3 @@ func acquireCluster(n int, nc cluster.NodeConfig) *cluster.Cluster {
 
 // releaseCluster returns a cluster to the arena.
 func releaseCluster(c *cluster.Cluster) { clusterArena.Put(c.ShapeKey(), c) }
-
-// clusterKey mirrors Cluster.ShapeKey for a not-yet-built cluster: node
-// template shape keys zero the per-node identity, so the template's own
-// key equals any node's.
-func clusterKey(n int, nc cluster.NodeConfig) string {
-	return fmt.Sprintf("cluster{%d %s}", n, nc.ShapeKey())
-}

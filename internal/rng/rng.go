@@ -16,7 +16,9 @@ import (
 	"math/rand/v2"
 )
 
-// Source is a deterministic random stream.
+// Source is a deterministic random stream. The zero Source is valid for
+// Reseed, SplitInto and UnmarshalBinary, which allocate its generator on
+// first use; it must be positioned by one of them before it draws.
 type Source struct {
 	r *rand.Rand
 	// pcg is the stream's generator state, retained so Reseed and
@@ -34,30 +36,43 @@ func nameSeed(name string) uint64 {
 
 // New returns a stream seeded from the experiment seed and a component name.
 func New(seed uint64, name string) *Source {
-	pcg := rand.NewPCG(seed, nameSeed(name))
-	return &Source{r: rand.New(pcg), pcg: pcg}
+	s := new(Source)
+	s.Reseed(seed, name)
+	return s
 }
 
 // Split derives a child stream; the child's draws are independent of the
 // parent's future draws.
 func (s *Source) Split(name string) *Source {
-	pcg := rand.NewPCG(s.r.Uint64(), nameSeed(name))
-	return &Source{r: rand.New(pcg), pcg: pcg}
+	child := new(Source)
+	s.SplitInto(child, name)
+	return child
 }
 
 // Reseed rewinds the stream in place to the state New(seed, name) would
-// produce, without allocating. Arena-pooled components use it to restore
-// their retained Sources to fresh-construction state, so pooled runs draw
-// bit-identical sequences to freshly built ones.
+// produce, without allocating once the Source has been positioned. Pooled
+// components use it to restore their retained Sources to
+// fresh-construction state, so pooled runs draw bit-identical sequences
+// to freshly built ones.
 func (s *Source) Reseed(seed uint64, name string) {
-	s.pcg.Seed(seed, nameSeed(name))
+	s.generator().Seed(seed, nameSeed(name))
 }
 
 // SplitInto is Split writing into an existing child Source: it consumes
 // one parent draw (exactly as Split does) and rewinds child to the state a
-// fresh Split(name) would have, without allocating.
+// fresh Split(name) would have.
 func (s *Source) SplitInto(child *Source, name string) {
-	child.pcg.Seed(s.r.Uint64(), nameSeed(name))
+	child.generator().Seed(s.r.Uint64(), nameSeed(name))
+}
+
+// generator returns the stream's PCG, allocating it (and the rand.Rand
+// over it) for a zero Source. This is the one place a generator is built.
+func (s *Source) generator() *rand.PCG {
+	if s.pcg == nil {
+		s.pcg = rand.NewPCG(0, 0)
+		s.r = rand.New(s.pcg)
+	}
+	return s.pcg
 }
 
 // MarshalBinary captures the stream's exact position: the underlying PCG
@@ -73,11 +88,7 @@ func (s *Source) MarshalBinary() ([]byte, error) {
 // A zero Source allocates its generator; a live one is reseeded without
 // allocating, exactly like Reseed.
 func (s *Source) UnmarshalBinary(data []byte) error {
-	if s.pcg == nil {
-		s.pcg = rand.NewPCG(0, 0)
-		s.r = rand.New(s.pcg)
-	}
-	if err := s.pcg.UnmarshalBinary(data); err != nil {
+	if err := s.generator().UnmarshalBinary(data); err != nil {
 		return fmt.Errorf("rng: restore source: %w", err)
 	}
 	return nil

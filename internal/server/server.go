@@ -146,14 +146,17 @@ type Server struct {
 	coreJob [][]*Job
 
 	// freeThreads holds threads harvested by Reset for reuse: Submit pops
-	// one and Reinits it instead of allocating, drawing the same RNG
-	// sequence a fresh NewThread-with-Split would.
-	freeThreads []*workload.Thread
+	// one and Reinits it instead of allocating a zero one. It is storage,
+	// not state — a recycled thread and a new one reinit alike — so the
+	// snapshot codec skips it.
+	freeThreads []*workload.Thread `snapshot:"-"`
 
 	timeSec float64
 }
 
-// New builds the server.
+// New builds the server: it validates the configuration, builds socket
+// i's chip as P<i> at the socket's seed (socketSeed) on the server's
+// recorder, and runs the rewind a pooled server's Reset runs.
 func New(cfg Config) (*Server, error) {
 	if cfg.Sockets < 1 {
 		return nil, fmt.Errorf("server: need at least one socket")
@@ -164,13 +167,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SharingPenalty < 0 {
 		return nil, fmt.Errorf("server: negative sharing penalty %v", cfg.SharingPenalty)
 	}
-	s := &Server{cfg: cfg, shapeKey: cfg.ShapeKey(), r: rng.New(cfg.Seed, "server")}
+	s := &Server{cfg: cfg, shapeKey: cfg.ShapeKey(), jobs: []*Job{}, r: new(rng.Source)}
 	for i := 0; i < cfg.Sockets; i++ {
 		cc := cfg.ChipConfig
 		cc.Name = fmt.Sprintf("P%d", i)
 		cc.Cores = cfg.CoresPerSocket
 		cc.PDN.Cores = cfg.CoresPerSocket
-		cc.Seed = cfg.Seed + uint64(i)*7919
+		cc.Seed = s.socketSeed(i)
 		cc.Recorder = cfg.Recorder
 		ch, err := chip.New(cc)
 		if err != nil {
@@ -179,6 +182,7 @@ func New(cfg Config) (*Server, error) {
 		s.chips = append(s.chips, ch)
 		s.coreJob = append(s.coreJob, make([]*Job, cfg.CoresPerSocket))
 	}
+	s.rewind()
 	return s, nil
 }
 
@@ -191,30 +195,34 @@ func MustNew(cfg Config) *Server {
 	return s
 }
 
+// socketSeed derives socket i's chip seed from the server's.
+func (s *Server) socketSeed(i int) uint64 { return s.cfg.Seed + uint64(i)*7919 }
+
 // Reset rewinds the server to the state New would produce for the same
 // configuration shape with the given seed and recorder, without
-// reallocating chips or threads: the server stream is reseeded in place,
-// each chip Resets under its original name with the per-socket seed
-// derivation New uses, and every live job's threads are harvested into the
-// freelist Submit recycles. Pooled and fresh servers then run
-// bit-identically.
+// reallocating chips or threads: each chip Resets under its name at its
+// socket's seed, every live job's threads go to the freelist Submit
+// recycles, the core map is cleared, and New's rewind runs. A pooled
+// server then images and runs byte for byte like a fresh one.
 func (s *Server) Reset(seed uint64, rec *obs.Recorder) {
 	s.cfg.Seed = seed
 	s.cfg.Recorder = rec
-	s.cfg.ChipConfig.Recorder = rec
-	s.r.Reseed(seed, "server")
 	for i, c := range s.chips {
-		c.Reset(c.Name(), seed+uint64(i)*7919, rec)
-		cores := s.coreJob[i]
-		for core := range cores {
-			cores[core] = nil
-		}
+		c.Reset(c.Name(), s.socketSeed(i), rec)
+		clear(s.coreJob[i])
 	}
 	for _, j := range s.jobs {
 		s.freeThreads = append(s.freeThreads, j.Threads...)
 	}
-	s.jobs = s.jobs[:0]
 	s.timeSec = 0
+	s.rewind()
+}
+
+// rewind sets the state New's allocations do not: the server stream at
+// the configured seed and an empty job list.
+func (s *Server) rewind() {
+	s.r.Reseed(s.cfg.Seed, "server")
+	s.jobs = s.jobs[:0]
 }
 
 // ShapeKey identifies the allocation shape of the configuration — every
@@ -275,16 +283,15 @@ func (s *Server) Submit(id string, d workload.Descriptor, placements []Placement
 			return nil, fmt.Errorf("server: job %s placement %d collides with job %s on P%d core %d",
 				id, i, other.ID, p.Socket, p.Core)
 		}
-		name := fmt.Sprintf("job/%s/%d", id, i)
 		var th *workload.Thread
 		if k := len(s.freeThreads) - 1; k >= 0 {
 			th = s.freeThreads[k]
 			s.freeThreads[k] = nil
 			s.freeThreads = s.freeThreads[:k]
-			th.Reinit(d, perThread, s.r, name)
 		} else {
-			th = workload.NewThread(d, perThread, s.r.Split(name))
+			th = new(workload.Thread)
 		}
+		th.Reinit(d, perThread, s.r, fmt.Sprintf("job/%s/%d", id, i))
 		j.Threads = append(j.Threads, th)
 		s.chips[p.Socket].Place(p.Core, th)
 		s.coreJob[p.Socket][p.Core] = j

@@ -123,6 +123,6 @@ func TestWireFormatPinned(t *testing.T) {
 }
 
 const (
-	pinChipSHA  = "eb149182d4abffe11f3a473399000529e0e0593ded224d72fcbc950404d8948a"
-	pinFleetSHA = "db3729a364559a0418822bfaf954c7d53c22f85ff55caf57d814c82184471228"
+	pinChipSHA  = "4cc8cedbf54e557bc9cba6462deba50853a7d9956369f9efadb267c76cad67b6"
+	pinFleetSHA = "6a663d62c62d7f19399f87b0e89bb249cfef54bdbeba9e35959d22249fd4508e"
 )

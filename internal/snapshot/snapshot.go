@@ -47,8 +47,12 @@ import (
 // the cluster's batched flag, engine, gathered-server list and slot map.
 // Version 3 dropped the cluster's node-stepping worker pool and its unread
 // seed. Version 4 added the chip's lastMove, the quiescence proof's last
-// micro-step movement.
-const layoutVersion byte = 4
+// micro-step movement. Version 5 dropped the streams that existed only so
+// a pooled chip could replay construction — the chip's per-core sensor
+// parents and each CPM's calibration stream — and the server's thread
+// free list, which is reuse storage; an idle core's thread list and an
+// empty server's job list now image as empty, never nil.
+const layoutVersion byte = 5
 
 // codecVersion is the wire-format generation of this package's walker,
 // independent of layoutVersion (which tracks simulation struct layout).

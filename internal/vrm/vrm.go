@@ -55,20 +55,15 @@ func NewRail(name string, loadlineMilliohm float64, vset, vmax units.Millivolt, 
 	if maxCurrent <= 0 {
 		return nil, fmt.Errorf("vrm: rail %s: non-positive current limit %v", name, maxCurrent)
 	}
-	return &Rail{
-		Name:             name,
-		LoadlineMilliohm: loadlineMilliohm,
-		MaxCurrent:       maxCurrent,
-		VMax:             vmax,
-		setPoint:         vset,
-		SenseLSB:         0.25,
-	}, nil
+	r := &Rail{LoadlineMilliohm: loadlineMilliohm, MaxCurrent: maxCurrent, VMax: vmax}
+	r.Reset(name, vset)
+	return r, nil
 }
 
-// Reset rewinds the rail to the state NewRail(name, …, vset, …) produces
-// with the rail's existing loadline and limits: set point restored,
-// current sensor un-stuck and cleared, default sense quantization. The
-// name is reassigned because pooled chips may be re-tagged between uses.
+// Reset sets the rail's state under its loadline and limits, for NewRail
+// and for a pooled chip's rewind: name, set point, default sense
+// quantization, and an un-stuck, cleared current sensor. The name is an
+// argument because pooled chips may be re-tagged between uses.
 func (r *Rail) Reset(name string, vset units.Millivolt) {
 	if vset <= 0 || vset > r.VMax {
 		panic(fmt.Sprintf("vrm: rail %s: reset voltage %v outside (0, %v]", name, vset, r.VMax))

@@ -42,10 +42,18 @@ const phaseSwing = 0.08
 // NewThread creates a thread with the given share of the benchmark's work.
 // r may be nil for a deterministic (phase-free) thread.
 func NewThread(d Descriptor, workGInst float64, r *rng.Source) *Thread {
+	t := new(Thread)
+	t.rewind(d, workGInst, r)
+	return t
+}
+
+// rewind sets the thread's whole state: the state NewThread(d,
+// workGInst, r) produces, which Reinit also lands on.
+func (t *Thread) rewind(d Descriptor, workGInst float64, r *rng.Source) {
 	if workGInst <= 0 {
 		panic(fmt.Sprintf("workload %s: non-positive thread work %v", d.Name, workGInst))
 	}
-	return &Thread{Desc: d, remainingGInst: workGInst, phaseMul: 1, r: r}
+	*t = Thread{Desc: d, remainingGInst: workGInst, phaseMul: 1, r: r}
 }
 
 // Step advances the thread by dtSec of wall time at the given operating
@@ -189,31 +197,22 @@ func (t *Thread) Reset(workGInst float64) {
 }
 
 // Reinit rewinds the thread to the state NewThread(d, workGInst, r')
-// produces, where r' is a child stream split off parent under name —
-// reusing the thread's retained Source in place when it has one (via
-// rng.SplitInto, consuming exactly one parent draw like a fresh Split).
-// Arena-pooled servers recycle completed threads through it so a Submit
-// on a pooled server draws the same RNG sequence, and produces the same
-// thread state, as a Submit on a freshly built one.
+// produces, where r' is a child stream split off parent under name (nil
+// for a nil parent) — reusing the thread's retained Source in place when
+// it has one, consuming exactly one parent draw like a fresh Split. The
+// zero Thread is a valid receiver. Servers place every submitted thread
+// through it, recycled or new, so a Submit on a pooled server draws the
+// same RNG sequence, and produces the same thread state, as a Submit on a
+// freshly built one.
 func (t *Thread) Reinit(d Descriptor, workGInst float64, parent *rng.Source, name string) {
-	if workGInst <= 0 {
-		panic(fmt.Sprintf("workload %s: non-positive reinit work %v", d.Name, workGInst))
+	var r *rng.Source
+	if parent != nil {
+		if r = t.r; r == nil {
+			r = new(rng.Source)
+		}
+		parent.SplitInto(r, name)
 	}
-	t.Desc = d
-	t.remainingGInst = workGInst
-	t.retiredGInst = 0
-	t.phaseMul = 1
-	t.phases = nil
-	t.elapsedSec = 0
-	t.sinceWalk = 0
-	switch {
-	case parent == nil:
-		t.r = nil
-	case t.r == nil:
-		t.r = parent.Split(name)
-	default:
-		parent.SplitInto(t.r, name)
-	}
+	t.rewind(d, workGInst, r)
 }
 
 // Done reports whether the thread has retired all of its work.
