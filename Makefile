@@ -41,8 +41,11 @@
 #                        next cpm-window event and require `-until droops`
 #                        to exit 2 at once, require amesterd `-snap-every
 #                        -1` (writing no image) and `-threads -3` and
-#                        agsched `-threads -2` to exit 2 within 5s without
-#                        a Go panic (which also exits 2), run agsched once,
+#                        agsched `-threads -2`, `-duration 1e300` and
+#                        `-duration NaN` to exit 2 within 5s without a Go
+#                        panic (which also exits 2), the two durations
+#                        with a message naming the failed check, run
+#                        agsched once,
 #                        and run cpmcal's calibration sweep (its 4200 MHz
 #                        fit)
 #   make fuzz-smoke    — run each fuzz target for 20s: snapshot FuzzLoad
@@ -197,7 +200,11 @@ smoke:
 	echo "smoke: amesterd -snap-every -1 and -threads -3 exited 2 before listening"
 	$(GO) build -o $(SMOKE_DIR)/agsched ./cmd/agsched
 	@set -e; $(call smoke_exit2,agsched-threads,$(SMOKE_DIR)/agsched -threads -2); \
-	echo "smoke: agsched -threads -2 exited 2"
+	$(call smoke_exit2,agsched-duration-huge,$(SMOKE_DIR)/agsched -duration 1e300); \
+	grep -q 'maximum' $(SMOKE_DIR)/agsched-duration-huge.out; \
+	$(call smoke_exit2,agsched-duration-nan,$(SMOKE_DIR)/agsched -duration NaN); \
+	grep -q 'not a finite' $(SMOKE_DIR)/agsched-duration-nan.out; \
+	echo "smoke: agsched -threads -2, -duration 1e300 and -duration NaN exited 2, naming the failed check"
 	$(SMOKE_DIR)/agsched -duration 0.5 >$(SMOKE_DIR)/agsched.out
 	@grep -q '^  total power ' $(SMOKE_DIR)/agsched.out
 	@echo "smoke: agsched printed its total power line"

@@ -23,6 +23,30 @@ import (
 	"agsim/internal/workload"
 )
 
+// maxDurationSec bounds -duration at one simulated day, 86.4 million
+// 1 ms steps: far past any run the playground is for, and a step count
+// no int overflows on.
+const maxDurationSec = 86_400
+
+// durationSteps converts -duration to a count of 1 ms steps, refusing a
+// value that is not finite, not positive, over maxDurationSec, or short
+// of one step.
+func durationSteps(sec float64) (int, error) {
+	switch {
+	case math.IsNaN(sec) || math.IsInf(sec, 0):
+		return 0, fmt.Errorf("-duration %v is not a finite number of seconds", sec)
+	case sec <= 0:
+		return 0, fmt.Errorf("-duration %v is not > 0", sec)
+	case sec > maxDurationSec:
+		return 0, fmt.Errorf("-duration %v exceeds the %d s maximum (one simulated day)", sec, maxDurationSec)
+	}
+	steps := int(math.Round(sec / chip.DefaultStepSec))
+	if steps < 1 {
+		return 0, fmt.Errorf("-duration %v is shorter than one %v s step", sec, chip.DefaultStepSec)
+	}
+	return steps, nil
+}
+
 func main() {
 	name := flag.String("workload", "raytrace", "benchmark to run (see -list)")
 	threads := flag.Int("threads", 8, "thread count (1-16)")
@@ -75,9 +99,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "agsched: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
-	steps := int(math.Round(*duration / chip.DefaultStepSec))
-	if steps < 1 {
-		fmt.Fprintf(os.Stderr, "agsched: -duration %v is shorter than one %v s step\n", *duration, chip.DefaultStepSec)
+	steps, err := durationSteps(*duration)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "agsched:", err)
 		os.Exit(2)
 	}
 

@@ -300,6 +300,23 @@ var sensorSplitNames = func() [CPMsPerCore]string {
 	return names
 }()
 
+// coreSplitNames are the per-core sensor-parent split names of the
+// default eight-core chip; coreSplitName formats any core past them.
+var coreSplitNames = func() [8]string {
+	var names [8]string
+	for i := range names {
+		names[i] = fmt.Sprintf("cpm/core%d", i)
+	}
+	return names
+}()
+
+func coreSplitName(i int) string {
+	if i < len(coreSplitNames) {
+		return coreSplitNames[i]
+	}
+	return fmt.Sprintf("cpm/core%d", i)
+}
+
 // New builds a chip from the configuration: it allocates the chip's
 // storage and runs the rewind a pooled chip's Reset runs (reset.go),
 // which sets every piece of state.

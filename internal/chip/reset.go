@@ -73,7 +73,7 @@ func (c *Chip) rewind() {
 			co.lastWindowSticky[k] = cpm.MaxValue
 		}
 		co.tempC = c.cfg.AmbientC + 8
-		c.root.SplitInto(c.coreWalk, fmt.Sprintf("cpm/core%d", i))
+		c.root.SplitInto(c.coreWalk, coreSplitName(i))
 		for j, s := range co.cpms {
 			c.coreWalk.SplitInto(c.sensorWalk, sensorSplitNames[j])
 			s.Reset(c.cfg.CPM, c.sensorWalk)

@@ -87,3 +87,14 @@ func TestDoubleResetIdempotent(t *testing.T) {
 		t.Error("double-reset chip's step trace diverged from fresh construction")
 	}
 }
+
+// TestResetAllocations pins what a Reset allocates: the rail's name,
+// which the rail keeps, and nothing per core, so a pooled sweep's
+// thousands of rewinds do not format each core's split name again.
+func TestResetAllocations(t *testing.T) {
+	c := MustNew(DefaultConfig("pooled", 3))
+	allocs := testing.AllocsPerRun(100, func() { c.Reset("pooled", 3, nil) })
+	if allocs > 1 {
+		t.Fatalf("Reset allocates %v objects, want at most 1", allocs)
+	}
+}

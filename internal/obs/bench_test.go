@@ -7,11 +7,24 @@ import (
 	"agsim/internal/tsdb"
 )
 
-// BenchmarkRecorderSnapshot merges a fleet-shaped recorder tree: 64 node
-// shards, each with 8 CompactSpec series holding 3 s of 1 ms samples and
-// a wrapped 256-event ring whose stamps fall on a grid shared by every
-// shard, so the merge breaks ties across shards at every stamp.
+// BenchmarkRecorderSnapshot merges benchSnapshotTree's fleet-shaped
+// recorder tree.
 func BenchmarkRecorderSnapshot(b *testing.B) {
+	root := benchSnapshotTree()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if lg := root.Snapshot(); len(lg.Events) != 64*256 {
+			b.Fatalf("merged %d events", len(lg.Events))
+		}
+	}
+}
+
+// benchSnapshotTree builds a fleet-shaped recorder tree: 64 node shards,
+// each with 8 CompactSpec series holding 3 s of 1 ms samples and a
+// wrapped 256-event ring whose stamps fall on a grid shared by every
+// shard, so the merge breaks ties across shards at every stamp.
+func benchSnapshotTree() *Recorder {
 	root := New("bench", 256)
 	root.EnableTimeSeries(tsdb.CompactSpec())
 	for n := 0; n < 64; n++ {
@@ -30,11 +43,5 @@ func BenchmarkRecorderSnapshot(b *testing.B) {
 			sh.Emit(Event{TimeUS: int64(i) * 4000, Kind: KindWindow, Source: src, Core: -1, A: float64(n)})
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if lg := root.Snapshot(); len(lg.Events) != 64*256 {
-			b.Fatalf("merged %d events", len(lg.Events))
-		}
-	}
+	return root
 }

@@ -14,57 +14,79 @@ import (
 	"unsafe"
 )
 
-// writer appends primitives to a buffer that grows by doubling: an image
-// is megabytes built from writes of a few bytes each, and append's 1.25x
-// steps for large slices would copy it many times over.
+// writer encodes primitives into buf by index; the bytes written are
+// buf[:n]. Only grow replaces buf, doubling it: an image is megabytes
+// built from writes of a few bytes each. A write stores an offset, never
+// a slice header, so it pays no GC write barrier while the collector
+// marks.
 type writer struct {
-	buf []byte
+	buf []byte // all of it usable: len(buf) is the capacity
+	n   int
 }
+
+// written returns the bytes written so far.
+func (w *writer) written() []byte { return w.buf[:w.n] }
 
 // grow makes room for n more bytes.
 func (w *writer) grow(n int) {
-	if cap(w.buf)-len(w.buf) < n {
+	if len(w.buf)-w.n < n {
 		w.realloc(n)
 	}
 }
 
 func (w *writer) realloc(n int) {
-	c := 2 * cap(w.buf)
-	if c < len(w.buf)+n {
-		c = len(w.buf) + n
+	c := 2 * len(w.buf)
+	if c < w.n+n {
+		c = w.n + n
 	}
 	if c < 512 {
 		c = 512
 	}
-	b := make([]byte, len(w.buf), c)
-	copy(b, w.buf)
+	b := make([]byte, c)
+	copy(b, w.buf[:w.n])
 	w.buf = b
+}
+
+// The put* primitives write into room a grow already made.
+
+func (w *writer) putU8(b byte) {
+	w.buf[w.n] = b
+	w.n++
+}
+
+func (w *writer) putU64(v uint64) { w.n += binary.PutUvarint(w.buf[w.n:], v) }
+
+func (w *writer) putI64(v int64) { w.n += binary.PutVarint(w.buf[w.n:], v) }
+
+// putF64 writes raw IEEE-754 bits, fixed 8 bytes little-endian: float
+// state must round-trip bit-exactly (including -0 and NaN payloads), and
+// varint packing would bloat typical mantissas.
+func (w *writer) putF64(v float64) {
+	binary.LittleEndian.PutUint64(w.buf[w.n:], math.Float64bits(v))
+	w.n += 8
 }
 
 func (w *writer) u8(b byte) {
 	w.grow(1)
-	w.buf = append(w.buf, b)
+	w.putU8(b)
 }
 
 func (w *writer) u64(v uint64) {
 	w.grow(uvarintLen(v))
-	w.buf = binary.AppendUvarint(w.buf, v)
+	w.putU64(v)
 }
 
 func (w *writer) i64(v int64) {
-	w.grow(uvarintLen(uint64(v<<1) ^ uint64(v>>63))) // zig-zag, as AppendVarint
-	w.buf = binary.AppendVarint(w.buf, v)
+	w.grow(uvarintLen(uint64(v<<1) ^ uint64(v>>63))) // zig-zag, as PutVarint
+	w.putI64(v)
 }
 
 // uvarintLen is the byte count of x as a uvarint.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// f64 writes raw IEEE-754 bits, fixed 8 bytes little-endian: float state
-// must round-trip bit-exactly (including -0 and NaN payloads), and varint
-// packing would bloat typical mantissas.
 func (w *writer) f64(v float64) {
 	w.grow(8)
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
+	w.putF64(v)
 }
 
 // f64s bulk-writes a float64 run — the same bytes n f64 calls would
@@ -72,18 +94,17 @@ func (w *writer) f64(v float64) {
 // chip image, so the walker routes them here.
 func (w *writer) f64s(fs []float64) {
 	w.grow(8 * len(fs))
-	off := len(w.buf)
-	w.buf = w.buf[:off+8*len(fs)]
-	for _, f := range fs {
-		binary.LittleEndian.PutUint64(w.buf[off:], math.Float64bits(f))
-		off += 8
+	b := w.buf[w.n : w.n+8*len(fs)]
+	for i, f := range fs {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(f))
 	}
+	w.n += len(b)
 }
 
-// raw appends b with no length prefix.
+// raw writes b with no length prefix.
 func (w *writer) raw(b []byte) {
 	w.grow(len(b))
-	w.buf = append(w.buf, b...)
+	w.n += copy(w.buf[w.n:], b)
 }
 
 func (w *writer) bytes(b []byte) {
@@ -94,13 +115,15 @@ func (w *writer) bytes(b []byte) {
 func (w *writer) str(s string) {
 	w.u64(uint64(len(s)))
 	w.grow(len(s))
-	w.buf = append(w.buf, s...)
+	w.n += copy(w.buf[w.n:], s)
 }
 
 // flat writes the fields of the flat struct at p in plan order: the bytes
-// the reflective walk writes for it field by field.
-func (w *writer) flat(p unsafe.Pointer, plan []flatField) {
-	for _, f := range plan {
+// the reflective walk writes for it field by field. It makes room for
+// the struct's longest encoding once, so no field checks for room.
+func (w *writer) flat(p unsafe.Pointer, ti *typeInfo) {
+	w.grow(ti.flatMax)
+	for _, f := range ti.plan {
 		q := unsafe.Add(p, f.off)
 		switch f.kind {
 		case reflect.Bool:
@@ -108,31 +131,31 @@ func (w *writer) flat(p unsafe.Pointer, plan []flatField) {
 			if *(*bool)(q) {
 				b = 1
 			}
-			w.u8(b)
+			w.putU8(b)
 		case reflect.Int:
-			w.i64(int64(*(*int)(q)))
+			w.putI64(int64(*(*int)(q)))
 		case reflect.Int8:
-			w.i64(int64(*(*int8)(q)))
+			w.putI64(int64(*(*int8)(q)))
 		case reflect.Int16:
-			w.i64(int64(*(*int16)(q)))
+			w.putI64(int64(*(*int16)(q)))
 		case reflect.Int32:
-			w.i64(int64(*(*int32)(q)))
+			w.putI64(int64(*(*int32)(q)))
 		case reflect.Int64:
-			w.i64(*(*int64)(q))
+			w.putI64(*(*int64)(q))
 		case reflect.Uint:
-			w.u64(uint64(*(*uint)(q)))
+			w.putU64(uint64(*(*uint)(q)))
 		case reflect.Uint8:
-			w.u64(uint64(*(*uint8)(q)))
+			w.putU64(uint64(*(*uint8)(q)))
 		case reflect.Uint16:
-			w.u64(uint64(*(*uint16)(q)))
+			w.putU64(uint64(*(*uint16)(q)))
 		case reflect.Uint32:
-			w.u64(uint64(*(*uint32)(q)))
+			w.putU64(uint64(*(*uint32)(q)))
 		case reflect.Uint64:
-			w.u64(*(*uint64)(q))
+			w.putU64(*(*uint64)(q))
 		case reflect.Float32:
-			w.f64(float64(*(*float32)(q)))
+			w.putF64(float64(*(*float32)(q)))
 		case reflect.Float64:
-			w.f64(*(*float64)(q))
+			w.putF64(*(*float64)(q))
 		}
 	}
 }
@@ -140,7 +163,7 @@ func (w *writer) flat(p unsafe.Pointer, plan []flatField) {
 // flats writes n consecutive flat structs of type el starting at p.
 func (w *writer) flats(p unsafe.Pointer, n int, el *typeInfo) {
 	for i := 0; i < n; i++ {
-		w.flat(unsafe.Add(p, uintptr(i)*el.size), el.plan)
+		w.flat(unsafe.Add(p, uintptr(i)*el.size), el)
 	}
 }
 

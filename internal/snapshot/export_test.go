@@ -26,11 +26,11 @@ func image(rootType string, meta Meta, payload []byte) []byte {
 	size := len(magic) + 2 + strLen(rootType) + strLen(meta.ShapeKey) + uvarintLen(meta.Seed) +
 		strLen(meta.Revision) + strLen(meta.Extra) + 8 +
 		uvarintLen(uint64(len(payload))) + len(payload) + uvarintLen(crc)
-	h := writer{buf: make([]byte, 0, size)}
+	h := writer{buf: make([]byte, size)}
 	h.header(rootType, meta)
 	h.bytes(payload)
 	h.u64(crc)
-	return h.buf
+	return h.written()
 }
 
 // strLen is the encoded size of a length-prefixed string.

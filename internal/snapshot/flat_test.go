@@ -106,7 +106,7 @@ func encodeValue(t *testing.T, v reflect.Value) []byte {
 	if e.err != nil {
 		t.Fatal(e.err)
 	}
-	return e.w.buf
+	return e.w.written()
 }
 
 // TestFlatPathMatchesFieldWalk holds the offset-driven fast path to the
@@ -175,8 +175,8 @@ func TestFlatPathMatchesFieldWalk(t *testing.T) {
 			}
 
 			got := encodeValue(t, h)
-			if !bytes.Equal(got, want.buf) {
-				t.Fatalf("flat path wrote\n%x\nfield walk writes\n%x", got, want.buf)
+			if !bytes.Equal(got, want.written()) {
+				t.Fatalf("flat path wrote\n%x\nfield walk writes\n%x", got, want.written())
 			}
 
 			// Decode into a target whose interfaces hold the right dynamic
@@ -255,7 +255,7 @@ func TestInfoOfConcurrentFirstUse(t *testing.T) {
 				plans[w] = infoOf(typ)
 				e := &encoder{ids: map[ptrKey]uint64{}}
 				e.value(v, plans[w])
-				imgs[w], errs[w] = e.w.buf, e.err
+				imgs[w], errs[w] = e.w.written(), e.err
 			}(w)
 		}
 		close(start)

@@ -21,7 +21,7 @@ func referenceImage(t *testing.T, root any, meta Meta) []byte {
 	if e.err != nil {
 		t.Fatal(e.err)
 	}
-	return image(rv.Type().String(), meta, e.w.buf)
+	return image(rv.Type().String(), meta, e.w.written())
 }
 
 // TestSaveFramesInPlace runs a series of Saves of one root type whose

@@ -26,3 +26,17 @@ func BenchmarkMergeWindows(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFill backfills one firmware tick's 32 ms leap on the 1 ms
+// grid into a DefaultSpec series, what a leaping chip does to each of
+// its series per leap: 32 windows of the finest level, one or two of
+// the coarser ones.
+func BenchmarkFill(b *testing.B) {
+	s := NewSeries("f", DefaultSpec())
+	var tUS int64
+	b.ReportAllocs()
+	for b.Loop() {
+		s.Fill(tUS, tUS+32_000, 1.5, 1_000)
+		tUS += 32_000
+	}
+}

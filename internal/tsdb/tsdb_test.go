@@ -369,3 +369,129 @@ func TestFillMatchesPushesRandom(t *testing.T) {
 		}
 	}
 }
+
+// TestFoldIntoMatchesMergeOfCopy holds FoldInto to its definition,
+// MergeWindows(dst, s.AppendWindows(nil, li)), on every level of rings
+// that wrap at varying heads, into nil, empty, aligned, subset, offset
+// and disjoint destinations: the same windows, the same choice between
+// folding in place and allocating, dst untouched when it allocates, and
+// no allocation when it folds in place.
+func TestFoldIntoMatchesMergeOfCopy(t *testing.T) {
+	r := rand.New(rand.NewPCG(24, 7))
+	mk := func(startUS int64, n int) *Series {
+		s := NewSeries("f", smallSpec())
+		for i := 0; i < n; i++ {
+			s.Push(startUS+int64(i)*1_000+int64(i%3)*100, 100*r.NormFloat64())
+		}
+		return s
+	}
+	for trial := 0; trial < 400; trial++ {
+		src := mk(int64(r.IntN(40))*1_000, 1+r.IntN(200)) // wraps level 0 past 8 windows
+		other := mk(int64(r.IntN(40))*1_000+int64(r.IntN(2))*500, r.IntN(200))
+		for li := 0; li < src.Levels(); li++ {
+			for _, dst := range [][]Window{
+				nil,
+				make([]Window, 0, 16),
+				src.AppendWindows(nil, li),     // aligned
+				src.AppendWindows(nil, li)[1:], // missing the oldest
+				other.AppendWindows(nil, li),   // offset or disjoint
+			} {
+				ref := append([]Window(nil), dst...)
+				want := MergeWindows(ref, src.AppendWindows(nil, li))
+				d := append(make([]Window, 0, cap(dst)), dst...)
+				got := src.FoldInto(d, li)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d level %d: FoldInto\n%+v\nmerge of the copy\n%+v", trial, li, got, want)
+				}
+				inPlace := len(d) > 0 && len(got) > 0 && &got[0] == &d[0]
+				wantInPlace := len(ref) > 0 && len(want) > 0 && &want[0] == &ref[0]
+				if inPlace != wantInPlace {
+					t.Fatalf("trial %d level %d: folded in place %v, MergeWindows %v", trial, li, inPlace, wantInPlace)
+				}
+				if !inPlace && len(d) > 0 && !reflect.DeepEqual(d, dst) {
+					t.Fatalf("trial %d level %d: allocating fold changed dst", trial, li)
+				}
+				if inPlace {
+					buf := make([]Window, len(dst))
+					if allocs := testing.AllocsPerRun(20, func() {
+						copy(buf, dst)
+						src.FoldInto(buf, li)
+					}); allocs != 0 {
+						t.Fatalf("trial %d level %d: aligned FoldInto allocates %v times", trial, li, allocs)
+					}
+				}
+			}
+		}
+	}
+	var nilSeries *Series
+	if got := nilSeries.FoldInto(nil, 0); got != nil {
+		t.Fatalf("nil series folded %v", got)
+	}
+	if got := mk(0, 5).FoldInto(nil, 9); got != nil {
+		t.Fatalf("missing level folded %v", got)
+	}
+}
+
+// TestMergeWindowsGrouping is the merge's grouping property over 3–6
+// window sets: every way of grouping the merges of the sets in one order
+// gives the same windows, and so does every order when no two sets share
+// a LastUS. Sum alone may differ, by float rounding; for sets of eighths
+// of integers, whose partial sums are exact, it must not.
+func TestMergeWindowsGrouping(t *testing.T) {
+	r := rand.New(rand.NewPCG(4, 2015))
+	// fold merges sets[lo:hi] under a random grouping, left to right.
+	var fold func(sets [][]Window, lo, hi int) []Window
+	fold = func(sets [][]Window, lo, hi int) []Window {
+		if hi-lo == 1 {
+			return append([]Window(nil), sets[lo]...)
+		}
+		mid := lo + 1 + r.IntN(hi-lo-1)
+		return MergeWindows(fold(sets, lo, mid), fold(sets, mid, hi))
+	}
+	for trial := 0; trial < 2_000; trial++ {
+		exact := trial%2 == 0
+		shared := trial%4 < 2 // sets push on one grid, tying every LastUS
+		sets := make([][]Window, 3+r.IntN(4))
+		for k := range sets {
+			s := NewSeries("g", smallSpec())
+			tUS := int64(r.IntN(30)) * 1_000
+			if !shared {
+				tUS += int64(k+1) * 7 // a LastUS no other set has
+			}
+			for i, n := 0, r.IntN(60); i < n; i++ {
+				v := 100 * r.NormFloat64()
+				if exact {
+					v = float64(r.IntN(1<<20)-1<<19) / 8
+				}
+				s.Push(tUS, v)
+				tUS += 1_000 * int64(1+r.IntN(2))
+			}
+			sets[k] = s.AppendWindows(nil, r.IntN(2))
+		}
+		want := fold(sets, 0, len(sets))
+		order := sets
+		if !shared {
+			order = make([][]Window, len(sets))
+			for i, p := range r.Perm(len(sets)) {
+				order[i] = sets[p]
+			}
+		}
+		got := fold(order, 0, len(order))
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d windows, want %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			// Each order rounds at most len(sets)-1 additions of window
+			// sums bounded by Cnt·max(|Min|, |Max|).
+			bound := 2 * float64(len(sets)-1) * 0x1p-53 * float64(w.Cnt) * math.Max(math.Abs(w.Min), math.Abs(w.Max))
+			if exact && g.Sum != w.Sum || math.Abs(g.Sum-w.Sum) > bound {
+				t.Fatalf("trial %d window %d: sum %v, want %v (bound %v)", trial, i, g.Sum, w.Sum, bound)
+			}
+			g.Sum = w.Sum
+			if g != w {
+				t.Fatalf("trial %d window %d:\n%+v\n%+v", trial, i, got[i], want[i])
+			}
+		}
+	}
+}
