@@ -297,9 +297,22 @@ func TestServerWithRecorderRestoreIdentity(t *testing.T) {
 		t.Fatalf("restored server trace diverges")
 	}
 	// The restored recorder tree (reached through the server's shard) must
-	// merge identically to the original's: counters, events, series rings.
+	// merge identically to the original's: counters, events, the series
+	// folded across sockets. A Snapshot keeps no per-socket windows, so
+	// the trees' images, which hold every series ring, must match too.
 	if !reflect.DeepEqual(restRec.Snapshot(), origRec.Snapshot()) {
 		t.Fatalf("merged recorder snapshots diverge after restore")
+	}
+	origImg, err := snapshot.Save(origRec, snapshot.Meta{})
+	if err != nil {
+		t.Fatalf("save recorder: %v", err)
+	}
+	restImg, err := snapshot.Save(restRec, snapshot.Meta{})
+	if err != nil {
+		t.Fatalf("save restored recorder: %v", err)
+	}
+	if !bytes.Equal(restImg, origImg) {
+		t.Fatalf("recorder images diverge after restore")
 	}
 }
 
