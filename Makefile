@@ -3,6 +3,10 @@
 #   make check         — the tier-1 gate: gofmt, build, vet, full test suite
 #   make fmt           — fail when gofmt would rewrite any file (lists them)
 #   make race          — race-detector lane over the concurrency-bearing packages
+#                        and the scrape path (obs, tsdb, amester); snapshot's
+#                        tests Save and Load one root type from concurrent
+#                        goroutines, which contend for its cached identity
+#                        tables
 #   make bench         — microbenchmarks with -benchmem, JSON'd to BENCH_<date>.json
 #                        (five passes: micro step lanes, 64-node fleet lanes,
 #                        fleet-scale ladder + websearch-qos, long-horizon
@@ -108,7 +112,8 @@ check: fmt build vet test
 # go-test timeout, too tight a hair-trigger, so the lane sets its own.
 race:
 	$(GO) test -race -timeout 30m ./internal/parallel ./internal/cluster ./internal/experiments \
-		./internal/fleet ./internal/traffic ./internal/snapshot
+		./internal/fleet ./internal/traffic ./internal/snapshot \
+		./internal/obs ./internal/tsdb ./internal/amester
 
 bench:
 	./scripts/bench.sh '$(BENCHES)' BENCH_$(DATE).json

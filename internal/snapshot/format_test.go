@@ -123,6 +123,6 @@ func TestWireFormatPinned(t *testing.T) {
 }
 
 const (
-	pinChipSHA  = "4cc8cedbf54e557bc9cba6462deba50853a7d9956369f9efadb267c76cad67b6"
-	pinFleetSHA = "6a663d62c62d7f19399f87b0e89bb249cfef54bdbeba9e35959d22249fd4508e"
+	pinChipSHA  = "d24245b3254748338d01d9140270b428aeb851839c38259a6a8e3e81e349bb9f"
+	pinFleetSHA = "0d646fe4b6948d92b2a17a305a4936984b57e44a82eba004c222afb007b7d706"
 )

@@ -41,8 +41,15 @@ type typeInfo struct {
 
 	// lastImage and lastPtrs are the image size and identity-table size
 	// of the last Save with a root of this type, which size the next
-	// one's buffer and table.
+	// one's buffer and, when no cached table is free, its table.
 	lastImage, lastPtrs atomic.Int64
+
+	// ids and ptrs cache the identity tables of Save and Load with a root
+	// of this type, cleared, so the next call reuses their storage. A call
+	// takes the table with Swap, so two concurrent calls never share one,
+	// and one that finds none builds its own.
+	ids  atomic.Pointer[map[ptrKey]uint64]
+	ptrs atomic.Pointer[[]reflect.Value]
 }
 
 // flatField is one scalar field of a flat struct.

@@ -51,8 +51,12 @@ import (
 // a pooled chip could replay construction — the chip's per-core sensor
 // parents and each CPM's calibration stream — and the server's thread
 // free list, which is reuse storage; an idle core's thread list and an
-// empty server's job list now image as empty, never nil.
-const layoutVersion byte = 5
+// empty server's job list now image as empty, never nil. Version 6
+// images a tsdb ring only up to the newest window it has opened: the
+// windows a level has not opened yet (35 bytes each, four zero floats
+// and three varints) are no longer written, so a never-written
+// CompactSpec series' payload is 136 bytes rather than 6,751.
+const layoutVersion byte = 6
 
 // codecVersion is the wire-format generation of this package's walker,
 // independent of layoutVersion (which tracks simulation struct layout).
@@ -436,7 +440,12 @@ func (d *decoder) value(v reflect.Value, ti *typeInfo) {
 		im := d.r.f64()
 		v.SetComplex(complex(re, im))
 	case reflect.String:
-		v.SetString(d.r.str())
+		// A target that holds the image's bytes keeps its string, which
+		// is immutable: a restore into a same-shape target decodes names
+		// and keys it already has.
+		if b := d.r.bytes(); !d.bad() && v.String() != string(b) {
+			v.SetString(string(b))
+		}
 	case reflect.Slice:
 		el := ti.elem
 		n, ok := d.length(t, el.minBytes)
@@ -564,14 +573,14 @@ func (d *decoder) value(v reflect.Value, ti *typeInfo) {
 			v.Set(reflect.Zero(t))
 			return
 		}
-		name := d.r.str()
+		name := d.r.bytes() // compared, never kept: no string is built
 		if d.bad() {
 			return
 		}
 		var dynT reflect.Type
-		if !v.IsNil() && v.Elem().Type().String() == name {
+		if !v.IsNil() && v.Elem().Type().String() == string(name) {
 			dynT = v.Elem().Type()
-		} else if rt, ok := typeRegistry[name]; ok && rt.Implements(t) {
+		} else if rt, ok := typeRegistry[string(name)]; ok && rt.Implements(t) {
 			dynT = rt
 		} else {
 			d.fail("interface %s: cannot construct dynamic type %q (target holds %v)", t, name, v.Elem())
@@ -629,7 +638,16 @@ func Save(root any, meta Meta) ([]byte, error) {
 	// length prefix, reserved at the size the last image's needed, moves
 	// the payload only when it needs a byte more or less.
 	ti := infoOf(rv.Type())
-	e := &encoder{ids: make(map[ptrKey]uint64, ti.lastPtrs.Load())}
+	ids := ti.ids.Swap(nil)
+	if ids == nil {
+		m := make(map[ptrKey]uint64, ti.lastPtrs.Load())
+		ids = &m
+	}
+	defer func() {
+		clear(*ids)
+		ti.ids.Store(ids)
+	}()
+	e := &encoder{ids: *ids}
 	last := ti.lastImage.Load()
 	e.w.buf = make([]byte, last+last/16)
 	e.w.header(rv.Type().String(), meta)
@@ -736,8 +754,19 @@ func Load(data []byte, root any) (Meta, error) {
 	}
 	slot := reflect.New(rv.Type()).Elem()
 	slot.Set(rv)
-	d := &decoder{r: &reader{buf: payload}}
-	d.value(slot, infoOf(rv.Type()))
+	ti := infoOf(rv.Type())
+	ptrs := ti.ptrs.Swap(nil)
+	if ptrs == nil {
+		ptrs = new([]reflect.Value)
+	}
+	d := &decoder{r: &reader{buf: payload}, ptrs: *ptrs}
+	defer func() {
+		// The cached table must not keep restored objects reachable.
+		clear(d.ptrs)
+		*ptrs = d.ptrs[:0]
+		ti.ptrs.Store(ptrs)
+	}()
+	d.value(slot, ti)
 	if d.err != nil {
 		return meta, d.err
 	}

@@ -3,6 +3,7 @@ package snapshot_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
@@ -461,5 +462,95 @@ func TestServePairRestoreIdentity(t *testing.T) {
 	}
 	if rl := restored.G.Latency(); rl != lat {
 		t.Fatalf("latency summaries diverge: restored %+v, original %+v", rl, lat)
+	}
+}
+
+// TestPartlyFilledRingRestore images a series none of whose levels has
+// wrapped, restores it into a fresh series of the same spec, and drives
+// the two through one random Push and Fill sequence until every level has
+// wrapped: both must report their full spec while partly filled, after
+// every call each level's windows must agree, and at the end the two
+// images must be byte-identical. A ring images only the windows it has
+// opened (after one empty slot at index 0, which its first window skips),
+// so the first image must be smaller than the wrapped one's by at least
+// an empty window's 35 bytes (three one-byte varints and four floats) for
+// every other window it had not opened.
+func TestPartlyFilledRingRestore(t *testing.T) {
+	spec := tsdb.Spec{Levels: []tsdb.LevelSpec{
+		{WidthUS: 1_000, Buckets: 8},
+		{WidthUS: 4_000, Buckets: 8},
+		{WidthUS: 16_000, Buckets: 8},
+	}}
+	r := rand.New(rand.NewPCG(25, 6))
+	orig := tsdb.NewSeries("ring", spec)
+	var tUS int64
+	for tUS < 5_000 {
+		orig.Push(tUS, float64(r.IntN(1<<10))/8)
+		tUS += 1 + r.Int64N(900)
+	}
+	first, err := snapshot.Save(orig, snapshot.Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unopened := 0
+	for li, ls := range spec.Levels {
+		live := len(orig.AppendWindows(nil, li))
+		if live >= ls.Buckets-1 {
+			t.Fatalf("level %d opened %d of %d windows before the image: it may have wrapped", li, live, ls.Buckets)
+		}
+		unopened += ls.Buckets - live - 1
+	}
+	restored := tsdb.NewSeries("ring", spec)
+	if _, err := snapshot.Load(first, restored); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*tsdb.Series{orig, restored} {
+		if got := s.Spec(); !reflect.DeepEqual(got, spec) || !s.HasSpec(spec) {
+			t.Fatalf("partly filled series reports spec %+v, want %+v", got, spec)
+		}
+	}
+	same := func(step string) {
+		t.Helper()
+		for li := 0; li < orig.Levels(); li++ {
+			if a, b := orig.AppendWindows(nil, li), restored.AppendWindows(nil, li); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: level %d diverges:\noriginal %+v\nrestored %+v", step, li, a, b)
+			}
+		}
+	}
+	same("after the restore")
+	for step := 0; tUS < 3*8*16_000; step++ {
+		v := float64(r.IntN(1<<10)) / 8
+		if r.IntN(2) == 0 {
+			orig.Push(tUS, v)
+			restored.Push(tUS, v)
+			tUS += 1 + r.Int64N(2_000)
+		} else {
+			t1 := tUS + r.Int64N(20_000)
+			stride := []int64{250, 1_000, 6_000}[r.IntN(3)]
+			orig.Fill(tUS, t1, v, stride)
+			restored.Fill(tUS, t1, v, stride)
+			tUS = t1 + 1
+		}
+		same(fmt.Sprintf("step %d", step))
+	}
+	for li, ls := range spec.Levels {
+		if live := len(orig.AppendWindows(nil, li)); live != ls.Buckets {
+			t.Fatalf("level %d holds %d of %d windows: it has not wrapped", li, live, ls.Buckets)
+		}
+	}
+	full, err := snapshot.Save(orig, snapshot.Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := snapshot.Save(restored, snapshot.Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, full) {
+		t.Fatalf("restored series images differently after wrapping (%d vs %d bytes)", len(again), len(full))
+	}
+	if saved := len(full) - len(first); saved < 35*unopened {
+		t.Fatalf("partly filled image is %d bytes, the wrapped one %d: want at least %d fewer for %d unopened windows",
+			len(first), len(full), 35*unopened, unopened)
 	}
 }

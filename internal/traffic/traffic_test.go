@@ -1,8 +1,11 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 
 	"agsim/internal/obs"
@@ -297,5 +300,117 @@ func TestEpochZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Epoch allocates %v per call, want 0", allocs)
+	}
+}
+
+// TestConservationRandom is the generator's accounting as a property over
+// 60 seeded random configurations (node counts, rates, demands, diurnal
+// swings, bursts, queue caps, per-epoch capacities from far below to far
+// above the offered load, and random epoch choppings). For every node:
+// each arrival is either admitted or shed (Completed + Dropped == Seq, and
+// the probe sees each once); the run queue never holds more than QueueCap
+// after an epoch; Latency() and the recorder's counters and latency
+// histogram agree with the per-node totals; and admitted requests finish
+// in arrival order (arrival + latency, read through the probe, never
+// decreases), as a FIFO queue at one capacity must.
+//
+// The other half of conservation, sojourn >= demand/capacity, is not
+// checked: the probe reports arrival and latency but not the demand.
+func TestConservationRandom(t *testing.T) {
+	r := rand.New(rand.NewPCG(4, 2015))
+	for trial := 0; trial < 60; trial++ {
+		cfg := DefaultConfig(1+r.IntN(5), r.Uint64())
+		cfg.RatePerSec = 10 + 390*r.Float64()
+		cfg.DemandGInst = 0.05 + r.Float64()
+		cfg.DiurnalAmplitude = 0
+		if r.IntN(2) == 0 {
+			cfg.DiurnalAmplitude = 0.9 * r.Float64()
+			cfg.DiurnalPeriodSec = 1 + 20*r.Float64()
+		}
+		cfg.BurstRatePerSec = 0
+		if r.IntN(2) == 0 {
+			cfg.BurstRatePerSec = 2 * r.Float64()
+			cfg.BurstMeanSec = 0.1 + 2*r.Float64()
+			cfg.BurstFactor = 1 + 3*r.Float64()
+		}
+		cfg.QueueCap = 1 + r.IntN(64)
+		rec := obs.New("conserve", 0)
+		cfg.Recorder = rec
+		type seen struct {
+			admitted, shed uint64
+			lastFinish     float64
+		}
+		probed := make([]seen, cfg.Nodes)
+		cfg.Probe = func(node int, id uint64, arrivalSec, latencySec float64, dropped bool) {
+			p := &probed[node]
+			if dropped {
+				p.shed++
+				return
+			}
+			if finish := arrivalSec + latencySec; finish < p.lastFinish {
+				t.Fatalf("trial %d node %d: request %#x finishes at %v, before the previous one's %v", trial, node, id, finish, p.lastFinish)
+			} else {
+				p.lastFinish = finish
+			}
+			p.admitted++
+		}
+		g := New(cfg)
+		caps := make([]float64, cfg.Nodes)
+		for sim := 0.0; sim < 8; {
+			dt := []float64{0.001, 0.032, 0.25, 1 + 2*r.Float64()}[r.IntN(4)]
+			for i := range caps {
+				// From a tenth to ten times the node's mean offered work.
+				caps[i] = cfg.RatePerSec * cfg.DemandGInst * math.Exp(math.Log(10)*(2*r.Float64()-1))
+			}
+			g.Epoch(nil, dt, caps)
+			sim += dt
+			for i := 0; i < cfg.Nodes; i++ {
+				if d := g.QueueDepth(i); d > cfg.QueueCap {
+					t.Fatalf("trial %d node %d: queue depth %d exceeds cap %d", trial, i, d, cfg.QueueCap)
+				}
+			}
+		}
+
+		log := rec.Snapshot()
+		if len(log.Sources) != cfg.Nodes {
+			t.Fatalf("trial %d: %d recorder sources for %d nodes", trial, len(log.Sources), cfg.Nodes)
+		}
+		lat := g.Latency()
+		var completed, dropped uint64
+		var sumLat, maxLat float64
+		hist := make([]uint64, len(obs.HistBuckets(obs.HRequestLatencySec))+1)
+		for i := 0; i < cfg.Nodes; i++ {
+			ns := g.NodeSnapshot(i)
+			if ns.Completed+ns.Dropped != ns.Seq {
+				t.Fatalf("trial %d node %d: %d admitted + %d shed != %d arrivals", trial, i, ns.Completed, ns.Dropped, ns.Seq)
+			}
+			if p := probed[i]; p.admitted != ns.Completed || p.shed != ns.Dropped {
+				t.Fatalf("trial %d node %d: probe saw %d admitted and %d shed, node counts %d and %d", trial, i, p.admitted, p.shed, ns.Completed, ns.Dropped)
+			}
+			src := &log.Sources[i]
+			if want := fmt.Sprintf("node%04d", i); !strings.Contains(src.Name, want) {
+				t.Fatalf("trial %d: source %d is %q, want node %s", trial, i, src.Name, want)
+			}
+			if src.Counters[obs.CRequestsServed] != ns.Completed || src.Counters[obs.CRequestsDropped] != ns.Dropped {
+				t.Fatalf("trial %d node %d: recorder served %d dropped %d, node %d and %d", trial, i,
+					src.Counters[obs.CRequestsServed], src.Counters[obs.CRequestsDropped], ns.Completed, ns.Dropped)
+			}
+			completed += ns.Completed
+			dropped += ns.Dropped
+			sumLat += ns.SumLatSec
+			maxLat = math.Max(maxLat, ns.MaxLatSec)
+			for b, n := range ns.Hist {
+				hist[b] += n
+			}
+		}
+		if lat.Completed != completed || lat.Dropped != dropped || lat.MaxSec != maxLat {
+			t.Fatalf("trial %d: Latency() %+v, node totals %d admitted, %d shed, max %v", trial, lat, completed, dropped, maxLat)
+		}
+		if completed > 0 && lat.MeanSec != sumLat/float64(completed) {
+			t.Fatalf("trial %d: mean latency %v, node totals give %v", trial, lat.MeanSec, sumLat/float64(completed))
+		}
+		if h := log.Hists[obs.HRequestLatencySec]; h.Count != completed || !reflect.DeepEqual(h.Counts, hist) {
+			t.Fatalf("trial %d: recorder histogram %d requests in %v, nodes %d in %v", trial, h.Count, h.Counts, completed, hist)
+		}
 	}
 }

@@ -11,7 +11,13 @@
 // independent preallocated ring of aggregate windows {count, sum, min,
 // max, last}; a Push folds the sample into the current window of every
 // level, so coarse levels retain history long after the fine ring has
-// wrapped — downsample-on-overwrite, memory bounded at any horizon.
+// wrapped — downsample-on-overwrite, memory bounded at any horizon. A
+// ring's capacity is preallocated and its slice reaches only as far as
+// the newest window it has opened, so an image of a young series holds
+// its history, not its reserved capacity.
+//
+// Windows start at floor multiples of their width, and Fill's grid points
+// are the stride multiples, so times before 0 window as pushes would.
 //
 // Determinism contract: a series' contents are a pure function of the
 // (time, value) sequence pushed into it. The macro-leap and sampled
@@ -146,34 +152,52 @@ func (w *Window) foldWindow(o Window) {
 
 // level is one resolution ring. Windows are sparse — a window exists only
 // if a sample landed in it — and stored oldest-first from (head-n+1)
-// through head, head being the current (newest) window.
+// through head, head being the current (newest) window. The ring's
+// capacity, the level's Buckets, is preallocated, and its length grows
+// as windows open: until the ring first wraps, the slice ends at head.
+// Index 0 is in it from the start, empty until the ring wraps onto it,
+// because the first window opens at index 1.
 type level struct {
 	widthUS int64
 	endUS   int64 // exclusive end of the head window; meaningful when n > 0
 	win     []Window
 	head    int // index of the newest window; valid when n > 0
-	n       int // live windows, <= len(win)
+	n       int // live windows, <= cap(win)
 }
 
 // open starts a new window at startUS, evicting the oldest when full.
 func (l *level) open(startUS int64) {
 	l.head++
 	if l.head == len(l.win) {
-		l.head = 0
+		if l.head < cap(l.win) {
+			l.win = l.win[:l.head+1]
+		} else {
+			l.head = 0
+		}
 	}
-	if l.n < len(l.win) {
+	if l.n < cap(l.win) {
 		l.n++
 	}
 	l.win[l.head] = Window{StartUS: startUS}
 	l.endUS = startUS + l.widthUS
 }
 
+// floorTo rounds t down to a multiple of w > 0. t - t%w alone rounds a
+// negative t up, toward zero.
+func floorTo(t, w int64) int64 {
+	r := t % w
+	if r < 0 {
+		r += w
+	}
+	return t - r
+}
+
 // push folds one sample. Time must be monotonic (simulated time is), so
 // the steady-state test is one compare against the cached window end —
-// the per-sample modulo is only paid on rollover.
+// the per-sample rounding is only paid on rollover.
 func (l *level) push(tUS int64, v float64) {
 	if l.n == 0 || tUS >= l.endUS {
-		l.open(tUS - tUS%l.widthUS)
+		l.open(floorTo(tUS, l.widthUS))
 	}
 	l.win[l.head].fold(v, tUS, 1)
 }
@@ -186,9 +210,9 @@ func (l *level) fill(first, last, strideUS int64, v float64) {
 	if strideUS > l.widthUS {
 		// Sparse grid: each point opens a window of its own and the
 		// windows between points stay empty, so the ring keeps the
-		// newest len(win) points rather than the newest len(win) widths.
-		if n := (last-first)/strideUS + 1; n > int64(len(l.win)) {
-			first += (n - int64(len(l.win))) * strideUS
+		// newest cap(win) points rather than the newest cap(win) widths.
+		if n := (last-first)/strideUS + 1; n > int64(cap(l.win)) {
+			first += (n - int64(cap(l.win))) * strideUS
 		}
 		for g := first; g <= last; g += strideUS {
 			l.push(g, v)
@@ -196,13 +220,13 @@ func (l *level) fill(first, last, strideUS int64, v float64) {
 		return
 	}
 	// Dense grid: every window from first's to last's holds a point.
-	startF := first - first%l.widthUS
-	startL := last - last%l.widthUS
+	startF := floorTo(first, l.widthUS)
+	startL := floorTo(last, l.widthUS)
 	ws := startF
-	if span := (startL-startF)/l.widthUS + 1; span > int64(len(l.win)) {
+	if span := (startL-startF)/l.widthUS + 1; span > int64(cap(l.win)) {
 		// Older windows than the ring retains would be evicted unread;
 		// coarser levels (filled independently) keep that history.
-		ws = startL - int64(len(l.win)-1)*l.widthUS
+		ws = startL - int64(cap(l.win)-1)*l.widthUS
 	}
 	// p is the next grid point to record: first, or past evicted windows
 	// the first grid point at or after ws.
@@ -242,16 +266,21 @@ func (l *level) live() (older, newer []Window) {
 	}
 	first := l.head - l.n + 1
 	if first < 0 {
-		return l.win[first+len(l.win):], l.win[:l.head+1]
+		return l.win[first+cap(l.win):], l.win[:l.head+1]
 	}
 	return nil, l.win[first : l.head+1]
 }
 
 // Series is one named multi-resolution time-series. All storage is
-// preallocated at construction; Push and Fill never allocate. A nil
-// *Series is valid everywhere and records nothing, so call sites thread
-// an unconditional handle. A Series must only be written by its owning
-// goroutine (same ownership rule as an obs recorder shard).
+// preallocated at construction; Push and Fill never allocate. A level's
+// ring slice reaches only as far as the windows it has opened, so a
+// snapshot image of the series (internal/snapshot) carries the history
+// that exists, not the capacity reserved for it. A restore reslices the
+// target's preallocated rings, so the target must be a series of the
+// same Spec. A nil *Series is valid everywhere and records nothing, so
+// call sites thread an unconditional handle. A Series must only be
+// written by its owning goroutine (same ownership rule as an obs
+// recorder shard).
 type Series struct {
 	name   string
 	levels []level
@@ -266,7 +295,7 @@ func NewSeries(name string, spec Spec) *Series {
 	}
 	s := &Series{name: name, levels: make([]level, len(spec.Levels))}
 	for i, ls := range spec.Levels {
-		s.levels[i] = level{widthUS: ls.WidthUS, win: make([]Window, ls.Buckets)}
+		s.levels[i] = level{widthUS: ls.WidthUS, win: make([]Window, 1, ls.Buckets)}
 	}
 	return s
 }
@@ -286,7 +315,7 @@ func (s *Series) Spec() Spec {
 	}
 	spec := Spec{Levels: make([]LevelSpec, len(s.levels))}
 	for i := range s.levels {
-		spec.Levels[i] = LevelSpec{WidthUS: s.levels[i].widthUS, Buckets: len(s.levels[i].win)}
+		spec.Levels[i] = LevelSpec{WidthUS: s.levels[i].widthUS, Buckets: cap(s.levels[i].win)}
 	}
 	return spec
 }
@@ -332,8 +361,8 @@ func (s *Series) Fill(t0US, t1US int64, v float64, strideUS int64) {
 	if s == nil || strideUS <= 0 || t1US <= t0US {
 		return
 	}
-	first := t0US - t0US%strideUS + strideUS // smallest grid point > t0US
-	last := t1US - t1US%strideUS             // largest grid point <= t1US
+	first := floorTo(t0US, strideUS) + strideUS // smallest grid point > t0US
+	last := floorTo(t1US, strideUS)             // largest grid point <= t1US
 	if last < first {
 		return
 	}
@@ -396,7 +425,7 @@ func (s *Series) HasSpec(spec Spec) bool {
 		return false
 	}
 	for i, ls := range spec.Levels {
-		if l := &s.levels[i]; l.widthUS != ls.WidthUS || len(l.win) != ls.Buckets {
+		if l := &s.levels[i]; l.widthUS != ls.WidthUS || cap(l.win) != ls.Buckets {
 			return false
 		}
 	}

@@ -133,6 +133,60 @@ func TestFillThenPushContinues(t *testing.T) {
 	}
 }
 
+// firstGridPointAfter is the smallest multiple of stride greater than t,
+// found without rounding a remainder: t/stride*stride lies within one
+// stride of t on either side.
+func firstGridPointAfter(t, stride int64) int64 {
+	g := t / stride * stride
+	for g <= t {
+		g += stride
+	}
+	return g
+}
+
+// TestNegativeTimesWindowLikePushes pins the two spans before time 0 that
+// once windowed wrongly, when window starts and grid points rounded toward
+// zero: Fill(-5000, 0, 1, stride) at strides 1 ms and 0.5 ms must leave
+// the windows pushes at every grid point in (-5000, 0] leave, and those
+// windows must start at floor multiples of their width. At stride 1 ms
+// the 16 ms level holds the four points before 0 in [-16 ms, 0) and the
+// point at 0 in its own window; at 0.5 ms the 1 ms window at -4 ms holds
+// -4000 and -3500.
+func TestNegativeTimesWindowLikePushes(t *testing.T) {
+	for _, tc := range []struct {
+		stride int64
+		level  int
+		want   []Window // the level's windows, StartUS and Cnt only
+	}{
+		{1_000, 2, []Window{{StartUS: -16_000, Cnt: 4}, {StartUS: 0, Cnt: 1}}},
+		{500, 0, []Window{
+			{StartUS: -5_000, Cnt: 1}, {StartUS: -4_000, Cnt: 2}, {StartUS: -3_000, Cnt: 2},
+			{StartUS: -2_000, Cnt: 2}, {StartUS: -1_000, Cnt: 2}, {StartUS: 0, Cnt: 1},
+		}},
+	} {
+		filled, pushed := NewSeries("f", smallSpec()), NewSeries("p", smallSpec())
+		filled.Fill(-5_000, 0, 1, tc.stride)
+		for g := -5_000 + tc.stride; g <= 0; g += tc.stride {
+			pushed.Push(g, 1)
+		}
+		for li := 0; li < pushed.Levels(); li++ {
+			wf, wp := filled.AppendWindows(nil, li), pushed.AppendWindows(nil, li)
+			if !reflect.DeepEqual(wf, wp) {
+				t.Fatalf("stride %d level %d:\nfill: %+v\npush: %+v", tc.stride, li, wf, wp)
+			}
+		}
+		got := pushed.AppendWindows(nil, tc.level)
+		if len(got) != len(tc.want) {
+			t.Fatalf("stride %d level %d: %+v, want starts and counts %+v", tc.stride, tc.level, got, tc.want)
+		}
+		for i, w := range got {
+			if w.StartUS != tc.want[i].StartUS || w.Cnt != tc.want[i].Cnt {
+				t.Fatalf("stride %d level %d window %d: %+v, want StartUS %d Cnt %d", tc.stride, tc.level, i, w, tc.want[i].StartUS, tc.want[i].Cnt)
+			}
+		}
+	}
+}
+
 func TestMergeWindowsOrderFree(t *testing.T) {
 	mk := func(seed int64) []Window {
 		s := NewSeries("m", smallSpec())
@@ -299,10 +353,27 @@ func TestAppendWindowsGrowsExactly(t *testing.T) {
 // pushes round k times: every other field must still be equal, and Sum
 // within the error bound of k roundings.
 func TestFillMatchesPushesRandom(t *testing.T) {
-	r := rand.New(rand.NewPCG(9, 2015))
+	fillMatchesPushesRandom(t, rand.New(rand.NewPCG(9, 2015)), 3_000, nil)
+}
+
+// TestFillMatchesPushesNegativeRandom is the same property over histories
+// that start up to 0.6 s before time 0, so spans start, end or straddle
+// negative times, where a window's start and a span's grid points must
+// round down, not toward zero.
+func TestFillMatchesPushesNegativeRandom(t *testing.T) {
+	r := rand.New(rand.NewPCG(25, 2015))
+	fillMatchesPushesRandom(t, r, 2_000, func() int64 { return -r.Int64N(600_000) })
+}
+
+// fillMatchesPushesRandom checks the Fill property over trials random
+// histories, each starting at origin() (at 0 when origin is nil). The
+// pushed reference's windows must also hold their samples: every window's
+// LastUS lies in [StartUS, StartUS+width).
+func fillMatchesPushesRandom(t *testing.T, r *rand.Rand, trials int, origin func() int64) {
+	t.Helper()
 	strides := []int64{1, 7, 250, 1_000, 1_500, 4_000, 16_000, 50_000}
 	const maxPoints = 4_000
-	for trial := 0; trial < 3_000; trial++ {
+	for trial := 0; trial < trials; trial++ {
 		stride := strides[r.IntN(len(strides))]
 		exact := trial%2 == 0
 		value := func() float64 {
@@ -313,6 +384,9 @@ func TestFillMatchesPushesRandom(t *testing.T) {
 		}
 		a, b := NewSeries("a", smallSpec()), NewSeries("b", smallSpec())
 		var t0 int64
+		if origin != nil {
+			t0 = origin()
+		}
 		for i := r.IntN(4); i > 0; i-- {
 			t0 += r.Int64N(20_000)
 			v := value()
@@ -336,7 +410,7 @@ func TestFillMatchesPushesRandom(t *testing.T) {
 		t1 := t0 + span
 		v := value()
 		a.Fill(t0, t1, v, stride)
-		for g := t0 - t0%stride + stride; g <= t1; g += stride {
+		for g := firstGridPointAfter(t0, stride); g <= t1; g += stride {
 			b.Push(g, v)
 		}
 		after := t1 + 1 + r.Int64N(2*stride)
@@ -351,6 +425,12 @@ func TestFillMatchesPushesRandom(t *testing.T) {
 			wa, wb := a.AppendWindows(nil, li), b.AppendWindows(nil, li)
 			if len(wa) != len(wb) {
 				t.Fatalf("trial %d (%d, %d] stride %d level %d: %d windows != %d", trial, t0, t1, stride, li, len(wa), len(wb))
+			}
+			width := smallSpec().Levels[li].WidthUS
+			for i, w := range wb {
+				if w.LastUS < w.StartUS || w.LastUS >= w.StartUS+width {
+					t.Fatalf("trial %d level %d window %d does not hold its sample: %+v", trial, li, i, w)
+				}
 			}
 			for i := range wa {
 				fa, fb := wa[i], wb[i]
