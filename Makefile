@@ -33,7 +33,10 @@
 #                        exporter and the telemetry plane enabled, validate
 #                        the Chrome trace (including the guardband-attribution
 #                        counter track) with cmd/tracecheck -attrib, grep the
-#                        Prometheus output for the core metric families, run
+#                        Prometheus output for the core metric families (the
+#                        health detectors' throttle_decisions and
+#                        exhausted_ticks counters among them) and a non-zero
+#                        agsim_events_recorded, run
 #                        every program under examples/ (a non-zero exit
 #                        fails), then boot amesterd with -http/-timeseries,
 #                        curl the live /health, /timeseries and /stream
@@ -135,6 +138,9 @@ smoke:
 	@grep -q '^# TYPE agsim_macro_leap_seconds histogram' $(SMOKE_DIR)/metrics.prom
 	@grep -q '^agsim_sim_time_seconds{' $(SMOKE_DIR)/metrics.prom
 	@grep -q '^agsim_series_registered ' $(SMOKE_DIR)/metrics.prom
+	@grep -q '^agsim_throttle_decisions_total{' $(SMOKE_DIR)/metrics.prom
+	@grep -q '^agsim_exhausted_ticks_total{' $(SMOKE_DIR)/metrics.prom
+	@grep -Eq '^agsim_events_recorded [1-9][0-9]*$$' $(SMOKE_DIR)/metrics.prom
 	mkdir -p $(SMOKE_DIR)/examples
 	$(GO) build -o $(SMOKE_DIR)/examples/ ./examples/...
 	@set -e; for ex in examples/*/; do \

@@ -127,6 +127,15 @@ func (rc recording) recorder(id string) *obs.Recorder {
 	return r
 }
 
+// snapshot takes the recorder's log, merging the event rings only for
+// the outputs that draw events: the -events timeline and the Chrome trace.
+func (rc recording) snapshot(r *obs.Recorder) obs.Log {
+	if rc.events || rc.traceOut != "" {
+		return r.SnapshotWithEvents()
+	}
+	return r.Snapshot()
+}
+
 // outPath splices the experiment id into the output file name when several
 // experiments run, so each keeps its own trace/metrics file.
 func outPath(base, id string, multi bool) string {
@@ -286,7 +295,7 @@ func runCmd(args []string) {
 			os.Exit(1)
 		}
 		if o.Recorder != nil {
-			lg := o.Recorder.Snapshot()
+			lg := rc.snapshot(o.Recorder)
 			fmt.Println()
 			if err := lg.SummaryTable().WriteText(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "agsim:", err)
@@ -409,7 +418,7 @@ func reportCmd(args []string) {
 			}
 		}
 		if o.Recorder != nil {
-			lg := o.Recorder.Snapshot()
+			lg := rc.snapshot(o.Recorder)
 			fmt.Println()
 			if err := lg.SummaryTable().WriteMarkdown(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "agsim:", err)

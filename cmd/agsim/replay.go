@@ -113,7 +113,7 @@ func replay(path string, kind obs.Kind, want int, maxSec float64) error {
 		for i := 0; i < 32; i++ {
 			srv.Step(chip.DefaultStepSec)
 		}
-		for _, ev := range rec.Snapshot().Events {
+		for _, ev := range rec.SnapshotWithEvents().Events {
 			if ev.TimeUS <= afterUS || ev.Kind != kind {
 				continue
 			}

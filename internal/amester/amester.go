@@ -30,6 +30,15 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
+)
+
+// The accept loop's backoff after a failed Accept: it starts at
+// acceptBackoffMin and doubles up to acceptBackoffMax, and a successful
+// Accept resets it.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
 )
 
 // Service publishes telemetry snapshots to network clients.
@@ -97,17 +106,24 @@ func (s *Service) Start(l net.Listener) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
+		var delay time.Duration
 		for {
 			conn, err := l.Accept()
 			if err != nil {
+				// Keep serving, but back off: a persistent error, such as
+				// running out of file descriptors, fails every Accept at
+				// once and would otherwise spin a core while it lasts.
+				delay = min(max(2*delay, acceptBackoffMin), acceptBackoffMax)
+				wait := time.NewTimer(delay)
 				select {
 				case <-s.closed:
+					wait.Stop()
 					return
-				default:
-					// Transient accept error; keep serving.
-					continue
+				case <-wait.C:
 				}
+				continue
 			}
+			delay = 0
 			if !s.track(conn) {
 				return
 			}

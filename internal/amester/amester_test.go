@@ -1,9 +1,11 @@
 package amester
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -220,6 +222,58 @@ func TestCloseUnblocksIdleClient(t *testing.T) {
 	}
 	if _, err := c.Seq(); err == nil {
 		t.Fatal("Seq succeeded after Close")
+	}
+}
+
+// failingListener is a net.Listener whose Accept always fails, as one
+// does once the process runs out of file descriptors. It opens none.
+type failingListener struct {
+	calls  atomic.Int64
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (l *failingListener) Accept() (net.Conn, error) {
+	l.calls.Add(1)
+	select {
+	case <-l.closed:
+		return nil, net.ErrClosed
+	default:
+		return nil, errors.New("accept: too many open files")
+	}
+}
+
+func (l *failingListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *failingListener) Addr() net.Addr { return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)} }
+
+// TestAcceptErrorsBackOff requires the accept loop to retry a failing
+// Accept with a growing delay rather than at once, and Close to return
+// without waiting the delay out.
+func TestAcceptErrorsBackOff(t *testing.T) {
+	l := &failingListener{closed: make(chan struct{})}
+	svc := NewService(Probe{Name: "x", Read: func() float64 { return 0 }})
+	svc.Start(l)
+	time.Sleep(200 * time.Millisecond)
+	// Delays of 5, 10, 20, 40 and 80 ms fit six calls into 200 ms.
+	if n := l.calls.Load(); n < 2 || n > 30 {
+		t.Errorf("Accept called %d times in 200 ms, want 2 to 30: the loop must retry, backing off", n)
+	}
+	// After the seventh failure the loop waits 320 ms.
+	for deadline := time.Now().Add(5 * time.Second); l.calls.Load() < 7; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d Accept calls after 5 s", l.calls.Load())
+		}
+	}
+	start := time.Now()
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 160*time.Millisecond {
+		t.Fatalf("Close took %v while the accept loop backed off", d)
 	}
 }
 

@@ -263,7 +263,7 @@ func (a *API) handleStream(w http.ResponseWriter, r *http.Request) {
 			Seq:        seq,
 			SimSeconds: a.simTime(),
 			Series:     len(lg.Series),
-			Events:     len(lg.Events),
+			Events:     lg.EventsKept,
 			EventsLost: lg.EventsLost,
 			Status:     health.Worst(findings).String(),
 		}

@@ -147,7 +147,7 @@ func TestSampledRunDigestPinned(t *testing.T) {
 		if rec == nil {
 			continue
 		}
-		lg := rec.Snapshot()
+		lg := rec.SnapshotWithEvents()
 		hist := lg.Hists[obs.HWindowMinCPM]
 		for _, n := range hist.Counts {
 			w.u(n)

@@ -334,11 +334,20 @@ func (c *Chip) firmwareTick() {
 }
 
 // emitAttrib records the guardband-attribution record the controller just
-// produced: a KindAttrib event plus a margin time-series sample. Shared
-// verbatim by the live tick and the frozen fast-forward tick so the
+// produced: the health detectors' throttle and exhausted-margin counters,
+// a KindAttrib event and a margin time-series sample. Shared verbatim by
+// the live tick and the frozen fast-forward tick so the counts and
 // streams are identical across lanes.
 func (c *Chip) emitAttrib(r *obs.Recorder, tUS int64, next units.Millivolt) {
 	a := c.ctrl.LastAttribution()
+	if a.Decision == firmware.DecisionThrottle {
+		r.Inc(c.src, obs.CThrottleDecisions)
+	}
+	// Zero margin is the deadband, the converged controller's target; only
+	// margin consumed below it counts, and a fixed-mode tick senses none.
+	if a.Decision != firmware.DecisionFixed && a.MarginBits < 0 {
+		r.Inc(c.src, obs.CExhaustedTicks)
+	}
 	r.Emit(obs.Event{TimeUS: tUS, Kind: obs.KindAttrib, Source: c.src, Core: -1,
 		A: float64(a.MarginBits), B: float64(next), C: a.Pack()})
 	c.tsMargin.Push(tUS, float64(a.MarginBits))

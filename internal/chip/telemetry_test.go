@@ -108,7 +108,7 @@ func TestTimeseriesSampledWithinBounds(t *testing.T) {
 	macro.Settle(span)
 	sampled.FastForward(sampled.SampleHint(span))
 
-	logM, logS := recM.Snapshot(), recS.Snapshot()
+	logM, logS := recM.Snapshot(), recS.SnapshotWithEvents()
 	_, wm, _ := logM.MergedSeries("power_w")
 	_, ws, okS := logS.MergedSeries("power_w")
 	if !okS {

@@ -9,9 +9,9 @@ import (
 
 // The flight recorder extends the sweep engine's determinism contract to
 // the observability stream itself: every sweep point records into a shard
-// named by its work-unit tag, Snapshot merges shards by sorted name and
-// stable event-time order, and all physical events carry grid-aligned
-// integer-microsecond stamps. These tests pin both halves of the contract:
+// named by its work-unit tag, SnapshotWithEvents merges shards by sorted
+// name and stable event-time order, and all physical events carry
+// grid-aligned integer-microsecond stamps. These tests pin both halves of the contract:
 // bit-identical snapshots at any worker count, and identical physical
 // event streams between the macro lane and the exact 1 ms lane.
 
@@ -28,8 +28,8 @@ func TestRecorderWorkerCountBitIdentical(t *testing.T) {
 	par := recordedOpts(4, false)
 	Fig03CoreScaling(serial)
 	Fig03CoreScaling(par)
-	a := serial.Recorder.Snapshot()
-	b := par.Recorder.Snapshot()
+	a := serial.Recorder.SnapshotWithEvents()
+	b := par.Recorder.SnapshotWithEvents()
 	if a.EventsLost != 0 || b.EventsLost != 0 {
 		t.Fatalf("ring overflowed (lost %d/%d); grow the cap so the comparison sees every event", a.EventsLost, b.EventsLost)
 	}
@@ -46,7 +46,7 @@ func TestRecorderServerSweepBitIdentical(t *testing.T) {
 	par := recordedOpts(4, false)
 	Fig12LoadlineBorrowing(serial)
 	Fig12LoadlineBorrowing(par)
-	if !reflect.DeepEqual(serial.Recorder.Snapshot(), par.Recorder.Snapshot()) {
+	if !reflect.DeepEqual(serial.Recorder.SnapshotWithEvents(), par.Recorder.SnapshotWithEvents()) {
 		t.Error("server-sweep recorder snapshot differs between 1 and 4 workers")
 	}
 }
@@ -70,8 +70,8 @@ func TestRecorderMacroExactEventStreamsMatch(t *testing.T) {
 	exact := recordedOpts(2, true)
 	Fig03CoreScaling(macro)
 	Fig03CoreScaling(exact)
-	a := macro.Recorder.Snapshot()
-	b := exact.Recorder.Snapshot()
+	a := macro.Recorder.SnapshotWithEvents()
+	b := exact.Recorder.SnapshotWithEvents()
 	if a.EventsLost != 0 || b.EventsLost != 0 {
 		t.Fatalf("ring overflowed (lost %d/%d)", a.EventsLost, b.EventsLost)
 	}
@@ -90,6 +90,7 @@ func TestRecorderMacroExactEventStreamsMatch(t *testing.T) {
 		obs.CFirmwareTicks, obs.CDidtEvents, obs.CDroopsAbsorbed,
 		obs.CDroopsLatched, obs.CMarginViolations, obs.CThreadsCompleted,
 		obs.CRailCommands, obs.CModeChanges, obs.CThrottleChanges,
+		obs.CThrottleDecisions, obs.CExhaustedTicks,
 	} {
 		if am, bm := a.TotalCounter(c), b.TotalCounter(c); am != bm {
 			t.Errorf("counter %s differs: macro %d, exact %d", obs.CounterName(c), am, bm)
@@ -144,7 +145,7 @@ func TestRecorderSameSeedRunsMatch(t *testing.T) {
 	b := recordedOpts(4, false)
 	Fig03CoreScaling(a)
 	Fig03CoreScaling(b)
-	if !reflect.DeepEqual(a.Recorder.Snapshot(), b.Recorder.Snapshot()) {
+	if !reflect.DeepEqual(a.Recorder.SnapshotWithEvents(), b.Recorder.SnapshotWithEvents()) {
 		t.Error("two same-seed recorded runs diverged")
 	}
 }

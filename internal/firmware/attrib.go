@@ -5,8 +5,8 @@ package firmware
 // the move — so any AGS decision in a run is explainable after the fact.
 // The record is a handful of plain fields overwritten in place each tick
 // (zero allocation); the chip layers read it back immediately after the
-// command and emit it as a KindAttrib event and a margin time-series
-// sample.
+// command, count throttle and exhausted-margin ticks from it, and emit it
+// as a KindAttrib event and a margin time-series sample.
 
 // Decision is the direction the voltage loop chose on a tick.
 type Decision uint8
@@ -111,23 +111,14 @@ type Attribution struct {
 }
 
 // Pack encodes the discrete fields for an event payload (obs.KindAttrib's
-// C): decision in bits 5.., bound in bits 1..4, sticky in bit 0.
+// C): decision in bits 5.., bound in bits 1..4, sticky in bit 0. The
+// numeric fields travel in the event's A (margin bits) and B (set point).
 func (a Attribution) Pack() int64 {
 	c := int64(a.Decision)<<5 | int64(a.Bound)<<1
 	if a.Sticky {
 		c |= 1
 	}
 	return c
-}
-
-// UnpackAttrib decodes the discrete fields of a packed payload. The
-// numeric fields travel in the event's A (margin bits) and B (set point).
-func UnpackAttrib(c int64) Attribution {
-	return Attribution{
-		Decision: Decision(c >> 5 & 0x7),
-		Bound:    Bound(c >> 1 & 0xf),
-		Sticky:   c&1 != 0,
-	}
 }
 
 // LastAttribution returns the record the most recent VoltageCommand

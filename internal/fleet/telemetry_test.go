@@ -44,7 +44,7 @@ func telemetryRun(t *testing.T, workers int) (*obs.Log, []byte) {
 		f.Advance(0.4)
 	}
 	f.Close()
-	log := rec.Snapshot()
+	log := rec.SnapshotWithEvents()
 	img, err := snapshot.Save(rec, snapshot.Meta{})
 	if err != nil {
 		t.Fatal(err)

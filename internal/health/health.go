@@ -1,10 +1,15 @@
 // Package health layers watchdog detectors over a merged observation
 // log: droop-storm and throttle-residency rates, guardband-margin
 // exhaustion, and serving SLO breaches. Detectors are pure functions of
-// an obs.Log snapshot — they hold no state, allocate only their result
-// slice, and produce identical findings for identical logs regardless of
-// the worker count or stepping lane that recorded them (the log itself
-// carries that determinism contract).
+// an obs.Log snapshot — they hold no state and allocate only their result
+// slice. They read the log's counters, gauges and histograms and never its
+// events: the throttle and exhausted-margin rates come from the
+// attribution counters the chip increments on every firmware tick, not
+// from whatever tail of KindAttrib records a bounded event ring kept. So
+// a run's findings do not depend on the ring size, and they are identical
+// at any worker count and on the macro and exact stepping lanes, whose
+// counters agree tick for tick and whose clocks agree on the microsecond
+// event grid.
 //
 // Findings only report trouble: a healthy log evaluates to an empty
 // slice. Each finding carries the detector, a warn/critical grade, the
@@ -14,9 +19,7 @@ package health
 
 import (
 	"fmt"
-	"math"
 
-	"agsim/internal/firmware"
 	"agsim/internal/obs"
 )
 
@@ -39,8 +42,8 @@ type Thresholds struct {
 	// guardband is overdrawn: the sensed worst CPM sits under the
 	// calibration target and load steps eat directly into timing margin.
 	MarginExhaustion float64
-	// MinTicks gates the rate detectors: a source with fewer attribution
-	// records than this is never flagged (too little evidence).
+	// MinTicks gates the rate detectors: a source with fewer firmware
+	// ticks than this is never flagged (too little evidence).
 	MinTicks int
 	// SLOShedFraction warns when a serving node shed more than this
 	// fraction of its arrivals; 2x is critical. Any shed at all below the
@@ -123,37 +126,15 @@ func Evaluate(log *obs.Log, th Thresholds) []Finding {
 		}
 	}
 
-	// One pass over the event ring accumulates the per-source attribution
-	// tallies every rate detector needs.
-	type tally struct {
-		ticks, throttles, exhausted int
-	}
-	tallies := make([]tally, len(log.Sources))
-	for i := range log.Events {
-		ev := &log.Events[i]
-		if ev.Kind != obs.KindAttrib || ev.Source < 0 || int(ev.Source) >= len(tallies) {
-			continue
-		}
-		tl := &tallies[ev.Source]
-		tl.ticks++
-		a := firmware.UnpackAttrib(ev.C)
-		if a.Decision == firmware.DecisionThrottle {
-			tl.throttles++
-		}
-		// A carries the sensed margin in CPM bits. Zero is the deadband —
-		// the converged controller's target, not trouble; only negative
-		// margin (consumed below target) counts as exhausted.
-		if a.Decision != firmware.DecisionFixed && ev.A < 0 {
-			tl.exhausted++
-		}
-	}
-
 	for i := range log.Sources {
 		src := &log.Sources[i]
 		idx := int32(i)
 
-		// Droop storm: event rate over the source's own simulated span.
-		if t := src.Gauges[obs.GTimeSec]; t > 0 && th.DroopStormPerSec > 0 {
+		// Droop storm: event rate over the source's own simulated span,
+		// taken on the microsecond grid events are stamped on, so the
+		// lanes' float time accumulators, which drift apart by ulps, give
+		// one rate.
+		if t := float64(obs.StampUS(src.Gauges[obs.GTimeSec])) / 1e6; t > 0 && th.DroopStormPerSec > 0 {
 			rate := float64(src.Counters[obs.CDidtEvents]) / t
 			if st := grade(rate, th.DroopStormPerSec); st != obs.HealthOK {
 				out = append(out, Finding{
@@ -165,26 +146,29 @@ func Evaluate(log *obs.Log, th Thresholds) []Finding {
 			}
 		}
 
-		if tl := tallies[i]; tl.ticks >= th.MinTicks && th.MinTicks > 0 {
+		// The rate detectors read the attribution counters the chip keeps
+		// at every firmware tick, so they cover the source's whole run on
+		// every lane, however much of the event ring survived.
+		if ticks := src.Counters[obs.CFirmwareTicks]; th.MinTicks > 0 && ticks >= uint64(th.MinTicks) {
 			// Throttle residency: share of guardband decisions that had to
 			// step the rail back up.
-			frac := float64(tl.throttles) / float64(tl.ticks)
+			frac := float64(src.Counters[obs.CThrottleDecisions]) / float64(ticks)
 			if st := grade(frac, th.ThrottleResidency); st != obs.HealthOK {
 				out = append(out, Finding{
 					Source: src.Name, SourceIdx: idx,
 					Detector: obs.DetThrottleResidency, Status: st,
 					Value: frac, Threshold: th.ThrottleResidency, TimeUS: endUS,
-					Msg: fmt.Sprintf("%s: %.0f%% of %d ticks throttled", src.Name, 100*frac, tl.ticks),
+					Msg: fmt.Sprintf("%s: %.0f%% of %d ticks throttled", src.Name, 100*frac, ticks),
 				})
 			}
 			// Margin exhaustion: share of ticks with no spare margin.
-			frac = float64(tl.exhausted) / float64(tl.ticks)
+			frac = float64(src.Counters[obs.CExhaustedTicks]) / float64(ticks)
 			if st := grade(frac, th.MarginExhaustion); st != obs.HealthOK {
 				out = append(out, Finding{
 					Source: src.Name, SourceIdx: idx,
 					Detector: obs.DetMarginExhaustion, Status: st,
 					Value: frac, Threshold: th.MarginExhaustion, TimeUS: endUS,
-					Msg: fmt.Sprintf("%s: margin at/below deadband on %.0f%% of %d ticks", src.Name, 100*frac, tl.ticks),
+					Msg: fmt.Sprintf("%s: margin at/below deadband on %.0f%% of %d ticks", src.Name, 100*frac, ticks),
 				})
 			}
 		}
@@ -278,7 +262,10 @@ func Worst(findings []Finding) obs.HealthStatus {
 }
 
 // endStampUS is the latest simulated instant the log covers: the max
-// per-source sim-time gauge, refined by the last event stamp.
+// per-source sim-time gauge. A chip sets its gauge after every span it
+// steps and stamps no event past the end of that span, so the stamp is at
+// least every event stamped since its source last rewound (a reset or a
+// restore to an earlier time can leave later-stamped events in a ring).
 func endStampUS(log *obs.Log) int64 {
 	var tMax float64
 	for i := range log.Sources {
@@ -286,12 +273,8 @@ func endStampUS(log *obs.Log) int64 {
 			tMax = t
 		}
 	}
-	us := obs.StampUS(tMax)
-	if n := len(log.Events); n > 0 && log.Events[n-1].TimeUS > us {
-		us = log.Events[n-1].TimeUS
+	if us := obs.StampUS(tMax); us > 0 {
+		return us
 	}
-	if us < 0 || math.IsNaN(tMax) {
-		return 0
-	}
-	return us
+	return 0 // no time recorded, or an infinite gauge that has no stamp
 }

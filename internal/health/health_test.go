@@ -1,32 +1,33 @@
 package health
 
 import (
+	"fmt"
 	"testing"
 
 	"agsim/internal/firmware"
 	"agsim/internal/obs"
 )
 
-// mkLog snapshots a single-shard recorder after build mutates it.
+// mkLog snapshots a single-shard recorder after build mutates it. The
+// recorder keeps no events: the detectors read none.
 func mkLog(t *testing.T, build func(r *obs.Recorder)) *obs.Log {
 	t.Helper()
-	r := obs.New("t", 1024)
+	r := obs.New("t", 0)
 	build(r)
 	log := r.Snapshot()
 	return &log
 }
 
-// emitAttrib records n guardband ticks for src with the given decision
-// and sensed margin bits.
-func emitAttrib(r *obs.Recorder, src int32, n int, d firmware.Decision, marginBits float64) {
-	a := firmware.Attribution{Decision: d}
-	for i := 0; i < n; i++ {
-		r.Emit(obs.Event{
-			TimeUS: int64(i+1) * 32000,
-			Kind:   obs.KindAttrib,
-			Source: src, Core: -1,
-			A: marginBits, B: 1100, C: a.Pack(),
-		})
+// addTicks records n guardband ticks for src with the given decision and
+// sensed margin bits, counting them as the chip's attribution emitter
+// does.
+func addTicks(r *obs.Recorder, src int32, n int, d firmware.Decision, marginBits int) {
+	r.Add(src, obs.CFirmwareTicks, uint64(n))
+	if d == firmware.DecisionThrottle {
+		r.Add(src, obs.CThrottleDecisions, uint64(n))
+	}
+	if d != firmware.DecisionFixed && marginBits < 0 {
+		r.Add(src, obs.CExhaustedTicks, uint64(n))
 	}
 }
 
@@ -45,7 +46,7 @@ func TestHealthyLogHasNoFindings(t *testing.T) {
 		src := r.Source("chip0")
 		r.SetGauge(src, obs.GTimeSec, 2)
 		r.Add(src, obs.CDidtEvents, 20) // 10/s, well under 50/s
-		emitAttrib(r, src, 16, firmware.DecisionBoost, 3)
+		addTicks(r, src, 16, firmware.DecisionBoost, 3)
 		r.Add(src, obs.CRequestsServed, 1000)
 	})
 	if fs := Evaluate(log, Default()); len(fs) != 0 {
@@ -53,6 +54,57 @@ func TestHealthyLogHasNoFindings(t *testing.T) {
 	}
 	if Worst(nil) != obs.HealthOK {
 		t.Fatal("Worst of no findings must be OK")
+	}
+}
+
+// fleetLog snapshots a fleet-shaped recorder tree, laid out as obs's
+// benchSnapshotTree is: 64 node shards of one chip each, every chip 3 s
+// into a healthy run of 93 firmware ticks.
+func fleetLog() obs.Log {
+	root := obs.New("bench", 0)
+	for n := 0; n < 64; n++ {
+		sh := root.Shard(fmt.Sprintf("node%04d", n))
+		src := sh.Source("chip")
+		sh.SetGauge(src, obs.GTimeSec, 3)
+		sh.Add(src, obs.CDidtEvents, uint64(n%20))
+		addTicks(sh, src, 90, firmware.DecisionBoost, 2)
+		addTicks(sh, src, 3, firmware.DecisionThrottle, -1)
+		sh.Add(src, obs.CRequestsServed, 1000)
+	}
+	return root.Snapshot()
+}
+
+func TestEvaluateHealthyLogDoesNotAllocate(t *testing.T) {
+	lg := fleetLog()
+	th := Default()
+	if fs := Evaluate(&lg, th); len(fs) != 0 {
+		t.Fatalf("healthy fleet produced findings: %+v", fs)
+	}
+	if got := testing.AllocsPerRun(100, func() { Evaluate(&lg, th) }); got != 0 {
+		t.Fatalf("Evaluate of a healthy log allocates %v allocs/op, want 0", got)
+	}
+}
+
+// TestFindingsStampTheLatestGauge requires every finding to stamp the
+// latest simulated time any source's gauge reached, read from the gauges
+// alone: the log holds no event, and one source lags the other.
+func TestFindingsStampTheLatestGauge(t *testing.T) {
+	log := mkLog(t, func(r *obs.Recorder) {
+		a := r.Source("chip0")
+		b := r.Source("chip1")
+		r.SetGauge(a, obs.GTimeSec, 1.5)
+		r.SetGauge(b, obs.GTimeSec, 2.25)
+		r.Add(a, obs.CDidtEvents, 300)
+		r.Add(b, obs.CDidtEvents, 300)
+	})
+	fs := Evaluate(log, Default())
+	if len(fs) != 2 {
+		t.Fatalf("want a droop storm on each chip, got %+v", fs)
+	}
+	for _, f := range fs {
+		if f.TimeUS != 2_250_000 {
+			t.Errorf("%s finding stamped %d µs, want 2250000", f.Source, f.TimeUS)
+		}
 	}
 }
 
@@ -91,8 +143,8 @@ func TestThrottleResidencyAndMinTicks(t *testing.T) {
 	log := mkLog(t, func(r *obs.Recorder) {
 		src := r.Source("chip0")
 		r.SetGauge(src, obs.GTimeSec, 1)
-		emitAttrib(r, src, 10, firmware.DecisionBoost, 3)
-		emitAttrib(r, src, 6, firmware.DecisionThrottle, 1)
+		addTicks(r, src, 10, firmware.DecisionBoost, 3)
+		addTicks(r, src, 6, firmware.DecisionThrottle, 1)
 	})
 	fs := findingsFor(Evaluate(log, Default()), obs.DetThrottleResidency)
 	if len(fs) != 1 || fs[0].Status != obs.HealthWarn {
@@ -103,8 +155,8 @@ func TestThrottleResidencyAndMinTicks(t *testing.T) {
 	log = mkLog(t, func(r *obs.Recorder) {
 		src := r.Source("chip0")
 		r.SetGauge(src, obs.GTimeSec, 1)
-		emitAttrib(r, src, 2, firmware.DecisionBoost, 3)
-		emitAttrib(r, src, 2, firmware.DecisionThrottle, 1)
+		addTicks(r, src, 2, firmware.DecisionBoost, 3)
+		addTicks(r, src, 2, firmware.DecisionThrottle, 1)
 	})
 	if fs := Evaluate(log, Default()); len(fs) != 0 {
 		t.Fatalf("under-MinTicks source fired: %+v", fs)
@@ -116,8 +168,8 @@ func TestMarginExhaustion(t *testing.T) {
 	log := mkLog(t, func(r *obs.Recorder) {
 		src := r.Source("chip0")
 		r.SetGauge(src, obs.GTimeSec, 1)
-		emitAttrib(r, src, 12, firmware.DecisionThrottle, -2)
-		emitAttrib(r, src, 4, firmware.DecisionBoost, 3)
+		addTicks(r, src, 12, firmware.DecisionThrottle, -2)
+		addTicks(r, src, 4, firmware.DecisionBoost, 3)
 	})
 	fs := findingsFor(Evaluate(log, Default()), obs.DetMarginExhaustion)
 	if len(fs) != 1 || fs[0].Status != obs.HealthWarn {
@@ -128,7 +180,7 @@ func TestMarginExhaustion(t *testing.T) {
 	log = mkLog(t, func(r *obs.Recorder) {
 		src := r.Source("chip0")
 		r.SetGauge(src, obs.GTimeSec, 1)
-		emitAttrib(r, src, 16, firmware.DecisionHold, -1)
+		addTicks(r, src, 16, firmware.DecisionHold, -1)
 	})
 	fs = findingsFor(Evaluate(log, Default()), obs.DetMarginExhaustion)
 	if len(fs) != 1 || fs[0].Status != obs.HealthCritical {
@@ -139,7 +191,7 @@ func TestMarginExhaustion(t *testing.T) {
 	log = mkLog(t, func(r *obs.Recorder) {
 		src := r.Source("chip0")
 		r.SetGauge(src, obs.GTimeSec, 1)
-		emitAttrib(r, src, 16, firmware.DecisionFixed, -1)
+		addTicks(r, src, 16, firmware.DecisionFixed, -1)
 	})
 	if fs := findingsFor(Evaluate(log, Default()), obs.DetMarginExhaustion); len(fs) != 0 {
 		t.Fatalf("fixed-mode ticks tripped exhaustion: %+v", fs)
@@ -226,5 +278,18 @@ func TestEventsRoundTrip(t *testing.T) {
 	}
 	if Worst(fs) != obs.HealthCritical {
 		t.Fatalf("Worst = %v, want critical", Worst(fs))
+	}
+}
+
+// BenchmarkEvaluate runs every detector over fleetLog's 64 healthy
+// chips: the per-scrape health pass of a serving fleet.
+func BenchmarkEvaluate(b *testing.B) {
+	lg := fleetLog()
+	th := Default()
+	b.ReportAllocs()
+	for b.Loop() {
+		if fs := Evaluate(&lg, th); len(fs) != 0 {
+			b.Fatalf("healthy fleet produced %d findings", len(fs))
+		}
 	}
 }

@@ -7,16 +7,47 @@ import (
 	"agsim/internal/tsdb"
 )
 
-// BenchmarkRecorderSnapshot merges benchSnapshotTree's fleet-shaped
-// recorder tree.
+// BenchmarkRecorderSnapshot scrapes benchSnapshotTree's fleet-shaped
+// recorder tree: the rows and the folded series, with the rings counted
+// but not read.
 func BenchmarkRecorderSnapshot(b *testing.B) {
 	root := benchSnapshotTree()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if lg := root.Snapshot(); len(lg.Events) != 64*256 {
+		if lg := root.Snapshot(); lg.EventsKept != 64*256 {
+			b.Fatalf("counted %d kept events", lg.EventsKept)
+		}
+	}
+}
+
+// BenchmarkRecorderSnapshotWithEvents is the explicit event reader over
+// the same tree: the scrape plus a merge of the 64 wrapped rings, ties at
+// every stamp, into one 16,384-event log.
+func BenchmarkRecorderSnapshotWithEvents(b *testing.B) {
+	root := benchSnapshotTree()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if lg := root.SnapshotWithEvents(); len(lg.Events) != 64*256 {
 			b.Fatalf("merged %d events", len(lg.Events))
 		}
+	}
+}
+
+// BenchmarkEmit appends to a wrapped ring, the steady state of a long
+// run's recorder.
+func BenchmarkEmit(b *testing.B) {
+	r := New("emit", 256)
+	src := r.Source("chip")
+	ev := Event{Kind: KindWindow, Source: src, Core: -1}
+	for i := 0; i < 256; i++ {
+		r.Emit(ev)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		ev.TimeUS += 32_000
+		r.Emit(ev)
 	}
 }
 

@@ -32,7 +32,9 @@ type chromeTrace struct {
 	OtherData       map[string]any `json:"otherData,omitempty"`
 }
 
-// WriteChromeTrace renders the log as Chrome trace_event JSON.
+// WriteChromeTrace renders the log as Chrome trace_event JSON. The events
+// are the log's Events, so take the log with SnapshotWithEvents; a
+// Snapshot log renders the source tracks alone.
 func (l *Log) WriteChromeTrace(w io.Writer) error {
 	t := chromeTrace{DisplayTimeUnit: "ms", OtherData: map[string]any{
 		"recorder":    l.Name,

@@ -177,9 +177,9 @@ func TestSnapshotFoldOwnsItsData(t *testing.T) {
 }
 
 // TestSnapshotAllocationBound holds Snapshot of BenchmarkRecorderSnapshot's
-// tree to under 1 MB, the merged event list and the source and inventory
-// rows, so copies of every source's windows (5.2 MB for this tree) cannot
-// creep back in.
+// tree to 200,000 B, the source and inventory rows and the folded views,
+// so neither copies of every source's windows (5.2 MB for this tree) nor
+// a merge of its wrapped rings (786,432 B of events) can creep back in.
 func TestSnapshotAllocationBound(t *testing.T) {
 	root := benchSnapshotTree()
 	root.Snapshot()
@@ -190,7 +190,7 @@ func TestSnapshotAllocationBound(t *testing.T) {
 		root.Snapshot()
 	}
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1_000_000 {
-		t.Fatalf("Snapshot allocates %d B per call, want under 1 MB", per)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 200_000 {
+		t.Fatalf("Snapshot allocates %d B per call, want at most 200,000", per)
 	}
 }

@@ -44,27 +44,37 @@ const (
 	// CRequestsDropped counts traffic-generator requests shed at a full
 	// per-node run queue.
 	CRequestsDropped
+	// CThrottleDecisions counts firmware ticks whose guardband decision
+	// was firmware.DecisionThrottle: sensed margin was consumed below the
+	// calibration target and the set point stepped back up.
+	CThrottleDecisions
+	// CExhaustedTicks counts firmware ticks that sensed margin below the
+	// deadband (negative margin bits) under a CPM-driven decision, i.e.
+	// any decision but firmware.DecisionFixed.
+	CExhaustedTicks
 
 	NumCounters int = iota
 )
 
 // counterMeta carries the Prometheus-facing name and help string.
 var counterMeta = [NumCounters]struct{ name, help string }{
-	CMicroSteps:       {"micro_steps", "1 ms micro-steps executed"},
-	CMacroSteps:       {"macro_steps", "event-horizon macro-steps taken"},
-	CFirmwareTicks:    {"firmware_ticks", "32 ms firmware ticks (CPM sticky-window reads)"},
-	CDidtEvents:       {"didt_events", "worst-case di/dt droop events fired"},
-	CDroopsAbsorbed:   {"droops_absorbed", "droop events fully absorbed by DPLL fast slew"},
-	CDroopsLatched:    {"droops_latched", "droop events that latched the sticky CPMs"},
-	CMarginViolations: {"margin_violations", "core-steps with negative effective timing margin"},
-	CThreadsCompleted: {"threads_completed", "threads that retired their work budget"},
-	CRailCommands:     {"rail_commands", "VRM set-point moves commanded by firmware"},
-	CModeChanges:      {"mode_changes", "guardband mode transitions"},
-	CThrottleChanges:  {"throttle_changes", "issue-throttle adjustments"},
-	CFastForwards:     {"fast_forwards", "sampled-lane fast-forward spans taken"},
-	CSampleSwitches:   {"sample_switches", "sampling-governor fidelity switches"},
-	CRequestsServed:   {"requests_served", "traffic requests admitted and served"},
-	CRequestsDropped:  {"requests_dropped", "traffic requests shed at a full run queue"},
+	CMicroSteps:        {"micro_steps", "1 ms micro-steps executed"},
+	CMacroSteps:        {"macro_steps", "event-horizon macro-steps taken"},
+	CFirmwareTicks:     {"firmware_ticks", "32 ms firmware ticks (CPM sticky-window reads)"},
+	CDidtEvents:        {"didt_events", "worst-case di/dt droop events fired"},
+	CDroopsAbsorbed:    {"droops_absorbed", "droop events fully absorbed by DPLL fast slew"},
+	CDroopsLatched:     {"droops_latched", "droop events that latched the sticky CPMs"},
+	CMarginViolations:  {"margin_violations", "core-steps with negative effective timing margin"},
+	CThreadsCompleted:  {"threads_completed", "threads that retired their work budget"},
+	CRailCommands:      {"rail_commands", "VRM set-point moves commanded by firmware"},
+	CModeChanges:       {"mode_changes", "guardband mode transitions"},
+	CThrottleChanges:   {"throttle_changes", "issue-throttle adjustments"},
+	CFastForwards:      {"fast_forwards", "sampled-lane fast-forward spans taken"},
+	CSampleSwitches:    {"sample_switches", "sampling-governor fidelity switches"},
+	CRequestsServed:    {"requests_served", "traffic requests admitted and served"},
+	CRequestsDropped:   {"requests_dropped", "traffic requests shed at a full run queue"},
+	CThrottleDecisions: {"throttle_decisions", "firmware ticks whose guardband decision stepped the rail back up"},
+	CExhaustedTicks:    {"exhausted_ticks", "firmware ticks that sensed CPM margin below the deadband"},
 }
 
 // CounterName returns the exposition name of a counter.

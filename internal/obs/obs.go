@@ -15,19 +15,25 @@
 //     macro-leap with horizon reason, thread completion), enabled by a
 //     non-zero event capacity;
 //   - exporters (chrome.go, prom.go, manifest.go, summary.go) that render
-//     a merged Snapshot as a Chrome trace_event file, Prometheus text
+//     a merged Log as a Chrome trace_event file, Prometheus text
 //     exposition, a run manifest, or terminal tables and timelines.
+//
+// Snapshot merges the metrics and folds the time-series but reads no
+// event ring: it only counts the events the rings keep and lose. The one
+// reader of the rings is SnapshotWithEvents, which also merges every kept
+// event into the Log; only the event consumers call it (the Chrome trace,
+// the event timeline, a replay's event search).
 //
 // Determinism contract: parallel sweeps must NOT share one recorder
 // between concurrently stepping units. Instead each deterministic work
 // unit (a sweep point, a cluster node) takes its own child shard via
-// Shard(name); Snapshot merges shards by sorted shard name and stable
-// event-time order, so the merged view is bit-identical at any worker
-// count and independent of goroutine scheduling. Shard and Source are
-// mutex-protected (workers create shards concurrently); the per-shard hot
-// paths (Inc, Add, SetGauge, Observe, Emit) are deliberately unlocked and
-// rely on the one-goroutine-per-shard ownership the sweep engine already
-// guarantees for the chips themselves.
+// Shard(name); a snapshot merges shards by sorted shard name, and
+// SnapshotWithEvents orders events by stable event time, so the merged
+// view is bit-identical at any worker count and independent of goroutine
+// scheduling. Shard and Source are mutex-protected (workers create shards
+// concurrently); the per-shard hot paths (Inc, Add, SetGauge, Observe,
+// Emit) are deliberately unlocked and rely on the one-goroutine-per-shard
+// ownership the sweep engine already guarantees for the chips themselves.
 package obs
 
 import (
@@ -306,14 +312,20 @@ type ShardStats struct {
 }
 
 // Log is the merged, deterministic view of a recorder tree: sources in
-// sorted shard-then-registration order, events in stable time order, and
-// histograms summed across shards. Two runs of the same work produce
-// DeepEqual Logs regardless of worker count.
+// sorted shard-then-registration order and histograms summed across
+// shards, plus, from SnapshotWithEvents only, the events in stable time
+// order. Two runs of the same work produce DeepEqual Logs regardless of
+// worker count.
 type Log struct {
-	Name       string
-	Sources    []SourceMetrics
-	Hists      [NumHists]HistSnapshot
-	Events     []Event // Source re-indexed into Sources
+	Name    string
+	Sources []SourceMetrics
+	Hists   [NumHists]HistSnapshot
+	// Events is nil from Snapshot. SnapshotWithEvents fills it with every
+	// event the rings keep, Source re-indexed into Sources.
+	Events []Event
+	// EventsKept counts the events the rings keep (what Events holds once
+	// merged), and EventsLost those the rings overwrote.
+	EventsKept int
 	EventsLost uint64
 	Series     []SeriesDump
 	Shards     []ShardStats
@@ -336,11 +348,22 @@ type foldedSeries struct {
 }
 
 // Snapshot merges the recorder and all its shards into a Log, folding
-// each metric's time-series across sources as it walks them. It must not
-// run concurrently with emission into any shard (finish or pause the
-// simulation first); shard *creation* racing a snapshot is tolerated.
+// each metric's time-series across sources as it walks them. It reads no
+// event: the Log counts the events the rings keep and lose, and its
+// Events is nil, so a scrape costs the rows and folds, not the rings. It
+// must not run concurrently with emission into any shard (finish or pause
+// the simulation first); shard *creation* racing a snapshot is tolerated.
 // Nil-safe: returns an empty Log.
-func (r *Recorder) Snapshot() Log {
+func (r *Recorder) Snapshot() Log { return r.snapshot(false) }
+
+// SnapshotWithEvents is Snapshot plus the event log: every event the
+// rings keep, merged in stable time order into Log.Events. It is the one
+// reader of the rings, for the consumers that render or search events
+// (the Chrome trace, the event timeline, a replay's -until search); it
+// copies every kept event, so scrapes and health checks call Snapshot.
+func (r *Recorder) SnapshotWithEvents() Log { return r.snapshot(true) }
+
+func (r *Recorder) snapshot(events bool) Log {
 	var log Log
 	for i := range log.Hists {
 		log.Hists[i].Buckets = histMeta[i].buckets
@@ -366,9 +389,15 @@ func (r *Recorder) Snapshot() Log {
 	log.Shards = make([]ShardStats, 0, len(shards))
 	var runs []eventRun
 	for _, sh := range shards {
-		runs = sh.r.collect(&log, sh.prefix, runs)
+		base := int32(len(log.Sources))
+		sh.r.collect(&log, sh.prefix)
+		if events {
+			runs = sh.r.appendRing(runs, base)
+		}
 	}
-	log.Events = mergeRuns(runs)
+	if events {
+		log.Events = mergeRuns(runs)
+	}
 	return log
 }
 
@@ -393,9 +422,8 @@ func (r *Recorder) walk(list []shardRef, prefix string) []shardRef {
 }
 
 // collect folds one recorder's own rows into the log under the given
-// source-name prefix and appends its events, as time-ordered runs, to runs.
-func (r *Recorder) collect(log *Log, prefix string, runs []eventRun) []eventRun {
-	base := int32(len(log.Sources))
+// source-name prefix and counts its ring.
+func (r *Recorder) collect(log *Log, prefix string) {
 	for i, name := range r.sources {
 		log.Sources = append(log.Sources, SourceMetrics{
 			Name:     prefix + name,
@@ -410,6 +438,7 @@ func (r *Recorder) collect(log *Log, prefix string, runs []eventRun) []eventRun 
 		log.Hists[i].Sum += r.hists[i].sum
 		log.Hists[i].Count += r.hists[i].n
 	}
+	log.EventsKept += len(r.events)
 	log.EventsLost += r.lost
 	log.Shards = append(log.Shards, ShardStats{
 		Name:       trimSlash(prefix),
@@ -436,7 +465,12 @@ func (r *Recorder) collect(log *Log, prefix string, runs []eventRun) []eventRun 
 			f.levels[li] = se.ts.FoldInto(f.levels[li], li)
 		}
 	}
-	// Ring in chronological order: the wrap point splits oldest from newest.
+}
+
+// appendRing appends the recorder's ring, in chronological order, to runs
+// as time-ordered runs whose sources start at base in the merged list.
+func (r *Recorder) appendRing(runs []eventRun, base int32) []eventRun {
+	// The wrap point splits oldest from newest.
 	if r.lost > 0 {
 		runs = appendRuns(runs, r.events[r.next:], base)
 		return appendRuns(runs, r.events[:r.next], base)

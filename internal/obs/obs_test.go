@@ -31,9 +31,10 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Name() != "" {
 		t.Error("nil.Name should be empty")
 	}
-	lg := r.Snapshot()
-	if len(lg.Sources) != 0 || len(lg.Events) != 0 {
-		t.Errorf("nil snapshot not empty: %+v", lg)
+	for _, lg := range []Log{r.Snapshot(), r.SnapshotWithEvents()} {
+		if len(lg.Sources) != 0 || len(lg.Events) != 0 || lg.EventsKept != 0 {
+			t.Errorf("nil snapshot not empty: %+v", lg)
+		}
 	}
 }
 
@@ -72,7 +73,7 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	}
 	// An event emitted into an eventCap-0 recorder is dropped silently.
 	r.Emit(Event{Kind: KindDroop})
-	if got := len(r.Snapshot().Events); got != 0 {
+	if got := len(r.SnapshotWithEvents().Events); got != 0 {
 		t.Errorf("eventCap 0 recorded %d events", got)
 	}
 }
@@ -83,7 +84,7 @@ func TestEventRingWrap(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		r.Emit(Event{TimeUS: int64(i), Kind: KindDroop, Source: src})
 	}
-	lg := r.Snapshot()
+	lg := r.SnapshotWithEvents()
 	if lg.EventsLost != 3 {
 		t.Errorf("EventsLost = %d, want 3", lg.EventsLost)
 	}
@@ -112,7 +113,7 @@ func TestShardMergeIsDeterministic(t *testing.T) {
 			sh.Emit(Event{TimeUS: int64(len(name)), Kind: KindLeap, Source: src})
 			sh.Observe(HLeapSec, float64(len(name))*0.001)
 		}
-		return r.Snapshot()
+		return r.SnapshotWithEvents()
 	}
 	fwd := build([]string{"alpha", "bee", "cc"})
 	rev := build([]string{"cc", "bee", "alpha"})
@@ -195,11 +196,42 @@ func TestSnapshotMergeMatchesStableSort(t *testing.T) {
 				})
 			}
 		}
-		got := root.Snapshot().Events
+		got := root.SnapshotWithEvents().Events
 		if want := stableSortedEvents(root); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (%d shards, ring %d): merged events differ from the stable sort\ngot  %v\nwant %v",
 				trial, len(recs), ringCap, got, want)
 		}
+	}
+}
+
+// TestSnapshotCountsEventsWithoutMerging requires Snapshot to be
+// SnapshotWithEvents without the events: the same rows, folds and ring
+// counts, with Events nil and EventsKept the number of events the
+// explicit reader merges, over trees whose rings are empty, partly
+// filled and wrapped.
+func TestSnapshotCountsEventsWithoutMerging(t *testing.T) {
+	root := New("root", 8)
+	for n, emitted := range []int{0, 3, 8, 21} {
+		sh := root.Shard(fmt.Sprintf("node%d", n))
+		src := sh.Source("chip")
+		sh.Inc(src, CFirmwareTicks)
+		for i := 0; i < emitted; i++ {
+			sh.Emit(Event{TimeUS: int64(i) * 1000, Kind: KindWindow, Source: src, Core: -1})
+		}
+	}
+	lg, full := root.Snapshot(), root.SnapshotWithEvents()
+	if lg.Events != nil {
+		t.Fatalf("Snapshot merged %d events", len(lg.Events))
+	}
+	if lg.EventsKept != 0+3+8+8 || full.EventsKept != len(full.Events) {
+		t.Fatalf("EventsKept %d and %d, want %d, the %d merged events", lg.EventsKept, full.EventsKept, 0+3+8+8, len(full.Events))
+	}
+	if lg.EventsLost != 13 {
+		t.Fatalf("EventsLost %d, want 13", lg.EventsLost)
+	}
+	full.Events = nil
+	if !reflect.DeepEqual(lg, full) {
+		t.Fatalf("Snapshot differs from SnapshotWithEvents beyond the events:\n%+v\n%+v", lg, full)
 	}
 }
 
@@ -233,6 +265,24 @@ func TestEmissionsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestEmitDoesNotAllocate emits into a ring from empty through several
+// wraps: the ring's storage is allocated by New, so neither filling it
+// nor overwriting it allocates.
+func TestEmitDoesNotAllocate(t *testing.T) {
+	r := New("emit", 64)
+	src := r.Source("s")
+	ev := Event{Kind: KindWindow, Source: src, Core: -1}
+	if got := testing.AllocsPerRun(300, func() {
+		ev.TimeUS += 32_000
+		r.Emit(ev)
+	}); got != 0 {
+		t.Errorf("Emit allocates %v allocs/op, want 0", got)
+	}
+	if r.lost == 0 {
+		t.Fatal("the ring never wrapped")
+	}
+}
+
 func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 	r := New("trace", 32)
 	src := r.Source("P0")
@@ -245,7 +295,7 @@ func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 	r.Emit(Event{TimeUS: 64000, Kind: KindAttrib, Source: src, Core: -1, A: 2, B: 1150, C: 1 << 5})
 	r.Emit(Event{TimeUS: 70000, Kind: KindHealth, Source: src, Core: -1, A: 80, B: 50,
 		C: PackHealth(DetDroopStorm, HealthWarn)})
-	lg := r.Snapshot()
+	lg := r.SnapshotWithEvents()
 	var sb strings.Builder
 	if err := lg.WriteChromeTrace(&sb); err != nil {
 		t.Fatal(err)
@@ -385,8 +435,8 @@ func TestSummaryTableAndTimeline(t *testing.T) {
 	if !ok || row.Values[0] != 1 {
 		t.Errorf("summary row micro_steps = %+v ok=%v", row, ok)
 	}
-	if _, ok := tab.Row("events_recorded"); !ok {
-		t.Error("summary missing events_recorded")
+	if row, ok := tab.Row("events_recorded"); !ok || row.Values[0] != 2 {
+		t.Errorf("summary row events_recorded = %+v ok=%v, want the ring's 2 events", row, ok)
 	}
 	if row, ok := tab.Row("micro_steps_per_tick"); ok {
 		t.Errorf("summary has micro_steps_per_tick %+v without a firmware tick", row)
@@ -394,7 +444,7 @@ func TestSummaryTableAndTimeline(t *testing.T) {
 	r.Inc(src, CMicroSteps)
 	r.Inc(src, CMicroSteps)
 	r.Add(src, CFirmwareTicks, 2)
-	lg = r.Snapshot()
+	lg = r.SnapshotWithEvents()
 	row, ok = lg.SummaryTable().Row("micro_steps_per_tick")
 	if !ok || row.Values[0] != 1.5 {
 		t.Errorf("summary row micro_steps_per_tick = %+v ok=%v, want 3 steps / 2 ticks = 1.5", row, ok)

@@ -64,7 +64,7 @@ func (l *Log) WriteProm(w io.Writer) error {
 	if err := promHeader(w, "agsim_events_recorded", "structured events in the flight recorder ring", "gauge"); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "agsim_events_recorded %d\n", len(l.Events)); err != nil {
+	if _, err := fmt.Fprintf(w, "agsim_events_recorded %d\n", l.EventsKept); err != nil {
 		return err
 	}
 	if err := promHeader(w, "agsim_events_lost", "structured events overwritten by ring wrap", "gauge"); err != nil {

@@ -16,7 +16,7 @@ func (l *Log) SummaryTable() *trace.Table {
 	for c := 0; c < NumCounters; c++ {
 		t.AddRow(counterMeta[c].name, float64(l.TotalCounter(CounterID(c))))
 	}
-	t.AddRow("events_recorded", float64(len(l.Events)))
+	t.AddRow("events_recorded", float64(l.EventsKept))
 	t.AddRow("events_lost", float64(l.EventsLost))
 	if l.Hists[HLeapSec].Count > 0 {
 		t.AddRow("macro_leap_mean_ms",
@@ -30,9 +30,9 @@ func (l *Log) SummaryTable() *trace.Table {
 	return t
 }
 
-// TimelineFigure builds a figure from the event log: droop depths, window
-// CPM minima, rail set-point moves and macro-leap lengths against
-// simulated seconds.
+// TimelineFigure builds a figure from the event log (a SnapshotWithEvents
+// log's Events): droop depths, window CPM minima, rail set-point moves and
+// macro-leap lengths against simulated seconds.
 func (l *Log) TimelineFigure() *trace.Figure {
 	f := trace.NewFigure("flight recorder timeline — " + l.Name)
 	droop := f.NewSeries("droop depth (mV)", "sim s", "mV")

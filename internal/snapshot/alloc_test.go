@@ -27,8 +27,9 @@ func allocPerCall(runs int, f func()) uint64 {
 // TestSaveAllocationBound holds a checkpoint of the 8-node serving pair to
 // little beyond the image it returns. Save sizes its buffer from the last
 // image of the root type with 1/16 to spare and reuses the type's
-// identity table, so it may allocate the image's 17/16 and 64 KB more
-// (the sorted map keys and the walk's small buffers take about 28 KB).
+// identity table, and every map of the Save sorts its entries in one
+// scratch, so it may allocate the image's 17/16 and 16 KB more (the
+// scratch and the walk's small buffers take about 10.8 KB).
 func TestSaveAllocationBound(t *testing.T) {
 	p := settledServePair(9)
 	defer p.F.Close()
@@ -42,7 +43,7 @@ func TestSaveAllocationBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if bound := uint64(len(img))*17/16 + 64<<10; per > bound {
+	if bound := uint64(len(img))*17/16 + 16<<10; per > bound {
 		t.Fatalf("Save allocates %d B per call for a %d-byte image, want at most %d", per, len(img), bound)
 	}
 }

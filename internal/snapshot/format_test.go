@@ -123,6 +123,6 @@ func TestWireFormatPinned(t *testing.T) {
 }
 
 const (
-	pinChipSHA  = "d24245b3254748338d01d9140270b428aeb851839c38259a6a8e3e81e349bb9f"
-	pinFleetSHA = "0d646fe4b6948d92b2a17a305a4936984b57e44a82eba004c222afb007b7d706"
+	pinChipSHA  = "fd1212d5164356b662bc1042a14bc34c261ac6f2e41127f2eb5254894fe6eb63"
+	pinFleetSHA = "383cd2c3cae196fc592bb2f467d8d1dd82172d2d9fa3a2c07fa366e0a0d96af5"
 )

@@ -26,13 +26,14 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"reflect"
-	"sort"
+	"slices"
 	"unsafe"
 )
 
@@ -55,8 +56,11 @@ import (
 // images a tsdb ring only up to the newest window it has opened: the
 // windows a level has not opened yet (35 bytes each, four zero floats
 // and three varints) are no longer written, so a never-written
-// CompactSpec series' payload is 136 bytes rather than 6,751.
-const layoutVersion byte = 6
+// CompactSpec series' payload is 136 bytes rather than 6,751. Version 7
+// appends two counters to each recorder counter row, obs's
+// CThrottleDecisions and CExhaustedTicks, so every row images two more
+// uvarints.
+const layoutVersion byte = 7
 
 // codecVersion is the wire-format generation of this package's walker,
 // independent of layoutVersion (which tracks simulation struct layout).
@@ -162,6 +166,20 @@ type encoder struct {
 	path []pathFrame
 	err  error
 	hook []byte // reused append-hook output
+
+	// Map scratch, shared by every map one Save writes: keys encodes the
+	// map keys, and entries holds each key's span in keys with its value
+	// while the map sorts. A map met inside another map's values stacks
+	// its entries and keys above its parent's and drops them when done.
+	keys    *encoder
+	entries []mapEntry
+}
+
+// mapEntry is one map entry awaiting its sorted write: the key's encoded
+// bytes are keys.w.buf[lo:hi].
+type mapEntry struct {
+	lo, hi int
+	val    reflect.Value
 }
 
 func (e *encoder) fail(format string, args ...any) {
@@ -338,15 +356,15 @@ func (e *encoder) mapValue(v reflect.Value, ti *typeInfo) {
 		e.fail("map key type %s contains pointers", ti.key.t)
 		return
 	}
-	n := v.Len()
-	e.w.u64(uint64(n) + 1)
-	// Every key encodes into one shared buffer; an entry holds its span.
-	type entry struct {
-		lo, hi int
-		val    reflect.Value
+	e.w.u64(uint64(v.Len()) + 1)
+	if e.keys == nil {
+		e.keys = &encoder{} // pointer-free keys never reach the identity table
 	}
-	entries := make([]entry, 0, n)
-	var ke encoder // pointer-free keys never reach the identity table
+	ke := e.keys
+	// Every key encodes into the shared key buffer; an entry holds its
+	// span. A nested map writes past this map's entries and keys, so
+	// entries and kb, once taken, stay valid however the scratch grows.
+	base, keyBase := len(e.entries), ke.w.n
 	for it := v.MapRange(); it.Next(); {
 		lo := ke.w.n
 		ke.value(it.Key(), ti.key)
@@ -354,16 +372,17 @@ func (e *encoder) mapValue(v reflect.Value, ti *typeInfo) {
 			e.err = ke.err
 			return
 		}
-		entries = append(entries, entry{lo: lo, hi: ke.w.n, val: it.Value()})
+		e.entries = append(e.entries, mapEntry{lo: lo, hi: ke.w.n, val: it.Value()})
 	}
-	kb := ke.w.written()
-	sort.Slice(entries, func(i, j int) bool {
-		return string(kb[entries[i].lo:entries[i].hi]) < string(kb[entries[j].lo:entries[j].hi])
+	entries, kb := e.entries[base:], ke.w.written()
+	slices.SortFunc(entries, func(a, b mapEntry) int {
+		return bytes.Compare(kb[a.lo:a.hi], kb[b.lo:b.hi])
 	})
 	for _, en := range entries {
 		e.w.raw(kb[en.lo:en.hi])
 		e.value(en.val, ti.elem)
 	}
+	e.entries, ke.w.n = e.entries[:base], keyBase
 }
 
 func keyHasPointers(t reflect.Type) bool {

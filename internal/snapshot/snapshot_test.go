@@ -107,6 +107,93 @@ func TestToyRoundTrip(t *testing.T) {
 	}
 }
 
+// nestedMaps holds maps whose values hold maps, two levels deep, so an
+// inner map sorts its entries while its outer map's are still waiting to
+// be written.
+type nestedMaps struct {
+	Outer map[string]*nestedInner
+	Grid  map[int32]map[string]float64
+}
+
+type nestedInner struct {
+	Vals map[uint16]float64
+	Tags map[string]map[uint8]bool
+}
+
+// makeNestedMaps fills the maps, inserting keys in the order perm, a
+// permutation of 0..len(perm)-1, gives, so two calls hold equal maps
+// built in different orders.
+func makeNestedMaps(perm []int) *nestedMaps {
+	// below lists 0..m-1 in perm's order.
+	below := func(m int) []int {
+		var out []int
+		for _, j := range perm {
+			if j < m {
+				out = append(out, j)
+			}
+		}
+		return out
+	}
+	m := &nestedMaps{Outer: map[string]*nestedInner{}, Grid: map[int32]map[string]float64{}}
+	for _, i := range perm {
+		in := &nestedInner{Vals: map[uint16]float64{}, Tags: map[string]map[uint8]bool{}}
+		for _, j := range below(1 + i) {
+			in.Vals[uint16(j*37+i)] = float64(i) + float64(j)/8
+		}
+		for _, j := range below(i % 4) {
+			tags := map[uint8]bool{}
+			for _, k := range below(1 + j%6) {
+				tags[uint8(k)] = (i+j+k)%2 == 0
+			}
+			in.Tags[fmt.Sprintf("t%d", j)] = tags
+		}
+		m.Outer[fmt.Sprintf("node%02d", i)] = in
+		row := map[string]float64{}
+		for _, j := range below(i) {
+			row[fmt.Sprintf("c%d", j)] = float64(i * j)
+		}
+		m.Grid[int32(i)-int32(len(perm)/2)] = row
+	}
+	return m
+}
+
+// TestNestedMapsRoundTrip requires maps nested in map values to image
+// independently of insertion order and to restore to equal maps: an inner
+// map that overwrote its outer map's pending entries or keys would pair
+// the outer keys with the wrong values.
+func TestNestedMapsRoundTrip(t *testing.T) {
+	const n = 24
+	r := rand.New(rand.NewPCG(13, 0))
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	want := makeNestedMaps(order)
+	img, err := snapshot.Save(want, snapshot.Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 4; trial++ {
+		again, err := snapshot.Save(makeNestedMaps(r.Perm(n)), snapshot.Meta{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, img) {
+			t.Fatalf("trial %d: equal nested maps built in another order image differently", trial)
+		}
+	}
+	got := &nestedMaps{}
+	if _, err := snapshot.Load(img, got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("nested maps restored differently:\ngot  %+v\nwant %+v", got, want)
+	}
+	if back, err := snapshot.Save(got, snapshot.Meta{}); err != nil || !bytes.Equal(back, img) {
+		t.Fatalf("restored nested maps image differently (err %v)", err)
+	}
+}
+
 func TestCorruptImagesRejected(t *testing.T) {
 	img, err := snapshot.Save(makeToy(1), snapshot.Meta{})
 	if err != nil {
@@ -301,7 +388,7 @@ func TestServerWithRecorderRestoreIdentity(t *testing.T) {
 	// merge identically to the original's: counters, events, the series
 	// folded across sockets. A Snapshot keeps no per-socket windows, so
 	// the trees' images, which hold every series ring, must match too.
-	if !reflect.DeepEqual(restRec.Snapshot(), origRec.Snapshot()) {
+	if !reflect.DeepEqual(restRec.SnapshotWithEvents(), origRec.SnapshotWithEvents()) {
 		t.Fatalf("merged recorder snapshots diverge after restore")
 	}
 	origImg, err := snapshot.Save(origRec, snapshot.Meta{})

@@ -40,3 +40,17 @@ func BenchmarkFill(b *testing.B) {
 		tUS += 32_000
 	}
 }
+
+// BenchmarkPush pushes one 1 ms sample into a DefaultSpec series, what a
+// micro-stepping chip does to each of its series per step: a compare
+// against the current window's end at every level, and a rollover into
+// the next window of the finest level on every push.
+func BenchmarkPush(b *testing.B) {
+	s := NewSeries("p", DefaultSpec())
+	var tUS int64
+	b.ReportAllocs()
+	for b.Loop() {
+		tUS += 1_000
+		s.Push(tUS, float64(tUS%7_000))
+	}
+}
