@@ -46,7 +46,11 @@
 #                        -snap-dir, SIGTERM (graceful shutdown writes a final
 #                        snapshot), `agsim replay` the newest image to the
 #                        next cpm-window event and require `-until droops`
-#                        to exit 2 at once, require amesterd `-snap-every
+#                        to exit 2 at once, require `agsim replay` of a copy
+#                        whose layout byte (offset 7) reads 7, as a pre-v8
+#                        checkpoint's does, to exit non-zero without a
+#                        panic and ask for a re-capture ("state layout
+#                        changed; re-capture"), require amesterd `-snap-every
 #                        -1` (writing no image) and `-threads -3` and
 #                        agsched `-threads -2`, `-duration 1e300` and
 #                        `-duration NaN` to exit 2 within 5s without a Go
@@ -203,7 +207,17 @@ smoke:
 		>$(SMOKE_DIR)/replay-bad.out 2>&1 && st=0 || st=$$?; \
 	[ $$st -eq 2 ] || { echo "smoke: agsim replay -until droops exit status $$st, want 2 (124: still stepping after 5s)"; cat $(SMOKE_DIR)/replay-bad.out; exit 1; }; \
 	grep -q 'cpm-window' $(SMOKE_DIR)/replay-bad.out; \
-	echo "smoke: agsim replay -until droops exited 2, listing the event kinds"
+	echo "smoke: agsim replay -until droops exited 2, listing the event kinds"; \
+	cp $$snap $(SMOKE_DIR)/layout7.snap; \
+	printf '\007' | dd of=$(SMOKE_DIR)/layout7.snap bs=1 seek=7 conv=notrunc status=none; \
+	timeout 5 $(SMOKE_DIR)/agsim replay -from $(SMOKE_DIR)/layout7.snap -until cpm-window \
+		>$(SMOKE_DIR)/replay-layout7.out 2>&1 && st=0 || st=$$?; \
+	if [ $$st -eq 0 ] || [ $$st -eq 124 ] || grep -q 'panic:' $(SMOKE_DIR)/replay-layout7.out; then \
+		echo "smoke: agsim replay of a layout-7 image: exit status $$st, want non-zero without a panic (124: still running after 5s)"; \
+		cat $(SMOKE_DIR)/replay-layout7.out; exit 1; \
+	fi; \
+	grep -q 'state layout changed; re-capture' $(SMOKE_DIR)/replay-layout7.out; \
+	echo "smoke: agsim replay refused a layout-7 image, asking for a re-capture"
 	@set -e; rm -rf $(SMOKE_DIR)/badsnaps; mkdir -p $(SMOKE_DIR)/badsnaps; \
 	$(call smoke_exit2,amesterd-snap-every,$(SMOKE_DIR)/amesterd -listen 127.0.0.1:$(SMOKE_AMESTER_PORT) -snap-dir $(SMOKE_DIR)/badsnaps -snap-every -1); \
 	[ -z "$$(ls $(SMOKE_DIR)/badsnaps)" ] || { echo "smoke: amesterd -snap-every -1 wrote an image"; exit 1; }; \

@@ -134,9 +134,10 @@ func serve(addr, httpAddr string, scenario amester.Scenario, srv *server.Server,
 		if err != nil {
 			return err
 		}
-		defer hl.Close()
+		hs := amester.NewHTTPServer(api.Handler())
+		defer hs.Close()
 		go func() {
-			if err := http.Serve(hl, api.Handler()); err != nil {
+			if err := hs.Serve(hl); err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "amesterd: http:", err)
 			}
 		}()
@@ -157,18 +158,13 @@ func serve(addr, httpAddr string, scenario amester.Scenario, srv *server.Server,
 	defer ticker.Stop()
 	stepsPerTick := int(firmware.TickSeconds / chip.DefaultStepSec)
 	nextSnap := snapEvery
+	snaps := newCheckpointer(snapDir, scenario, srv)
 	writeSnap := func() error {
-		img, err := snapshot.Save(srv, snapshot.Meta{
-			Seed: seed, Revision: "amesterd", Extra: scenario.Marshal(), TimeSec: srv.Time(),
-		})
+		path, size, err := snaps.write()
 		if err != nil {
 			return err
 		}
-		path := filepath.Join(snapDir, fmt.Sprintf("amesterd-%012.3fs.snap", srv.Time()))
-		if err := os.WriteFile(path, img, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("amesterd: snapshot %s (%d bytes)\n", path, len(img))
+		fmt.Printf("amesterd: snapshot %s (%d bytes)\n", path, size)
 		return nil
 	}
 	for {
@@ -202,6 +198,36 @@ func serve(addr, httpAddr string, scenario amester.Scenario, srv *server.Server,
 			api.Publish()
 		}
 	}
+}
+
+// checkpointer writes the served server's images into a directory, one
+// file per call. Each image is appended into the one buffer it keeps, so a
+// -snap-every loop allocates no image buffer except when an image outgrows
+// it, and the buffer then doubles.
+type checkpointer struct {
+	dir   string
+	srv   *server.Server
+	meta  snapshot.Meta
+	image []byte
+}
+
+// newCheckpointer prepares checkpoints of srv, built from scenario, into
+// dir.
+func newCheckpointer(dir string, scenario amester.Scenario, srv *server.Server) *checkpointer {
+	meta := snapshot.Meta{Seed: scenario.Seed, Revision: "amesterd", Extra: scenario.Marshal()}
+	return &checkpointer{dir: dir, srv: srv, meta: meta}
+}
+
+// write images the server at its current time into
+// dir/amesterd-<time>s.snap and returns the path and the image size.
+func (c *checkpointer) write() (path string, size int, err error) {
+	c.meta.TimeSec = c.srv.Time()
+	c.image, err = snapshot.AppendSave(c.image[:0], c.srv, c.meta)
+	if err != nil {
+		return "", 0, err
+	}
+	path = filepath.Join(c.dir, fmt.Sprintf("amesterd-%012.3fs.snap", c.meta.TimeSec))
+	return path, len(c.image), os.WriteFile(path, c.image, 0o644)
 }
 
 func client(addr, watch string, samples int) error {

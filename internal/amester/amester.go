@@ -41,6 +41,12 @@ const (
 	acceptBackoffMax = time.Second
 )
 
+// lineIdle bounds how long a connection may wait for a client's next
+// command, and for the client to take its reply, before the service drops
+// it: a client that connects and goes silent cannot hold a handler and a
+// descriptor for good. A -watch client sends a command every 10 ms.
+const lineIdle = 30 * time.Second
+
 // Service publishes telemetry snapshots to network clients.
 type Service struct {
 	probes []Probe
@@ -52,6 +58,7 @@ type Service struct {
 	listener net.Listener
 	wg       sync.WaitGroup
 	closed   chan struct{}
+	idle     time.Duration // per-command deadline, lineIdle
 
 	connMu sync.Mutex // guards conns
 	conns  map[net.Conn]struct{}
@@ -74,6 +81,7 @@ func NewService(probes ...Probe) *Service {
 		probes: probes,
 		vals:   map[string]float64{},
 		closed: make(chan struct{}),
+		idle:   lineIdle,
 		conns:  map[net.Conn]struct{}{},
 	}
 }
@@ -176,11 +184,14 @@ func (s *Service) Close() error {
 	return err
 }
 
+// handle serves one connection, one command per line. Each command, and
+// the client's taking of its reply, must come within the idle bound of
+// the last one; a connection that misses it is closed.
 func (s *Service) handle(conn net.Conn) {
 	defer conn.Close()
 	sc := bufio.NewScanner(conn)
 	w := bufio.NewWriter(conn)
-	for sc.Scan() {
+	for conn.SetDeadline(time.Now().Add(s.idle)) == nil && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		fields := strings.Fields(line)
 		if len(fields) == 0 {

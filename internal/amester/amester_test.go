@@ -3,6 +3,7 @@ package amester
 import (
 	"errors"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -347,5 +348,67 @@ func TestServerProbes(t *testing.T) {
 	parts := m["p0_power_w"] + m["p1_power_w"]
 	if total < 0.99*parts || total > 1.01*parts {
 		t.Errorf("total %v != parts %v", total, parts)
+	}
+}
+
+// TestLineIdleBound holds the line service's per-command deadline: a
+// client that connects and sends nothing is dropped within the bound,
+// and a -watch-style client polling every 10 ms keeps its connection
+// across many bounds. Close still returns at once with a silent client
+// attached to a service at the default 30 s bound.
+func TestLineIdleBound(t *testing.T) {
+	const idle = 150 * time.Millisecond
+	svc := NewService(Probe{Name: "x", Read: func() float64 { return 1 }})
+	svc.idle = idle
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start(l)
+	defer svc.Close()
+	svc.Publish()
+	addr := l.Addr().String()
+
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	start := time.Now()
+	silent.SetReadDeadline(start.Add(5 * time.Second))
+	if _, err := silent.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("a silent client's read returned %v, want the connection dropped", err)
+	}
+	if held := time.Since(start); held < idle/2 || held > idle+2*time.Second {
+		t.Fatalf("a silent client was dropped after %v, want about the %v bound", held, idle)
+	}
+
+	watch, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer watch.Close()
+	for end := time.Now().Add(4 * idle); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		if _, err := watch.Seq(); err != nil {
+			t.Fatalf("a client polling every 10 ms lost its connection: %v", err)
+		}
+	}
+
+	slow := NewService(Probe{Name: "x", Read: func() float64 { return 1 }})
+	sl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow.Start(sl)
+	quiet, err := net.Dial("tcp", sl.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer quiet.Close()
+	time.Sleep(20 * time.Millisecond) // let the handler take the connection
+	start = time.Now()
+	slow.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v with a silent client attached", took)
 	}
 }

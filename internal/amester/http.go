@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"time"
 
 	"agsim/internal/health"
 	"agsim/internal/obs"
@@ -98,6 +99,26 @@ func (a *API) Publish() {
 		}
 	}
 	a.mu.Unlock()
+}
+
+// The HTTP server's connection bounds. A client has httpHeaderTimeout to
+// send a request's headers and httpIdleTimeout to start its next request
+// on a kept-alive connection, so a stalled or abandoned client cannot hold
+// a connection for good. There is no write timeout: /stream responses
+// last as long as their subscriber.
+const (
+	httpHeaderTimeout = 10 * time.Second
+	httpIdleTimeout   = 60 * time.Second
+)
+
+// NewHTTPServer returns the http.Server amesterd serves h through, with
+// the header and idle bounds above.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return newHTTPServer(h, httpHeaderTimeout, httpIdleTimeout)
+}
+
+func newHTTPServer(h http.Handler, header, idle time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: header, IdleTimeout: idle}
 }
 
 // Handler returns the API's mux.

@@ -2,14 +2,19 @@ package amester
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"agsim/internal/obs"
 	"agsim/internal/tsdb"
@@ -230,4 +235,117 @@ func FuzzTimeseriesQuery(f *testing.F) {
 			t.Fatalf("%s: status %d", q, w.Code)
 		}
 	})
+}
+
+// TestHTTPServerBounds serves the API through the bounded http.Server,
+// with short bounds: a client that connects and sends nothing is dropped
+// within the header bound; a kept-alive client polling /health every
+// 10 ms keeps its one connection across many idle bounds and is dropped
+// within the idle bound once it stops; a /stream subscriber keeps
+// receiving frames past both bounds, since no write timeout applies; and
+// Close returns at once with a subscriber and a silent client attached.
+func TestHTTPServerBounds(t *testing.T) {
+	const header, idle = 150 * time.Millisecond, 200 * time.Millisecond
+	api, _ := testAPI(t)
+	hs := newHTTPServer(api.Handler(), header, idle)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(l)
+	defer hs.Close()
+	addr := l.Addr().String()
+	dial := func() net.Conn {
+		t.Helper()
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// dropped requires the server to close r's connection between lo and
+	// 2 s past hi from now.
+	dropped := func(what string, c net.Conn, r io.Reader, lo, hi time.Duration) {
+		t.Helper()
+		start := time.Now()
+		c.SetReadDeadline(start.Add(5 * time.Second))
+		if _, err := r.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: read returned %v, want the connection dropped", what, err)
+		}
+		if held := time.Since(start); held < lo || held > hi+2*time.Second {
+			t.Fatalf("%s: dropped after %v, want about %v", what, held, hi)
+		}
+	}
+
+	silent := dial()
+	defer silent.Close()
+	dropped("silent client", silent, silent, header/2, header)
+
+	poller := dial()
+	defer poller.Close()
+	br := bufio.NewReader(poller)
+	req, err := http.NewRequest("GET", "http://"+addr+"/health", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for end := time.Now().Add(4 * idle); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		poller.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := req.Write(poller); err != nil {
+			t.Fatalf("a client polling every 10 ms lost its connection: %v", err)
+		}
+		resp, err := http.ReadResponse(br, req)
+		if err != nil {
+			t.Fatalf("a client polling every 10 ms lost its connection: %v", err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Close {
+			t.Fatalf("poll answered %d, close=%v", resp.StatusCode, resp.Close)
+		}
+	}
+	dropped("idle kept-alive client", poller, br, idle/2, idle)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sreq, err := http.NewRequestWithContext(ctx, "GET", "http://"+addr+"/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(sreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames := bufio.NewReader(resp.Body)
+	frame := func() error {
+		for {
+			line, err := frames.ReadString('\n')
+			if err != nil {
+				return err
+			}
+			if strings.HasPrefix(line, "data: ") {
+				return nil
+			}
+		}
+	}
+	if err := frame(); err != nil {
+		t.Fatal(err)
+	}
+	for end := time.Now().Add(2 * (header + idle)); time.Now().Before(end); time.Sleep(20 * time.Millisecond) {
+		api.Publish()
+		if err := frame(); err != nil {
+			t.Fatalf("/stream ended past the bounds: %v", err)
+		}
+	}
+
+	late := dial()
+	defer late.Close()
+	start := time.Now()
+	hs.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v with a subscriber and a silent client attached", took)
+	}
+	if err := frame(); err == nil {
+		t.Fatal("/stream still open after Close")
+	}
 }

@@ -180,7 +180,8 @@ type Chip struct {
 	// shapeKey caches cfg.ShapeKey(): the shape fields never change after
 	// construction (Reset rewrites only the per-point identity, which the
 	// key excludes), and pooled paths look the key up per acquire/release.
-	shapeKey string
+	// It is not imaged: Load checks the image header's key against it.
+	shapeKey string `snapshot:"-"`
 	cores    []*Core
 	plane    pdn.Network
 	rail     *vrm.Rail
@@ -219,10 +220,11 @@ type Chip struct {
 	// Step-loop scratch, reused every step so the hot path allocates
 	// nothing. Their presence is why a Chip is NOT safe for concurrent
 	// Step calls; parallelism lives above the chip (sweep points, fleet
-	// shards), where each unit owns its own Chip.
-	scratchCurrents []units.Ampere
-	scratchProfiles []didt.Profile
-	scratchDrops    []units.Millivolt
+	// shards), where each unit owns its own Chip. Every step writes each
+	// entry it reads, so the scratch is not imaged.
+	scratchCurrents []units.Ampere    `snapshot:"-"`
+	scratchProfiles []didt.Profile    `snapshot:"-"`
+	scratchDrops    []units.Millivolt `snapshot:"-"`
 
 	// Frozen-span read model for the fast-forward tick path (see
 	// sample.go): per sensor (flat in core-major order), the deterministic
@@ -230,16 +232,19 @@ type Chip struct {
 	// frequency, and the per-position tail probabilities of its window
 	// read; from those, the chip-minimum tail distribution and the
 	// cumulative first-argmin weights the frozen ticks sample from. Valid
-	// only inside a FastForward span; refreshed on rail commands. Entries
-	// no tick can read are 0 (see refreshFrozenReadCache).
-	frozenDetMV     []float64
-	frozenMVB       []float64
-	frozenQ         []float64 // P(read_k >= b), flat k*frozenRowLen+b
-	frozenSuf       []float64 // suffix-product scratch, len sensors+1
-	frozenArgW      []float64 // cumulative argmin weights, flat b*sensors+k
-	frozenTail      [cpm.MaxValue + 2]float64
-	frozenAnyDead   bool
-	frozenNoSensors bool
+	// only inside a FastForward span, which builds it before its first
+	// tick; refreshed on rail commands. Entries no tick can read are 0
+	// (see refreshFrozenReadCache). Only frozen ticks read it, and a macro
+	// leap never ticks (MacroStep panics if it does), so the model is a
+	// cache and is not imaged.
+	frozenDetMV     []float64                 `snapshot:"-"`
+	frozenMVB       []float64                 `snapshot:"-"`
+	frozenQ         []float64                 `snapshot:"-"` // P(read_k >= b), flat k*frozenRowLen+b
+	frozenSuf       []float64                 `snapshot:"-"` // suffix-product scratch, len sensors+1
+	frozenArgW      []float64                 `snapshot:"-"` // cumulative argmin weights, flat b*sensors+k
+	frozenTail      [cpm.MaxValue + 2]float64 `snapshot:"-"`
+	frozenAnyDead   bool                      `snapshot:"-"`
+	frozenNoSensors bool                      `snapshot:"-"`
 	frozenCarry     bool
 	frozenRNG       *rng.Source
 

@@ -245,16 +245,24 @@ func (c *Chip) threadHorizon(h float64, reason obs.Reason, walks bool) (float64,
 // MacroStep advances a quiescent chip by h seconds in closed form: one
 // held span (holdSpan), the integrator a fast-forward runs too. The caller
 // must have bounded h by HorizonSec; crossing the firmware tick or a
-// scheduled di/dt event is a contract violation and panics.
+// scheduled di/dt event is a contract violation and panics. So is a span
+// that ends within holdSpan's grid snap of the tick: holdSpan would fire
+// it as a frozen tick, which reads the frozen read model only a
+// FastForward builds. The check before the span uses holdSpan's own tick
+// rule, so no frozen tick runs; the one after it holds the two rules
+// together.
 func (c *Chip) MacroStep(h float64) {
 	if h <= 0 {
 		panic(fmt.Sprintf("chip %s: non-positive macro-step %v", c.cfg.Name, h))
 	}
-	if c.sinceTick+h >= firmware.TickSeconds {
-		panic(fmt.Sprintf("chip %s: macro-step crossed the firmware tick (horizon bug)", c.cfg.Name))
+	if c.sinceTick+h+gridSnapSec >= firmware.TickSeconds {
+		panic(fmt.Sprintf("chip %s: macro-step reaches the firmware tick (horizon bug)", c.cfg.Name))
 	}
 
-	sample, _ := c.holdSpan(h)
+	sample, ticked := c.holdSpan(h)
+	if ticked {
+		panic(fmt.Sprintf("chip %s: firmware tick inside a %v s macro-step (horizon bug)", c.cfg.Name, h))
+	}
 	if sample.Events > 0 {
 		panic(fmt.Sprintf("chip %s: di/dt event inside a %v s macro-step (horizon bug)", c.cfg.Name, h))
 	}

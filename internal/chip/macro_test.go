@@ -2,6 +2,7 @@ package chip
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"agsim/internal/firmware"
@@ -232,5 +233,32 @@ func TestAdvanceNeverOvershoots(t *testing.T) {
 	}
 	if math.Abs(macro.Time()-2.5) > 1e-6 {
 		t.Errorf("Advance loop covered %v s, want 2.5", macro.Time())
+	}
+}
+
+// TestMacroStepRefusesTick requires MacroStep to panic as a horizon bug
+// before a span that would fire a firmware tick: one that ends short of
+// the tick by less than holdSpan's grid snap, as well as one that crosses
+// it. A frozen tick inside a leap would read a read model only
+// FastForward builds; on this Undervolt chip, whose model was never
+// built, it would fail in the firmware on a zero sensitivity instead.
+func TestMacroStepRefusesTick(t *testing.T) {
+	for _, short := range []float64{gridSnapSec / 2, -DefaultStepSec} {
+		c, _ := exactTwin(t, firmware.Undervolt, 4)
+		c.Settle(0.1)
+		phase := c.sinceTick
+		h := firmware.TickSeconds - phase - short
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "reaches the firmware tick (horizon bug)") {
+					t.Errorf("MacroStep(%v) from tick phase %v: got panic %q, want a horizon-bug panic for the tick", h, phase, msg)
+				}
+			}()
+			c.MacroStep(h)
+		}()
+		if c.sinceTick != phase {
+			t.Errorf("MacroStep(%v) moved the tick phase from %v to %v before it panicked", h, phase, c.sinceTick)
+		}
 	}
 }

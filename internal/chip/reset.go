@@ -11,9 +11,11 @@ import (
 // Reset rewinds the chip to the state New would produce for the same
 // configuration shape with the given identity — name, seed, and recorder
 // are the only fields a sweep varies between points of one experiment —
-// without allocating. It zeroes what New's fresh allocations leave zero,
-// keeping the storage, then runs New's rewind, so a pooled chip images
-// and simulates byte for byte like a freshly constructed one.
+// without allocating. It zeroes the state New's fresh allocations leave
+// zero, keeping the storage, then runs New's rewind, so a pooled chip
+// images and simulates byte for byte like a freshly constructed one. The
+// step scratch and the frozen read model keep what they hold: every use
+// writes them before it reads them, and no image carries them.
 //
 // Reset does not change the configuration shape (core count, law, PDN,
 // mesh, thermal model, Exact lane): arenas key pooled chips by
@@ -31,9 +33,6 @@ func (c *Chip) Reset(name string, seed uint64, rec *obs.Recorder) {
 		root: c.root, noiseSrc: c.noiseSrc, coreWalk: c.coreWalk, sensorWalk: c.sensorWalk,
 	}
 	clear(c.lastDrops)
-	clear(c.scratchCurrents)
-	clear(c.scratchDrops)
-	c.clearFrozenModel()
 	clear(c.prevCoreV)
 	clear(c.prevCoreF)
 	for _, co := range c.cores {

@@ -178,9 +178,11 @@ const pinSampledSHA = "4c67f888009eaf2ead0f94dc640cb5f1bfe3ae41ed1a6281ef0f61dd4
 
 // TestSampledPoolMatchesFresh: a pooled chip, Reset after a different
 // sampled life, images byte for byte like a fresh chip once settled and
-// again after the same sampled span — the frozen read model holds no
-// history from the previous life, whatever parts of it the last
-// fast-forward built.
+// again after the same sampled span. Reset keeps the frozen read model
+// and the step scratch, which no image carries, so they still hold the
+// previous life, whatever parts of the model its last fast-forward
+// built; the second image shows no state of the next life depends on
+// them.
 func TestSampledPoolMatchesFresh(t *testing.T) {
 	run := func(c *chip.Chip) {
 		sample.New(c, sample.Config{}).Run(10, nil)

@@ -57,7 +57,10 @@ const CalibTarget = 2
 
 // Sensor is one critical path monitor.
 type Sensor struct {
-	law vf.Law
+	// law is the chip's immutable V–f law, copied in by Reset. It is
+	// configuration, not state, so the snapshot codec skips it: a restore
+	// target was built with the same law.
+	law vf.Law `snapshot:"-"`
 
 	// mvPerBitNom is this sensor's millivolts of supply slack per detector
 	// position at the nominal peak frequency; ~21 mV on average with

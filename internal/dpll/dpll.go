@@ -20,7 +20,10 @@ import (
 
 // DPLL is one core's clock generator.
 type DPLL struct {
-	law vf.Law
+	// law is the chip's immutable V–f law, set by Reset. It is
+	// configuration, not state, so the snapshot codec skips it: a restore
+	// target was built with the same law.
+	law vf.Law `snapshot:"-"`
 
 	freq units.Megahertz
 

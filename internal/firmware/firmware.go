@@ -63,7 +63,10 @@ const TickSeconds = 0.032
 
 // Controller is the voltage-loop decision logic.
 type Controller struct {
-	law  vf.Law
+	// law is the chip's immutable V–f law, set by Reset. It is
+	// configuration, not state, so the snapshot codec skips it: a restore
+	// target was built with the same law.
+	law  vf.Law `snapshot:"-"`
 	mode Mode
 
 	// GainDown scales how much of the sensed excess margin is removed per

@@ -424,6 +424,7 @@ func (r *Recorder) walk(list []shardRef, prefix string) []shardRef {
 // collect folds one recorder's own rows into the log under the given
 // source-name prefix and counts its ring.
 func (r *Recorder) collect(log *Log, prefix string) {
+	base := len(log.Sources)
 	for i, name := range r.sources {
 		log.Sources = append(log.Sources, SourceMetrics{
 			Name:     prefix + name,
@@ -449,18 +450,19 @@ func (r *Recorder) collect(log *Log, prefix string) {
 	// is deterministic because construction is (source registration order
 	// x fixed metric order) within one single-threaded work unit. Each
 	// folds into its metric's view in that order, which fixes the float
-	// rounding of the folded sums.
+	// rounding of the folded sums. A series row names its source with the
+	// source row's string, so the inventory builds no string of its own.
 	for _, se := range r.series {
-		src := ""
+		src := prefix
 		if se.key.src >= 0 && int(se.key.src) < len(r.sources) {
-			src = r.sources[se.key.src]
+			src = log.Sources[base+int(se.key.src)].Name
 		}
 		f := log.fold(se.key.name, se.ts)
 		spec := f.rows
 		if !se.ts.HasSpec(spec) {
 			spec = se.ts.Spec()
 		}
-		log.Series = append(log.Series, SeriesDump{Source: prefix + src, Name: se.key.name, Spec: spec})
+		log.Series = append(log.Series, SeriesDump{Source: src, Name: se.key.name, Spec: spec})
 		for li := range f.levels {
 			f.levels[li] = se.ts.FoldInto(f.levels[li], li)
 		}

@@ -134,8 +134,9 @@ type Server struct {
 	cfg Config
 	// shapeKey caches cfg.ShapeKey(): the shape fields never change after
 	// construction, and the pooled path (server arena) looks the key up
-	// on every acquire and release.
-	shapeKey string
+	// on every acquire and release. It is not imaged: Load checks the
+	// image header's key against it.
+	shapeKey string `snapshot:"-"`
 	chips    []*chip.Chip
 	jobs     []*Job
 	r        *rng.Source

@@ -72,11 +72,106 @@ func TestLoadAllocationBound(t *testing.T) {
 	}
 }
 
+// settledChip is the chip BenchmarkSaveChip and BenchmarkLoadChip image.
+func settledChip() *chip.Chip {
+	c := recordedChip(5)
+	c.Settle(0.5)
+	return c
+}
+
+// TestSaveChipAllocationBound holds a checkpoint of one recorded chip to
+// its image's 17/16 and 4 KB more, the walk's small buffers (about 2.5 KB
+// for this 18 KB image).
+func TestSaveChipAllocationBound(t *testing.T) {
+	c := settledChip()
+	meta := snapshot.Meta{Seed: 5}
+	img, err := snapshot.Save(c, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := allocPerCall(8, func() {
+		if _, err := snapshot.Save(c, meta); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if bound := uint64(len(img))*17/16 + 4<<10; per > bound {
+		t.Fatalf("Save allocates %d B per call for a %d-byte chip image, want at most %d", per, len(img), bound)
+	}
+}
+
+// TestLoadChipAllocationBound holds a restore of that image into a chip
+// of the same shape to under 4 KB: the recorder shard's maps it rebuilds
+// (about 2.2 KB).
+func TestLoadChipAllocationBound(t *testing.T) {
+	img, err := snapshot.Save(settledChip(), snapshot.Meta{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby := recordedChip(5)
+	per := allocPerCall(8, func() {
+		if _, err := snapshot.Load(img, standby); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per >= 4<<10 {
+		t.Fatalf("Load allocates %d B per call for a %d-byte chip image, want under %d", per, len(img), 4<<10)
+	}
+}
+
+// TestAppendSaveMatchesSave requires AppendSave to write Save's image byte
+// for byte, for the 8-node serving pair and for one chip, and, handed its
+// last image's buffer back, to write the next image into it: a Save of
+// the pair after it has served on allocates under 16 KB, far less than
+// the half-megabyte image.
+func TestAppendSaveMatchesSave(t *testing.T) {
+	p := settledServePair(9)
+	defer p.F.Close()
+	c := settledChip()
+	var buf []byte
+	for round := 0; round < 2; round++ {
+		for _, tc := range []struct {
+			name string
+			root any
+			meta snapshot.Meta
+		}{
+			{"serving pair", p, snapshot.Meta{Seed: 9, TimeSec: p.F.Time()}},
+			{"chip", c, snapshot.Meta{Seed: 5, TimeSec: c.Time()}},
+		} {
+			want, err := snapshot.Save(tc.root, tc.meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if buf, err = snapshot.AppendSave(buf[:0], tc.root, tc.meta); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("round %d, %s: AppendSave wrote %d bytes unlike Save's %d-byte image", round, tc.name, len(buf), len(want))
+			}
+		}
+		p.serve(2, 0.25)
+		c.Settle(0.1)
+	}
+	meta := snapshot.Meta{Seed: 9, TimeSec: p.F.Time()}
+	var err error
+	if buf, err = snapshot.AppendSave(buf[:0], p, meta); err != nil {
+		t.Fatal(err)
+	}
+	per := allocPerCall(4, func() {
+		if buf, err = snapshot.AppendSave(buf[:0], p, meta); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per >= 16<<10 {
+		t.Fatalf("AppendSave into the last image's buffer allocates %d B per call for a %d-byte image, want under %d", per, len(buf), 16<<10)
+	}
+}
+
 // TestConcurrentSaveLoadMatchesSerial saves and restores chips of one root
 // type from several goroutines at once, so the calls contend for the
 // type's cached identity tables: every image must be byte-identical to
 // the one a serial Save wrote, and every restored chip must image like
-// its original. Run it under -race.
+// its original, and every image AppendSave writes into the goroutine's
+// own buffer must match too. Run it under -race.
 func TestConcurrentSaveLoadMatchesSerial(t *testing.T) {
 	const workers, rounds = 4, 6
 	chips := make([]*chip.Chip, workers)
@@ -101,10 +196,17 @@ func TestConcurrentSaveLoadMatchesSerial(t *testing.T) {
 			<-start
 			seed := uint64(60 + w)
 			target := recordedChip(seed)
+			var buf []byte
 			for r := 0; r < rounds; r++ {
 				img, err := snapshot.Save(chips[w], snapshot.Meta{Seed: seed})
 				if err == nil && !bytes.Equal(img, serial[w]) {
 					err = fmt.Errorf("round %d: image differs from the serial one (%d vs %d bytes)", r, len(img), len(serial[w]))
+				}
+				if err == nil {
+					buf, err = snapshot.AppendSave(buf[:0], chips[w], snapshot.Meta{Seed: seed})
+				}
+				if err == nil && !bytes.Equal(buf, serial[w]) {
+					err = fmt.Errorf("round %d: appended image differs from the serial one (%d vs %d bytes)", r, len(buf), len(serial[w]))
 				}
 				if err == nil {
 					_, err = snapshot.Load(img, target)

@@ -123,6 +123,6 @@ func TestWireFormatPinned(t *testing.T) {
 }
 
 const (
-	pinChipSHA  = "fd1212d5164356b662bc1042a14bc34c261ac6f2e41127f2eb5254894fe6eb63"
-	pinFleetSHA = "383cd2c3cae196fc592bb2f467d8d1dd82172d2d9fa3a2c07fa366e0a0d96af5"
+	pinChipSHA  = "8a57cd253e127c067566fda853d091b3819ba8fb9b64196014bf352cd4921fa3"
+	pinFleetSHA = "29b95775cc1ad0a22a2649f2038878dc8f9070eced924a74818cfce6d8d922fb"
 )

@@ -29,9 +29,12 @@ func referenceImage(t *testing.T, root any, meta Meta) []byte {
 // so each Save's buffer, sized from the one before, is too small, too
 // large or reserved a prefix of the wrong length. Every image must equal
 // the separately framed reference byte for byte and carry little spare
-// capacity.
+// capacity. AppendSave writes the same images after the bytes already in
+// a buffer it is handed back, truncated to a short prefix, every time.
 func TestSaveFramesInPlace(t *testing.T) {
 	meta := Meta{ShapeKey: "frame", Seed: 7, Revision: "r", Extra: "x", TimeSec: 1.5}
+	const lead = "lead"
+	buf := []byte(lead)
 	for _, n := range []int{0, 14, 15, 16, 2000, 2047, 2048, 3, 2100, 16, 40000, 1} {
 		root := &frameRoot{F: make([]float64, n)}
 		for i := range root.F {
@@ -41,11 +44,18 @@ func TestSaveFramesInPlace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := referenceImage(t, root, meta); !bytes.Equal(img, want) {
+		want := referenceImage(t, root, meta)
+		if !bytes.Equal(img, want) {
 			t.Fatalf("%d floats: Save wrote %d bytes unlike the %d-byte reference image", n, len(img), len(want))
 		}
 		if spare := cap(img) - len(img); spare > len(img)/8 {
 			t.Errorf("%d floats: %d-byte image carries %d spare bytes", n, len(img), spare)
+		}
+		if buf, err = AppendSave(buf[:len(lead)], root, meta); err != nil {
+			t.Fatal(err)
+		}
+		if string(buf[:len(lead)]) != lead || !bytes.Equal(buf[len(lead):], want) {
+			t.Fatalf("%d floats: AppendSave wrote %d bytes unlike the %d-byte reference image after %q", n, len(buf)-len(lead), len(want), lead)
 		}
 		back := &frameRoot{}
 		if _, err := Load(img, back); err != nil || !reflect.DeepEqual(back, root) {

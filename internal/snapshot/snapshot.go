@@ -17,8 +17,20 @@
 // round-trips RNG stream positions through rng.Source's BinaryAppender
 // hook. Funcs, channels, registered runtime-only types (parallel.Pool,
 // the immutable pdn networks) and struct fields tagged `snapshot:"-"`
-// (caches, such as a CPM's read memo) keep the target's value; for
-// registered pointer types presence must match between image and target.
+// keep the target's value; for registered pointer types presence must
+// match between image and target. The tag marks what is not state:
+//
+//   - caches and scratch that every use writes before it reads: a CPM's
+//     read memo, a chip's frozen read model (which each fast-forward
+//     builds before its first tick) and its step-loop scratch;
+//   - configuration copied from the shape: the V–f law each CPM, DPLL and
+//     firmware controller keeps, and the cached shape keys of chips and
+//     servers, which the header's key stands for;
+//   - reuse storage: a server's thread free list and a chip's RNG walk
+//     streams.
+//
+// Save returns an image in a buffer of its own; AppendSave appends one to
+// a buffer the caller keeps, as amesterd's checkpoint loop does.
 //
 // Determinism contract: Save(Load(Save(x))) == Save(x) byte-for-byte, and
 // a restored object's subsequent step trace is bit-identical to the
@@ -59,8 +71,11 @@ import (
 // CompactSpec series' payload is 136 bytes rather than 6,751. Version 7
 // appends two counters to each recorder counter row, obs's
 // CThrottleDecisions and CExhaustedTicks, so every row images two more
-// uvarints.
-const layoutVersion byte = 7
+// uvarints. Version 8 drops what is not state: the chip's frozen read
+// model (its six arrays and two flags, about 9 KB per chip) and step
+// scratch, the V–f law each CPM, DPLL and firmware controller copies,
+// and the chip's and server's cached shape keys.
+const layoutVersion byte = 8
 
 // codecVersion is the wire-format generation of this package's walker,
 // independent of layoutVersion (which tracks simulation struct layout).
@@ -639,11 +654,31 @@ func (d *decoder) value(v reflect.Value, ti *typeInfo) {
 
 // Save serializes root (a non-nil pointer to a simulation object) with
 // its header. When root implements Shaped and meta.ShapeKey is empty the
-// shape key is recorded automatically.
+// shape key is recorded automatically. It returns a buffer of its own,
+// for callers that keep every image; one that writes an image and drops
+// it should keep one buffer and call AppendSave.
 func Save(root any, meta Meta) ([]byte, error) {
+	img, err := AppendSave(nil, root, meta)
+	if err != nil {
+		return nil, err
+	}
+	if cap(img)-len(img) > len(img)/8 {
+		// The image outgrew the spare room, or shrank well below the last
+		// one: hand back exactly its size, not the doubled or stale buffer.
+		img = append(make([]byte, 0, len(img)), img...)
+	}
+	return img, nil
+}
+
+// AppendSave appends root's image, the bytes Save returns, to dst and
+// returns the extended buffer, in the encoding.BinaryAppender idiom. A
+// caller that passes the last image's buffer back, truncated, writes
+// every later image of a steady series into it without allocating one.
+// On error it returns dst unchanged.
+func AppendSave(dst []byte, root any, meta Meta) ([]byte, error) {
 	rv := reflect.ValueOf(root)
 	if rv.Kind() != reflect.Ptr || rv.IsNil() {
-		return nil, fmt.Errorf("snapshot: save root must be a non-nil pointer, got %T", root)
+		return dst, fmt.Errorf("snapshot: save root must be a non-nil pointer, got %T", root)
 	}
 	if meta.ShapeKey == "" {
 		if s, ok := root.(Shaped); ok {
@@ -651,11 +686,12 @@ func Save(root any, meta Meta) ([]byte, error) {
 		}
 	}
 	// The image is framed in place: the header, the payload encoded right
-	// after it and the CRC, in one buffer sized from the last image of
-	// the same root type with 1/16 to spare for growth, so a Save in a
-	// steady series allocates its image and little else. The payload's
-	// length prefix, reserved at the size the last image's needed, moves
-	// the payload only when it needs a byte more or less.
+	// after it and the CRC. When dst has less room than the last image of
+	// the same root type took, it grows once to that size with 1/16 to
+	// spare, so a Save in a steady series allocates its image and little
+	// else. The payload's length prefix, reserved at the size the last
+	// image's needed, moves the payload only when it needs a byte more or
+	// less.
 	ti := infoOf(rv.Type())
 	ids := ti.ids.Swap(nil)
 	if ids == nil {
@@ -667,16 +703,21 @@ func Save(root any, meta Meta) ([]byte, error) {
 		ti.ids.Store(ids)
 	}()
 	e := &encoder{ids: *ids}
-	last := ti.lastImage.Load()
-	e.w.buf = make([]byte, last+last/16)
+	start, last := len(dst), int(ti.lastImage.Load())
+	if cap(dst)-start < last {
+		// One make, not slices.Grow: append of a made slice allocates
+		// twice when the compiler cannot fuse the two, as under -race.
+		dst = append(make([]byte, 0, start+last+last/16), dst...)
+	}
+	e.w.buf, e.w.n = dst[:cap(dst)], start
 	e.w.header(rv.Type().String(), meta)
 	head := e.w.n
-	prefix := uvarintLen(uint64(max(last-int64(head), 0)))
+	prefix := uvarintLen(uint64(max(last-(head-start), 0)))
 	e.w.grow(prefix)
 	e.w.n += prefix
 	e.value(rv, ti)
 	if e.err != nil {
-		return nil, e.err
+		return dst[:start], e.err
 	}
 	n := e.w.n - head - prefix
 	if need := uvarintLen(uint64(n)); need != prefix {
@@ -687,15 +728,9 @@ func Save(root any, meta Meta) ([]byte, error) {
 	}
 	binary.PutUvarint(e.w.buf[head:], uint64(n))
 	e.w.u64(uint64(crc32.ChecksumIEEE(e.w.buf[head+prefix : e.w.n])))
-	img := e.w.written()
-	ti.lastImage.Store(int64(len(img)))
+	ti.lastImage.Store(int64(e.w.n - start))
 	ti.lastPtrs.Store(int64(len(e.ids)))
-	if cap(img)-len(img) > len(img)/8 {
-		// The image outgrew the spare room, or shrank well below the last
-		// one: hand back exactly its size, not the doubled or stale buffer.
-		img = append(make([]byte, 0, len(img)), img...)
-	}
-	return img, nil
+	return e.w.written(), nil
 }
 
 // header writes everything an image carries before its payload.

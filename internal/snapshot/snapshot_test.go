@@ -308,15 +308,30 @@ func TestChipSaveLoadSaveByteIdentity(t *testing.T) {
 	}
 }
 
+// TestChipShapeMismatchRejected refuses targets built from another shape:
+// a mesh PDN, or another V–f law for the chip or for its CPMs. The image
+// carries no law, so the shape key in its header is what keeps a chip
+// from restoring onto sensors, DPLLs and a controller that copied a
+// different one.
 func TestChipShapeMismatchRejected(t *testing.T) {
 	orig := testChip(11, nil)
 	img, err := snapshot.Save(orig, snapshot.Meta{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := chip.MustNew(chip.DefaultConfig("P0", 11).WithMesh())
-	if _, err := snapshot.Load(img, other); err == nil || !strings.Contains(err.Error(), "shape mismatch") {
-		t.Fatalf("want shape mismatch error, got %v", err)
+	law := chip.DefaultConfig("P0", 11)
+	law.Law.VNom += 10
+	cpmLaw := chip.DefaultConfig("P0", 11)
+	cpmLaw.CPM.Law.FCeil -= 100
+	for name, cfg := range map[string]chip.Config{
+		"mesh":    chip.DefaultConfig("P0", 11).WithMesh(),
+		"law":     law,
+		"cpm law": cpmLaw,
+	} {
+		other := chip.MustNew(cfg)
+		if _, err := snapshot.Load(img, other); err == nil || !strings.Contains(err.Error(), "shape mismatch") {
+			t.Fatalf("%s: want shape mismatch error, got %v", name, err)
+		}
 	}
 }
 
