@@ -47,15 +47,16 @@
 #                        snapshot), `agsim replay` the newest image to the
 #                        next cpm-window event and require `-until droops`
 #                        to exit 2 at once, require `agsim replay` of a copy
-#                        whose layout byte (offset 7) reads 7, as a pre-v8
+#                        whose layout byte (offset 7) reads 8, as a pre-v9
 #                        checkpoint's does, to exit non-zero without a
 #                        panic and ask for a re-capture ("state layout
 #                        changed; re-capture"), require amesterd `-snap-every
 #                        -1` (writing no image) and `-threads -3` and
-#                        agsched `-threads -2`, `-duration 1e300` and
-#                        `-duration NaN` to exit 2 within 5s without a Go
-#                        panic (which also exits 2), the two durations
-#                        with a message naming the failed check, run
+#                        agsched `-threads -2`, `-on-cores 99`,
+#                        `-duration 1e300` and `-duration NaN` to exit 2
+#                        within 5s without a Go panic (which also exits
+#                        2), the two durations with a message naming the
+#                        failed check, run
 #                        agsched once,
 #                        and run cpmcal's calibration sweep (its 4200 MHz
 #                        fit)
@@ -208,16 +209,16 @@ smoke:
 	[ $$st -eq 2 ] || { echo "smoke: agsim replay -until droops exit status $$st, want 2 (124: still stepping after 5s)"; cat $(SMOKE_DIR)/replay-bad.out; exit 1; }; \
 	grep -q 'cpm-window' $(SMOKE_DIR)/replay-bad.out; \
 	echo "smoke: agsim replay -until droops exited 2, listing the event kinds"; \
-	cp $$snap $(SMOKE_DIR)/layout7.snap; \
-	printf '\007' | dd of=$(SMOKE_DIR)/layout7.snap bs=1 seek=7 conv=notrunc status=none; \
-	timeout 5 $(SMOKE_DIR)/agsim replay -from $(SMOKE_DIR)/layout7.snap -until cpm-window \
-		>$(SMOKE_DIR)/replay-layout7.out 2>&1 && st=0 || st=$$?; \
-	if [ $$st -eq 0 ] || [ $$st -eq 124 ] || grep -q 'panic:' $(SMOKE_DIR)/replay-layout7.out; then \
-		echo "smoke: agsim replay of a layout-7 image: exit status $$st, want non-zero without a panic (124: still running after 5s)"; \
-		cat $(SMOKE_DIR)/replay-layout7.out; exit 1; \
+	cp $$snap $(SMOKE_DIR)/layout8.snap; \
+	printf '\010' | dd of=$(SMOKE_DIR)/layout8.snap bs=1 seek=7 conv=notrunc status=none; \
+	timeout 5 $(SMOKE_DIR)/agsim replay -from $(SMOKE_DIR)/layout8.snap -until cpm-window \
+		>$(SMOKE_DIR)/replay-layout8.out 2>&1 && st=0 || st=$$?; \
+	if [ $$st -eq 0 ] || [ $$st -eq 124 ] || grep -q 'panic:' $(SMOKE_DIR)/replay-layout8.out; then \
+		echo "smoke: agsim replay of a layout-8 image: exit status $$st, want non-zero without a panic (124: still running after 5s)"; \
+		cat $(SMOKE_DIR)/replay-layout8.out; exit 1; \
 	fi; \
-	grep -q 'state layout changed; re-capture' $(SMOKE_DIR)/replay-layout7.out; \
-	echo "smoke: agsim replay refused a layout-7 image, asking for a re-capture"
+	grep -q 'state layout changed; re-capture' $(SMOKE_DIR)/replay-layout8.out; \
+	echo "smoke: agsim replay refused a layout-8 image, asking for a re-capture"
 	@set -e; rm -rf $(SMOKE_DIR)/badsnaps; mkdir -p $(SMOKE_DIR)/badsnaps; \
 	$(call smoke_exit2,amesterd-snap-every,$(SMOKE_DIR)/amesterd -listen 127.0.0.1:$(SMOKE_AMESTER_PORT) -snap-dir $(SMOKE_DIR)/badsnaps -snap-every -1); \
 	[ -z "$$(ls $(SMOKE_DIR)/badsnaps)" ] || { echo "smoke: amesterd -snap-every -1 wrote an image"; exit 1; }; \
@@ -225,11 +226,12 @@ smoke:
 	echo "smoke: amesterd -snap-every -1 and -threads -3 exited 2 before listening"
 	$(GO) build -o $(SMOKE_DIR)/agsched ./cmd/agsched
 	@set -e; $(call smoke_exit2,agsched-threads,$(SMOKE_DIR)/agsched -threads -2); \
+	$(call smoke_exit2,agsched-on-cores,$(SMOKE_DIR)/agsched -on-cores 99); \
 	$(call smoke_exit2,agsched-duration-huge,$(SMOKE_DIR)/agsched -duration 1e300); \
 	grep -q 'maximum' $(SMOKE_DIR)/agsched-duration-huge.out; \
 	$(call smoke_exit2,agsched-duration-nan,$(SMOKE_DIR)/agsched -duration NaN); \
 	grep -q 'not a finite' $(SMOKE_DIR)/agsched-duration-nan.out; \
-	echo "smoke: agsched -threads -2, -duration 1e300 and -duration NaN exited 2, naming the failed check"
+	echo "smoke: agsched -threads -2, -on-cores 99, -duration 1e300 and -duration NaN exited 2, naming the failed check"
 	$(SMOKE_DIR)/agsched -duration 0.5 >$(SMOKE_DIR)/agsched.out
 	@grep -q '^  total power ' $(SMOKE_DIR)/agsched.out
 	@echo "smoke: agsched printed its total power line"

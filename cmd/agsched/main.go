@@ -87,16 +87,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "agsched:", err)
 		os.Exit(1)
 	}
-	var m firmware.Mode
-	switch *mode {
-	case "static":
-		m = firmware.Static
-	case "undervolt":
-		m = firmware.Undervolt
-	case "overclock":
-		m = firmware.Overclock
-	default:
-		fmt.Fprintf(os.Stderr, "agsched: unknown mode %q\n", *mode)
+	m, err := firmware.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "agsched:", err)
 		os.Exit(2)
 	}
 	steps, err := durationSteps(*duration)
@@ -106,13 +99,18 @@ func main() {
 	}
 
 	cfg := server.DefaultConfig(*seed)
-	if cores := cfg.Sockets * cfg.CoresPerSocket; *threads < 1 || *threads > cores {
+	cores := cfg.Sockets * cfg.CoresPerSocket
+	if *threads < 1 || *threads > cores {
 		fmt.Fprintf(os.Stderr, "agsched: -threads %d outside [1, %d], the server's core count\n", *threads, cores)
+		os.Exit(2)
+	}
+	if *onCores < 0 || *onCores > cores {
+		fmt.Fprintf(os.Stderr, "agsched: -on-cores %d outside [0, %d], the server's core count\n", *onCores, cores)
 		os.Exit(2)
 	}
 
 	s := server.MustNew(cfg)
-	sched, err := core.NewBorrowing(s.Sockets(), 8, *onCores)
+	sched, err := core.NewBorrowing(s.Sockets(), cfg.CoresPerSocket, *onCores)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "agsched:", err)
 		os.Exit(1)

@@ -10,11 +10,12 @@ import (
 	"fmt"
 
 	"agsim/internal/cluster"
+	"agsim/internal/server"
 	"agsim/internal/workload"
 )
 
 func main() {
-	c := cluster.MustNew(4, cluster.DefaultNodeConfig(99))
+	c := cluster.MustNew(4, server.DefaultConfig(99))
 
 	jobs := []struct {
 		id      string

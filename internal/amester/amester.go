@@ -47,6 +47,12 @@ const (
 // descriptor for good. A -watch client sends a command every 10 ms.
 const lineIdle = 30 * time.Second
 
+// lineMaxConns caps the line service's live connections. Each costs a
+// handler goroutine and a descriptor until its idle deadline, so without
+// a cap a flood of clients could exhaust both; a connection beyond the
+// cap is closed as soon as it is accepted.
+const lineMaxConns = 64
+
 // Service publishes telemetry snapshots to network clients.
 type Service struct {
 	probes []Probe
@@ -59,6 +65,7 @@ type Service struct {
 	wg       sync.WaitGroup
 	closed   chan struct{}
 	idle     time.Duration // per-command deadline, lineIdle
+	maxConns int           // live-connection cap, lineMaxConns
 
 	connMu sync.Mutex // guards conns
 	conns  map[net.Conn]struct{}
@@ -78,11 +85,12 @@ func NewService(probes ...Probe) *Service {
 		seen[p.Name] = true
 	}
 	return &Service{
-		probes: probes,
-		vals:   map[string]float64{},
-		closed: make(chan struct{}),
-		idle:   lineIdle,
-		conns:  map[net.Conn]struct{}{},
+		probes:   probes,
+		vals:     map[string]float64{},
+		closed:   make(chan struct{}),
+		idle:     lineIdle,
+		maxConns: lineMaxConns,
+		conns:    map[net.Conn]struct{}{},
 	}
 }
 
@@ -133,7 +141,7 @@ func (s *Service) Start(l net.Listener) {
 			}
 			delay = 0
 			if !s.track(conn) {
-				return
+				continue // over the cap; once closing, the next Accept fails
 			}
 			s.wg.Add(1)
 			go func() {
@@ -146,7 +154,8 @@ func (s *Service) Start(l net.Listener) {
 }
 
 // track registers a live connection so Close can unblock its handler. It
-// closes conn and reports false once Close has begun.
+// closes conn and reports false once Close has begun, or when maxConns
+// connections are already live.
 func (s *Service) track(conn net.Conn) bool {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
@@ -155,6 +164,10 @@ func (s *Service) track(conn net.Conn) bool {
 		conn.Close()
 		return false
 	default:
+	}
+	if len(s.conns) >= s.maxConns {
+		conn.Close()
+		return false
 	}
 	s.conns[conn] = struct{}{}
 	return true

@@ -2,6 +2,7 @@ package amester
 
 import (
 	"errors"
+	"io"
 	"net"
 	"os"
 	"strings"
@@ -410,5 +411,88 @@ func TestLineIdleBound(t *testing.T) {
 	slow.Close()
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("Close took %v with a silent client attached", took)
+	}
+}
+
+// liveConns returns how many connections the line service tracks.
+func (s *Service) liveConns() int {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	return len(s.conns)
+}
+
+// TestLineConnCap runs the line service with a cap of four connections: a
+// fifth client is closed at once while the four keep answering, a client
+// that dials after one of the four leaves is served, and Close returns at
+// once with the cap full. It opens six loopback connections.
+func TestLineConnCap(t *testing.T) {
+	const maxConns = 4
+	svc := NewService(Probe{Name: "x", Read: func() float64 { return 1 }})
+	svc.maxConns = maxConns
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start(l)
+	closeSvc := sync.OnceValue(svc.Close)
+	defer closeSvc()
+	svc.Publish()
+	addr := l.Addr().String()
+
+	clients := make([]*Client, maxConns)
+	for i := range clients {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.conn.Close()
+		// A round trip proves the service tracks the connection before the
+		// next one dials.
+		if _, err := c.Seq(); err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+		clients[i] = c
+	}
+
+	over, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer over.Close()
+	start := time.Now()
+	over.SetReadDeadline(start.Add(5 * time.Second))
+	if n, err := over.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("the fifth client read %d bytes, %v; want EOF at once", n, err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("the fifth client was closed after %v, want at once", took)
+	}
+	for i, c := range clients {
+		if _, err := c.Seq(); err != nil {
+			t.Fatalf("client %d lost its connection to the fifth: %v", i, err)
+		}
+	}
+
+	if err := clients[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); svc.liveConns() >= maxConns; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the service still tracks %d connections 5 s after a client quit", svc.liveConns())
+		}
+	}
+	late, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.conn.Close()
+	if _, err := late.Seq(); err != nil {
+		t.Fatalf("a client dialled after one left was not served: %v", err)
+	}
+
+	start = time.Now()
+	closeSvc()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v with the cap full", took)
 	}
 }

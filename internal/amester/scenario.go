@@ -27,19 +27,6 @@ type Scenario struct {
 	Timeseries bool   `json:"timeseries"`
 }
 
-// ParseMode maps the flag spelling to the firmware mode.
-func ParseMode(name string) (firmware.Mode, error) {
-	switch name {
-	case "static":
-		return firmware.Static, nil
-	case "undervolt":
-		return firmware.Undervolt, nil
-	case "overclock":
-		return firmware.Overclock, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", name)
-}
-
 // Marshal renders the scenario for a snapshot header.
 func (sc Scenario) Marshal() string {
 	b, _ := json.Marshal(sc)
@@ -66,7 +53,7 @@ func (sc Scenario) Build() (*server.Server, *obs.Recorder, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	mode, err := ParseMode(sc.Mode)
+	mode, err := firmware.ParseMode(sc.Mode)
 	if err != nil {
 		return nil, nil, err
 	}

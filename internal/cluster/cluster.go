@@ -18,39 +18,28 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
+	"agsim/internal/core"
 	"agsim/internal/firmware"
 	"agsim/internal/server"
 	"agsim/internal/units"
 	"agsim/internal/workload"
 )
 
-// NodeConfig describes one server of the cluster.
-type NodeConfig struct {
-	Server server.Config
-	// PlatformIdleW is the non-CPU power of a powered-on node: memory,
-	// storage, network and cooling. The paper's §5.1.1 argument rests on
-	// this being large.
-	PlatformIdleW float64
+// A node's non-CPU draw, in watts, for a Power 720-class server.
+const (
+	// PlatformIdleW is the draw of a powered-on node's memory, storage,
+	// network, fans and PSU losses (32 GB RAM, disks). The paper's §5.1.1
+	// argument rests on this being large.
+	PlatformIdleW = 120
 	// SuspendedW is the residual draw of a suspended node.
-	SuspendedW float64
-}
-
-// DefaultNodeConfig returns a Power 720-class node: two sockets plus
-// roughly 120 W of platform overhead (32 GB RAM, disks, fans, PSU losses).
-func DefaultNodeConfig(seed uint64) NodeConfig {
-	return NodeConfig{
-		Server:        server.DefaultConfig(seed),
-		PlatformIdleW: 120,
-		SuspendedW:    8,
-	}
-}
+	SuspendedW = 8
+)
 
 // Node is one managed server.
 type Node struct {
 	Index int
-	cfg   NodeConfig
+	cfg   server.Config
 	srv   *server.Server
 	on    bool
 
@@ -62,9 +51,6 @@ type Node struct {
 	// socket per candidate node. loadedCores remains the ground truth.
 	occupied int
 }
-
-// On reports whether the node is powered.
-func (n *Node) On() bool { return n.on }
 
 // Server exposes the node's server for telemetry (nil while suspended).
 func (n *Node) Server() *server.Server {
@@ -88,30 +74,19 @@ func (n *Node) loadedCores() int {
 
 // capacity returns the node's total core count.
 func (n *Node) capacity() int {
-	return n.cfg.Server.Sockets * n.cfg.Server.CoresPerSocket
+	return n.cfg.Sockets * n.cfg.CoresPerSocket
 }
-
-// Occupied returns the node's occupied-core count (0 while suspended) —
-// the occupancy signal placement policies read.
-func (n *Node) Occupied() int { return n.occupied }
-
-// Capacity returns the node's total core count.
-func (n *Node) Capacity() int { return n.capacity() }
 
 // Cluster is a set of nodes under the two-level AGS policy.
 type Cluster struct {
 	nodes []*Node
 	mode  firmware.Mode
-
-	// policy decides two-level placement on Submit; ConsolidateFirst by
-	// default, replaceable via SetPolicy.
-	policy Policy
 }
 
-// New creates a cluster of n nodes from the template configuration: it
-// allocates the nodes and runs Reset, which derives each node's seed and
-// recorder shard from the template.
-func New(n int, template NodeConfig) (*Cluster, error) {
+// New creates a cluster of n nodes, each a server built from the template
+// configuration: it allocates the nodes and runs Reset, which derives each
+// node's seed and recorder shard from the template.
+func New(n int, template server.Config) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: need at least one node")
 	}
@@ -124,7 +99,7 @@ func New(n int, template NodeConfig) (*Cluster, error) {
 }
 
 // MustNew is New for static configurations.
-func MustNew(n int, template NodeConfig) *Cluster {
+func MustNew(n int, template server.Config) *Cluster {
 	c, err := New(n, template)
 	if err != nil {
 		panic(err)
@@ -141,13 +116,12 @@ func MustNew(n int, template NodeConfig) *Cluster {
 // are NOT reset here — they rewind lazily in powerOn — so a pooled cluster
 // registers exactly the flight-recorder sources a fresh one would, in the
 // same order.
-func (c *Cluster) Reset(template NodeConfig) {
+func (c *Cluster) Reset(template server.Config) {
 	c.mode = firmware.Undervolt
-	c.policy = ConsolidateFirst{}
 	for i, n := range c.nodes {
 		cfg := template
-		cfg.Server.Seed = template.Server.Seed + uint64(i)*104729
-		cfg.Server.Recorder = template.Server.Recorder.Shard(fmt.Sprintf("node%02d", i))
+		cfg.Seed = template.Seed + uint64(i)*104729
+		cfg.Recorder = template.Recorder.Shard(fmt.Sprintf("node%02d", i))
 		n.cfg = cfg
 		n.on = false
 		n.occupied = 0
@@ -155,16 +129,11 @@ func (c *Cluster) Reset(template NodeConfig) {
 	}
 }
 
-// ShapeKey identifies the allocation shape of the node template — every
-// field except the identity (seed, recorder) Reset rewrites.
-func (nc NodeConfig) ShapeKey() string {
-	return fmt.Sprintf("node{%v %v %s}", nc.PlatformIdleW, nc.SuspendedW, nc.Server.ShapeKey())
-}
-
 // ShapeKey is the pool key of a cluster of n nodes built from template:
-// the node count plus the template's shape. Every node's shape equals the
+// the node count plus the template's shape — every field except the
+// identity (seed, recorder) Reset rewrites. Every node's shape equals the
 // template's, so a built cluster's key (Cluster.ShapeKey) is this too.
-func ShapeKey(n int, template NodeConfig) string {
+func ShapeKey(n int, template server.Config) string {
 	return fmt.Sprintf("cluster{%d %s}", n, template.ShapeKey())
 }
 
@@ -195,13 +164,13 @@ func (c *Cluster) SetMode(m firmware.Mode) {
 // from a freshly built cluster's.
 func (c *Cluster) powerOn(n *Node) error {
 	if n.srv == nil {
-		srv, err := server.New(n.cfg.Server)
+		srv, err := server.New(n.cfg)
 		if err != nil {
 			return err
 		}
 		n.srv = srv
 	} else {
-		n.srv.Reset(n.cfg.Server.Seed, n.cfg.Server.Recorder)
+		n.srv.Reset(n.cfg.Seed, n.cfg.Recorder)
 	}
 	n.on = true
 	n.srv.SetMode(c.mode)
@@ -220,12 +189,18 @@ func (c *Cluster) suspend(n *Node) {
 }
 
 // Submit places a job of the named workload with the given thread count
-// under the two-level policy and returns the chosen node index.
+// under the two-level policy and returns the chosen node index. Across
+// nodes it consolidates (pick); within the node it borrows, spreading
+// threads across sockets balanced by free capacity (server.PlaceOnFree),
+// except for sharing-heavy jobs, which stay on one socket when possible
+// (the Fig. 14 lesson encoded in core.ShouldBorrow). Placement is a pure
+// function of the cluster's occupancy: Submit is part of the
+// bit-identical-at-any-worker-count contract.
 func (c *Cluster) Submit(id string, d workload.Descriptor, threads int, workGInst float64) (int, error) {
 	if threads < 1 {
 		return -1, fmt.Errorf("cluster: job %s needs at least one thread", id)
 	}
-	node := c.policy.PickNode(c, threads)
+	node := c.pick(threads)
 	if node == nil {
 		return -1, fmt.Errorf("cluster: no node has %d free cores for job %s", threads, id)
 	}
@@ -234,9 +209,9 @@ func (c *Cluster) Submit(id string, d workload.Descriptor, threads int, workGIns
 			return -1, err
 		}
 	}
-	placements, err := c.policy.PlaceWithin(node, node.srv.FreeCores(nil), d, threads)
-	if err != nil {
-		return -1, err
+	placements, ok := server.PlaceOnFree(node.srv.FreeCores(nil), threads, !core.ShouldBorrow(d))
+	if !ok {
+		return -1, fmt.Errorf("cluster: node %d ran out of cores mid-placement", node.Index)
 	}
 	j, err := node.srv.Submit(id, d, placements, workGInst)
 	if err != nil {
@@ -246,6 +221,33 @@ func (c *Cluster) Submit(id string, d workload.Descriptor, threads int, workGIns
 	node.occupied += len(placements)
 	node.srv.GateUnloadedCores() // power-gate everything unused
 	return node.Index, nil
+}
+
+// pick chooses the most-loaded powered node that still fits a
+// threads-wide job, before waking a suspended one; nil when no node fits.
+// One linear scan over the cached occupancy counts — no sort, no
+// per-candidate walk over every core of every socket.
+func (c *Cluster) pick(threads int) *Node {
+	var bestOn *Node
+	bestLoad := -1
+	var firstOff *Node
+	for _, n := range c.nodes {
+		load := n.occupied
+		if n.capacity()-load < threads {
+			continue
+		}
+		if n.on {
+			if load > bestLoad {
+				bestOn, bestLoad = n, load
+			}
+		} else if firstOff == nil {
+			firstOff = n
+		}
+	}
+	if bestOn != nil {
+		return bestOn
+	}
+	return firstOff
 }
 
 // Release removes a finished (or cancelled) job and suspends the node if it
@@ -267,24 +269,13 @@ func (c *Cluster) Release(id string) error {
 	return fmt.Errorf("cluster: unknown job %s", id)
 }
 
-// Step advances every powered node by one dtSec step. The trace player
-// drives the cluster this way on purpose: its Poisson arrival draws are
-// indexed by 1 ms step.
-func (c *Cluster) Step(dtSec float64) {
-	for _, n := range c.nodes {
-		if n.on {
-			n.srv.Step(dtSec)
-		}
-	}
-}
-
 // Settle advances every powered node by the given simulated seconds, one
 // node after another, each through its own multi-rate loop
-// (server.Settle). Between the cluster's own mutations — Submit, Release
-// and ReapFinished, which callers run between Settle and Step calls — a
-// node reads and writes only its own server, so its trajectory is a pure
-// function of its seed and jobs, and those call boundaries are the only
-// synchronization the cluster needs.
+// (server.Settle). Between the cluster's own mutations — Submit and
+// Release, which callers run between Settle calls — a node reads and
+// writes only its own server, so its trajectory is a pure function of its
+// seed and jobs, and those call boundaries are the only synchronization
+// the cluster needs.
 func (c *Cluster) Settle(seconds float64) {
 	for _, n := range c.nodes {
 		if n.on {
@@ -293,35 +284,15 @@ func (c *Cluster) Settle(seconds float64) {
 	}
 }
 
-// ReapFinished releases every job whose threads have completed, returning
-// the released ids.
-func (c *Cluster) ReapFinished() []string {
-	var done []string
-	for _, n := range c.nodes {
-		for id, j := range n.jobs {
-			if j.Done() {
-				done = append(done, id)
-			}
-		}
-	}
-	sort.Strings(done)
-	for _, id := range done {
-		if err := c.Release(id); err != nil {
-			panic(err) // reaping a job we just enumerated cannot fail
-		}
-	}
-	return done
-}
-
 // TotalPower returns the cluster draw: chips plus platform overheads and
 // suspended-node floors.
 func (c *Cluster) TotalPower() units.Watt {
 	var total units.Watt
 	for _, n := range c.nodes {
 		if n.on {
-			total += n.srv.TotalPower() + units.Watt(n.cfg.PlatformIdleW)
+			total += n.srv.TotalPower() + PlatformIdleW
 		} else {
-			total += units.Watt(n.cfg.SuspendedW)
+			total += SuspendedW
 		}
 	}
 	return total
@@ -352,15 +323,6 @@ func (c *Cluster) PoweredNodes() int {
 		if n.on {
 			count++
 		}
-	}
-	return count
-}
-
-// Jobs returns the live job count.
-func (c *Cluster) Jobs() int {
-	count := 0
-	for _, n := range c.nodes {
-		count += len(n.jobs)
 	}
 	return count
 }

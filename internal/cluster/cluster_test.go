@@ -1,15 +1,17 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 
 	"agsim/internal/firmware"
+	"agsim/internal/server"
 	"agsim/internal/workload"
 )
 
 func newCluster(t *testing.T, nodes int) *Cluster {
 	t.Helper()
-	c, err := New(nodes, DefaultNodeConfig(61))
+	c, err := New(nodes, server.DefaultConfig(61))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,8 +19,63 @@ func newCluster(t *testing.T, nodes int) *Cluster {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, DefaultNodeConfig(1)); err == nil {
+	if _, err := New(0, server.DefaultConfig(1)); err == nil {
 		t.Error("expected error for zero nodes")
+	}
+}
+
+// at abbreviates a placement so the golden table below stays readable.
+func at(socket, core int) server.Placement {
+	return server.Placement{Socket: socket, Core: core}
+}
+
+// TestConsolidateFirstGolden pins Submit's exact decisions — node choice
+// and per-thread placements — over a submission sequence that exercises
+// every branch: balanced cross-socket spread, sharing-heavy single-socket
+// packing, consolidation onto the most-loaded fitting node, waking a
+// suspended node only when nothing powered fits, and returning to a
+// powered node once capacity frees up. Submit must never silently change
+// this behavior: it is the baseline every experiment's numbers rest on.
+func TestConsolidateFirstGolden(t *testing.T) {
+	c := MustNew(3, server.DefaultConfig(42))
+	spread := workload.MustGet("raytrace")
+	packed := spread
+	packed.Sharing = 0.99 // >= 0.6 defeats borrowing: stay on one socket
+
+	golden := []struct {
+		id         string
+		sharing    bool
+		threads    int
+		node       int
+		placements []server.Placement
+	}{
+		{"j0", false, 4, 0, []server.Placement{at(0, 0), at(1, 0), at(0, 1), at(1, 1)}},
+		{"j1", true, 6, 0, []server.Placement{at(0, 2), at(0, 3), at(0, 4), at(0, 5), at(0, 6), at(0, 7)}},
+		{"j2", false, 3, 0, []server.Placement{at(1, 2), at(1, 3), at(1, 4)}},
+		{"j3", true, 5, 1, []server.Placement{at(0, 0), at(0, 1), at(0, 2), at(0, 3), at(0, 4)}},
+		{"j4", false, 4, 1, []server.Placement{at(1, 0), at(1, 1), at(1, 2), at(1, 3)}},
+		{"j5", true, 2, 0, []server.Placement{at(1, 5), at(1, 6)}},
+	}
+	for _, g := range golden {
+		d := spread
+		if g.sharing {
+			d = packed
+		}
+		node, err := c.Submit(g.id, d, g.threads, 1e9)
+		if err != nil {
+			t.Fatalf("%s: %v", g.id, err)
+		}
+		if node != g.node {
+			t.Fatalf("%s placed on node %d, golden %d", g.id, node, g.node)
+		}
+		j := c.nodes[node].jobs[g.id]
+		if !reflect.DeepEqual(j.Placements, g.placements) {
+			t.Fatalf("%s placements %v, golden %v", g.id, j.Placements, g.placements)
+		}
+	}
+	// Node 2 was never needed: consolidation kept it suspended.
+	if c.nodes[2].on {
+		t.Fatal("consolidation woke node 2 unnecessarily")
 	}
 }
 
@@ -95,8 +152,8 @@ func TestSharingHeavyJobSpreadsOnlyWhenForced(t *testing.T) {
 	if _, err := c.Submit("big", d, 7, 100); err != nil {
 		t.Fatal(err)
 	}
-	if c.Jobs() != 2 {
-		t.Errorf("jobs = %d", c.Jobs())
+	if jobs := len(c.nodes[0].jobs); jobs != 2 {
+		t.Errorf("jobs = %d", jobs)
 	}
 }
 
@@ -132,9 +189,7 @@ func TestReleaseSuspendsEmptyNode(t *testing.T) {
 		t.Error("double release should fail")
 	}
 	// Suspended cluster draws only the suspended floors.
-	cfg := DefaultNodeConfig(1)
-	want := 2 * cfg.SuspendedW
-	if got := float64(c.TotalPower()); got != want {
+	if got, want := float64(c.TotalPower()), 2.0*SuspendedW; got != want {
 		t.Errorf("suspended power = %v, want %v", got, want)
 	}
 }
@@ -146,30 +201,11 @@ func TestPlatformPowerAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Settle(1)
-	cfg := DefaultNodeConfig(1)
 	total := float64(c.TotalPower())
 	chips := float64(c.Node(0).Server().TotalPower())
-	want := chips + cfg.PlatformIdleW + cfg.SuspendedW
+	want := chips + PlatformIdleW + SuspendedW
 	if total < want-0.01 || total > want+0.01 {
 		t.Errorf("total power = %v, want %v", total, want)
-	}
-}
-
-func TestReapFinished(t *testing.T) {
-	c := newCluster(t, 1)
-	c.SetMode(firmware.Static)
-	d := workload.MustGet("coremark")
-	// Tiny job: finishes in well under a second of simulated time.
-	if _, err := c.Submit("tiny", d, 2, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	c.Settle(1.0)
-	done := c.ReapFinished()
-	if len(done) != 1 || done[0] != "tiny" {
-		t.Fatalf("reaped %v", done)
-	}
-	if c.Jobs() != 0 || c.PoweredNodes() != 0 {
-		t.Error("cluster not empty after reap")
 	}
 }
 
@@ -220,7 +256,8 @@ func TestModeAppliesToLateNodes(t *testing.T) {
 
 // TestOccupiedCacheTracksLoadedCores holds the pick fast path's cached
 // occupancy against the ground-truth core walk through a full job
-// lifecycle: submits, releases, reaping, and node suspension.
+// lifecycle: submits, releases, the release of a finished job, and node
+// suspension.
 func TestOccupiedCacheTracksLoadedCores(t *testing.T) {
 	c := newCluster(t, 3)
 	check := func(when string) {
@@ -256,8 +293,10 @@ func TestOccupiedCacheTracksLoadedCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Settle(1)
-	c.ReapFinished()
-	check("after reap")
+	if err := c.Release("tiny"); err != nil {
+		t.Fatal(err)
+	}
+	check("after releasing a finished job")
 }
 
 // TestClusterSettleFractionalRemainder is the cluster-level regression for
@@ -278,8 +317,8 @@ func TestClusterSettleFractionalRemainder(t *testing.T) {
 // against a pure 1 ms twin on power and per-node simulated time.
 func TestClusterMacroLaneMatchesExact(t *testing.T) {
 	build := func(exact bool) *Cluster {
-		cfg := DefaultNodeConfig(61)
-		cfg.Server.ChipConfig.Exact = exact
+		cfg := server.DefaultConfig(61)
+		cfg.ChipConfig.Exact = exact
 		c := MustNew(2, cfg)
 		c.SetMode(firmware.Undervolt)
 		d := workload.MustGet("raytrace")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"agsim/internal/cluster"
+	"agsim/internal/server"
 	"agsim/internal/workload"
 )
 
@@ -11,7 +12,7 @@ import (
 // possible (the rest stay suspended), and spread across sockets within each
 // powered node.
 func Example() {
-	c := cluster.MustNew(3, cluster.DefaultNodeConfig(5))
+	c := cluster.MustNew(3, server.DefaultConfig(5))
 
 	n1, _ := c.Submit("a", workload.MustGet("raytrace"), 4, 1e6)
 	n2, _ := c.Submit("b", workload.MustGet("swaptions"), 4, 1e6)

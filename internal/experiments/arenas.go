@@ -50,14 +50,14 @@ func acquireServer(cfg server.Config) *server.Server {
 // releaseServer returns a server to the arena.
 func releaseServer(s *server.Server) { serverArena.Put(s.ShapeKey(), s) }
 
-// acquireCluster is acquireChip's cluster-level counterpart; n is the
-// node count (part of the shape).
-func acquireCluster(n int, nc cluster.NodeConfig) *cluster.Cluster {
-	if c, ok := clusterArena.Get(cluster.ShapeKey(n, nc)); ok {
-		c.Reset(nc)
+// acquireCluster is acquireChip's cluster-level counterpart: n nodes,
+// each a server built from cfg; n is part of the shape.
+func acquireCluster(n int, cfg server.Config) *cluster.Cluster {
+	if c, ok := clusterArena.Get(cluster.ShapeKey(n, cfg)); ok {
+		c.Reset(cfg)
 		return c
 	}
-	return cluster.MustNew(n, nc)
+	return cluster.MustNew(n, cfg)
 }
 
 // releaseCluster returns a cluster to the arena.

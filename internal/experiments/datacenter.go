@@ -157,9 +157,8 @@ func runNaive(o Options, jobs int) (float64, float64) {
 		s.Settle(o.MeasureSec)
 	}
 	var power, mips float64
-	cfg := cluster.DefaultNodeConfig(0)
 	for _, s := range srvs {
-		power += float64(s.TotalPower()) + cfg.PlatformIdleW
+		power += float64(s.TotalPower()) + cluster.PlatformIdleW
 		for si := 0; si < s.Sockets(); si++ {
 			mips += float64(s.Chip(si).TotalMIPS())
 		}
@@ -172,9 +171,9 @@ func runNaive(o Options, jobs int) (float64, float64) {
 // borrowing within nodes only when ags is true (otherwise each job stays
 // on one socket, the conventional schedule).
 func runCluster(o Options, jobs int, ags bool) (float64, float64) {
-	nc := o.nodeConfig(o.Seed)
-	nc.Server.Recorder = o.Recorder.Shard(fmt.Sprintf("dc/cluster/%d/ags=%v", jobs, ags))
-	c := acquireCluster(o.dcNodes(), nc)
+	cfg := o.serverConfig(o.Seed)
+	cfg.Recorder = o.Recorder.Shard(fmt.Sprintf("dc/cluster/%d/ags=%v", jobs, ags))
+	c := acquireCluster(o.dcNodes(), cfg)
 	c.SetMode(firmware.Undervolt)
 	d := workload.MustGet("raytrace")
 	if !ags {

@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"agsim/internal/chip"
-	"agsim/internal/cluster"
 	"agsim/internal/firmware"
 	"agsim/internal/obs"
 	"agsim/internal/parallel"
@@ -186,16 +185,6 @@ func (o Options) serverConfig(seed uint64) server.Config {
 	}
 	cfg.ChipConfig.Exact = o.Exact
 	return cfg
-}
-
-// nodeConfig is chipConfig's cluster-node counterpart.
-func (o Options) nodeConfig(seed uint64) cluster.NodeConfig {
-	nc := cluster.DefaultNodeConfig(seed)
-	if o.Mesh {
-		nc.Server.ChipConfig = nc.Server.ChipConfig.WithMesh()
-	}
-	nc.Server.ChipConfig.Exact = o.Exact
-	return nc
 }
 
 // newChip acquires the calibrated single-socket chip for chip-local

@@ -203,8 +203,7 @@ func runWebsearchPoint(o Options, pol wsqPolicy, load, capGIPS float64) wsqPoint
 		}
 	}
 
-	idleW := cluster.DefaultNodeConfig(0).PlatformIdleW
-	energy := f.TotalEnergyJ() + idleW*float64(nodes)*o.MeasureSec
+	energy := f.TotalEnergyJ() + cluster.PlatformIdleW*float64(nodes)*o.MeasureSec
 	sum := tr.Latency()
 	f.Close()
 

@@ -57,6 +57,18 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is Mode.String's inverse for the modes a run selects by name:
+// static, undervolt and overclock. Manual, the characterization mode
+// experiments set directly, is refused like an unknown name.
+func ParseMode(name string) (Mode, error) {
+	for _, m := range []Mode{Static, Undervolt, Overclock} {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("mode %q is not static, undervolt or overclock", name)
+}
+
 // TickSeconds is the firmware loop interval; AMESTER's 32 ms minimum
 // sampling interval is bound to the same service-processor cadence.
 const TickSeconds = 0.032

@@ -23,6 +23,33 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// TestParseModeRoundTrip: ParseMode inverts String for the three run
+// modes and refuses manual and unknown names.
+func TestParseModeRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Mode
+		ok   bool
+	}{
+		{"static", Static, true},
+		{"undervolt", Undervolt, true},
+		{"overclock", Overclock, true},
+		{"manual", 0, false},
+		{"turbo", 0, false},
+		{"", 0, false},
+		{"Static", 0, false},
+	} {
+		m, err := ParseMode(tc.name)
+		if (err == nil) != tc.ok {
+			t.Errorf("ParseMode(%q) error = %v, want ok %v", tc.name, err, tc.ok)
+			continue
+		}
+		if tc.ok && (m != tc.want || m.String() != tc.name) {
+			t.Errorf("ParseMode(%q) = %v, want %v", tc.name, m, tc.want)
+		}
+	}
+}
+
 func TestStaticAndOverclockHoldNominalVoltage(t *testing.T) {
 	law := vf.Default()
 	for _, m := range []Mode{Static, Overclock} {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -193,6 +194,47 @@ func TestFlatPathMatchesFieldWalk(t *testing.T) {
 				t.Fatalf("decoded value re-encodes differently:\n%x\nvs\n%x", again, got)
 			}
 		})
+	}
+}
+
+// ifaceRoot is a root whose one field is an interface.
+type ifaceRoot struct{ V any }
+
+// TestInterfaceNeedsTargetDynamicType: an interface decodes only into a
+// target that already holds the image's dynamic type. When the target
+// holds another type, or nothing, Load returns an error naming both types
+// and never panics.
+func TestInterfaceNeedsTargetDynamicType(t *testing.T) {
+	img, err := Save(&ifaceRoot{V: 7}, Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		target any
+		held   string
+	}{
+		{"other type", "x", "string"},
+		{"nil", nil, "nil"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Load panicked: %v", r)
+				}
+			}()
+			_, err := Load(img, &ifaceRoot{V: tc.target})
+			if err == nil {
+				t.Fatal("Load restored an int into a target holding " + tc.held)
+			}
+			if msg := err.Error(); !strings.Contains(msg, `"int"`) || !strings.Contains(msg, "target holds "+tc.held) {
+				t.Fatalf("error %q does not name the image's int and the target's %s", msg, tc.held)
+			}
+		})
+	}
+	dst := &ifaceRoot{V: 0}
+	if _, err := Load(img, dst); err != nil || dst.V != 7 {
+		t.Fatalf("Load into a target holding an int: %v, V = %v", err, dst.V)
 	}
 }
 

@@ -123,6 +123,6 @@ func TestWireFormatPinned(t *testing.T) {
 }
 
 const (
-	pinChipSHA  = "8a57cd253e127c067566fda853d091b3819ba8fb9b64196014bf352cd4921fa3"
-	pinFleetSHA = "29b95775cc1ad0a22a2649f2038878dc8f9070eced924a74818cfce6d8d922fb"
+	pinChipSHA  = "35218989dbd569665689dafe7010199d914b7ab96971a214586e7af11730d7a0"
+	pinFleetSHA = "9a8eea843770a4d9db1288845bca9cd73809c9d300beea0bdf17bfdff21edd6b"
 )

@@ -18,7 +18,11 @@
 // hook. Funcs, channels, registered runtime-only types (parallel.Pool,
 // the immutable pdn networks) and struct fields tagged `snapshot:"-"`
 // keep the target's value; for registered pointer types presence must
-// match between image and target. The tag marks what is not state:
+// match between image and target. An interface decodes only into a target
+// that already holds the image's dynamic type — for the one interface the
+// simulation state carries, the chip's pdn.Network, the shape key
+// guarantees that — so the codec constructs no concrete type and imports
+// no simulation package. The tag marks what is not state:
 //
 //   - caches and scratch that every use writes before it reads: a CPM's
 //     read memo, a chip's frozen read model (which each fast-forward
@@ -74,8 +78,11 @@ import (
 // uvarints. Version 8 drops what is not state: the chip's frozen read
 // model (its six arrays and two flags, about 9 KB per chip) and step
 // scratch, the V–f law each CPM, DPLL and firmware controller copies,
-// and the chip's and server's cached shape keys.
-const layoutVersion byte = 8
+// and the chip's and server's cached shape keys. Version 9 drops the
+// cluster's placement-policy interface and each node's platform and
+// suspended power fields: a cluster node images its server configuration
+// alone, and the two draws are package constants.
+const layoutVersion byte = 9
 
 // codecVersion is the wire-format generation of this package's walker,
 // independent of layoutVersion (which tracks simulation struct layout).
@@ -127,18 +134,6 @@ var skipStructTypes = map[string]bool{
 	"sync.RWMutex":   true,
 	"sync.Once":      true,
 	"sync.WaitGroup": true,
-}
-
-// typeRegistry maps dynamic type names to constructible concrete types
-// for interface fields whose target-side value is nil or differs (e.g. a
-// cluster policy swapped after construction). Register* adds entries.
-var typeRegistry = map[string]reflect.Type{}
-
-// RegisterType makes a concrete type constructible when decoding an
-// interface field. The zero value of v's type is used as the template.
-func RegisterType(v any) {
-	t := reflect.TypeOf(v)
-	typeRegistry[t.String()] = t
 }
 
 var (
@@ -611,20 +606,21 @@ func (d *decoder) value(v reflect.Value, ti *typeInfo) {
 		if d.bad() {
 			return
 		}
-		var dynT reflect.Type
-		if !v.IsNil() && v.Elem().Type().String() == string(name) {
-			dynT = v.Elem().Type()
-		} else if rt, ok := typeRegistry[string(name)]; ok && rt.Implements(t) {
-			dynT = rt
-		} else {
-			d.fail("interface %s: cannot construct dynamic type %q (target holds %v)", t, name, v.Elem())
+		if v.IsNil() || v.Elem().Type().String() != string(name) {
+			held := "nil"
+			if !v.IsNil() {
+				held = v.Elem().Type().String()
+			}
+			d.fail("interface %s: image holds %q, target holds %s", t, name, held)
 			return
 		}
-		tmp := reflect.New(dynT).Elem()
-		if !v.IsNil() && v.Elem().Type() == dynT {
-			tmp.Set(v.Elem()) // reuse the target's pointee/value
-		}
-		d.value(tmp, infoOf(dynT))
+		// Restore-into-same-shape: the target already holds the image's
+		// dynamic type, so decode into a copy of its value (reusing its
+		// pointee) and store that back.
+		dyn := v.Elem()
+		tmp := reflect.New(dyn.Type()).Elem()
+		tmp.Set(dyn)
+		d.value(tmp, infoOf(dyn.Type()))
 		v.Set(tmp)
 	case reflect.Struct:
 		if ti.skip {

@@ -424,7 +424,7 @@ func TestClusterRestoreIdentity(t *testing.T) {
 	// scalar one; the scalar lane is the only lane now.
 	t.Run("batched=false", func(t *testing.T) {
 		build := func() *cluster.Cluster {
-			c := cluster.MustNew(3, cluster.DefaultNodeConfig(31))
+			c := cluster.MustNew(3, server.DefaultConfig(31))
 			d := workload.MustGet("swaptions")
 			for j := 0; j < 4; j++ {
 				if _, err := c.Submit(fmt.Sprintf("job%d", j), d, 4, 1e9); err != nil {
@@ -434,7 +434,7 @@ func TestClusterRestoreIdentity(t *testing.T) {
 			return c
 		}
 		orig := build()
-		orig.Step(0.3)
+		orig.Settle(0.3)
 		img, err := snapshot.Save(orig, snapshot.Meta{Seed: 31})
 		if err != nil {
 			t.Fatalf("save cluster: %v", err)
@@ -443,11 +443,18 @@ func TestClusterRestoreIdentity(t *testing.T) {
 		if _, err := snapshot.Load(img, restored); err != nil {
 			t.Fatalf("load cluster: %v", err)
 		}
+		again, err := snapshot.Save(restored, snapshot.Meta{Seed: 31})
+		if err != nil {
+			t.Fatalf("save restored cluster: %v", err)
+		}
+		if !bytes.Equal(again, img) {
+			t.Fatalf("Save(Load(img)) differs from img (%d vs %d bytes)", len(again), len(img))
+		}
 		for i := 0; i < 12; i++ {
-			orig.Step(0.05)
-			restored.Step(0.05)
+			orig.Settle(0.05)
+			restored.Settle(0.05)
 			if got, want := restored.TotalPower(), orig.TotalPower(); got != want {
-				t.Fatalf("step %d: cluster power diverges: %v vs %v", i, got, want)
+				t.Fatalf("settle %d: cluster power diverges: %v vs %v", i, got, want)
 			}
 		}
 	})

@@ -335,8 +335,8 @@ func (g *Generator) Nodes() int { return len(g.nodes) }
 
 // QueueDepth returns node i's run-queue occupancy at the current clock —
 // admitted requests that have not finished — without mutating the queue.
-// Placement policies (THEAS-style queue-aware picks) read it between
-// epochs.
+// TestConservationRandom (and TestForcedOverloadAccounting) read it
+// between epochs to hold every queue within QueueCap.
 func (g *Generator) QueueDepth(i int) int {
 	nd := &g.nodes[i]
 	depth := 0
