@@ -1,6 +1,11 @@
 # agsim build/test/bench entry points.
 #
-#   make check         — the tier-1 gate: gofmt, build, vet, full test suite
+#   make check         — the tier-1 gate: gofmt, build, vet, full test suite,
+#                        then bench-check
+#   make bench-check   — vet and test the bench/ module (agbench, which calls
+#                        into the simulator's packages) offline, as
+#                        bench/run.sh builds it: GOPROXY=off GOTOOLCHAIN=local;
+#                        its smoke test runs in a few seconds
 #   make fmt           — fail when gofmt would rewrite any file (lists them)
 #   make race          — race-detector lane over the concurrency-bearing packages
 #                        and the scrape path (obs, tsdb, amester); snapshot's
@@ -85,7 +90,7 @@ SMOKE_DIR   ?= /tmp/agsim-smoke
 SMOKE_AMESTER_PORT ?= 7207
 SMOKE_HTTP_PORT    ?= 7208
 
-.PHONY: all fmt build vet test check race bench bench-compare profile smoke fuzz-smoke ci
+.PHONY: all fmt build vet test check bench-check race bench bench-compare profile smoke fuzz-smoke ci
 
 # smoke_exit2 NAME,COMMAND: run COMMAND under a 5 s timeout into
 # $(SMOKE_DIR)/NAME.out and fail unless it exits 2 without a Go panic
@@ -112,7 +117,13 @@ vet:
 test:
 	$(GO) test ./...
 
-check: fmt build vet test
+check: fmt build vet test bench-check
+
+# The bench/ module has its own go.mod (replace agsim => ../), so the
+# root's ./... never builds it.
+bench-check:
+	cd bench && GOPROXY=off GOTOOLCHAIN=local $(GO) vet ./... && \
+		GOPROXY=off GOTOOLCHAIN=local $(GO) test ./...
 
 # The experiments package takes ~5.5 min under the detector on a 2-vCPU
 # host (327 s measured; the macro-vs-exact and sampled-lane matrices are

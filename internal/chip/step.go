@@ -82,9 +82,7 @@ func (c *Chip) Step(dtSec float64) {
 		if co.state != power.Gated {
 			f := co.dpll.Freq()
 			terms := cpm.CoreTerms(&c.cfg.CPM.Law, agedMin, f)
-			for j, s := range co.cpms {
-				co.lastCPM[j] = s.Read(terms)
-			}
+			cpm.ReadCore(co.cpms, terms, co.lastCPM)
 			if droopLatches {
 				droopV := agedMin + units.Millivolt(sample.TypicalMV-sample.WorstEventMV)
 				droop := cpm.CoreTerms(&c.cfg.CPM.Law, droopV, f)

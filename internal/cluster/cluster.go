@@ -195,10 +195,20 @@ func (c *Cluster) suspend(n *Node) {
 // except for sharing-heavy jobs, which stay on one socket when possible
 // (the Fig. 14 lesson encoded in core.ShouldBorrow). Placement is a pure
 // function of the cluster's occupancy: Submit is part of the
-// bit-identical-at-any-worker-count contract.
+// bit-identical-at-any-worker-count contract. A job Submit refuses — no
+// thread, no positive work, an id still live on some node, no node with
+// room — leaves every node as it was.
 func (c *Cluster) Submit(id string, d workload.Descriptor, threads int, workGInst float64) (int, error) {
 	if threads < 1 {
 		return -1, fmt.Errorf("cluster: job %s needs at least one thread", id)
+	}
+	if !(workGInst > 0) {
+		return -1, fmt.Errorf("cluster: job %s has non-positive work %v", id, workGInst)
+	}
+	for _, n := range c.nodes {
+		if _, ok := n.jobs[id]; ok {
+			return -1, fmt.Errorf("cluster: job %s is already live on node %d", id, n.Index)
+		}
 	}
 	node := c.pick(threads)
 	if node == nil {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -191,6 +192,66 @@ func TestReleaseSuspendsEmptyNode(t *testing.T) {
 	// Suspended cluster draws only the suspended floors.
 	if got, want := float64(c.TotalPower()), 2.0*SuspendedW; got != want {
 		t.Errorf("suspended power = %v, want %v", got, want)
+	}
+}
+
+// TestRefusedSubmitLeavesNodesSuspended holds a refused job to no side
+// effect: a job with no positive work must not wake a suspended node, so
+// the cluster still charges only the suspended floors, and the next job
+// lands as it would on a fresh cluster.
+func TestRefusedSubmitLeavesNodesSuspended(t *testing.T) {
+	c := newCluster(t, 2)
+	d := workload.MustGet("raytrace")
+	for _, work := range []float64{0, -1, math.NaN()} {
+		if _, err := c.Submit("x", d, 2, work); err == nil {
+			t.Fatalf("work %v: Submit accepted a job with no positive work", work)
+		}
+		if got := c.PoweredNodes(); got != 0 {
+			t.Errorf("work %v: %d nodes powered after a refused submit", work, got)
+		}
+		if got, want := float64(c.TotalPower()), 2.0*SuspendedW; got != want {
+			t.Errorf("work %v: power after a refused submit = %v W, want the suspended floors %v W", work, got, want)
+		}
+	}
+	if node, err := c.Submit("x", d, 2, 1e6); err != nil || node != 0 {
+		t.Fatalf("Submit after refusals = node %d, %v; want node 0", node, err)
+	}
+}
+
+// TestSubmitRefusesLiveID holds a job id to one live job: a second Submit
+// under a live id must fail and leave the first job placed and tracked,
+// so one Release frees it and suspends its node; a released id may be
+// submitted again.
+func TestSubmitRefusesLiveID(t *testing.T) {
+	c := newCluster(t, 2)
+	d := workload.MustGet("raytrace")
+	if _, err := c.Submit("a", d, 4, 1e6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit("a", d, 4, 1e6); err == nil {
+		t.Fatal("Submit accepted a second job under the live id a")
+	}
+	n := c.Node(0)
+	if got := n.loadedCores(); got != 4 {
+		t.Errorf("node 0 has %d loaded cores after the refused submit, want the first job's 4", got)
+	}
+	if got := n.occupied; got != 4 {
+		t.Errorf("node 0 occupancy cache %d after the refused submit, want 4", got)
+	}
+	if j := n.jobs["a"]; j == nil || len(j.Placements) != 4 {
+		t.Fatalf("node 0 tracks job a as %+v, want the first job's 4 placements", j)
+	}
+	if err := c.Release("a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.PoweredNodes(); got != 0 {
+		t.Errorf("%d nodes powered after releasing the only job", got)
+	}
+	if err := c.Release("a"); err == nil {
+		t.Error("second Release of a succeeded; one Release must free the job")
+	}
+	if _, err := c.Submit("a", d, 4, 1e6); err != nil {
+		t.Errorf("Submit of a released id: %v", err)
 	}
 }
 

@@ -14,12 +14,16 @@
 // A read is the quantized affine function clamp(CalibTarget +
 // round(m/d), 0, MaxValue) of the sensor's margin m, at a divisor d fixed
 // by its sensitivity and the core's clock. Every clocked core's sensors
-// read every 1 ms micro-step, so each Sensor keeps a read memo: the exact
-// interval of margins that read as its last output at its current
-// divisor. A read with the same divisor, bit for bit, and a margin inside
-// the interval returns the output without dividing.
+// read every 1 ms micro-step, one core at a time: ReadCore reads a core's
+// sensors in one pass at the core's read terms, with every branch of a
+// read inline but the memo's interval search, and Read is that pass on
+// one sensor. Each Sensor keeps a read memo: the exact interval of
+// margins that read as its last output at its current divisor. A read
+// with the same divisor, bit for bit, and a margin inside the interval
+// returns the output without dividing.
 //
-// The memo is exact: division by a positive divisor and the rounding are
+// The memo is exact, and reading one core at a time leaves the argument
+// as it was: division by a positive divisor and the rounding are
 // monotone, so one output's margins form an interval, and its ends are
 // found by walking float by float from the rounded threshold to the last
 // float that reads the output. It covers margins within ±1e15 mV; larger
@@ -195,8 +199,15 @@ func CoreTerms(law *vf.Law, v units.Millivolt, f units.Megahertz) Terms {
 // position scales with cycle time pressure: faster clocks leave fewer
 // millivolts per position.
 func MVPerBitAt(mvPerBitNom, fScale float64) float64 {
-	// Sensitivity cannot collapse below a physical floor.
-	return max(mvPerBitNom*fScale, 5)
+	// Sensitivity cannot collapse below a physical floor. The comparison
+	// is max(d, 5) for every d, NaN included, without the builtin's
+	// signed-zero and NaN handling, which a read's critical path would
+	// wait on.
+	d := mvPerBitNom * fScale
+	if d < 5 {
+		return 5
+	}
+	return d
 }
 
 // rawAt is the output for margin marginMV at divisor mvPerBit:
@@ -321,27 +332,43 @@ func (s *Sensor) Value(v units.Millivolt, f units.Megahertz) int {
 
 // Read returns the CPM output for read terms computed by CoreTerms under
 // the sensor's law, latching it like Value: Value(v, f) is
-// Read(CoreTerms(law, v, f)). The read memo (see the package comment)
-// answers it when the divisor holds and the margin stays in the memo's
-// interval.
+// Read(CoreTerms(law, v, f)). It is ReadCore on this one sensor.
 func (s *Sensor) Read(t Terms) int {
-	out := 0
-	if !s.dead {
-		m, d := s.operands(t)
-		switch {
-		case d != s.memoDiv:
-			// A new divisor keys an empty memo. The interval search waits
-			// until the divisor repeats, so a moving clock pays none.
-			out = rawAt(m, d)
-			s.memoDiv, s.memoLo, s.memoHi = d, 1, 0
-		case m >= s.memoLo && m <= s.memoHi:
-			out = int(s.memoOut)
-		default:
-			out = s.remember(m, d)
+	var out [1]int
+	ReadCore([]*Sensor{s}, t, out[:])
+	return out[0]
+}
+
+// ReadCore reads a core's sensors at read terms t computed by CoreTerms
+// under their law, storing sensor i's output in out[i] and feeding it to
+// that sensor's sticky latch. out must be at least as long as sensors.
+// A clocked core's sensors read every micro-step, so the step reads them
+// in this one call, whose loop runs every branch of a read inline — a
+// dead sensor's 0, a new divisor's direct read, the read memo's answer
+// (see the package comment), the sticky latch — and calls out only for
+// the memo's interval search.
+func ReadCore(sensors []*Sensor, t Terms, out []int) {
+	out = out[:len(sensors)]
+	for i, s := range sensors {
+		v := 0
+		if !s.dead {
+			m, d := s.operands(t)
+			switch {
+			case d != s.memoDiv:
+				// A new divisor keys an empty memo. The interval search
+				// waits until the divisor repeats, so a moving clock pays
+				// none.
+				v = rawAt(m, d)
+				s.memoDiv, s.memoLo, s.memoHi = d, 1, 0
+			case m >= s.memoLo && m <= s.memoHi:
+				v = int(s.memoOut)
+			default:
+				v = s.remember(m, d)
+			}
 		}
+		s.observeSticky(v)
+		out[i] = v
 	}
-	s.observeSticky(out)
-	return out
 }
 
 // Latch feeds the sticky latch the output Read(t) would return and

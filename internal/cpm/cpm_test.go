@@ -212,11 +212,15 @@ func valueByExpression(law *vf.Law, v units.Millivolt, f units.Megahertz, dead b
 }
 
 // TestCoreReadMatchesValue pins the per-core read path to Value: CoreTerms
-// once per core, then Read on each sensor — or the expression on the
-// terms and the sensor's calibration and window state — must return
-// exactly what Value(v, f) returns and leave the same sticky latch,
-// through the droop re-read that only latches, for table and random
-// operating points. Value itself is held to the written-out expression.
+// once per core, then ReadCore over the core's five sensors — or the
+// expression on the terms and each sensor's calibration and window
+// state — must return exactly what Value(v, f) returns sensor by sensor,
+// and the droop latch the step runs (Latch) must leave the same sticky
+// latches as Value's re-read at the droop voltage, for table and random
+// operating points. The core holds a dead sensor; random points move
+// every divisor, and runs of points at one clock with the voltage
+// wandering hold them, so the pass answers from the memo, searches and
+// divides. Value itself is held to the written-out expression.
 func TestCoreReadMatchesValue(t *testing.T) {
 	law := vf.Default()
 	byValue, byTerms := coreSensors(law, 21), coreSensors(law, 21)
@@ -236,14 +240,24 @@ func TestCoreReadMatchesValue(t *testing.T) {
 	}
 	r := rng.New(22, "core-read")
 	for i := 0; i < 3000; i++ {
-		points = append(points, point{units.Millivolt(r.Uniform(500, 2000)), units.Megahertz(r.Uniform(300, 4620))})
+		p := point{units.Millivolt(r.Uniform(500, 2000)), units.Megahertz(r.Uniform(300, 4620))}
+		points = append(points, p)
+		if i%3 == 0 {
+			// A held clock: the voltage wanders a few millivolts.
+			for range 4 {
+				p.v += units.Millivolt(r.Uniform(-4, 4))
+				points = append(points, p)
+			}
+		}
 	}
 
 	var sawZero, sawMax, sawFloor bool
+	read := make([]int, len(byTerms))
 	for i, p := range points {
 		terms := CoreTerms(&law, p.v, p.f)
 		droopV := p.v - units.Millivolt(r.Uniform(0, 60))
 		droop := CoreTerms(&law, droopV, p.f)
+		ReadCore(byTerms, terms, read)
 		for j := range byValue {
 			want := byValue[j].Value(p.v, p.f)
 			s := byTerms[j]
@@ -254,8 +268,8 @@ func TestCoreReadMatchesValue(t *testing.T) {
 			if got := rawByExpression(terms, dead, poff, noff, mvb); got != want {
 				t.Fatalf("point %d (%v, %v) sensor %d: expression on the terms = %d, Value = %d", i, p.v, p.f, j, got, want)
 			}
-			if got := byTerms[j].Read(terms); got != want {
-				t.Fatalf("point %d (%v, %v) sensor %d: Read = %d, Value = %d", i, p.v, p.f, j, got, want)
+			if read[j] != want {
+				t.Fatalf("point %d (%v, %v) sensor %d: ReadCore = %d, Value = %d", i, p.v, p.f, j, read[j], want)
 			}
 			if !dead {
 				sawZero = sawZero || want == 0
@@ -268,7 +282,7 @@ func TestCoreReadMatchesValue(t *testing.T) {
 		}
 		for j := range byValue {
 			byValue[j].Value(droopV, p.f) // sticky latch only
-			byTerms[j].Read(droop)
+			byTerms[j].Latch(droop)
 			wm, wok := byValue[j].Sticky()
 			gm, gok := byTerms[j].Sticky()
 			if gm != wm || gok != wok {
@@ -288,10 +302,10 @@ func TestCoreReadMatchesValue(t *testing.T) {
 	}
 }
 
-var sinkRead int
+var sinkReads [5]int
 
-// BenchmarkCoreReads times one core's five CPM reads at a step's sensed
-// voltage and frequency: the law terms once, then each sensor's read. At a
+// BenchmarkCoreReads times one core's pass over its five CPMs at a step's
+// sensed voltage and frequency: the law terms once, then ReadCore. At a
 // held clock the voltage wanders within a detector position, as a settled
 // core's does, so the memo answers nearly every read; a cycling clock
 // changes every sensor's divisor each read, so every read divides.
@@ -310,10 +324,7 @@ func BenchmarkCoreReads(b *testing.B) {
 			b.ReportAllocs()
 			i := 0
 			for b.Loop() {
-				terms := CoreTerms(&law, bc.vs[i&3], bc.fs[i&3])
-				for _, s := range ss {
-					sinkRead = s.Read(terms)
-				}
+				ReadCore(ss, CoreTerms(&law, bc.vs[i&3], bc.fs[i&3]), sinkReads[:])
 				i++
 			}
 		})

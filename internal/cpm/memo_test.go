@@ -57,6 +57,26 @@ func TestRoundHalfAwayMatchesMathRound(t *testing.T) {
 	}
 }
 
+// TestMVPerBitAtMatchesMax holds the comparison floor to math.Max(d, 5),
+// the divisor the memo-free expression uses, bit for bit: NaN stays NaN,
+// both zeros and the infinities land where Max puts them, and so do the
+// floats beside the floor and random products of every magnitude.
+func TestMVPerBitAtMatchesMax(t *testing.T) {
+	ds := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5,
+		math.Nextafter(5, 0), math.Nextafter(5, 6), -5, math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	r := rng.New(35, "floor")
+	for i := 0; i < 100000; i++ {
+		ds = append(ds, r.Uniform(-10, 40), math.Ldexp(r.Uniform(-1, 1), int(r.Uniform(-60, 70))))
+	}
+	for _, d := range ds {
+		got, want := MVPerBitAt(d, 1), math.Max(d, 5)
+		if math.IsNaN(got) != math.IsNaN(want) || !math.IsNaN(want) && math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("MVPerBitAt(%v, 1) = %v, math.Max = %v", d, got, want)
+		}
+	}
+}
+
 // TestReadIntervalExact checks the memo's interval ends (lowEnd,
 // highEnd) sit exactly where the read changes: both ends read the interval's output, the float beyond
 // each end reads another (unless the end is the memo's limit), and the
@@ -94,37 +114,57 @@ func TestReadIntervalExact(t *testing.T) {
 	}
 }
 
-// runReadScript drives s through a script of reads and window closes
-// decoded from ops, starting at margin marginMV and frequency scale
-// fScale, and holds every read and the sticky latch after every op to
-// rawByExpression on the sensor's calibration. It returns how many reads
-// the memo answered, counted from the memo's state before each read.
+// runReadScript drives a core's sensors through a script of reads and
+// window closes decoded from ops, starting at margin marginMV and
+// frequency scale fScale, and holds every read and each sensor's sticky
+// latch after every op to rawByExpression on that sensor's calibration.
+// One sensor reads through Read; several read through ReadCore, the
+// step's per-core pass. It returns how many reads the memo answered,
+// counted from each sensor's memo before the read.
 //
 // Each op byte is an action in its low two bits and a signed argument
-// a = byte>>2 − 32 in the rest: 0 reads, first latching (Latch) a margin
-// a/16 of a detector position lower when a > 0, which must feed the
-// sticky latch and leave the memo as it was; 1 steps the margin a floats
-// (across a threshold when it starts beside one); 2 moves it a/16 of a
-// detector position; 3 closes the window when a ≥ 0 (the sticky latch
-// clears, the held noise redraws) and otherwise scales the clock by
-// 1 + a/1024. Actions 1 to 3 read after they act.
-func runReadScript(t *testing.T, s *Sensor, marginMV, fScale float64, ops []byte) (hits int) {
+// a = byte>>2 − 32 in the rest: 0 reads, first latching (Latch) every
+// sensor at a margin a/16 of the first sensor's detector position lower
+// when a > 0, which must feed the sticky latches and leave the memos as
+// they were; 1 steps the margin a floats (across a threshold when it
+// starts beside one); 2 moves it a/16 of the first sensor's detector
+// position; 3 closes the window when a ≥ 0 (the sticky latches clear,
+// the held noise redraws) and otherwise scales the clock by 1 + a/1024.
+// Actions 1 to 3 read after they act.
+func runReadScript(t *testing.T, core []*Sensor, marginMV, fScale float64, ops []byte) (hits int) {
 	t.Helper()
-	wantMin, wantHas := 0, false
+	wantMin, wantHas := make([]int, len(core)), make([]bool, len(core))
+	observe := func(i, want int) {
+		if !wantHas[i] || want < wantMin[i] {
+			wantMin[i], wantHas[i] = want, true
+		}
+	}
+	got := make([]int, len(core))
 	read := func() {
 		terms := Terms{MarginMV: marginMV, FScale: fScale}
-		m := terms.MarginMV + s.pathOffsetMV + s.noiseOffsetMV
-		if d := MVPerBitAt(s.mvPerBitNom, fScale); !s.dead && d == s.memoDiv && m >= s.memoLo && m <= s.memoHi {
-			hits++
+		for _, s := range core {
+			m := terms.MarginMV + s.pathOffsetMV + s.noiseOffsetMV
+			if d := MVPerBitAt(s.mvPerBitNom, fScale); !s.dead && d == s.memoDiv && m >= s.memoLo && m <= s.memoHi {
+				hits++
+			}
 		}
-		want := rawByExpression(terms, s.dead, s.pathOffsetMV, s.noiseOffsetMV, s.mvPerBitNom)
-		if got := s.Read(terms); got != want {
-			t.Fatalf("read at margin %v, scale %v (divisor %v, offsets %v, %v): memo %d, expression %d",
-				marginMV, fScale, MVPerBitAt(s.mvPerBitNom, fScale), s.pathOffsetMV, s.noiseOffsetMV, got, want)
+		if len(core) == 1 {
+			got[0] = core[0].Read(terms)
+		} else {
+			ReadCore(core, terms, got)
 		}
-		if !wantHas || want < wantMin {
-			wantMin, wantHas = want, true
+		for i, s := range core {
+			want := rawByExpression(terms, s.dead, s.pathOffsetMV, s.noiseOffsetMV, s.mvPerBitNom)
+			if got[i] != want {
+				t.Fatalf("sensor %d read at margin %v, scale %v (divisor %v, offsets %v, %v): memo %d, expression %d",
+					i, marginMV, fScale, MVPerBitAt(s.mvPerBitNom, fScale), s.pathOffsetMV, s.noiseOffsetMV, got[i], want)
+			}
+			observe(i, want)
 		}
+	}
+	memo := func(s *Sensor) [4]uint64 {
+		return [4]uint64{math.Float64bits(s.memoDiv), math.Float64bits(s.memoLo),
+			math.Float64bits(s.memoHi), uint64(s.memoOut)}
 	}
 	for _, b := range ops {
 		a := int(b>>2) - 32
@@ -133,19 +173,14 @@ func runReadScript(t *testing.T, s *Sensor, marginMV, fScale float64, ops []byte
 			if a <= 0 {
 				break
 			}
-			latch := Terms{MarginMV: marginMV - float64(a)/16*MVPerBitAt(s.mvPerBitNom, fScale), FScale: fScale}
-			memo := func() [4]uint64 {
-				return [4]uint64{math.Float64bits(s.memoDiv), math.Float64bits(s.memoLo),
-					math.Float64bits(s.memoHi), uint64(s.memoOut)}
-			}
-			before := memo()
-			s.Latch(latch)
-			if after := memo(); after != before {
-				t.Fatalf("latch at margin %v moved the memo from %x to %x", latch.MarginMV, before, after)
-			}
-			want := rawByExpression(latch, s.dead, s.pathOffsetMV, s.noiseOffsetMV, s.mvPerBitNom)
-			if !wantHas || want < wantMin {
-				wantMin, wantHas = want, true
+			latch := Terms{MarginMV: marginMV - float64(a)/16*MVPerBitAt(core[0].mvPerBitNom, fScale), FScale: fScale}
+			for i, s := range core {
+				before := memo(s)
+				s.Latch(latch)
+				if after := memo(s); after != before {
+					t.Fatalf("sensor %d latch at margin %v moved the memo from %x to %x", i, latch.MarginMV, before, after)
+				}
+				observe(i, rawByExpression(latch, s.dead, s.pathOffsetMV, s.noiseOffsetMV, s.mvPerBitNom))
 			}
 		case 1:
 			dir := math.Inf(1)
@@ -156,27 +191,32 @@ func runReadScript(t *testing.T, s *Sensor, marginMV, fScale float64, ops []byte
 				marginMV = math.Nextafter(marginMV, dir)
 			}
 		case 2:
-			marginMV += float64(a) / 16 * MVPerBitAt(s.mvPerBitNom, fScale)
+			marginMV += float64(a) / 16 * MVPerBitAt(core[0].mvPerBitNom, fScale)
 		case 3:
 			if a >= 0 {
-				s.StickyReset()
-				wantMin, wantHas = 0, false
+				for i, s := range core {
+					s.StickyReset()
+					wantMin[i], wantHas[i] = 0, false
+				}
 			} else {
 				fScale *= 1 + float64(a)/1024
 			}
 		}
 		read()
-		if gm, gh := s.Sticky(); gm != wantMin || gh != wantHas {
-			t.Fatalf("sticky latch (%d, %v), want (%d, %v)", gm, gh, wantMin, wantHas)
+		for i, s := range core {
+			if gm, gh := s.Sticky(); gm != wantMin[i] || gh != wantHas[i] {
+				t.Fatalf("sensor %d sticky latch (%d, %v), want (%d, %v)", i, gm, gh, wantMin[i], wantHas[i])
+			}
 		}
 	}
 	return hits
 }
 
 // scriptSensor returns a sensor with the given calibration and held
-// noise; its window redraws come from the default noise level.
-func scriptSensor(mvPerBitNom, pathOffsetMV, noiseOffsetMV float64, dead bool) *Sensor {
-	s := New(DefaultConfig(vf.Default()), rng.New(33, "script"))
+// noise; its window redraws come from the default noise level on a read
+// stream named by stream.
+func scriptSensor(stream uint64, mvPerBitNom, pathOffsetMV, noiseOffsetMV float64, dead bool) *Sensor {
+	s := New(DefaultConfig(vf.Default()), rng.New(33+stream, "script"))
 	s.mvPerBitNom, s.pathOffsetMV, s.noiseOffsetMV = mvPerBitNom, pathOffsetMV, noiseOffsetMV
 	if dead {
 		s.Kill()
@@ -184,22 +224,39 @@ func scriptSensor(mvPerBitNom, pathOffsetMV, noiseOffsetMV float64, dead bool) *
 	return s
 }
 
+// scriptCore returns a core of five sensors around one calibration. The
+// first has it exactly, so a margin placed beside one of its thresholds
+// stays there; the second is dead; the third's sensitivity is an eighth
+// of it, below the 5 mV/bit floor at the usual clocks, so its divisor
+// holds while a clock move changes the others'; the last two spread
+// sensitivity and offsets as process variation does.
+func scriptCore(mvPerBitNom, pathOffsetMV, noiseOffsetMV float64, dead bool) []*Sensor {
+	return []*Sensor{
+		scriptSensor(0, mvPerBitNom, pathOffsetMV, noiseOffsetMV, dead),
+		scriptSensor(1, mvPerBitNom, pathOffsetMV, noiseOffsetMV, true),
+		scriptSensor(2, mvPerBitNom/8, pathOffsetMV+1.5, noiseOffsetMV, false),
+		scriptSensor(3, mvPerBitNom*1.25, pathOffsetMV-3, noiseOffsetMV+0.5, false),
+		scriptSensor(4, mvPerBitNom*0.8, pathOffsetMV+4, -noiseOffsetMV, false),
+	}
+}
+
 // TestSensorReadMemoMatchesExpression runs random read scripts — held
 // clocks with margins that wander across thresholds float by float and
 // bit by bit, droop latches, window closes, clock moves — on sensors
-// with random calibrations, and requires every read and latch to equal
-// the memo-free expression and the memo to answer most reads at a held
+// with random calibrations, alone and in a five-sensor core around the
+// same calibration, and requires every read and latch to equal the
+// memo-free expression and the memo to answer most live reads at a held
 // clock.
 func TestSensorReadMemoMatchesExpression(t *testing.T) {
 	r := rng.New(34, "memo")
-	var hits, reads int
+	var hits, reads, coreHits, coreReads int
 	for i := 0; i < 400; i++ {
-		s := scriptSensor(r.Uniform(10, 30), r.Normal(0, 4), r.Normal(0, 1.5), i%50 == 49)
+		mvb, poff, noff, dead := r.Uniform(10, 30), r.Normal(0, 4), r.Normal(0, 1.5), i%50 == 49
 		fScale := r.Uniform(0.2, 1.1)
-		d := MVPerBitAt(s.mvPerBitNom, fScale)
+		d := MVPerBitAt(mvb, fScale)
 		// Start beside a threshold, so the first float steps cross it.
 		k := int(r.Uniform(-4, 11))
-		marginMV := (float64(k)-0.5)*d - s.pathOffsetMV - s.noiseOffsetMV
+		marginMV := (float64(k)-0.5)*d - poff - noff
 		ops := make([]byte, 300)
 		for j := range ops {
 			switch x := r.Uniform(0, 1); {
@@ -217,21 +274,31 @@ func TestSensorReadMemoMatchesExpression(t *testing.T) {
 				ops[j] = byte(int(r.Uniform(0, 32))<<2 | 3)
 			}
 		}
-		hits += runReadScript(t, s, marginMV, fScale, ops)
+		hits += runReadScript(t, []*Sensor{scriptSensor(0, mvb, poff, noff, dead)}, marginMV, fScale, ops)
 		reads += len(ops)
+		core := scriptCore(mvb, poff, noff, dead)
+		coreHits += runReadScript(t, core, marginMV, fScale, ops)
+		for _, s := range core {
+			if !s.dead {
+				coreReads += len(ops)
+			}
+		}
 	}
-	t.Logf("memo answered %d of %d reads", hits, reads)
-	if hits < reads/2 {
-		t.Errorf("memo answered %d of %d reads; a held clock should mostly hit", hits, reads)
+	t.Logf("memo answered %d of %d reads alone, %d of %d live reads in a core", hits, reads, coreHits, coreReads)
+	if hits < reads/2 || coreHits < coreReads/2 {
+		t.Errorf("memo answered %d of %d reads alone and %d of %d live core reads; a held clock should mostly hit",
+			hits, reads, coreHits, coreReads)
 	}
 }
 
-// FuzzSensorRead holds a memoized sensor to the memo-free expression,
-// read by read and sticky latch included, over fuzzed calibrations,
-// starting margins and clocks, the dead flag and read scripts (see
+// FuzzSensorRead holds a memoized sensor, and a five-sensor core read
+// through ReadCore (scriptCore), to the memo-free expression, read by
+// read and sticky latch included, over fuzzed calibrations, starting
+// margins and clocks, the dead flag and read scripts (see
 // runReadScript). The seeds start one float either side of thresholds,
 // at the 5 mV/bit sensitivity floor, and at NaN and infinite margins and
-// clocks.
+// clocks; some move the clock between reads of a held margin, where a
+// memo left from the old divisor would answer wrongly.
 func FuzzSensorRead(f *testing.F) {
 	// Two reads build the memo, then single-float steps walk the margin
 	// across the threshold beside it and back, reading at every float,
@@ -265,11 +332,25 @@ func FuzzSensorRead(f *testing.F) {
 	f.Add(21.0, 1.0, math.Nextafter(10.5, 0), 0.0, 0.0, false, latchWalk)
 	f.Add(5.0, 1.0, math.Nextafter(2.5, 3), 0.0, 0.0, false, latchWalk)
 	f.Add(21.0, 1.0, 10.0, 0.0, 0.0, true, latchWalk) // dead sensor
+	// Clock drops of 1/32 and 1/1024 between reads of a held margin on
+	// either side of a threshold: the first read at each new divisor
+	// must divide.
+	const bigDrop, smallDrop = 0<<2 | 3, 31<<2 | 3
+	clockWalk := []byte{0, 0, bigDrop, 0, smallDrop, 0, 0, up, bigDrop, down, 0, smallDrop, smallDrop, 0}
+	for _, d := range []float64{21, 5} {
+		for k := -2; k <= 8; k++ {
+			th := (float64(k) - 0.5) * d
+			for _, m := range []float64{math.Nextafter(th, math.Inf(-1)), math.Nextafter(th, math.Inf(1))} {
+				f.Add(d, 1.0, m, 0.0, 0.0, false, clockWalk)
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, mvPerBitNom, fScale, marginMV, pathOffsetMV, noiseOffsetMV float64, dead bool, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
 		}
-		runReadScript(t, scriptSensor(mvPerBitNom, pathOffsetMV, noiseOffsetMV, dead), marginMV, fScale, ops)
+		runReadScript(t, []*Sensor{scriptSensor(0, mvPerBitNom, pathOffsetMV, noiseOffsetMV, dead)}, marginMV, fScale, ops)
+		runReadScript(t, scriptCore(mvPerBitNom, pathOffsetMV, noiseOffsetMV, dead), marginMV, fScale, ops)
 	})
 }
 

@@ -227,3 +227,17 @@ func TestHeterogeneousProfilesUseWorstCore(t *testing.T) {
 		t.Errorf("no active cores should have no worst case: %v", got)
 	}
 }
+
+var sinkSample Sample
+
+// BenchmarkModelStep times one 1 ms noise step of a chip with eight
+// active cores: the wobble check, the profile sums and smoothing, and the
+// event-schedule exposure, which draws only when a droop fires.
+func BenchmarkModelStep(b *testing.B) {
+	m := newModel()
+	active := profiles(8, 6, 20, 3)
+	b.ReportAllocs()
+	for b.Loop() {
+		sinkSample = m.Step(0.001, active)
+	}
+}

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"agsim/internal/units"
 )
@@ -282,6 +283,16 @@ func TestTimeNsPerInstPanicsOnBadFreq(t *testing.T) {
 	}()
 	d := MustGet("raytrace")
 	d.TimeNsPerInst(units.Megahertz(0), 1, 1)
+}
+
+// TestThreadSizeClass keeps Thread inside its 176-byte allocation size
+// class: every placed job allocates one per thread, so growing it into
+// the next class (192 bytes) would raise the heap of every run that
+// places threads, with no change in behaviour.
+func TestThreadSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Thread{}); size > 176 {
+		t.Errorf("workload.Thread is %d bytes, past the 176-byte size class", size)
+	}
 }
 
 var sinkRetired float64
