@@ -71,8 +71,10 @@
 #                        without bound), pdn FuzzMeshSolve, qos
 #                        FuzzRunWindow, amester FuzzTimeseriesQuery, cpm
 #                        FuzzSensorRead (a memoized CPM must read and
-#                        latch exactly as the memo-free expression) and
-#                        agsim FuzzParseUntil (`agsim replay -until`)
+#                        latch exactly as the memo-free expression),
+#                        agsim FuzzParseUntil (`agsim replay -until`) and
+#                        rng FuzzSourceSkip (a jump-ahead must leave a
+#                        stream where as many draws do)
 #   make ci            — everything CI runs: check + race + smoke +
 #                        fuzz-smoke + bench + bench-compare
 #                        (bench-compare gates ns/op regressions and the
@@ -257,7 +259,8 @@ smoke:
 # run time so a large seed cannot spend the whole budget shrinking one case.
 fuzz-smoke:
 	@set -e; for t in ./internal/snapshot:FuzzLoad ./internal/pdn:FuzzMeshSolve ./internal/qos:FuzzRunWindow \
-		./internal/amester:FuzzTimeseriesQuery ./internal/cpm:FuzzSensorRead ./cmd/agsim:FuzzParseUntil; do \
+		./internal/amester:FuzzTimeseriesQuery ./internal/cpm:FuzzSensorRead ./cmd/agsim:FuzzParseUntil \
+		./internal/rng:FuzzSourceSkip; do \
 		echo "fuzz-smoke: $${t%%:*} $${t##*:} for 20s"; \
 		$(GO) test $${t%%:*} -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime 20s -fuzzminimizetime 5s; \
 	done

@@ -1,10 +1,12 @@
 package chip
 
 import (
+	"math"
 	"testing"
 
 	"agsim/internal/firmware"
 	"agsim/internal/obs"
+	"agsim/internal/power"
 	"agsim/internal/sample"
 )
 
@@ -95,6 +97,101 @@ func TestMacroStepMatchesFastForward(t *testing.T) {
 		for j := range lth {
 			if lr, fr := lth[j].Retired(), fth[j].Retired(); lr != fr {
 				t.Errorf("core %d thread %d retired: leap %v, fast-forward %v GInst", i, j, lr, fr)
+			}
+		}
+	}
+}
+
+// heldState is what a fast-forward's frozen ticks leave behind, as bits.
+type heldState struct {
+	time, sinceTick, energy, worstDidt, latch uint64
+	temps                                     [9]uint64
+	ticks, violations                         int
+	attrib                                    firmware.Attribution
+	frozenStream                              string
+}
+
+func heldStateOf(c *Chip) heldState {
+	s := heldState{
+		time:       math.Float64bits(c.timeSec),
+		sinceTick:  math.Float64bits(c.sinceTick),
+		energy:     math.Float64bits(c.energyJ),
+		worstDidt:  math.Float64bits(c.lastWindowWorstDidt),
+		latch:      math.Float64bits(c.noise.WorstSinceReset()),
+		ticks:      c.ctrl.Ticks(),
+		violations: c.marginViolations,
+		attrib:     c.ctrl.LastAttribution(),
+	}
+	s.temps[0] = math.Float64bits(float64(c.tempC))
+	for i, co := range c.cores {
+		s.temps[i+1] = math.Float64bits(float64(co.tempC))
+	}
+	b, err := c.frozenRNG.AppendBinary(nil)
+	if err != nil {
+		panic(err)
+	}
+	s.frozenStream = string(b)
+	return s
+}
+
+// TestDecidedTicksMatchRecordedTicks checks the batch of decided frozen
+// ticks (holdDecidedTicks) against the per-tick path on twin chips. A
+// recorder makes every frozen tick run in full, and in a mode whose
+// command ignores the reading it changes no chip state, so a recorded
+// and an unrecorded twin must leave each fast-forward, and the detailed
+// steps after it, bit for bit alike. The cases cover the fixed modes, a
+// chip that violates its margin, and the dead-sensor and fully gated chips
+// on which frozenTick draws nothing; the spans are long, one full segment
+// past a tick, and off the tick grid.
+func TestDecidedTicksMatchRecordedTicks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prep func(c *Chip)
+	}{
+		{"static", func(c *Chip) { placeN(c, "raytrace", 8); c.SetMode(firmware.Static) }},
+		{"overclock", func(c *Chip) { placeN(c, "raytrace", 3); c.SetMode(firmware.Overclock) }},
+		{"manual", func(c *Chip) { placeN(c, "lu_ncb", 4); c.SetManual(1150, 3900) }},
+		{"aged static", func(c *Chip) { placeN(c, "raytrace", 2); c.AgeBy(130); c.SetMode(firmware.Static) }},
+		{"dead-sensor overclock", func(c *Chip) {
+			placeN(c, "raytrace", 8)
+			c.KillCPM(2, 4)
+			c.SetMode(firmware.Overclock)
+		}},
+		{"gated static", func(c *Chip) {
+			for i := 0; i < c.Cores(); i++ {
+				c.SetCoreState(i, power.Gated)
+			}
+			c.SetMode(firmware.Static)
+		}},
+	} {
+		var twins [2]*Chip
+		for i := range twins {
+			cfg := DefaultConfig("twin", 31)
+			if i == 1 {
+				cfg.Recorder = obs.New("twin", 0)
+			}
+			twins[i] = MustNew(cfg)
+			tc.prep(twins[i])
+			twins[i].Settle(1)
+		}
+		plain, recorded := twins[0], twins[1]
+		for _, h := range []float64{9, 0.0645, 0.032, 1.0171, 0.5} {
+			if hint := plain.SampleHint(h); hint < h {
+				t.Fatalf("%s: sample hint %v s is shorter than the %v s span", tc.name, hint, h)
+			}
+			ticks := plain.ctrl.Ticks()
+			plain.FastForward(h)
+			recorded.FastForward(h)
+			if plain.ctrl.Ticks() == ticks && h > 2*firmware.TickSeconds {
+				t.Fatalf("%s: a %v s fast-forward fired no tick", tc.name, h)
+			}
+			if p, r := heldStateOf(plain), heldStateOf(recorded); p != r {
+				t.Fatalf("%s: after a %v s fast-forward\nbatched:  %+v\nper tick: %+v", tc.name, h, p, r)
+			}
+			plain.Settle(0.2)
+			recorded.Settle(0.2)
+			if p, r := heldStateOf(plain), heldStateOf(recorded); p != r {
+				t.Fatalf("%s: 0.2 s after a %v s fast-forward\nbatched:  %+v\nper tick: %+v", tc.name, h, p, r)
 			}
 		}
 	}

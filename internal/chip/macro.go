@@ -319,11 +319,12 @@ func (c *Chip) holdSpan(h float64) (sample didt.Sample, ticked bool) {
 	// each grid point; bindSeries attaches the three together). A tick the
 	// span reaches fires as a frozen tick, which may re-anchor the
 	// operating point for the next segment; a leap never reaches one, since
-	// its horizon stops a micro-step short. Three inputs hold across
-	// segments: the thermal decay of a full segment (after a tick, seg is
-	// exactly TickSeconds), and the rail's sensed current and the count of
-	// violating cores, which move only when a frozen tick's rail command
-	// re-solves the operating point.
+	// its horizon stops a micro-step short. When the tick's outcome was
+	// decided (holdDecidedTicks), the span's remaining full segments run
+	// in one batch. Three inputs hold across segments: the thermal decay of
+	// a full segment (after a tick, seg is exactly TickSeconds), and the
+	// rail's sensed current and the count of violating cores, which move
+	// only when a frozen tick's rail command re-solves the operating point.
 	var tickDecay, senseA float64
 	violating := c.violatingCores()
 	if h >= firmware.TickSeconds {
@@ -342,11 +343,10 @@ func (c *Chip) holdSpan(h float64) (sample didt.Sample, ticked bool) {
 			c.chargeViolations(violating, c.timeSec, c.timeSec+seg)
 		}
 		c.energyJ += float64(c.lastChipPower) * seg
-		packageTarget := c.cfg.AmbientC + units.Celsius(c.cfg.ThermalResCPerW*float64(c.lastChipPower))
-		c.tempC += units.Celsius(decay * float64(packageTarget-c.tempC))
+		pkg := c.packageTarget()
+		c.tempC = relax(c.tempC, pkg, decay)
 		for _, co := range c.cores {
-			target := packageTarget + units.Celsius(c.cfg.ThermalResCoreCPerW*float64(co.lastPower))
-			co.tempC += units.Celsius(decay * float64(target-co.tempC))
+			co.tempC = relax(co.tempC, c.coreTarget(pkg, co), decay)
 		}
 		c.timeSec += seg
 		c.sinceTick += seg
@@ -368,9 +368,109 @@ func (c *Chip) holdSpan(h float64) (sample didt.Sample, ticked bool) {
 				senseA = float64(c.rail.SenseCurrent())
 				violating = c.violatingCores()
 			}
+			if rem >= firmware.TickSeconds && !c.frozenModelRead() {
+				rem = c.holdDecidedTicks(rem, tickDecay, violating)
+			}
 		}
 	}
 	return sample, ticked
+}
+
+// holdDecidedTicks runs the full 32 ms segments left in a held span after
+// a decided frozen tick, and returns what remains of the span. A frozen
+// tick is decided when no recorder observes it and the mode's command
+// ignores the reading (Static, Overclock, Manual; frozenModelRead is
+// false). It cannot move the rail, so the operating point holds to the
+// span's end, and each later tick would only draw one frozen uniform that
+// nothing reads, count one controller tick with the attribution the first
+// one wrote, and clear the di/dt latch the first one cleared. So the loop
+// keeps only the float sums the per-tick path adds (energy, time, the
+// span's remainder, violations on the 1 ms grid), relaxHeld iterates the
+// temperatures, and the ticks settle in closed form afterwards. The frozen
+// stream moves one draw per tick, as frozenTick's does (none on a fully
+// gated chip or one with a dead sensor), so it stays aligned across modes
+// and recorders.
+func (c *Chip) holdDecidedTicks(rem, decay float64, violating int) float64 {
+	// The sums run in locals, each in the per-tick path's expression.
+	energy, now, p := c.energyJ, c.timeSec, float64(c.lastChipPower)
+	n := 0
+	for ; rem >= firmware.TickSeconds; n++ {
+		if violating > 0 {
+			c.chargeViolations(violating, now, now+firmware.TickSeconds)
+		}
+		energy += p * firmware.TickSeconds
+		now += firmware.TickSeconds
+		rem -= firmware.TickSeconds
+	}
+	c.energyJ, c.timeSec = energy, now
+	c.relaxHeld(n, decay)
+	if !c.frozenAnyDead && !c.frozenNoSensors {
+		c.frozenRNG.Skip(uint64(n))
+	}
+	c.ctrl.CountFixedTicks(n)
+	c.lastWindowWorstDidt = 0
+	c.noise.StickyReset()
+	return rem
+}
+
+// relaxGroup is how many thermal nodes relaxHeld iterates side by side:
+// the package and up to 15 cores, all of an 8-core chip in one group.
+const relaxGroup = 16
+
+// relaxHeld runs the thermal relaxation of n held segments: each segment,
+// the package and every core relax toward their held-power targets. The
+// nodes are independent, so it iterates them in groups held in locals,
+// and stops a group early once a segment leaves all its temperatures
+// unchanged bit for bit: with fixed targets and decay, each is then at its
+// fixed point.
+func (c *Chip) relaxHeld(n int, decay float64) {
+	pkg := c.packageTarget()
+	var temp, target [relaxGroup]units.Celsius
+	for first := 0; first <= len(c.cores); first += relaxGroup {
+		k := min(relaxGroup, len(c.cores)+1-first)
+		for j := range k {
+			if i := first + j; i == 0 {
+				temp[j], target[j] = c.tempC, pkg
+			} else {
+				temp[j], target[j] = c.cores[i-1].tempC, c.coreTarget(pkg, c.cores[i-1])
+			}
+		}
+		for range n {
+			var moved uint64
+			for j := range k {
+				old := temp[j]
+				temp[j] = relax(old, target[j], decay)
+				moved |= math.Float64bits(float64(temp[j])) ^ math.Float64bits(float64(old))
+			}
+			if moved == 0 {
+				break
+			}
+		}
+		for j := range k {
+			if i := first + j; i == 0 {
+				c.tempC = temp[j]
+			} else {
+				c.cores[i-1].tempC = temp[j]
+			}
+		}
+	}
+}
+
+// packageTarget is the package temperature the held chip power settles to.
+func (c *Chip) packageTarget() units.Celsius {
+	return c.cfg.AmbientC + units.Celsius(c.cfg.ThermalResCPerW*float64(c.lastChipPower))
+}
+
+// coreTarget is the temperature core co settles to above the package
+// target pkg at its held power.
+func (c *Chip) coreTarget(pkg units.Celsius, co *Core) units.Celsius {
+	return pkg + units.Celsius(c.cfg.ThermalResCoreCPerW*float64(co.lastPower))
+}
+
+// relax moves temperature x the fraction decay of the gap to target, one
+// held segment's relaxation (see holdSpan).
+func relax(x, target units.Celsius, decay float64) units.Celsius {
+	return x + units.Celsius(decay*float64(target-x))
 }
 
 // violatingCores counts the clocked cores whose aged ripple-bottom
@@ -408,12 +508,27 @@ func (c *Chip) thermalDecay(h float64) float64 {
 	return 1 - math.Exp(-h/c.cfg.ThermalTauSec)
 }
 
+// TickDue reports whether the firmware tick is close enough that no leap
+// can start now: HorizonSec stops one micro-step short of the tick, at
+// TickSeconds − sinceTick − DefaultStepSec from now, so when that is at
+// most micro it returns at most micro and the caller takes a micro-step
+// anyway.
+func (c *Chip) TickDue(micro float64) bool {
+	return firmware.TickSeconds-c.sinceTick-DefaultStepSec <= micro
+}
+
 // Advance moves the chip forward by one segment — a macro-step to the next
 // event horizon when quiescent, a grid-aligned micro-step otherwise (or a
 // shorter final fragment when less than a micro-step remains) — and
 // returns the simulated seconds consumed. Callers loop it to cover a span:
 //
 //	for remaining > 0 { remaining -= c.Advance(remaining) }
+//
+// A quiescent chip whose tick is due (TickDue) steps without searching
+// for a horizon: the search could only return a micro-step or less.
+// Skipping it leaves lastHorizonSec and lastHorizonReason at the last
+// search's values, which only a MacroStep right after a search reads. The
+// exact lane is never quiescent, so it never evaluates the check.
 func (c *Chip) Advance(maxSec float64) float64 {
 	if maxSec <= 0 {
 		panic(fmt.Sprintf("chip %s: non-positive advance %v", c.cfg.Name, maxSec))
@@ -423,7 +538,7 @@ func (c *Chip) Advance(maxSec float64) float64 {
 		c.Step(maxSec)
 		return maxSec
 	}
-	if !c.Quiescent() {
+	if !c.Quiescent() || c.TickDue(micro) {
 		c.Step(micro)
 		return micro
 	}

@@ -38,6 +38,15 @@ import (
 // operating point re-solved when a tick moves the rail.
 // Sampled-lane results are statistically, not bit-, comparable to the
 // exact lane, while remaining bit-identical across worker counts.
+//
+// Most frozen ticks are decided before they fire: with no recorder
+// attached, a Static, Overclock or Manual tick's command ignores the
+// reading, so it cannot move the rail and nothing observes its window
+// minimum. After a span's first tick, holdSpan runs such ticks in one batch
+// (holdDecidedTicks) that keeps only their float sums and settles the rest
+// in closed form. Each of them still moves the frozen stream by the one
+// uniform a full tick draws (rng.Source.Skip), so a later switch to
+// Undervolt, or an attached recorder, sees the same draws either way.
 
 // SampleHint returns how far a fast-forward may run from now without
 // crossing a deterministic change of operating point, capped at maxSec:
@@ -113,7 +122,11 @@ func (c *Chip) FastForward(h float64) {
 // moves the voltage loop makes between windows, and a read-model rebuild
 // — and frozenTick reports it, so the caller re-reads the sensed current
 // senseA it passes in. The next detailed window re-proves the point at
-// micro rate (FastForward ends in markDirty).
+// micro rate (FastForward ends in markDirty). In Static, Overclock and
+// Manual mode with no recorder the tick's outcome is decided (the command
+// ignores the reading), so only a span's first such tick runs here;
+// holdDecidedTicks settles the rest, moving the frozen stream the one draw
+// per tick this path makes.
 func (c *Chip) frozenTick(senseA float64) (moved bool) {
 	reading := firmware.MarginReading{
 		MinCPM:       cpm.MaxValue,

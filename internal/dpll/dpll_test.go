@@ -135,3 +135,38 @@ func TestFastSlewAuthorityMatchesPaper(t *testing.T) {
 		t.Errorf("fast slew relief = %v mV, want ~40", relief)
 	}
 }
+
+var sinkMHz units.Megahertz
+
+// BenchmarkTrackMargin times one overclock fast-loop step: the law's
+// FMax at the core's ripple-bottom voltage, then the bounded slew toward
+// it. The voltage alternates by 1 mV, as the ripple redraws move it, so
+// every call moves the clock.
+func BenchmarkTrackMargin(b *testing.B) {
+	d := New(vf.Default())
+	volts := [2]units.Millivolt{1180, 1181}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		sinkMHz = d.TrackMargin(volts[i&1])
+		i++
+	}
+}
+
+var sinkAbsorbed bool
+
+// BenchmarkAbsorbDroop times one droop reaction at nominal frequency:
+// the margin before the droop and the fast slew's relief, both from the
+// law. Depths alternate between an absorbed droop and a timing violation.
+func BenchmarkAbsorbDroop(b *testing.B) {
+	law := vf.Default()
+	d := New(law)
+	v := law.VReq(law.FNom) + 20
+	depths := [2]float64{50, 100}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		sinkAbsorbed = d.AbsorbDroop(v, depths[i&1])
+		i++
+	}
+}

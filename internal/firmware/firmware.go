@@ -143,6 +143,19 @@ func (c *Controller) SetMode(m Mode) { c.mode = m }
 // Ticks returns how many voltage-loop decisions have been made.
 func (c *Controller) Ticks() int { return c.ticks }
 
+// CountFixedTicks counts n more ticks of a mode whose command ignores the
+// reading (Static, Overclock, Manual), each at the set point the last
+// VoltageCommand saw. Such a tick returns the same command and writes the
+// same attribution record as that call did, so only the tick count moves.
+// A fast-forward settles a run of those ticks with one call. Undervolt
+// ticks depend on their reading and must each run VoltageCommand.
+func (c *Controller) CountFixedTicks(n int) {
+	if c.mode == Undervolt || n < 0 {
+		panic(fmt.Sprintf("firmware: %d fixed ticks counted in %v mode", n, c.mode))
+	}
+	c.ticks += n
+}
+
 // MarginReading is the summary of chip margin state the controller consumes
 // each tick.
 type MarginReading struct {

@@ -231,3 +231,62 @@ func TestVoltageCommandPanicsOnBadSensitivity(t *testing.T) {
 	}()
 	c.VoltageCommand(1200, MarginReading{MinCPM: 5, MinStickyCPM: 5, MVPerBit: 0})
 }
+
+// TestCountFixedTicksMatchesCommands: in each fixed mode, one
+// VoltageCommand and CountFixedTicks(n-1) leave the controller as n
+// commands at that set point do, whatever the readings; Undervolt refuses.
+func TestCountFixedTicksMatchesCommands(t *testing.T) {
+	law := vf.Default()
+	for _, m := range []Mode{Static, Overclock, Manual} {
+		for _, set := range []units.Millivolt{law.VNom, law.VNom - 37} {
+			ticked, counted := NewController(law), NewController(law)
+			ticked.SetMode(m)
+			counted.SetMode(m)
+			const n = 9
+			for i := 0; i < n; i++ {
+				ticked.VoltageCommand(set, reading(i, i-1))
+			}
+			counted.VoltageCommand(set, reading(3, 3))
+			counted.CountFixedTicks(n - 1)
+			if *ticked != *counted {
+				t.Errorf("%v at %v mV: %d commands leave %+v, one and CountFixedTicks %+v", m, set, n, *ticked, *counted)
+			}
+		}
+	}
+	c := NewController(law)
+	c.SetMode(Undervolt)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CountFixedTicks in Undervolt mode did not panic")
+		}
+	}()
+	c.CountFixedTicks(1)
+}
+
+var sinkMV units.Millivolt
+
+// BenchmarkVoltageCommand times one firmware tick's decision: the
+// Undervolt loop on a live reading that alternates between one bit of
+// spare margin and a sticky droop one bit below target (a proportional
+// boost and a throttle, neither clamped), and a Static tick, whose
+// command ignores the reading.
+func BenchmarkVoltageCommand(b *testing.B) {
+	law := vf.Default()
+	for _, m := range []Mode{Undervolt, Static} {
+		b.Run(m.String(), func(b *testing.B) {
+			c := NewController(law)
+			c.SetMode(m)
+			readings := [2]MarginReading{
+				{MinCPM: 3, MinStickyCPM: 3, MVPerBit: 12, CurrentA: 60},
+				{MinCPM: 5, MinStickyCPM: 1, MVPerBit: 18, CurrentA: 60},
+			}
+			set := law.VNom - 40
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				sinkMV = c.VoltageCommand(set, readings[i&1])
+				i++
+			}
+		})
+	}
+}

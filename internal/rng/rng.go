@@ -10,9 +10,11 @@
 package rng
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -93,6 +95,51 @@ func (s *Source) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("rng: restore source: %w", err)
 	}
 	return nil
+}
+
+// Skip advances the stream by n generator outputs in O(log n) steps,
+// leaving it exactly where n Float64 draws would: each Float64 consumes
+// one output. Draws that take a variable number of outputs (Normal, Exp)
+// cannot be skipped this way. Allocation-free.
+func (s *Source) Skip(n uint64) {
+	// The PCG advances its 128-bit state x as x ← a·x + c (mod 2^128), one
+	// step per output; n steps compose to x ← A·x + C. Square-and-multiply
+	// builds (A, C) from (a, c) the way PCG's own jump-ahead does.
+	const (
+		mulHi = 2549297995355413924
+		mulLo = 4865540595714422341
+		incHi = 6364136223846793005
+		incLo = 1442695040888963407
+	)
+	var buf [20]byte
+	b, _ := s.pcg.AppendBinary(buf[:0])
+	x := u128{binary.BigEndian.Uint64(b[4:]), binary.BigEndian.Uint64(b[12:])}
+	accMul, accAdd := u128{0, 1}, u128{}
+	curMul, curAdd := u128{mulHi, mulLo}, u128{incHi, incLo}
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			accMul = accMul.mul(curMul)
+			accAdd = accAdd.mul(curMul).add(curAdd)
+		}
+		curAdd = curMul.add(u128{0, 1}).mul(curAdd)
+		curMul = curMul.mul(curMul)
+	}
+	x = accMul.mul(x).add(accAdd)
+	s.pcg.Seed(x.hi, x.lo)
+}
+
+// u128 is an unsigned 128-bit integer with wrapping arithmetic.
+type u128 struct{ hi, lo uint64 }
+
+func (a u128) mul(b u128) u128 {
+	hi, lo := bits.Mul64(a.lo, b.lo)
+	return u128{hi + a.hi*b.lo + a.lo*b.hi, lo}
+}
+
+func (a u128) add(b u128) u128 {
+	lo, carry := bits.Add64(a.lo, b.lo, 0)
+	hi, _ := bits.Add64(a.hi, b.hi, carry)
+	return u128{hi, lo}
 }
 
 // Float64 returns a uniform value in [0,1).

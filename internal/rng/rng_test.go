@@ -1,7 +1,9 @@
 package rng
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -179,5 +181,111 @@ func TestAppendBinaryMatchesMarshal(t *testing.T) {
 	}
 	if a, b := r.Float64(), s.Float64(); a != b {
 		t.Fatalf("restored stream draws %v, the original %v", a, b)
+	}
+}
+
+// skipMatchesDraws checks that Skip(n) leaves a fresh (seed, name) stream
+// where n Float64 draws leave ref: the same generator bytes, then the same
+// next Normal and Exp draws, whose output counts vary. ref is left as it
+// was.
+func skipMatchesDraws(t *testing.T, seed uint64, name string, n uint64, ref *Source) {
+	t.Helper()
+	s := New(seed, name)
+	s.Skip(n)
+	want, err := ref.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("seed %d %q: Skip(%d) state %x, %d draws leave %x", seed, name, n, got, n, want)
+	}
+	var next Source
+	if err := next.UnmarshalBinary(want); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if a, b := s.Normal(0, 1), next.Normal(0, 1); a != b {
+			t.Fatalf("seed %d %q n %d: Normal #%d after Skip %v, after draws %v", seed, name, n, i, a, b)
+		}
+		if a, b := s.Exp(1), next.Exp(1); a != b {
+			t.Fatalf("seed %d %q n %d: Exp #%d after Skip %v, after draws %v", seed, name, n, i, a, b)
+		}
+	}
+}
+
+// TestSkipMatchesDraws is the jump-ahead property over several streams:
+// n = 0, 1, 2, every 2^k ± 1 up to 2^20, and random n up to 10^6. The
+// reference stream draws its way from one n to the next.
+func TestSkipMatchesDraws(t *testing.T) {
+	pick := New(2015, "skip-test")
+	for _, st := range []struct {
+		seed uint64
+		name string
+	}{{1, "frozen"}, {20151205, "chip/P0/frozen"}, {7, ""}, {1 << 63, "didt"}} {
+		ns := []uint64{0, 1, 2}
+		for k := 2; k <= 20; k++ {
+			ns = append(ns, 1<<k-1, 1<<k+1)
+		}
+		for i := 0; i < 6; i++ {
+			ns = append(ns, uint64(pick.IntN(1_000_001)))
+		}
+		slices.Sort(ns)
+		ref := New(st.seed, st.name)
+		var drawn uint64
+		for _, n := range ns {
+			for ; drawn < n; drawn++ {
+				ref.Float64()
+			}
+			skipMatchesDraws(t, st.seed, st.name, n, ref)
+		}
+	}
+}
+
+// TestSkipComposes requires Skip(a) then Skip(b) to land where Skip(a+b)
+// does, and Skip to allocate nothing.
+func TestSkipComposes(t *testing.T) {
+	a, b := New(3, "c"), New(3, "c")
+	a.Skip(1_000_003)
+	a.Skip(1 << 40)
+	b.Skip(1_000_003 + 1<<40)
+	if x, y := a.Float64(), b.Float64(); x != y {
+		t.Fatalf("split skips draw %v, one skip %v", x, y)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { a.Skip(281) }); allocs != 0 {
+		t.Fatalf("Skip allocates %v times", allocs)
+	}
+}
+
+// FuzzSourceSkip checks the jump-ahead against plain draws for any
+// stream and any n up to 4096.
+func FuzzSourceSkip(f *testing.F) {
+	f.Add(uint64(20151205), "chip/P0/frozen", uint16(281))
+	f.Add(uint64(0), "", uint16(0))
+	f.Add(uint64(7), "frozen", uint16(4096))
+	f.Add(uint64(1<<64-1), "x", uint16(1))
+	f.Fuzz(func(t *testing.T, seed uint64, name string, n uint16) {
+		n %= 4097
+		ref := New(seed, name)
+		for i := uint16(0); i < n; i++ {
+			ref.Float64()
+		}
+		skipMatchesDraws(t, seed, name, uint64(n), ref)
+	})
+}
+
+var sinkFloat float64
+
+// BenchmarkSkip times one jump-ahead over a fast-forward's worth of frozen
+// ticks (281, a 9 s span) and then one draw.
+func BenchmarkSkip(b *testing.B) {
+	s := New(1, "frozen")
+	b.ReportAllocs()
+	for b.Loop() {
+		s.Skip(281)
+		sinkFloat = s.Float64()
 	}
 }

@@ -267,8 +267,8 @@ func (s *Server) Submit(id string, d workload.Descriptor, placements []Placement
 	if len(placements) == 0 {
 		return nil, fmt.Errorf("server: job %s has no placements", id)
 	}
-	if workGInst <= 0 {
-		return nil, fmt.Errorf("server: job %s has non-positive work", id)
+	if !(workGInst > 0) {
+		return nil, fmt.Errorf("server: job %s has non-positive work %v", id, workGInst)
 	}
 	n := len(placements)
 	perThread := workGInst / (float64(n) * d.ParallelEfficiency(n))
@@ -439,8 +439,10 @@ func (s *Server) Advance(maxSec float64) float64 {
 	s.applyMemFactors()
 	h := maxSec
 	for _, c := range s.chips {
-		if !c.Quiescent() {
-			h = 0 // a chip still converging vetoes the leap
+		if !c.Quiescent() || c.TickDue(micro) {
+			// A chip still converging, or one whose tick is due, vetoes
+			// the leap; a due tick would cap its horizon at a micro-step.
+			h = 0
 			break
 		}
 		if ch := c.HorizonSec(maxSec); ch < h {

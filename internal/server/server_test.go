@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"testing"
 
 	"agsim/internal/firmware"
@@ -63,6 +64,25 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := s.Submit("b", d, ConsolidatedPlacements(1), 10); err == nil {
 		t.Error("expected collision error")
+	}
+}
+
+// TestSubmitRefusesNaNWork: NaN work passes a `<= 0` check, and a thread
+// holding NaN work never finishes. Submit refuses it before it places a
+// thread, so no job is kept and every core stays free.
+func TestSubmitRefusesNaNWork(t *testing.T) {
+	s := MustNew(DefaultConfig(2))
+	if _, err := s.Submit("n", workload.MustGet("raytrace"), ConsolidatedPlacements(2), math.NaN()); err == nil {
+		t.Fatal("Submit accepted NaN work")
+	}
+	if len(s.Jobs()) != 0 {
+		t.Errorf("a refused Submit left %d jobs", len(s.Jobs()))
+	}
+	for si, free := range s.FreeCores(nil) {
+		if len(free) != s.Chip(si).Cores() || s.Chip(si).ActiveCores() != 0 {
+			t.Errorf("socket %d: %d of %d cores free, %d active after a refused Submit",
+				si, len(free), s.Chip(si).Cores(), s.Chip(si).ActiveCores())
+		}
 	}
 }
 

@@ -165,8 +165,9 @@ type level struct {
 	n       int // live windows, <= cap(win)
 }
 
-// open starts a new window at startUS, evicting the oldest when full.
-func (l *level) open(startUS int64) {
+// open moves the head to a new window starting at startUS, evicting the
+// oldest when full, and returns it for the caller to write whole.
+func (l *level) open(startUS int64) *Window {
 	l.head++
 	if l.head == len(l.win) {
 		if l.head < cap(l.win) {
@@ -178,8 +179,8 @@ func (l *level) open(startUS int64) {
 	if l.n < cap(l.win) {
 		l.n++
 	}
-	l.win[l.head] = Window{StartUS: startUS}
 	l.endUS = startUS + l.widthUS
+	return &l.win[l.head]
 }
 
 // floorTo rounds t down to a multiple of w > 0. t - t%w alone rounds a
@@ -197,7 +198,8 @@ func floorTo(t, w int64) int64 {
 // the per-sample rounding is only paid on rollover.
 func (l *level) push(tUS int64, v float64) {
 	if l.n == 0 || tUS >= l.endUS {
-		l.open(floorTo(tUS, l.widthUS))
+		start := floorTo(tUS, l.widthUS)
+		*l.open(start) = Window{StartUS: start}
 	}
 	l.win[l.head].fold(v, tUS, 1)
 }
@@ -249,10 +251,17 @@ func (l *level) fill(first, last, strideUS int64, v float64) {
 			k++
 		}
 		hi := p + (k-1)*strideUS
-		if l.n == 0 || ws > l.win[l.head].StartUS {
-			l.open(ws)
+		if l.n > 0 && ws <= l.win[l.head].StartUS {
+			// Only the span's first window can already hold samples.
+			l.win[l.head].fold(v, hi, k)
+		} else {
+			// A new window is what fold makes of an empty one, each field
+			// stored once (a Window literal would go through a stack copy).
+			// Its Sum is 0 + k·v, as fold's, so v = −0 sums to +0.
+			w := l.open(ws)
+			w.StartUS, w.Cnt, w.Sum, w.LastUS = ws, k, 0+float64(k)*v, hi
+			w.Min, w.Max, w.Last = v, v, v
 		}
-		l.win[l.head].fold(v, hi, k)
 		p = hi + strideUS
 	}
 }

@@ -85,12 +85,16 @@ func TestRollupRetainsEvictedHistory(t *testing.T) {
 // TestFillMatchesPushes is the core backfill invariant: Fill over a span
 // produces bit-identical windows to pushing every grid point.
 func TestFillMatchesPushes(t *testing.T) {
-	cases := []struct{ t0, t1 int64 }{
-		{0, 10_000},        // aligned short span
-		{250, 10_250},      // unaligned ends
-		{3_000, 3_900},     // sub-stride span, no grid point
-		{0, 200_000},       // wraps every level-0 ring
-		{7_777, 1_000_000}, // long unaligned span
+	cases := []struct {
+		t0, t1 int64
+		v      float64
+	}{
+		{0, 10_000, 2.5},                    // aligned short span
+		{250, 10_250, 2.5},                  // unaligned ends
+		{3_000, 3_900, 2.5},                 // sub-stride span, no grid point
+		{0, 200_000, 2.5},                   // wraps every level-0 ring
+		{7_777, 1_000_000, 2.5},             // long unaligned span
+		{250, 40_250, math.Copysign(0, -1)}, // −0: a new window's Sum is +0, as pushes make it
 	}
 	for _, tc := range cases {
 		a := NewSeries("a", smallSpec())
@@ -98,9 +102,9 @@ func TestFillMatchesPushes(t *testing.T) {
 		// Prime both with identical leading samples.
 		a.Push(tc.t0, 5)
 		b.Push(tc.t0, 5)
-		a.Fill(tc.t0, tc.t1, 2.5, 1_000)
+		a.Fill(tc.t0, tc.t1, tc.v, 1_000)
 		for g := tc.t0 - tc.t0%1_000 + 1_000; g <= tc.t1; g += 1_000 {
-			b.Push(g, 2.5)
+			b.Push(g, tc.v)
 		}
 		if a.Pushes() != b.Pushes() {
 			t.Fatalf("span (%d,%d]: pushes %d != %d", tc.t0, tc.t1, a.Pushes(), b.Pushes())
@@ -108,11 +112,29 @@ func TestFillMatchesPushes(t *testing.T) {
 		for li := 0; li < a.Levels(); li++ {
 			wa := a.AppendWindows(nil, li)
 			wb := b.AppendWindows(nil, li)
-			if !reflect.DeepEqual(wa, wb) {
+			if !sameWindows(wa, wb) {
 				t.Fatalf("span (%d,%d] level %d:\nfill: %+v\npush: %+v", tc.t0, tc.t1, li, wa, wb)
 			}
 		}
 	}
+}
+
+// sameWindows reports whether two window lists hold the same bits: unlike
+// ==, it tells −0 from +0.
+func sameWindows(a, b []Window) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	bitsOf := func(w Window) [7]uint64 {
+		return [7]uint64{uint64(w.StartUS), uint64(w.Cnt), math.Float64bits(w.Sum), math.Float64bits(w.Min),
+			math.Float64bits(w.Max), math.Float64bits(w.Last), uint64(w.LastUS)}
+	}
+	for i := range a {
+		if bitsOf(a[i]) != bitsOf(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestFillThenPushContinues checks a leap followed by detailed stepping

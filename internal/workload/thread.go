@@ -50,7 +50,7 @@ func NewThread(d Descriptor, workGInst float64, r *rng.Source) *Thread {
 // rewind sets the thread's whole state: the state NewThread(d,
 // workGInst, r) produces, which Reinit also lands on.
 func (t *Thread) rewind(d Descriptor, workGInst float64, r *rng.Source) {
-	if workGInst <= 0 {
+	if !(workGInst > 0) {
 		panic(fmt.Sprintf("workload %s: non-positive thread work %v", d.Name, workGInst))
 	}
 	*t = Thread{Desc: d, remainingGInst: workGInst, phaseMul: 1, r: r}
@@ -179,8 +179,8 @@ func (t *Thread) ActivityNow() float64 {
 // AddWork appends extra work to the thread, e.g. the cache-refill and
 // state-movement cost a migration charges.
 func (t *Thread) AddWork(workGInst float64) {
-	if workGInst < 0 {
-		panic(fmt.Sprintf("workload %s: negative added work %v", t.Desc.Name, workGInst))
+	if !(workGInst >= 0) {
+		panic(fmt.Sprintf("workload %s: negative or NaN added work %v", t.Desc.Name, workGInst))
 	}
 	t.remainingGInst += workGInst
 }
@@ -189,7 +189,7 @@ func (t *Thread) AddWork(workGInst float64) {
 // work. Measurement harnesses use it to settle a system under load and
 // then start timing from a clean work budget.
 func (t *Thread) Reset(workGInst float64) {
-	if workGInst <= 0 {
+	if !(workGInst > 0) {
 		panic(fmt.Sprintf("workload %s: non-positive reset work %v", t.Desc.Name, workGInst))
 	}
 	t.remainingGInst = workGInst

@@ -266,6 +266,33 @@ func TestSplitWorkPanics(t *testing.T) {
 	SplitWork(MustGet("raytrace"), 0)
 }
 
+// TestThreadRefusesNaNWork: a NaN budget passes a `<= 0` check and never
+// retires, so every way of setting a thread's work refuses it as it
+// refuses work that is not positive: NewThread, Reinit and Reset panic,
+// and AddWork panics on NaN as on negative work.
+func TestThreadRefusesNaNWork(t *testing.T) {
+	d := MustGet("raytrace")
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"NewThread", func() { NewThread(d, nan, nil) }},
+		{"Reinit", func() { new(Thread).Reinit(d, nan, nil, "t") }},
+		{"Reset", func() { NewThread(d, 1, nil).Reset(nan) }},
+		{"AddWork", func() { NewThread(d, 1, nil).AddWork(nan) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted NaN work", tc.name)
+				}
+			}()
+			tc.call()
+		}()
+	}
+}
+
 func TestSuiteString(t *testing.T) {
 	if PARSEC.String() != "PARSEC" || SPLASH2.String() != "SPLASH-2" {
 		t.Error("suite names wrong")
