@@ -62,7 +62,9 @@
 #                        within 5s without a Go panic (which also exits
 #                        2), the two durations with a message naming the
 #                        failed check, run
-#                        agsched once,
+#                        agsched with default flags, with -threads 12
+#                        (consolidation past one socket) and with -borrow
+#                        -threads 5, each printing its total power line,
 #                        and run cpmcal's calibration sweep (its 4200 MHz
 #                        fit)
 #   make fuzz-smoke    — run each fuzz target for 20s: snapshot FuzzLoad
@@ -247,7 +249,11 @@ smoke:
 	echo "smoke: agsched -threads -2, -on-cores 99, -duration 1e300 and -duration NaN exited 2, naming the failed check"
 	$(SMOKE_DIR)/agsched -duration 0.5 >$(SMOKE_DIR)/agsched.out
 	@grep -q '^  total power ' $(SMOKE_DIR)/agsched.out
-	@echo "smoke: agsched printed its total power line"
+	$(SMOKE_DIR)/agsched -threads 12 -duration 0.5 >$(SMOKE_DIR)/agsched-threads12.out
+	@grep -q '^  total power ' $(SMOKE_DIR)/agsched-threads12.out
+	$(SMOKE_DIR)/agsched -borrow -threads 5 -duration 0.5 >$(SMOKE_DIR)/agsched-borrow5.out
+	@grep -q '^  total power ' $(SMOKE_DIR)/agsched-borrow5.out
+	@echo "smoke: agsched (default, -threads 12, -borrow -threads 5) printed its total power lines"
 	$(GO) build -o $(SMOKE_DIR)/cpmcal ./cmd/cpmcal
 	$(SMOKE_DIR)/cpmcal >$(SMOKE_DIR)/cpmcal.out
 	@grep -q '^ *4200 MHz: ' $(SMOKE_DIR)/cpmcal.out

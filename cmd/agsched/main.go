@@ -54,7 +54,7 @@ func main() {
 	borrow := flag.Bool("borrow", false, "use the loadline-borrowing schedule instead of consolidation")
 	rebalance := flag.Bool("rebalance", false, "run the dynamic rebalancer during the measurement")
 	duration := flag.Float64("duration", 10, "simulated seconds to run")
-	onCores := flag.Int("on-cores", 8, "cores kept powered across the server")
+	onCores := flag.Int("on-cores", 8, "cores kept powered across the server, loaded ones included (consolidation powers socket 0 first, borrowing balances the sockets)")
 	seed := flag.Uint64("seed", 7, "simulation seed")
 	list := flag.Bool("list", false, "list available workloads and exit")
 	file := flag.String("workload-file", "", "JSON file of custom workload descriptors (see workload.SaveFile)")
@@ -110,31 +110,17 @@ func main() {
 	}
 
 	s := server.MustNew(cfg)
-	sched, err := core.NewBorrowing(s.Sockets(), cfg.CoresPerSocket, *onCores)
-	if err != nil {
+	if *borrow && !core.ShouldBorrow(d) {
+		fmt.Printf("note: %s is sharing-heavy; the AGS policy would keep it consolidated\n", d.Name)
+	}
+	// -threads fits the empty server (checked above), so PlaceOnFree
+	// always finds room.
+	placements, _ := server.PlaceOnFree(s.FreeCores(nil), *threads, !*borrow)
+	if _, err := s.Submit("job", d, placements, 1e9); err != nil {
 		fmt.Fprintln(os.Stderr, "agsched:", err)
 		os.Exit(1)
 	}
-
-	if *borrow {
-		if !core.ShouldBorrow(d) {
-			fmt.Printf("note: %s is sharing-heavy; the AGS policy would keep it consolidated\n", d.Name)
-		}
-		if _, err := sched.Apply(s, "job", d, *threads, 1e9); err != nil {
-			fmt.Fprintln(os.Stderr, "agsched:", err)
-			os.Exit(1)
-		}
-	} else {
-		if _, err := s.Submit("job", d, server.ConsolidatedPlacements(*threads), 1e9); err != nil {
-			fmt.Fprintln(os.Stderr, "agsched:", err)
-			os.Exit(1)
-		}
-		keep := *onCores - *threads
-		if keep < 0 {
-			keep = 0
-		}
-		s.GateUnloadedCores(keep, 0)
-	}
+	s.GateUnloadedCores(*onCores, !*borrow)
 	s.SetMode(m)
 
 	s.Settle(2)

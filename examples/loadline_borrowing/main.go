@@ -18,19 +18,12 @@ import (
 // power and total energy.
 func run(d workload.Descriptor, borrowed bool) (powerW, energyJ, seconds float64) {
 	s := server.MustNew(server.DefaultConfig(11))
-	const threads = 8
-	if borrowed {
-		sched, err := core.NewBorrowing(s.Sockets(), 8, 8)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := sched.Apply(s, "job", d, threads, d.WorkGInst*0.2); err != nil {
-			panic(err)
-		}
-	} else {
-		s.MustSubmit("job", d, server.ConsolidatedPlacements(threads), d.WorkGInst*0.2)
-		s.GateUnloadedCores(0, 0)
-	}
+	// Consolidation keeps the job together on socket 0; borrowing spreads
+	// it across the sockets. Either way eight cores stay powered.
+	const threads, onCores = 8, 8
+	placements, _ := server.PlaceOnFree(s.FreeCores(nil), threads, !borrowed)
+	s.MustSubmit("job", d, placements, d.WorkGInst*0.2)
+	s.GateUnloadedCores(onCores, !borrowed)
 	s.SetMode(firmware.Undervolt)
 	s.ResetEnergy()
 	elapsed, done := s.RunUntilDone(600)

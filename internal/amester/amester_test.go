@@ -338,7 +338,8 @@ func TestChipProbesRecordPlausibleValues(t *testing.T) {
 
 func TestServerProbes(t *testing.T) {
 	srv := server.MustNew(server.DefaultConfig(5))
-	srv.MustSubmit("j", workload.MustGet("mcf"), server.BorrowedPlacements(2, 2), 1e9)
+	ps, _ := server.PlaceOnFree(srv.FreeCores(nil), 2, false)
+	srv.MustSubmit("j", workload.MustGet("mcf"), ps, 1e9)
 	srv.SetMode(firmware.Static)
 	svc, addr := startService(t, ServerProbes(srv)...)
 	m := remoteMeans(t, svc, addr, srv.Step, 2000)

@@ -47,7 +47,9 @@ func ParseScenario(extra string) (Scenario, error) {
 // comes from outside — amesterd's flags, a snapshot header: the workload
 // and mode must be known and the thread count within [1, sockets × cores]
 // of the server it builds, so a bad count is an error before any
-// placement is sized by it.
+// placement is sized by it. The job is placed by server.PlaceOnFree,
+// spread across the sockets when Borrow and kept together otherwise, and
+// no core is gated.
 func (sc Scenario) Build() (*server.Server, *obs.Recorder, error) {
 	d, err := workload.Get(sc.Workload)
 	if err != nil {
@@ -67,12 +69,9 @@ func (sc Scenario) Build() (*server.Server, *obs.Recorder, error) {
 	}
 	cfg.Recorder = rec
 	srv := server.MustNew(cfg)
-	var placements []server.Placement
-	if sc.Borrow {
-		placements = server.BorrowedPlacements(sc.Threads, srv.Sockets())
-	} else {
-		placements = server.ConsolidatedPlacements(sc.Threads)
-	}
+	// The thread count fits the empty server (checked above), so
+	// PlaceOnFree always finds room.
+	placements, _ := server.PlaceOnFree(srv.FreeCores(nil), sc.Threads, !sc.Borrow)
 	if _, err := srv.Submit("job", d, placements, 1e9); err != nil {
 		return nil, nil, err
 	}

@@ -174,7 +174,7 @@ func (c *Cluster) powerOn(n *Node) error {
 	}
 	n.on = true
 	n.srv.SetMode(c.mode)
-	n.srv.GateUnloadedCores() // everything gated until placed
+	n.srv.GateUnloadedCores(0, false) // everything gated until placed
 	return nil
 }
 
@@ -229,7 +229,7 @@ func (c *Cluster) Submit(id string, d workload.Descriptor, threads int, workGIns
 	}
 	node.jobs[id] = j
 	node.occupied += len(placements)
-	node.srv.GateUnloadedCores() // power-gate everything unused
+	node.srv.GateUnloadedCores(0, false) // power-gate everything unused
 	return node.Index, nil
 }
 
@@ -271,7 +271,7 @@ func (c *Cluster) Release(id string) error {
 			if len(n.jobs) == 0 {
 				c.suspend(n)
 			} else {
-				n.srv.GateUnloadedCores()
+				n.srv.GateUnloadedCores(0, false)
 			}
 			return nil
 		}

@@ -19,7 +19,9 @@ import (
 type AGS struct {
 	srv *server.Server
 
-	borrowing  *Borrowing
+	// onCores is the responsiveness floor: cores kept powered, loaded
+	// ones included (server.GateUnloadedCores).
+	onCores    int
 	rebalancer *Rebalancer
 
 	predictor *FreqPredictor
@@ -46,6 +48,11 @@ type protectedApp struct {
 	tracker *qos.Tracker
 	socket  int
 	core    int
+
+	// sec, mipsSec and freqSec integrate time, the core's throughput and
+	// its clock over the app's part of the current quantum; Step scores
+	// the quantum on the means, as Fig. 17's windowObservation does.
+	sec, mipsSec, freqSec float64
 }
 
 // AGSConfig assembles the orchestrator.
@@ -75,13 +82,9 @@ func NewAGS(srv *server.Server, cfg AGSConfig) (*AGS, error) {
 	if cfg.OnCoresTotal <= 0 || cfg.OnCoresTotal > cores {
 		cfg.OnCoresTotal = cores
 	}
-	b, err := NewBorrowing(srv.Sockets(), srv.Chip(0).Cores(), cfg.OnCoresTotal)
-	if err != nil {
-		return nil, err
-	}
 	return &AGS{
 		srv:        srv,
-		borrowing:  b,
+		onCores:    cfg.OnCoresTotal,
 		rebalancer: NewRebalancer(),
 		predictor:  cfg.Predictor,
 		quantumSec: qos.DefaultConfig().WindowSec,
@@ -103,7 +106,7 @@ func (a *AGS) SubmitBatch(id string, d workload.Descriptor, threads int, workGIn
 	}
 	a.events.Record(Event{AtSec: a.clockSec, Kind: EventPlace, Job: id,
 		Detail: fmt.Sprintf("%d threads of %s across %d sockets", threads, d.Name, len(j.Sockets()))})
-	a.regate()
+	a.srv.GateUnloadedCores(a.onCores, false)
 	return j, nil
 }
 
@@ -134,7 +137,7 @@ func (a *AGS) SubmitCritical(id string, d workload.Descriptor, spec AppSpec, qcf
 	a.events.Record(Event{AtSec: a.clockSec, Kind: EventPlace, Job: id,
 		Detail: fmt.Sprintf("critical %s on P%d core %d, target p90 %.2fs",
 			d.Name, placements[0].Socket, placements[0].Core, spec.QoSTarget)})
-	a.regate()
+	a.srv.GateUnloadedCores(a.onCores, false)
 	return j, nil
 }
 
@@ -146,27 +149,6 @@ func (a *AGS) placeBatch(d workload.Descriptor, threads int) ([]server.Placement
 		return nil, fmt.Errorf("core: need %d free cores", threads)
 	}
 	return ps, nil
-}
-
-// regate reapplies the power-gating posture for the responsiveness floor.
-func (a *AGS) regate() {
-	loaded := 0
-	for si := 0; si < a.srv.Sockets(); si++ {
-		loaded += a.srv.Chip(si).ActiveCores()
-	}
-	keepTotal := a.borrowing.OnCoresTotal - loaded
-	if keepTotal < 0 {
-		keepTotal = 0
-	}
-	keep := make([]int, a.srv.Sockets())
-	for si := range keep {
-		share := keepTotal / a.srv.Sockets()
-		if si < keepTotal%a.srv.Sockets() {
-			share++
-		}
-		keep[si] = share
-	}
-	a.srv.GateUnloadedCores(keep...)
 }
 
 // QoSReport is the per-quantum outcome for one critical application.
@@ -182,7 +164,9 @@ type QoSReport struct {
 }
 
 // Step advances the server and the protection loops by dtSec, returning any
-// QoS reports that completed this step.
+// QoS reports that completed this step. Each quantum is scored on the
+// critical core's time-weighted mean throughput and clock over the
+// quantum, not on the last step's.
 func (a *AGS) Step(dtSec float64) []QoSReport {
 	a.clockSec += dtSec
 	a.srv.Step(dtSec)
@@ -191,6 +175,12 @@ func (a *AGS) Step(dtSec float64) []QoSReport {
 			Detail: fmt.Sprintf("rebalanced toward socket balance (migration #%d)", a.rebalancer.Migrations())})
 	}
 
+	for _, app := range a.critical {
+		ch := a.srv.Chip(app.socket)
+		app.sec += dtSec
+		app.mipsSec += float64(ch.CoreMIPS(app.core)) * dtSec
+		app.freqSec += float64(ch.CoreFreq(app.core)) * dtSec
+	}
 	a.sinceSec += dtSec
 	if a.sinceSec < a.quantumSec {
 		return nil
@@ -199,16 +189,17 @@ func (a *AGS) Step(dtSec float64) []QoSReport {
 
 	var reports []QoSReport
 	for _, app := range a.critical {
-		ch := a.srv.Chip(app.socket)
-		own := ch.CoreMIPS(app.core)
-		if own <= 0 {
+		own := units.MIPS(app.mipsSec / app.sec)
+		freq := units.Megahertz(app.freqSec / app.sec)
+		app.sec, app.mipsSec, app.freqSec = 0, 0, 0
+		if !(own > 0) {
 			continue // app idle this quantum
 		}
 		res := app.tracker.RunWindow(own)
 		decision := app.mapper.Tick(Observation{
 			QoSMetric: res.P90Sec,
 			Violated:  res.Violated,
-			Freq:      ch.CoreFreq(app.core),
+			Freq:      freq,
 			OwnMIPS:   own,
 		}, a.candidates(app))
 		rep := QoSReport{

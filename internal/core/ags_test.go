@@ -1,11 +1,15 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"agsim/internal/firmware"
+	"agsim/internal/power"
 	"agsim/internal/qos"
+	"agsim/internal/rng"
 	"agsim/internal/server"
+	"agsim/internal/units"
 	"agsim/internal/workload"
 )
 
@@ -64,6 +68,82 @@ func TestSubmitBatchCapacity(t *testing.T) {
 	}
 	if _, err := a.SubmitBatch("c", workload.MustGet("mcf"), 1, 1e9); err == nil {
 		t.Error("expected capacity error")
+	}
+}
+
+// TestSubmitBatchKeepsOnCoresPowered: with eight cores kept on, a
+// four-thread batch spreads 2+2 and the server's gating rule powers two
+// idle cores beside it on each socket, gating the other eight; the
+// schedule runs.
+func TestSubmitBatchKeepsOnCoresPowered(t *testing.T) {
+	srv := server.MustNew(server.DefaultConfig(21))
+	a, err := NewAGS(srv, AGSConfig{OnCoresTotal: 8, Predictor: trainedPredictor(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.SubmitBatch("b", workload.MustGet("raytrace"), 4, 1e9); err != nil {
+		t.Fatal(err)
+	}
+	for si := 0; si < 2; si++ {
+		c, on := srv.Chip(si), 0
+		for i := 0; i < c.Cores(); i++ {
+			if c.Core(i).State() != power.Gated {
+				on++
+			}
+		}
+		if c.ActiveCores() != 2 || on != 4 {
+			t.Errorf("socket %d: %d loaded, %d powered; want 2 and 4", si, c.ActiveCores(), on)
+		}
+	}
+	srv.SetMode(firmware.Undervolt)
+	srv.Settle(1)
+	if srv.TotalPower() <= 0 {
+		t.Error("no power draw")
+	}
+}
+
+// TestStepScoresQuantumOnMeanThroughput: the quantum's QoS window is run
+// on the critical core's time-weighted mean MIPS over the quantum, so a
+// throughput change partway through shows in the report as the mean, not
+// the last step's value.
+func TestStepScoresQuantumOnMeanThroughput(t *testing.T) {
+	a := newAGS(t)
+	qcfg := qos.DefaultConfig()
+	const seed = 53
+	if _, err := a.SubmitCritical("web", workload.MustGet("websearch"), AppSpec{
+		Name: "web", Critical: true, QoSTarget: qcfg.TargetP90Sec,
+	}, qcfg, seed); err != nil {
+		t.Fatal(err)
+	}
+	app := a.critical[0]
+	ch := a.Server().Chip(app.socket)
+	const dt = 0.001
+	var mipsSec, sec float64
+	var last units.MIPS
+	var reports []QoSReport
+	for step := 0; reports == nil; step++ {
+		if step == int(qcfg.WindowSec/dt)/2 {
+			// Halfway through the quantum, a co-runner fills the rest of
+			// the server and the critical core slows.
+			if _, err := a.SubmitBatch("hog", workload.MustGet("lbm"), 15, 1e9); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reports = a.Step(dt)
+		last = ch.CoreMIPS(app.core)
+		mipsSec += float64(last) * dt
+		sec += dt
+	}
+	mean := units.MIPS(mipsSec / sec)
+	if math.Abs(float64(mean-last)) < 1 {
+		t.Fatalf("throughput did not move within the quantum: mean %v, last %v", mean, last)
+	}
+	window := func(mips units.MIPS) float64 {
+		return qos.NewTracker(qcfg, rng.New(seed, "ags/web")).RunWindow(mips).P90Sec
+	}
+	if got, want := reports[0].P90Sec, window(mean); got != want {
+		t.Errorf("quantum p90 %v, want %v from the mean %v (the last step's %v gives %v)",
+			got, want, mean, last, window(last))
 	}
 }
 
@@ -174,8 +254,8 @@ func TestAGSQuantumDefaults(t *testing.T) {
 	if a.quantumSec != qos.DefaultConfig().WindowSec {
 		t.Errorf("quantum = %v", a.quantumSec)
 	}
-	if a.borrowing.OnCoresTotal != 16 {
-		t.Errorf("default on-cores = %d", a.borrowing.OnCoresTotal)
+	if a.onCores != 16 {
+		t.Errorf("default on-cores = %d", a.onCores)
 	}
 }
 

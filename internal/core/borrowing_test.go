@@ -3,106 +3,8 @@ package core
 import (
 	"testing"
 
-	"agsim/internal/firmware"
-	"agsim/internal/power"
-	"agsim/internal/server"
 	"agsim/internal/workload"
 )
-
-func TestNewBorrowingValidation(t *testing.T) {
-	if _, err := NewBorrowing(0, 8, 8); err == nil {
-		t.Error("expected error for zero sockets")
-	}
-	if _, err := NewBorrowing(2, 8, 17); err == nil {
-		t.Error("expected error for onCoresTotal beyond machine")
-	}
-	if _, err := NewBorrowing(2, 8, -1); err == nil {
-		t.Error("expected error for negative onCoresTotal")
-	}
-}
-
-func TestPlanBalances(t *testing.T) {
-	b, err := NewBorrowing(2, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 1; n <= 16; n++ {
-		ps := b.Plan(n)
-		counts := map[int]int{}
-		seen := map[server.Placement]bool{}
-		for _, p := range ps {
-			counts[p.Socket]++
-			if seen[p] {
-				t.Fatalf("n=%d: duplicate placement %+v", n, p)
-			}
-			seen[p] = true
-		}
-		if diff := counts[0] - counts[1]; diff < 0 || diff > 1 {
-			t.Errorf("n=%d: imbalance %v", n, counts)
-		}
-	}
-}
-
-func TestPlanPanicsWhenOverfull(t *testing.T) {
-	b, _ := NewBorrowing(2, 8, 8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	b.Plan(17)
-}
-
-func TestKeepOnBudget(t *testing.T) {
-	b, _ := NewBorrowing(2, 8, 8)
-	for n := 1; n <= 8; n++ {
-		keep := b.KeepOn(n)
-		total := n
-		for _, k := range keep {
-			total += k
-		}
-		if total != b.OnCoresTotal {
-			t.Errorf("n=%d: %d cores on, want %d (keep=%v)", n, total, b.OnCoresTotal, keep)
-		}
-	}
-	// All cores loaded: nothing extra to keep on.
-	keep := b.KeepOn(16)
-	if keep[0] != 0 || keep[1] != 0 {
-		t.Errorf("KeepOn(16) = %v", keep)
-	}
-}
-
-func TestApplyEndToEnd(t *testing.T) {
-	s := server.MustNew(server.DefaultConfig(21))
-	b, _ := NewBorrowing(2, 8, 8)
-	d := workload.MustGet("raytrace")
-	j, err := b.Apply(s, "j", d, 4, d.WorkGInst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(j.Sockets()) != 2 {
-		t.Error("borrowed job should span sockets")
-	}
-	// 4 threads + 4 kept idle = 8 on; the other 12 cores gated.
-	on := 0
-	for si := 0; si < 2; si++ {
-		c := s.Chip(si)
-		for i := 0; i < c.Cores(); i++ {
-			if c.Core(i).State() != power.Gated {
-				on++
-			}
-		}
-	}
-	if on != 8 {
-		t.Errorf("%d cores on, want 8", on)
-	}
-	// The schedule runs.
-	s.SetMode(firmware.Undervolt)
-	s.Settle(1)
-	if s.TotalPower() <= 0 {
-		t.Error("no power draw")
-	}
-}
 
 func TestShouldBorrow(t *testing.T) {
 	// Paper Fig. 14: sharing-heavy jobs regress under borrowing.

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"agsim/internal/core"
+	"agsim/internal/server"
 	"agsim/internal/units"
+	"agsim/internal/workload"
 )
 
 // ExampleFreqPredictor shows the Fig. 16 workflow: profile chip operating
@@ -28,22 +30,21 @@ func ExampleFreqPredictor() {
 	// predicted frequency at 48k MIPS: 4480 MHz
 }
 
-// ExampleBorrowing shows the loadline-borrowing plan for five threads on a
-// two-socket server keeping eight cores powered.
-func ExampleBorrowing() {
-	b, err := core.NewBorrowing(2, 8, 8)
-	if err != nil {
-		panic(err)
+// ExampleShouldBorrow shows the loadline-borrowing gate feeding the
+// server's placement rule: five raytrace threads spread across the
+// sockets, while five threads of sharing-heavy lu_ncb stay together.
+// With eight cores kept powered, the spread job's sockets get four each.
+func ExampleShouldBorrow() {
+	for _, name := range []string{"raytrace", "lu_ncb"} {
+		d := workload.MustGet(name)
+		srv := server.MustNew(server.DefaultConfig(1))
+		ps, _ := server.PlaceOnFree(srv.FreeCores(nil), 5, !core.ShouldBorrow(d))
+		srv.MustSubmit("job", d, ps, 1e9)
+		srv.GateUnloadedCores(8, !core.ShouldBorrow(d))
+		fmt.Printf("%s: borrow %v, placements %v, loaded %d+%d\n", name, core.ShouldBorrow(d), ps,
+			srv.Chip(0).ActiveCores(), srv.Chip(1).ActiveCores())
 	}
-	for _, p := range b.Plan(5) {
-		fmt.Printf("P%d core %d\n", p.Socket, p.Core)
-	}
-	fmt.Println("keep idle-on per socket:", b.KeepOn(5))
 	// Output:
-	// P0 core 0
-	// P1 core 0
-	// P0 core 1
-	// P1 core 1
-	// P0 core 2
-	// keep idle-on per socket: [2 1]
+	// raytrace: borrow true, placements [{0 0} {1 0} {0 1} {1 1} {0 2}], loaded 3+2
+	// lu_ncb: borrow false, placements [{0 0} {0 1} {0 2} {0 3} {0 4}], loaded 5+0
 }

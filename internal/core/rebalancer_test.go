@@ -8,10 +8,21 @@ import (
 	"agsim/internal/workload"
 )
 
+// layout is the Fig. 11 layout of n threads on s's free cores:
+// consolidated (kept together) or borrowed (spread across the sockets).
+func layout(t *testing.T, s *server.Server, n int, borrowed bool) []server.Placement {
+	t.Helper()
+	ps, ok := server.PlaceOnFree(s.FreeCores(nil), n, !borrowed)
+	if !ok {
+		t.Fatalf("no room for %d threads", n)
+	}
+	return ps
+}
+
 func TestRebalancerBalancesConsolidatedJob(t *testing.T) {
 	s := server.MustNew(server.DefaultConfig(71))
 	d := workload.MustGet("raytrace")
-	s.MustSubmit("j", d, server.ConsolidatedPlacements(8), 1e9)
+	s.MustSubmit("j", d, layout(t, s, 8, false), 1e9)
 	s.SetMode(firmware.Undervolt)
 	s.Settle(1)
 
@@ -39,7 +50,7 @@ func TestRebalancerBalancesConsolidatedJob(t *testing.T) {
 func TestRebalancerRespectsSharingHeavyJobs(t *testing.T) {
 	s := server.MustNew(server.DefaultConfig(73))
 	d := workload.MustGet("lu_ncb") // sharing-heavy
-	s.MustSubmit("j", d, server.ConsolidatedPlacements(8), 1e9)
+	s.MustSubmit("j", d, layout(t, s, 8, false), 1e9)
 	s.SetMode(firmware.Undervolt)
 	r := NewRebalancer()
 	for i := 0; i < 3000; i++ {
@@ -57,7 +68,7 @@ func TestRebalancerRespectsSharingHeavyJobs(t *testing.T) {
 func TestRebalancerLeavesBalancedSchedulesAlone(t *testing.T) {
 	s := server.MustNew(server.DefaultConfig(79))
 	d := workload.MustGet("swaptions")
-	s.MustSubmit("j", d, server.BorrowedPlacements(8, 2), 1e9)
+	s.MustSubmit("j", d, layout(t, s, 8, true), 1e9)
 	s.SetMode(firmware.Undervolt)
 	r := NewRebalancer()
 	for i := 0; i < 3000; i++ {
@@ -73,7 +84,7 @@ func TestRebalancerImprovesPower(t *testing.T) {
 	run := func(withRebalancer bool) float64 {
 		s := server.MustNew(server.DefaultConfig(83))
 		d := workload.MustGet("raytrace")
-		s.MustSubmit("j", d, server.ConsolidatedPlacements(8), 1e9)
+		s.MustSubmit("j", d, layout(t, s, 8, false), 1e9)
 		s.SetMode(firmware.Undervolt)
 		r := NewRebalancer()
 		// Let the rebalancer act, then settle and measure.
@@ -101,7 +112,7 @@ func TestRebalancerImprovesPower(t *testing.T) {
 func TestMigratePreservesProgressAndChargesCost(t *testing.T) {
 	s := server.MustNew(server.DefaultConfig(87))
 	d := workload.MustGet("swaptions")
-	j := s.MustSubmit("j", d, server.ConsolidatedPlacements(2), 100)
+	j := s.MustSubmit("j", d, layout(t, s, 2, false), 100)
 	s.SetMode(firmware.Static)
 	s.Settle(0.5)
 	retired := j.Threads[0].Retired()
@@ -109,7 +120,7 @@ func TestMigratePreservesProgressAndChargesCost(t *testing.T) {
 		t.Fatal("no progress before migration")
 	}
 	remainingBefore := j.Threads[0].Remaining()
-	if err := s.Migrate(j, server.BorrowedPlacements(2, 2)); err != nil {
+	if err := s.Migrate(j, []server.Placement{{Socket: 0, Core: 0}, {Socket: 1, Core: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if j.Threads[0].Retired() != retired {
@@ -130,10 +141,10 @@ func TestMigratePreservesProgressAndChargesCost(t *testing.T) {
 func TestMigrateValidation(t *testing.T) {
 	s := server.MustNew(server.DefaultConfig(91))
 	d := workload.MustGet("swaptions")
-	j := s.MustSubmit("a", d, server.ConsolidatedPlacements(2), 100)
+	j := s.MustSubmit("a", d, layout(t, s, 2, false), 100)
 	s.MustSubmit("b", d, []server.Placement{{Socket: 1, Core: 0}}, 100)
 
-	if err := s.Migrate(j, server.ConsolidatedPlacements(3)); err == nil {
+	if err := s.Migrate(j, []server.Placement{{Socket: 0, Core: 0}, {Socket: 0, Core: 1}, {Socket: 0, Core: 2}}); err == nil {
 		t.Error("expected arity error")
 	}
 	if err := s.Migrate(j, []server.Placement{{Socket: 9, Core: 0}, {Socket: 0, Core: 1}}); err == nil {

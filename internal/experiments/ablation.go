@@ -48,10 +48,8 @@ func AblationLoadReserve(o Options) AblationLoadReserveResult {
 			return improvementPct(static, uv)
 		}
 		llb := func() float64 {
-			plC, keepC := fig12Schedule(8, false)
-			plB, keepB := fig12Schedule(8, true)
-			cons := serverSteadyWithReserve(o, fmt.Sprintf("abl/cons/%.2f", k), d, plC, keepC, k)
-			borr := serverSteadyWithReserve(o, fmt.Sprintf("abl/borr/%.2f", k), d, plB, keepB, k)
+			cons := serverSteadyWithReserve(o, fmt.Sprintf("abl/cons/%.2f", k), d, 8, false, k)
+			borr := serverSteadyWithReserve(o, fmt.Sprintf("abl/borr/%.2f", k), d, 8, true, k)
 			return improvementPct(cons, borr)
 		}
 		return row{s1: saving(1), s8: saving(8), llb: llb()}
@@ -73,15 +71,14 @@ func measureWithReserve(o Options, name string, n int, mode firmware.Mode, reser
 	return p
 }
 
-func serverSteadyWithReserve(o Options, tag string, d workload.Descriptor, pl []server.Placement, keepOn []int, reserve float64) float64 {
+func serverSteadyWithReserve(o Options, tag string, d workload.Descriptor, n int, borrow bool, reserve float64) float64 {
 	cfg := o.serverConfig(o.Seed ^ hash(tag))
 	cfg.Recorder = o.Recorder.Shard("server/" + tag)
 	s := acquireServer(cfg)
 	for si := 0; si < s.Sockets(); si++ {
 		s.Chip(si).Controller().LoadReserveMilliohm = reserve
 	}
-	s.MustSubmit("j", d, pl, 1e9)
-	s.GateUnloadedCores(keepOn...)
+	submitSchedule(s, d, n, borrow)
 	s.SetMode(firmware.Undervolt)
 	s.Settle(o.SettleSec)
 	var power float64
@@ -211,11 +208,12 @@ func AblationContention(o Options) AblationContentionResult {
 	}
 	d := workload.MustGet("radix")
 	speedups := parallel.Sweep(o.pool(), exponents, func(_ int, exp float64) float64 {
-		runOne := func(split string, pl []server.Placement) float64 {
+		runOne := func(split string, borrow bool) float64 {
 			cfg := o.serverConfig(o.Seed)
 			cfg.ContentionExponent = exp
 			cfg.Recorder = o.Recorder.Shard(fmt.Sprintf("server/abl-contention/%g/%s", exp, split))
 			s := acquireServer(cfg)
+			pl, _ := server.PlaceOnFree(s.FreeCores(nil), 8, !borrow)
 			s.MustSubmit("j", d, pl, d.WorkGInst*o.WorkScale)
 			s.SetMode(firmware.Static)
 			elapsed, done := s.RunUntilDone(3600)
@@ -225,7 +223,7 @@ func AblationContention(o Options) AblationContentionResult {
 			releaseServer(s)
 			return stepQuantize(elapsed)
 		}
-		return runOne("consolidated", server.ConsolidatedPlacements(8)) / runOne("borrowed", server.BorrowedPlacements(8, 2))
+		return runOne("consolidated", false) / runOne("borrowed", true)
 	})
 	for i, exp := range exponents {
 		res.Table.AddRow(fmt.Sprintf("exp=%.1f", exp), speedups[i])

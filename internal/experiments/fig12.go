@@ -5,7 +5,6 @@ import (
 
 	"agsim/internal/firmware"
 	"agsim/internal/parallel"
-	"agsim/internal/server"
 	"agsim/internal/trace"
 	"agsim/internal/workload"
 )
@@ -32,30 +31,6 @@ type Fig12Result struct {
 	ImprovementAt2, ImprovementAt4, ImprovementAt8 float64
 }
 
-// fig12Schedule returns placements and keep-on counts for the paper's
-// scenario: eight cores powered in total; the baseline packs them all on
-// socket 0, borrowing keeps four per socket.
-func fig12Schedule(n int, borrowed bool) (pl []server.Placement, keepOn []int) {
-	if borrowed {
-		pl = server.BorrowedPlacements(n, 2)
-		on0 := 4 - (n+1)/2
-		on1 := 4 - n/2
-		if on0 < 0 {
-			on0 = 0
-		}
-		if on1 < 0 {
-			on1 = 0
-		}
-		return pl, []int{on0, on1}
-	}
-	pl = server.ConsolidatedPlacements(n)
-	keep := 8 - n
-	if keep < 0 {
-		keep = 0
-	}
-	return pl, []int{keep, 0}
-}
-
 // Fig12LoadlineBorrowing runs the Fig. 12 experiment.
 func Fig12LoadlineBorrowing(o Options) Fig12Result {
 	const bench = "raytrace"
@@ -75,12 +50,10 @@ func Fig12LoadlineBorrowing(o Options) Fig12Result {
 		baseUV, borrUV        []float64
 	}
 	pts := parallel.Sweep(o.pool(), o.coreCounts(), func(_ int, n int) point {
-		plC, keepC := fig12Schedule(n, false)
-		plB, keepB := fig12Schedule(n, true)
 		var pt point
-		pt.staticP, _ = serverSteady(o, fmt.Sprintf("fig12/st/%d", n), d, plC, keepC, firmware.Static)
-		pt.baseP, pt.baseUV = serverSteady(o, fmt.Sprintf("fig12/base/%d", n), d, plC, keepC, firmware.Undervolt)
-		pt.borrP, pt.borrUV = serverSteady(o, fmt.Sprintf("fig12/borr/%d", n), d, plB, keepB, firmware.Undervolt)
+		pt.staticP, _ = serverSteady(o, fmt.Sprintf("fig12/st/%d", n), d, n, false, firmware.Static)
+		pt.baseP, pt.baseUV = serverSteady(o, fmt.Sprintf("fig12/base/%d", n), d, n, false, firmware.Undervolt)
+		pt.borrP, pt.borrUV = serverSteady(o, fmt.Sprintf("fig12/borr/%d", n), d, n, true, firmware.Undervolt)
 		return pt
 	})
 	for i, n := range o.coreCounts() {

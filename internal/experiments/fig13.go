@@ -50,13 +50,10 @@ func Fig13BorrowingSweep(o Options) Fig13Result {
 	}
 	type imp struct{ impC, impB float64 }
 	imps := parallel.Sweep(o.pool(), points, func(_ int, pt gridPoint) imp {
-		plC, keepC := fig12Schedule(pt.n, false)
-		plB, keepB := fig12Schedule(pt.n, true)
-
-		staticC, _ := serverSteady(o, fmt.Sprintf("fig13/stc/%s/%d", pt.d.Name, pt.n), pt.d, plC, keepC, firmware.Static)
-		agC, _ := serverSteady(o, fmt.Sprintf("fig13/agc/%s/%d", pt.d.Name, pt.n), pt.d, plC, keepC, firmware.Undervolt)
-		staticB, _ := serverSteady(o, fmt.Sprintf("fig13/stb/%s/%d", pt.d.Name, pt.n), pt.d, plB, keepB, firmware.Static)
-		agB, _ := serverSteady(o, fmt.Sprintf("fig13/agb/%s/%d", pt.d.Name, pt.n), pt.d, plB, keepB, firmware.Undervolt)
+		staticC, _ := serverSteady(o, fmt.Sprintf("fig13/stc/%s/%d", pt.d.Name, pt.n), pt.d, pt.n, false, firmware.Static)
+		agC, _ := serverSteady(o, fmt.Sprintf("fig13/agc/%s/%d", pt.d.Name, pt.n), pt.d, pt.n, false, firmware.Undervolt)
+		staticB, _ := serverSteady(o, fmt.Sprintf("fig13/stb/%s/%d", pt.d.Name, pt.n), pt.d, pt.n, true, firmware.Static)
+		agB, _ := serverSteady(o, fmt.Sprintf("fig13/agb/%s/%d", pt.d.Name, pt.n), pt.d, pt.n, true, firmware.Undervolt)
 
 		return imp{impC: improvementPct(staticC, agC), impB: improvementPct(staticB, agB)}
 	})

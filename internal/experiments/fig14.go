@@ -54,11 +54,9 @@ func Fig14FullSuite(o Options) Fig14Result {
 	res.WorstEnergy, res.BestEnergy = 1e9, -1e9
 	type point struct{ base, borr runResult }
 	pts := parallel.Sweep(o.pool(), workloads, func(_ int, d workload.Descriptor) point {
-		plC, keepC := fig12Schedule(n, false)
-		plB, keepB := fig12Schedule(n, true)
 		return point{
-			base: serverRun(o, fmt.Sprintf("fig14/base/%s", d.Name), d, plC, keepC, firmware.Undervolt),
-			borr: serverRun(o, fmt.Sprintf("fig14/borr/%s", d.Name), d, plB, keepB, firmware.Undervolt),
+			base: serverRun(o, fmt.Sprintf("fig14/base/%s", d.Name), d, n, false, firmware.Undervolt),
+			borr: serverRun(o, fmt.Sprintf("fig14/borr/%s", d.Name), d, n, true, firmware.Undervolt),
 		}
 	})
 	for i, d := range workloads {

@@ -376,19 +376,34 @@ func runChipToCompletion(o Options, name string, n int, mode firmware.Mode) runR
 	return res
 }
 
-// serverRun runs a job to completion on the two-socket server under the
-// given placement/gating schedule and guardband mode.
-func serverRun(o Options, tag string, d workload.Descriptor, placements []server.Placement, keepOn []int, mode firmware.Mode) runResult {
+// paperOnCores is the §5.1 scenario's responsiveness floor: eight of the
+// server's sixteen cores stay powered, a 50% utilization ceiling.
+const paperOnCores = 8
+
+// submitSchedule submits n threads of d to s under the §5.1 schedule:
+// spread across the sockets when borrow, packed onto socket 0 otherwise
+// (server.PlaceOnFree), with paperOnCores cores powered by the same rule
+// (server.GateUnloadedCores).
+func submitSchedule(s *server.Server, d workload.Descriptor, n int, borrow bool) *server.Job {
+	// The figures' n never exceeds the empty server's cores; a nil
+	// layout would fail MustSubmit.
+	ps, _ := server.PlaceOnFree(s.FreeCores(nil), n, !borrow)
+	j := s.MustSubmit("j", d, ps, 1e9)
+	s.GateUnloadedCores(paperOnCores, !borrow)
+	return j
+}
+
+// serverRun runs n threads of a job to completion on the two-socket
+// server under the §5.1 schedule (submitSchedule) and guardband mode.
+func serverRun(o Options, tag string, d workload.Descriptor, n int, borrow bool, mode firmware.Mode) runResult {
 	cfg := o.serverConfig(o.Seed ^ hash(tag))
 	cfg.Recorder = o.Recorder.Shard("server/" + tag)
 	s := acquireServer(cfg)
-	j := s.MustSubmit("j", d, placements, 1e9)
-	s.GateUnloadedCores(keepOn...)
+	j := submitSchedule(s, d, n, borrow)
 	s.SetMode(mode)
 	s.Settle(o.SettleSec)
 	// Reset each thread to the measured work budget so settling progress
 	// does not bias the schedule comparison.
-	n := len(placements)
 	per := d.WorkGInst * o.WorkScale / (float64(n) * d.ParallelEfficiency(n))
 	for _, th := range j.Threads {
 		th.Reset(per)
@@ -412,14 +427,13 @@ func serverRun(o Options, tag string, d workload.Descriptor, placements []server
 	return res
 }
 
-// serverSteady measures the server's steady totals under a schedule with
-// endless work.
-func serverSteady(o Options, tag string, d workload.Descriptor, placements []server.Placement, keepOn []int, mode firmware.Mode) (totalPowerW float64, undervolts []float64) {
+// serverSteady measures the server's steady totals with n threads of
+// endless work under the §5.1 schedule (submitSchedule).
+func serverSteady(o Options, tag string, d workload.Descriptor, n int, borrow bool, mode firmware.Mode) (totalPowerW float64, undervolts []float64) {
 	cfg := o.serverConfig(o.Seed ^ hash(tag))
 	cfg.Recorder = o.Recorder.Shard("server/" + tag)
 	s := acquireServer(cfg)
-	s.MustSubmit("j", d, placements, 1e9)
-	s.GateUnloadedCores(keepOn...)
+	submitSchedule(s, d, n, borrow)
 	s.SetMode(mode)
 	s.Settle(o.SettleSec)
 	uv := make([]float64, s.Sockets())

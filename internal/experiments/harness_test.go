@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"agsim/internal/firmware"
+	"agsim/internal/power"
+	"agsim/internal/server"
+	"agsim/internal/workload"
 )
 
 func TestHashDeterministicAndSpread(t *testing.T) {
@@ -106,19 +109,31 @@ func TestChipSteadyIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestFig12ScheduleShapes: submitSchedule places n = 1..8 threads and
+// keeps the scenario's eight cores powered, all on socket 0 under
+// consolidation and four per socket under borrowing.
 func TestFig12ScheduleShapes(t *testing.T) {
+	d := workload.MustGet("raytrace")
 	for n := 1; n <= 8; n++ {
-		plC, keepC := fig12Schedule(n, false)
-		if len(plC) != n || keepC[0]+n != 8 || keepC[1] != 0 {
-			t.Errorf("consolidated n=%d: %v %v", n, plC, keepC)
-		}
-		plB, keepB := fig12Schedule(n, true)
-		if len(plB) != n {
-			t.Errorf("borrowed n=%d placements: %v", n, plB)
-		}
-		on := n + keepB[0] + keepB[1]
-		if on != 8 {
-			t.Errorf("borrowed n=%d keeps %d cores on, want 8", n, on)
+		for _, borrow := range []bool{false, true} {
+			s := server.MustNew(server.DefaultConfig(1))
+			j := submitSchedule(s, d, n, borrow)
+			want := [2]int{8, 0}
+			if borrow {
+				want = [2]int{4, 4}
+			}
+			var got [2]int
+			for si := range got {
+				c := s.Chip(si)
+				for i := 0; i < c.Cores(); i++ {
+					if c.Core(i).State() != power.Gated {
+						got[si]++
+					}
+				}
+			}
+			if len(j.Threads) != n || got != want {
+				t.Errorf("n=%d borrow=%v: %d threads, powered %v; want %d and %v", n, borrow, len(j.Threads), got, n, want)
+			}
 		}
 	}
 }

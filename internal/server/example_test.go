@@ -14,8 +14,9 @@ func Example() {
 	srv := server.MustNew(server.DefaultConfig(7))
 	d := workload.MustGet("raytrace")
 
-	// Loadline borrowing: balance eight threads across both sockets.
-	srv.MustSubmit("job", d, server.BorrowedPlacements(8, 2), 1e9)
+	// Loadline borrowing: spread eight threads across both sockets.
+	ps, _ := server.PlaceOnFree(srv.FreeCores(nil), 8, false)
+	srv.MustSubmit("job", d, ps, 1e9)
 	srv.SetMode(firmware.Undervolt)
 	srv.Settle(3)
 
@@ -33,11 +34,15 @@ func Example() {
 func ExampleServer_Migrate() {
 	srv := server.MustNew(server.DefaultConfig(7))
 	d := workload.MustGet("swaptions")
-	j := srv.MustSubmit("job", d, server.ConsolidatedPlacements(4), 1e9)
+	// Consolidation: keep the job together on socket 0.
+	ps, _ := server.PlaceOnFree(srv.FreeCores(nil), 4, true)
+	j := srv.MustSubmit("job", d, ps, 1e9)
 	srv.SetMode(firmware.Undervolt)
 	srv.Settle(1)
 
-	if err := srv.Migrate(j, server.BorrowedPlacements(4, 2)); err != nil {
+	// Re-place it over its own cores, spread across the sockets.
+	ps, _ = server.PlaceOnFree(srv.FreeCores(j), 4, false)
+	if err := srv.Migrate(j, ps); err != nil {
 		panic(err)
 	}
 	fmt.Printf("after migration: %d + %d cores\n",

@@ -23,7 +23,8 @@ func TestResetImagesLikeNew(t *testing.T) {
 		return img
 	}
 	life := func(s *server.Server) {
-		s.MustSubmit("split", workload.MustGet("radix"), server.BorrowedPlacements(6, 2), 2)
+		ps, _ := server.PlaceOnFree(s.FreeCores(nil), 6, false)
+		s.MustSubmit("split", workload.MustGet("radix"), ps, 2)
 		s.SetMode(firmware.Undervolt)
 		s.Settle(0.5)
 	}

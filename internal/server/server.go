@@ -262,7 +262,8 @@ func (s *Server) SetMode(m firmware.Mode) {
 // Submit creates a job running the descriptor with one thread per
 // placement. Work is the whole-job amount; it is divided across threads
 // with the workload's parallel-efficiency adjustment. A nil or zero
-// placement list is a caller bug.
+// placement list is a caller bug. Every placement is checked before any
+// thread is placed, so a refused job leaves the server as it was.
 func (s *Server) Submit(id string, d workload.Descriptor, placements []Placement, workGInst float64) (*Job, error) {
 	if len(placements) == 0 {
 		return nil, fmt.Errorf("server: job %s has no placements", id)
@@ -270,20 +271,13 @@ func (s *Server) Submit(id string, d workload.Descriptor, placements []Placement
 	if !(workGInst > 0) {
 		return nil, fmt.Errorf("server: job %s has non-positive work %v", id, workGInst)
 	}
+	j := &Job{ID: id, Desc: d, Placements: placements, spansSockets: spanSockets(placements)}
+	if err := s.checkPlacements(j, placements); err != nil {
+		return nil, err
+	}
 	n := len(placements)
 	perThread := workGInst / (float64(n) * d.ParallelEfficiency(n))
-	j := &Job{ID: id, Desc: d, Placements: placements, spansSockets: spanSockets(placements)}
 	for i, p := range placements {
-		if p.Socket < 0 || p.Socket >= len(s.chips) {
-			return nil, fmt.Errorf("server: job %s placement %d names socket %d of %d", id, i, p.Socket, len(s.chips))
-		}
-		if p.Core < 0 || p.Core >= s.cfg.CoresPerSocket {
-			return nil, fmt.Errorf("server: job %s placement %d names core %d of %d", id, i, p.Core, s.cfg.CoresPerSocket)
-		}
-		if other := s.coreJob[p.Socket][p.Core]; other != nil && other != j {
-			return nil, fmt.Errorf("server: job %s placement %d collides with job %s on P%d core %d",
-				id, i, other.ID, p.Socket, p.Core)
-		}
 		var th *workload.Thread
 		if k := len(s.freeThreads) - 1; k >= 0 {
 			th = s.freeThreads[k]
@@ -299,6 +293,25 @@ func (s *Server) Submit(id string, d workload.Descriptor, placements []Placement
 	}
 	s.jobs = append(s.jobs, j)
 	return j, nil
+}
+
+// checkPlacements refuses a placement that names a socket or core the
+// server lacks, or a core another job than j occupies. Threads of j may
+// share a core (SMT).
+func (s *Server) checkPlacements(j *Job, placements []Placement) error {
+	for i, p := range placements {
+		if p.Socket < 0 || p.Socket >= len(s.chips) {
+			return fmt.Errorf("server: job %s placement %d names socket %d of %d", j.ID, i, p.Socket, len(s.chips))
+		}
+		if p.Core < 0 || p.Core >= s.cfg.CoresPerSocket {
+			return fmt.Errorf("server: job %s placement %d names core %d of %d", j.ID, i, p.Core, s.cfg.CoresPerSocket)
+		}
+		if other := s.coreJob[p.Socket][p.Core]; other != nil && other != j {
+			return fmt.Errorf("server: job %s placement %d collides with job %s on P%d core %d",
+				j.ID, i, other.ID, p.Socket, p.Core)
+		}
+	}
+	return nil
 }
 
 // MustSubmit is Submit for statically correct placements.
@@ -324,14 +337,8 @@ func (s *Server) Migrate(j *Job, placements []Placement) error {
 		return fmt.Errorf("server: job %s has %d threads, migration names %d placements",
 			j.ID, len(j.Threads), len(placements))
 	}
-	for i, p := range placements {
-		if p.Socket < 0 || p.Socket >= len(s.chips) || p.Core < 0 || p.Core >= s.cfg.CoresPerSocket {
-			return fmt.Errorf("server: job %s migration placement %d out of range", j.ID, i)
-		}
-		if other := s.coreJob[p.Socket][p.Core]; other != nil && other != j {
-			return fmt.Errorf("server: job %s migration collides with job %s on P%d core %d",
-				j.ID, other.ID, p.Socket, p.Core)
-		}
+	if err := s.checkPlacements(j, placements); err != nil {
+		return err
 	}
 
 	// Vacate the old cores, then place every thread at its new home.
@@ -370,39 +377,50 @@ func (s *Server) Remove(j *Job) {
 	}
 }
 
-// GateUnloadedCores deep-sleeps every core that has no threads, the
-// per-core power-gating half of loadline borrowing. keepOn[i] leaves that
-// many unloaded cores on socket i merely idle (turned on for
-// responsiveness, as the paper's 50%-utilization scenario keeps eight of
-// sixteen cores on); sockets beyond the slice keep none.
-func (s *Server) GateUnloadedCores(keepOn ...int) {
-	for si, c := range s.chips {
-		keep := 0
-		if si < len(keepOn) {
-			keep = keepOn[si]
+// GateUnloadedCores keeps on cores powered, counting loaded ones, and
+// power-gates every other unloaded core: the per-core gating half of
+// loadline borrowing (§5.1), where the operator keeps some idle cores on
+// for responsiveness (the paper keeps eight of sixteen for a 50%
+// utilization ceiling). Idle-on cores are added one at a time: with pack
+// (consolidation) to the lowest socket that still has an unloaded core,
+// otherwise (borrowing) to the socket with the fewest powered cores, ties
+// to the lower index. Within a socket the lowest-numbered unloaded cores
+// stay on. on at or above the core count powers every core.
+func (s *Server) GateUnloadedCores(on int, pack bool) {
+	counts := make([]int, 2*len(s.chips))
+	powered, idle := counts[:len(s.chips)], counts[len(s.chips):]
+	for si := range s.chips {
+		for _, j := range s.coreJob[si] {
+			if j != nil {
+				powered[si]++
+				on--
+			}
 		}
-		kept := 0
+	}
+	for ; on > 0; on-- {
+		best := -1
+		for si, n := range powered {
+			if n < s.cfg.CoresPerSocket && (best < 0 || !pack && n < powered[best]) {
+				best = si
+			}
+		}
+		if best < 0 {
+			break
+		}
+		powered[best]++
+		idle[best]++
+	}
+	for si, c := range s.chips {
 		for core := 0; core < c.Cores(); core++ {
 			if s.coreJob[si][core] != nil {
 				continue
 			}
-			if kept < keep {
-				c.SetCoreState(core, power.IdleOn)
-				kept++
-				continue
+			state := power.Gated
+			if idle[si] > 0 {
+				state = power.IdleOn
+				idle[si]--
 			}
-			c.SetCoreState(core, power.Gated)
-		}
-	}
-}
-
-// UngateAll returns every gated core to idle.
-func (s *Server) UngateAll() {
-	for si, c := range s.chips {
-		for core := 0; core < c.Cores(); core++ {
-			if s.coreJob[si][core] == nil && c.Core(core).State() == power.Gated {
-				c.SetCoreState(core, power.IdleOn)
-			}
+			c.SetCoreState(core, state)
 		}
 	}
 }
@@ -594,32 +612,13 @@ func (s *Server) RunUntilDone(maxSeconds float64) (elapsed float64, done bool) {
 	return s.timeSec - start, true
 }
 
-// ConsolidatedPlacements returns placements packing n threads onto socket 0
-// cores 0..n-1 — the conventional consolidation schedule (Fig. 11a).
-func ConsolidatedPlacements(n int) []Placement {
-	ps := make([]Placement, n)
-	for i := range ps {
-		ps[i] = Placement{Socket: 0, Core: i}
-	}
-	return ps
-}
-
-// BorrowedPlacements returns placements balancing n threads across sockets
-// round-robin — the loadline borrowing schedule (Fig. 11b).
-func BorrowedPlacements(n, sockets int) []Placement {
-	ps := make([]Placement, n)
-	for i := range ps {
-		ps[i] = Placement{Socket: i % sockets, Core: i / sockets}
-	}
-	return ps
-}
-
 // FreeCores lists each socket's unoccupied cores in index order — the
 // input of PlaceOnFree. Cores that own (nil for none) occupies count as
 // free, so a job can be re-placed over its own cores.
 func (s *Server) FreeCores(own *Job) [][]int {
 	free := make([][]int, len(s.chips))
 	for si, ch := range s.chips {
+		free[si] = make([]int, 0, ch.Cores())
 		for core := 0; core < ch.Cores(); core++ {
 			if len(ch.Core(core).Threads()) == 0 || own != nil && s.coreJob[si][core] == own {
 				free[si] = append(free[si], core)
@@ -631,10 +630,14 @@ func (s *Server) FreeCores(own *Job) [][]int {
 
 // PlaceOnFree places threads on the free cores FreeCores listed (scratch
 // it consumes) under the loadline-borrowing rule with respect to existing
-// occupancy: a job kept together (sharing-heavy, see core.ShouldBorrow)
-// goes on the first socket with room for all of it; otherwise, or when no
-// socket has room, each thread takes the socket with the most free cores,
-// ties to the lower index. ok is false when the free cores run out.
+// occupancy: a job kept together (consolidation, or a sharing-heavy job,
+// see core.ShouldBorrow) goes on the first socket with room for all of
+// it; otherwise, or when no socket has room, each thread takes the socket
+// with the most free cores, ties to the lower index. On an empty server
+// these are the paper's Fig. 11 schedules: kept together, threads that fit
+// one socket fill socket 0's lowest cores; spread, thread i lands on
+// socket i mod Sockets, core i / Sockets. ok is false when the free cores
+// run out.
 func PlaceOnFree(free [][]int, threads int, together bool) (ps []Placement, ok bool) {
 	if together {
 		for si := range free {

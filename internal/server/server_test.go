@@ -1,7 +1,9 @@
 package server
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"agsim/internal/firmware"
@@ -27,19 +29,127 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// layout is the Fig. 11 layout of n threads on s's free cores:
+// consolidated (kept together) or borrowed (spread across the sockets).
+func layout(s *Server, n int, borrowed bool) []Placement {
+	ps, ok := PlaceOnFree(s.FreeCores(nil), n, !borrowed)
+	if !ok {
+		panic(fmt.Sprintf("server: no room for %d threads", n))
+	}
+	return ps
+}
+
+// TestPlacementHelpers: on an empty default server PlaceOnFree gives the
+// paper's Fig. 11 layouts. Consolidated, n = 1..8 threads fill P0 cores
+// 0..n-1; borrowed, n = 1..16, thread i lands on socket i mod 2, core
+// i/2.
 func TestPlacementHelpers(t *testing.T) {
-	cons := ConsolidatedPlacements(5)
-	for i, p := range cons {
-		if p.Socket != 0 || p.Core != i {
-			t.Errorf("consolidated[%d] = %+v", i, p)
+	s := MustNew(DefaultConfig(1))
+	for _, tc := range []struct {
+		borrowed bool
+		maxN     int
+		want     func(i int) Placement
+	}{
+		{false, 8, func(i int) Placement { return Placement{Socket: 0, Core: i} }},
+		{true, 16, func(i int) Placement { return Placement{Socket: i % 2, Core: i / 2} }},
+	} {
+		for n := 1; n <= tc.maxN; n++ {
+			ps, ok := PlaceOnFree(s.FreeCores(nil), n, !tc.borrowed)
+			if !ok || len(ps) != n {
+				t.Fatalf("borrowed=%v n=%d: ok=%v, %d placements", tc.borrowed, n, ok, len(ps))
+			}
+			for i, p := range ps {
+				if p != tc.want(i) {
+					t.Errorf("borrowed=%v n=%d: placement %d = %+v, want %+v", tc.borrowed, n, i, p, tc.want(i))
+				}
+			}
 		}
 	}
-	borr := BorrowedPlacements(5, 2)
-	wantSockets := []int{0, 1, 0, 1, 0}
-	wantCores := []int{0, 0, 1, 1, 2}
-	for i, p := range borr {
-		if p.Socket != wantSockets[i] || p.Core != wantCores[i] {
-			t.Errorf("borrowed[%d] = %+v", i, p)
+}
+
+// TestPlaceOnFreeBalances: spreading takes each thread to the socket with
+// the most free cores, so on an empty server no socket gets two threads
+// more than the other (socket 0 takes the odd one), and over random
+// occupancies every socket that took a thread keeps at least as many free
+// cores as any other, less one. No core is handed out twice or busy.
+func TestPlaceOnFreeBalances(t *testing.T) {
+	s := MustNew(DefaultConfig(1))
+	for n := 1; n <= 16; n++ {
+		ps, ok := PlaceOnFree(s.FreeCores(nil), n, false)
+		if !ok {
+			t.Fatalf("n=%d: no room", n)
+		}
+		counts := []int{0, 0}
+		seen := map[Placement]bool{}
+		for _, p := range ps {
+			if seen[p] {
+				t.Fatalf("n=%d: duplicate placement %+v", n, p)
+			}
+			seen[p] = true
+			counts[p.Socket]++
+		}
+		if diff := counts[0] - counts[1]; diff < 0 || diff > 1 {
+			t.Errorf("n=%d: imbalance %v", n, counts)
+		}
+	}
+
+	r := rand.New(rand.NewPCG(7, 11))
+	for trial := 0; trial < 200; trial++ {
+		free := [][]int{nil, nil}
+		busy := map[Placement]bool{}
+		for si := range free {
+			for core := 0; core < 8; core++ {
+				if r.IntN(3) == 0 {
+					busy[Placement{Socket: si, Core: core}] = true
+				} else {
+					free[si] = append(free[si], core)
+				}
+			}
+		}
+		room := len(free[0]) + len(free[1])
+		n := r.IntN(room + 1)
+		left := []int{len(free[0]), len(free[1])}
+		ps, ok := PlaceOnFree(free, n, false)
+		if !ok || len(ps) != n {
+			t.Fatalf("%d threads on %d free cores: ok=%v, %d placements", n, room, ok, len(ps))
+		}
+		took := []bool{false, false}
+		for _, p := range ps {
+			if busy[p] {
+				t.Fatalf("placement %+v on a busy or already used core", p)
+			}
+			busy[p] = true
+			left[p.Socket]--
+			took[p.Socket] = true
+		}
+		for a := range left {
+			for b := range left {
+				if took[a] && left[a] < left[b]-1 {
+					t.Fatalf("%d threads: socket %d took threads down to %d free cores while socket %d kept %d",
+						n, a, left[a], b, left[b])
+				}
+			}
+		}
+	}
+}
+
+// TestPlaceOnFreeRefusesOverfull: a job with more threads than free cores
+// gets no placements, kept together or spread, on an empty or a partly
+// loaded server; one thread fewer fits.
+func TestPlaceOnFreeRefusesOverfull(t *testing.T) {
+	s := MustNew(DefaultConfig(1))
+	for _, together := range []bool{false, true} {
+		if ps, ok := PlaceOnFree(s.FreeCores(nil), 17, together); ok || ps != nil {
+			t.Errorf("together=%v: 17 threads on 16 cores gave ok=%v, %v", together, ok, ps)
+		}
+	}
+	s.MustSubmit("j", workload.MustGet("raytrace"), layout(s, 5, true), 10)
+	for _, together := range []bool{false, true} {
+		if ps, ok := PlaceOnFree(s.FreeCores(nil), 12, together); ok || ps != nil {
+			t.Errorf("together=%v: 12 threads on 11 free cores gave ok=%v, %v", together, ok, ps)
+		}
+		if ps, ok := PlaceOnFree(s.FreeCores(nil), 11, together); !ok || len(ps) != 11 {
+			t.Errorf("together=%v: 11 threads on 11 free cores gave ok=%v, %d placements", together, ok, len(ps))
 		}
 	}
 }
@@ -50,7 +160,7 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := s.Submit("j", d, nil, 10); err == nil {
 		t.Error("expected error for empty placements")
 	}
-	if _, err := s.Submit("j", d, ConsolidatedPlacements(1), 0); err == nil {
+	if _, err := s.Submit("j", d, layout(s, 1, false), 0); err == nil {
 		t.Error("expected error for zero work")
 	}
 	if _, err := s.Submit("j", d, []Placement{{Socket: 5, Core: 0}}, 10); err == nil {
@@ -59,10 +169,10 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := s.Submit("j", d, []Placement{{Socket: 0, Core: 99}}, 10); err == nil {
 		t.Error("expected error for bad core")
 	}
-	if _, err := s.Submit("a", d, ConsolidatedPlacements(2), 10); err != nil {
+	if _, err := s.Submit("a", d, layout(s, 2, false), 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit("b", d, ConsolidatedPlacements(1), 10); err == nil {
+	if _, err := s.Submit("b", d, []Placement{{Socket: 0, Core: 0}}, 10); err == nil {
 		t.Error("expected collision error")
 	}
 }
@@ -72,7 +182,7 @@ func TestSubmitValidation(t *testing.T) {
 // thread, so no job is kept and every core stays free.
 func TestSubmitRefusesNaNWork(t *testing.T) {
 	s := MustNew(DefaultConfig(2))
-	if _, err := s.Submit("n", workload.MustGet("raytrace"), ConsolidatedPlacements(2), math.NaN()); err == nil {
+	if _, err := s.Submit("n", workload.MustGet("raytrace"), layout(s, 2, false), math.NaN()); err == nil {
 		t.Fatal("Submit accepted NaN work")
 	}
 	if len(s.Jobs()) != 0 {
@@ -86,10 +196,30 @@ func TestSubmitRefusesNaNWork(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusedPlacementLeavesNothing: Submit checks every placement
+// before it places any thread, so a job refused at its second placement
+// leaves its first core free and untracked.
+func TestSubmitRefusedPlacementLeavesNothing(t *testing.T) {
+	s := MustNew(DefaultConfig(2))
+	d := workload.MustGet("raytrace")
+	if _, err := s.Submit("p", d, []Placement{{Socket: 0, Core: 0}, {Socket: 5, Core: 0}}, 10); err == nil {
+		t.Fatal("Submit accepted a placement on socket 5")
+	}
+	if a0, a1 := s.Chip(0).ActiveCores(), s.Chip(1).ActiveCores(); a0 != 0 || a1 != 0 {
+		t.Errorf("a refused Submit left %d + %d cores active", a0, a1)
+	}
+	if len(s.Jobs()) != 0 {
+		t.Errorf("a refused Submit left %d jobs", len(s.Jobs()))
+	}
+	if _, err := s.Submit("q", d, []Placement{{Socket: 0, Core: 0}}, 10); err != nil {
+		t.Errorf("P0 core 0 still taken after a refused Submit: %v", err)
+	}
+}
+
 func TestJobTopology(t *testing.T) {
 	s := MustNew(DefaultConfig(3))
 	d := workload.MustGet("lu_ncb")
-	j := s.MustSubmit("j", d, BorrowedPlacements(4, 2), 10)
+	j := s.MustSubmit("j", d, layout(s, 4, true), 10)
 	socks := j.Sockets()
 	if len(socks) != 2 {
 		t.Errorf("Sockets = %v", socks)
@@ -106,7 +236,7 @@ func TestJobTopology(t *testing.T) {
 func TestRemoveFreesCores(t *testing.T) {
 	s := MustNew(DefaultConfig(4))
 	d := workload.MustGet("raytrace")
-	j := s.MustSubmit("j", d, ConsolidatedPlacements(3), 10)
+	j := s.MustSubmit("j", d, layout(s, 3, false), 10)
 	if len(s.Jobs()) != 1 || s.Chip(0).ActiveCores() != 3 {
 		t.Fatal("submit did not place")
 	}
@@ -115,35 +245,104 @@ func TestRemoveFreesCores(t *testing.T) {
 		t.Error("remove did not clear")
 	}
 	// The cores are reusable.
-	if _, err := s.Submit("j2", d, ConsolidatedPlacements(3), 10); err != nil {
+	if _, err := s.Submit("j2", d, layout(s, 3, false), 10); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestGateUnloadedCoresPerSocket(t *testing.T) {
-	s := MustNew(DefaultConfig(5))
-	d := workload.MustGet("raytrace")
-	s.MustSubmit("j", d, ConsolidatedPlacements(2), 100)
-	s.GateUnloadedCores(6, 0)
-	gated := func(si int) int {
-		n := 0
+// powered counts each socket's cores that are not gated.
+func powered(s *Server) []int {
+	out := make([]int, s.Sockets())
+	for si := range out {
 		c := s.Chip(si)
 		for i := 0; i < c.Cores(); i++ {
-			if c.Core(i).State() == power.Gated {
-				n++
+			if c.Core(i).State() != power.Gated {
+				out[si]++
 			}
 		}
-		return n
 	}
-	if g := gated(0); g != 0 {
-		t.Errorf("socket 0 gated %d cores, want 0 (2 active + 6 kept)", g)
+	return out
+}
+
+// TestGateUnloadedCoresPerSocket: with eight cores kept powered,
+// GateUnloadedCores gives Fig. 12's counts for n = 1..8 threads:
+// consolidation powers eight cores on socket 0, borrowing four on each.
+// Sixteen cores on powers every core. On an empty server, an odd count
+// spread across the sockets puts the extra core on the lower index.
+func TestGateUnloadedCoresPerSocket(t *testing.T) {
+	empty := MustNew(DefaultConfig(5))
+	empty.GateUnloadedCores(5, false)
+	if got := powered(empty); got[0] != 3 || got[1] != 2 {
+		t.Errorf("empty server, 5 on spread: powered %v, want [3 2]", got)
 	}
-	if g := gated(1); g != 8 {
-		t.Errorf("socket 1 gated %d cores, want 8", g)
+	empty.GateUnloadedCores(5, true)
+	if got := powered(empty); got[0] != 5 || got[1] != 0 {
+		t.Errorf("empty server, 5 on packed: powered %v, want [5 0]", got)
 	}
-	s.UngateAll()
-	if gated(0) != 0 || gated(1) != 0 {
-		t.Error("UngateAll left gated cores")
+	d := workload.MustGet("raytrace")
+	for n := 1; n <= 8; n++ {
+		for _, borrowed := range []bool{false, true} {
+			s := MustNew(DefaultConfig(5))
+			s.MustSubmit("j", d, layout(s, n, borrowed), 100)
+			s.GateUnloadedCores(8, !borrowed)
+			want := []int{8, 0}
+			if borrowed {
+				want = []int{4, 4}
+			}
+			if got := powered(s); got[0] != want[0] || got[1] != want[1] {
+				t.Errorf("n=%d borrowed=%v: powered %v, want %v", n, borrowed, got, want)
+			}
+			s.GateUnloadedCores(16, !borrowed)
+			if got := powered(s); got[0] != 8 || got[1] != 8 {
+				t.Errorf("n=%d borrowed=%v: on=16 powered %v, want every core", n, borrowed, got)
+			}
+		}
+	}
+}
+
+// TestGateUnloadedCoresRandom checks the rule over random occupancies,
+// every on in [0, 16] and both modes: max(on, loaded) cores end up
+// powered; spreading leaves a socket that got idle cores at most one
+// above any socket with room left; packing never powers a socket 1 core
+// while socket 0 has an unloaded core gated.
+func TestGateUnloadedCoresRandom(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 31))
+	d := workload.MustGet("raytrace")
+	s := MustNew(DefaultConfig(5))
+	for trial := 0; trial < 200; trial++ {
+		s.Reset(5, nil)
+		var ps []Placement
+		loaded := []int{0, 0}
+		for si := 0; si < 2; si++ {
+			for core := 0; core < 8; core++ {
+				if r.IntN(3) == 0 {
+					ps = append(ps, Placement{Socket: si, Core: core})
+					loaded[si]++
+				}
+			}
+		}
+		if len(ps) > 0 {
+			s.MustSubmit("j", d, ps, 100)
+		}
+		for on := 0; on <= 16; on++ {
+			for _, pack := range []bool{false, true} {
+				s.GateUnloadedCores(on, pack)
+				got := powered(s)
+				if want := max(on, len(ps)); got[0]+got[1] != want {
+					t.Fatalf("loaded %v on=%d pack=%v: powered %v, want %d in all", loaded, on, pack, got, want)
+				}
+				for a := range got {
+					for b := range got {
+						if !pack && got[a] > loaded[a] && got[b] < 8 && got[a] > got[b]+1 {
+							t.Fatalf("loaded %v on=%d: spread powered %v", loaded, on, got)
+						}
+					}
+				}
+				if pack && got[1] > loaded[1] && got[0] < 8 {
+					t.Fatalf("loaded %v on=%d: packed powered %v with socket 0 cores gated", loaded, on, got)
+				}
+			}
+		}
 	}
 }
 
@@ -153,7 +352,7 @@ func TestMemoryContentionReliefFromSplitting(t *testing.T) {
 	d := workload.MustGet("radix")
 
 	cons := MustNew(DefaultConfig(6))
-	cons.MustSubmit("j", d, ConsolidatedPlacements(8), d.WorkGInst)
+	cons.MustSubmit("j", d, layout(cons, 8, false), d.WorkGInst)
 	cons.SetMode(firmware.Static)
 	tCons, done := cons.RunUntilDone(300)
 	if !done {
@@ -161,7 +360,7 @@ func TestMemoryContentionReliefFromSplitting(t *testing.T) {
 	}
 
 	split := MustNew(DefaultConfig(6))
-	split.MustSubmit("j", d, BorrowedPlacements(8, 2), d.WorkGInst)
+	split.MustSubmit("j", d, layout(split, 8, true), d.WorkGInst)
 	split.SetMode(firmware.Static)
 	tSplit, done := split.RunUntilDone(300)
 	if !done {
@@ -179,7 +378,7 @@ func TestSharingPenaltyFromSplitting(t *testing.T) {
 	d := workload.MustGet("lu_ncb")
 
 	cons := MustNew(DefaultConfig(7))
-	cons.MustSubmit("j", d, ConsolidatedPlacements(8), d.WorkGInst)
+	cons.MustSubmit("j", d, layout(cons, 8, false), d.WorkGInst)
 	cons.SetMode(firmware.Static)
 	tCons, done := cons.RunUntilDone(300)
 	if !done {
@@ -187,7 +386,7 @@ func TestSharingPenaltyFromSplitting(t *testing.T) {
 	}
 
 	split := MustNew(DefaultConfig(7))
-	split.MustSubmit("j", d, BorrowedPlacements(8, 2), d.WorkGInst)
+	split.MustSubmit("j", d, layout(split, 8, true), d.WorkGInst)
 	split.SetMode(firmware.Static)
 	tSplit, done := split.RunUntilDone(300)
 	if !done {
@@ -208,13 +407,8 @@ func TestLoadlineBorrowingSavesPower(t *testing.T) {
 	measure := func(borrowed bool) float64 {
 		s := MustNew(DefaultConfig(8))
 		d := workload.MustGet("raytrace")
-		if borrowed {
-			s.MustSubmit("j", d, BorrowedPlacements(8, 2), 1e9)
-			s.GateUnloadedCores(0, 0)
-		} else {
-			s.MustSubmit("j", d, ConsolidatedPlacements(8), 1e9)
-			s.GateUnloadedCores(0, 0)
-		}
+		s.MustSubmit("j", d, layout(s, 8, borrowed), 1e9)
+		s.GateUnloadedCores(0, !borrowed)
 		s.SetMode(firmware.Undervolt)
 		s.Settle(3)
 		sum := 0.0
@@ -234,11 +428,11 @@ func TestLoadlineBorrowingSavesPower(t *testing.T) {
 	// Both sockets should carry deeper undervolt than the consolidated
 	// loaded socket.
 	sBorr := MustNew(DefaultConfig(8))
-	sBorr.MustSubmit("j", workload.MustGet("raytrace"), BorrowedPlacements(8, 2), 1e9)
+	sBorr.MustSubmit("j", workload.MustGet("raytrace"), layout(sBorr, 8, true), 1e9)
 	sBorr.SetMode(firmware.Undervolt)
 	sBorr.Settle(3)
 	sCons := MustNew(DefaultConfig(8))
-	sCons.MustSubmit("j", workload.MustGet("raytrace"), ConsolidatedPlacements(8), 1e9)
+	sCons.MustSubmit("j", workload.MustGet("raytrace"), layout(sCons, 8, false), 1e9)
 	sCons.SetMode(firmware.Undervolt)
 	sCons.Settle(3)
 	if sBorr.Chip(0).UndervoltMV() <= sCons.Chip(0).UndervoltMV() {
@@ -252,8 +446,8 @@ func TestFullyGatedChipHoldsNominal(t *testing.T) {
 	// the nominal set point rather than undervolting blind.
 	s := MustNew(DefaultConfig(9))
 	d := workload.MustGet("raytrace")
-	s.MustSubmit("j", d, ConsolidatedPlacements(4), 1e9)
-	s.GateUnloadedCores(4, 0)
+	s.MustSubmit("j", d, layout(s, 4, false), 1e9)
+	s.GateUnloadedCores(8, true)
 	s.SetMode(firmware.Undervolt)
 	s.Settle(2)
 	if uv := s.Chip(1).UndervoltMV(); uv != 0 {
@@ -267,7 +461,7 @@ func TestFullyGatedChipHoldsNominal(t *testing.T) {
 func TestRunUntilDoneTimeout(t *testing.T) {
 	s := MustNew(DefaultConfig(10))
 	d := workload.MustGet("swaptions")
-	s.MustSubmit("j", d, ConsolidatedPlacements(1), 1e6) // absurdly large
+	s.MustSubmit("j", d, layout(s, 1, false), 1e6) // absurdly large
 	s.SetMode(firmware.Static)
 	elapsed, done := s.RunUntilDone(0.1)
 	if done {
@@ -284,7 +478,7 @@ func TestRunUntilDoneTimeout(t *testing.T) {
 func TestEnergyAccounting(t *testing.T) {
 	s := MustNew(DefaultConfig(11))
 	d := workload.MustGet("mcf")
-	s.MustSubmit("j", d, ConsolidatedPlacements(1), 1e9)
+	s.MustSubmit("j", d, layout(s, 1, false), 1e9)
 	s.SetMode(firmware.Static)
 	s.Settle(1)
 	s.ResetEnergy()
@@ -299,7 +493,7 @@ func TestEnergyAccounting(t *testing.T) {
 func TestSocketBandwidthDemand(t *testing.T) {
 	s := MustNew(DefaultConfig(12))
 	d := workload.MustGet("lbm")
-	s.MustSubmit("j", d, ConsolidatedPlacements(8), 1e9)
+	s.MustSubmit("j", d, layout(s, 8, false), 1e9)
 	s.SetMode(firmware.Static)
 	s.Settle(1)
 	if dem := s.SocketBandwidthDemand(0); dem < 5 {

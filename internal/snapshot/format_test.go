@@ -53,7 +53,8 @@ func servePairOn(rec *obs.Recorder, nodes int, seed uint64) *servePair {
 	})
 	d := workload.MustGet("websearch")
 	f.ForEachNode(func(i int, s *server.Server) {
-		s.MustSubmit("serve", d, server.ConsolidatedPlacements(8), 1e9)
+		ps, _ := server.PlaceOnFree(s.FreeCores(nil), 8, true)
+		s.MustSubmit("serve", d, ps, 1e9)
 		s.SetMode(firmware.Undervolt)
 	})
 	cfg := traffic.DefaultConfig(nodes, seed)

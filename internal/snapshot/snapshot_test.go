@@ -365,7 +365,8 @@ func testServer(seed uint64, rec *obs.Recorder) *server.Server {
 	cfg.Recorder = rec
 	s := server.MustNew(cfg)
 	d := workload.MustGet("raytrace")
-	s.MustSubmit("j", d, server.ConsolidatedPlacements(6), 1e9)
+	ps, _ := server.PlaceOnFree(s.FreeCores(nil), 6, true)
+	s.MustSubmit("j", d, ps, 1e9)
 	s.SetMode(firmware.Undervolt)
 	return s
 }
@@ -508,7 +509,8 @@ func TestFleetRestoreIdentity(t *testing.T) {
 			})
 			d := workload.MustGet("swaptions")
 			f.ForEachNode(func(i int, s *server.Server) {
-				s.MustSubmit("j", d, server.ConsolidatedPlacements(4), 1e9)
+				ps, _ := server.PlaceOnFree(s.FreeCores(nil), 4, true)
+				s.MustSubmit("j", d, ps, 1e9)
 				s.SetMode(firmware.Undervolt)
 			})
 			return f
