@@ -52,7 +52,7 @@
 #                        snapshot), `agsim replay` the newest image to the
 #                        next cpm-window event and require `-until droops`
 #                        to exit 2 at once, require `agsim replay` of a copy
-#                        whose layout byte (offset 7) reads 8, as a pre-v9
+#                        whose layout byte (offset 7) reads 9, as a pre-v10
 #                        checkpoint's does, to exit non-zero without a
 #                        panic and ask for a re-capture ("state layout
 #                        changed; re-capture"), require amesterd `-snap-every
@@ -224,16 +224,16 @@ smoke:
 	[ $$st -eq 2 ] || { echo "smoke: agsim replay -until droops exit status $$st, want 2 (124: still stepping after 5s)"; cat $(SMOKE_DIR)/replay-bad.out; exit 1; }; \
 	grep -q 'cpm-window' $(SMOKE_DIR)/replay-bad.out; \
 	echo "smoke: agsim replay -until droops exited 2, listing the event kinds"; \
-	cp $$snap $(SMOKE_DIR)/layout8.snap; \
-	printf '\010' | dd of=$(SMOKE_DIR)/layout8.snap bs=1 seek=7 conv=notrunc status=none; \
-	timeout 5 $(SMOKE_DIR)/agsim replay -from $(SMOKE_DIR)/layout8.snap -until cpm-window \
-		>$(SMOKE_DIR)/replay-layout8.out 2>&1 && st=0 || st=$$?; \
-	if [ $$st -eq 0 ] || [ $$st -eq 124 ] || grep -q 'panic:' $(SMOKE_DIR)/replay-layout8.out; then \
-		echo "smoke: agsim replay of a layout-8 image: exit status $$st, want non-zero without a panic (124: still running after 5s)"; \
-		cat $(SMOKE_DIR)/replay-layout8.out; exit 1; \
+	cp $$snap $(SMOKE_DIR)/layout9.snap; \
+	printf '\011' | dd of=$(SMOKE_DIR)/layout9.snap bs=1 seek=7 conv=notrunc status=none; \
+	timeout 5 $(SMOKE_DIR)/agsim replay -from $(SMOKE_DIR)/layout9.snap -until cpm-window \
+		>$(SMOKE_DIR)/replay-layout9.out 2>&1 && st=0 || st=$$?; \
+	if [ $$st -eq 0 ] || [ $$st -eq 124 ] || grep -q 'panic:' $(SMOKE_DIR)/replay-layout9.out; then \
+		echo "smoke: agsim replay of a layout-9 image: exit status $$st, want non-zero without a panic (124: still running after 5s)"; \
+		cat $(SMOKE_DIR)/replay-layout9.out; exit 1; \
 	fi; \
-	grep -q 'state layout changed; re-capture' $(SMOKE_DIR)/replay-layout8.out; \
-	echo "smoke: agsim replay refused a layout-8 image, asking for a re-capture"
+	grep -q 'state layout changed; re-capture' $(SMOKE_DIR)/replay-layout9.out; \
+	echo "smoke: agsim replay refused a layout-9 image, asking for a re-capture"
 	@set -e; rm -rf $(SMOKE_DIR)/badsnaps; mkdir -p $(SMOKE_DIR)/badsnaps; \
 	$(call smoke_exit2,amesterd-snap-every,$(SMOKE_DIR)/amesterd -listen 127.0.0.1:$(SMOKE_AMESTER_PORT) -snap-dir $(SMOKE_DIR)/badsnaps -snap-every -1); \
 	[ -z "$$(ls $(SMOKE_DIR)/badsnaps)" ] || { echo "smoke: amesterd -snap-every -1 wrote an image"; exit 1; }; \

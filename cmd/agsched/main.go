@@ -52,7 +52,7 @@ func main() {
 	threads := flag.Int("threads", 8, "thread count (1-16)")
 	mode := flag.String("mode", "undervolt", "guardband mode: static | undervolt | overclock")
 	borrow := flag.Bool("borrow", false, "use the loadline-borrowing schedule instead of consolidation")
-	rebalance := flag.Bool("rebalance", false, "run the dynamic rebalancer during the measurement")
+	rebalance := flag.Bool("rebalance", false, "run the dynamic rebalancer during the measurement; it re-gates to -on-cores after each migration")
 	duration := flag.Float64("duration", 10, "simulated seconds to run")
 	onCores := flag.Int("on-cores", 8, "cores kept powered across the server, loaded ones included (consolidation powers socket 0 first, borrowing balances the sockets)")
 	seed := flag.Uint64("seed", 7, "simulation seed")
@@ -124,7 +124,7 @@ func main() {
 	s.SetMode(m)
 
 	s.Settle(2)
-	reb := core.NewRebalancer()
+	reb := core.NewRebalancer(*onCores, !*borrow)
 	// Sum each sensor once per 1 ms step; dividing by the step count gives
 	// the time average over the measured span.
 	type socketSums struct{ power, undervolt, freq, mips, temp float64 }

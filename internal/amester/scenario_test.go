@@ -32,15 +32,15 @@ func TestBuildRefusesBadScenarios(t *testing.T) {
 }
 
 // TestBuildConsolidatedPastOneSocket: a consolidated scenario with more
-// threads than one socket holds builds. The job cannot stay together, so
-// PlaceOnFree spreads it over both sockets.
+// threads than one socket holds builds. The job cannot stay on one
+// socket, so PlaceOnFree packs socket 0 and puts the rest on socket 1.
 func TestBuildConsolidatedPastOneSocket(t *testing.T) {
 	sc := Scenario{Workload: "raytrace", Threads: 12, Mode: "undervolt", Borrow: false}
 	srv, _, err := sc.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a0, a1 := srv.Chip(0).ActiveCores(), srv.Chip(1).ActiveCores(); a0+a1 != 12 {
-		t.Errorf("%d + %d cores loaded, want 12", a0, a1)
+	if a0, a1 := srv.Chip(0).ActiveCores(), srv.Chip(1).ActiveCores(); a0 != 8 || a1 != 4 {
+		t.Errorf("%d + %d cores loaded, want 8 + 4", a0, a1)
 	}
 }

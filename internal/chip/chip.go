@@ -280,9 +280,11 @@ type Chip struct {
 
 	// lastHorizon* remember what HorizonSec last computed so MacroStep can
 	// attribute the leap: when the server leaps its chips by a shorter
-	// synchronized minimum, the reason becomes obs.ReasonExternal.
-	lastHorizonSec    float64
-	lastHorizonReason obs.Reason
+	// synchronized minimum, the reason becomes obs.ReasonExternal. They
+	// are scratch: only the MacroStep right after a HorizonSec reads them,
+	// and every leap runs HorizonSec first, so no image carries them.
+	lastHorizonSec    float64    `snapshot:"-"`
+	lastHorizonReason obs.Reason `snapshot:"-"`
 
 	// The RNG hierarchy the rewind walks: root splits the di/dt stream
 	// (noiseSrc, the noise model's own) and each core's sensor parent

@@ -22,9 +22,9 @@ import (
 // the bands, or they contract and the geometric tail of the relaxation
 // still to come fits inside one band. A leap keeps that proof unless the
 // horizon it reached was one of the chip's own thread events (completion,
-// phase boundary, phase walk), which change the next step's power; a
-// tick, a wobble redraw or a di/dt event either moves nothing the bands
-// watch or shows up as a fresh movement in the step that resolves it.
+// phase walk), which change the next step's power; a tick, a wobble redraw
+// or a di/dt event either moves nothing the bands watch or shows up as a
+// fresh movement in the step that resolves it.
 //
 // Correctness rests on two pillars:
 //
@@ -38,14 +38,14 @@ import (
 //     event history.
 //  2. Event horizons. A leap never crosses anything that would change the
 //     operating point: it stops at (the earliest of) one micro-step before
-//     the next firmware tick, thread completion, workload phase boundary
-//     or phase-walk update, the next scheduled worst-case di/dt event, and
-//     the wobble redraw boundary. Whatever happens at the horizon is then
-//     resolved by ordinary micro-steps before the next leap — the tick,
-//     droop events, and wobble redraws all fire inside micro-steps, in
-//     both lanes. Micro-steps snap back to the absolute 1 ms grid after an
-//     off-grid (event-bounded) leap, so ticks and window boundaries land
-//     at the same simulated times the exact lane produces.
+//     the next firmware tick, thread completion or phase-walk update, the
+//     next scheduled worst-case di/dt event, and the wobble redraw
+//     boundary. Whatever happens at the horizon is then resolved by
+//     ordinary micro-steps before the next leap — the tick, droop events,
+//     and wobble redraws all fire inside micro-steps, in both lanes.
+//     Micro-steps snap back to the absolute 1 ms grid after an off-grid
+//     (event-bounded) leap, so ticks and window boundaries land at the
+//     same simulated times the exact lane produces.
 //
 // What is NOT bit-exact versus the 1 ms reference: thermal relaxation uses
 // the continuous-time exponential instead of the iterated Euler map (~1e-7
@@ -169,10 +169,10 @@ func (c *Chip) MicroStepSec() float64 {
 // resets, CPM redraw, rail command — always runs inside an ordinary
 // micro-step, so telemetry sampled after each segment sees in-window state
 // with the same weighting as the 1 ms lane), each live thread's
-// completion, deterministic phase boundary and stochastic phase-walk
-// update, the next scheduled worst-case di/dt event (stopping just short
-// so the event itself runs at micro resolution with full droop handling),
-// and the ripple wobble redraw boundary.
+// completion and stochastic phase-walk update, the next scheduled
+// worst-case di/dt event (stopping just short so the event itself runs at
+// micro resolution with full droop handling), and the ripple wobble redraw
+// boundary.
 func (c *Chip) HorizonSec(maxSec float64) float64 {
 	h := maxSec
 	reason := obs.ReasonCap
@@ -203,13 +203,13 @@ func (c *Chip) HorizonSec(maxSec float64) float64 {
 
 // threadHorizon lowers h to the nearest live-thread event and reports
 // which one bound it (reason is kept when none is nearer): each thread's
-// completion, its deterministic phase boundary and, with walks, its
-// stochastic phase-walk update, all in wall seconds (thread time runs at
-// throttle × wall time). Completion stops one part in 1e9 short, so the
-// finishing step runs at detailed rate with the thread alive at its start
-// and its power and time accounting match the 1 ms lane. Leaps stop at
-// phase walks; fast-forwards cross them, since a walk consumes its
-// time-indexed draw inside advanceThreads either way.
+// completion and, with walks, its stochastic phase-walk update, both in
+// wall seconds (thread time runs at throttle × wall time). Completion
+// stops one part in 1e9 short, so the finishing step runs at detailed rate
+// with the thread alive at its start and its power and time accounting
+// match the 1 ms lane. Leaps stop at phase walks; fast-forwards cross
+// them, since a walk consumes its time-indexed draw inside advanceThreads
+// either way.
 func (c *Chip) threadHorizon(h float64, reason obs.Reason, walks bool) (float64, obs.Reason) {
 	for _, co := range c.cores {
 		if co.state != power.Active {
@@ -225,10 +225,6 @@ func (c *Chip) threadHorizon(h float64, reason obs.Reason, walks bool) (float64,
 			if tc := th.TimeToCompletion(f, co.memFactor, smt) * inv * (1 - 1e-9); tc < h {
 				h = tc
 				reason = obs.ReasonCompletion
-			}
-			if pb := th.TimeToPhaseBoundary() * inv; pb < h {
-				h = pb
-				reason = obs.ReasonPhaseBoundary
 			}
 			if !walks {
 				continue
@@ -290,7 +286,7 @@ func (c *Chip) MacroStep(h float64) {
 	// or shows up as movement in the step that resolves it, so the proof
 	// survives every other horizon.
 	switch reason {
-	case obs.ReasonCompletion, obs.ReasonPhaseBoundary, obs.ReasonPhaseWalk:
+	case obs.ReasonCompletion, obs.ReasonPhaseWalk:
 		c.markDirty()
 	}
 }

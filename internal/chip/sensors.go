@@ -61,15 +61,6 @@ func (c *Chip) TotalMIPS() units.MIPS {
 // CorePower returns core i's last-step power.
 func (c *Chip) CorePower(i int) units.Watt { return c.cores[i].lastPower }
 
-// CPMSample returns the last sample-mode output of CPM j on core i.
-func (c *Chip) CPMSample(i, j int) int { return c.cores[i].lastCPM[j] }
-
-// CPMSticky returns the sticky-mode (window minimum) output of CPM j on
-// core i; ok is false when the window holds no observation (gated core).
-func (c *Chip) CPMSticky(i, j int) (value int, ok bool) {
-	return c.cores[i].cpms[j].Sticky()
-}
-
 // CPMWindowSticky returns CPM j of core i's minimum over the most recently
 // completed 32 ms firmware window — the value an AMESTER sticky-mode read
 // returns.

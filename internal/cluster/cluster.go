@@ -193,7 +193,8 @@ func (c *Cluster) suspend(n *Node) {
 // nodes it consolidates (pick); within the node it borrows, spreading
 // threads across sockets balanced by free capacity (server.PlaceOnFree),
 // except for sharing-heavy jobs, which stay on one socket when possible
-// (the Fig. 14 lesson encoded in core.ShouldBorrow). Placement is a pure
+// and otherwise fill the sockets in index order (the Fig. 14 lesson
+// encoded in core.ShouldBorrow). Placement is a pure
 // function of the cluster's occupancy: Submit is part of the
 // bit-identical-at-any-worker-count contract. A job Submit refuses — no
 // thread, no positive work, an id still live on some node, no node with

@@ -85,7 +85,7 @@ func NewAGS(srv *server.Server, cfg AGSConfig) (*AGS, error) {
 	return &AGS{
 		srv:        srv,
 		onCores:    cfg.OnCoresTotal,
-		rebalancer: NewRebalancer(),
+		rebalancer: NewRebalancer(cfg.OnCoresTotal, false),
 		predictor:  cfg.Predictor,
 		quantumSec: qos.DefaultConfig().WindowSec,
 		events:     NewEventLog(256),

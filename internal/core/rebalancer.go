@@ -7,34 +7,49 @@ import "agsim/internal/server"
 // so active cores stay balanced across sockets. The rebalancer watches a
 // server, and whenever socket load is imbalanced it migrates the best
 // candidate job toward balance — skipping sharing-heavy jobs, which lose
-// more to cross-socket traffic than the loadline reclaims.
+// more to cross-socket traffic than the loadline reclaims. After each
+// migration it re-applies the caller's gating rule
+// (server.GateUnloadedCores), so the cores a job vacates and the gated
+// cores it lands on leave the server with the powered count it had.
 type Rebalancer struct {
 	// IntervalSec is how often the rebalancer evaluates the schedule. The
 	// effects it chases are long-term (passive drop), so seconds-scale
 	// intervals suffice and keep migration costs negligible.
 	IntervalSec float64
 
+	// on and pack are the GateUnloadedCores arguments the caller gates
+	// the server with.
+	on   int
+	pack bool
+
 	since      float64
 	migrations int
 }
 
 // NewRebalancer returns a rebalancer with the default 1 s evaluation
-// interval.
-func NewRebalancer() *Rebalancer { return &Rebalancer{IntervalSec: 1} }
+// interval that keeps on cores powered, packed when pack, as
+// GateUnloadedCores(on, pack) does.
+func NewRebalancer(on int, pack bool) *Rebalancer {
+	return &Rebalancer{IntervalSec: 1, on: on, pack: pack}
+}
 
 // Migrations returns how many job migrations the rebalancer has performed.
 func (r *Rebalancer) Migrations() int { return r.migrations }
 
 // Tick advances the rebalancer's clock by dtSec and, when an evaluation is
-// due, performs at most one migration. It returns whether a migration
-// happened.
+// due, performs at most one migration and re-gates the server. It returns
+// whether a migration happened.
 func (r *Rebalancer) Tick(s *server.Server, dtSec float64) bool {
 	r.since += dtSec
 	if r.since < r.IntervalSec {
 		return false
 	}
 	r.since = 0
-	return r.rebalance(s)
+	if !r.rebalance(s) {
+		return false
+	}
+	s.GateUnloadedCores(r.on, r.pack)
+	return true
 }
 
 // rebalance finds the most- and least-loaded sockets and, if they differ by

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"agsim/internal/firmware"
+	"agsim/internal/power"
 	"agsim/internal/server"
 	"agsim/internal/workload"
 )
@@ -19,6 +20,51 @@ func layout(t *testing.T, s *server.Server, n int, borrowed bool) []server.Place
 	return ps
 }
 
+// allPowered is the rebalancer floor of a server that gates no core.
+const allPowered = 16
+
+// powered counts the server's cores that are not gated.
+func powered(s *server.Server) int {
+	n := 0
+	for si := 0; si < s.Sockets(); si++ {
+		c := s.Chip(si)
+		for i := 0; i < c.Cores(); i++ {
+			if c.Core(i).State() != power.Gated {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestRebalancerKeepsPoweredFloor: a consolidated job on a server gated
+// to eight cores is spread 4+4 by the rebalancer's migration, and the
+// server still has exactly eight cores powered: the vacated cores gate
+// again instead of idling on.
+func TestRebalancerKeepsPoweredFloor(t *testing.T) {
+	s := server.MustNew(server.DefaultConfig(71))
+	s.MustSubmit("j", workload.MustGet("raytrace"), layout(t, s, 8, false), 1e9)
+	s.GateUnloadedCores(8, true)
+	s.SetMode(firmware.Undervolt)
+	if got := powered(s); got != 8 {
+		t.Fatalf("%d cores powered before rebalancing, want 8", got)
+	}
+	r := NewRebalancer(8, true)
+	for i := 0; i < 3000; i++ {
+		s.Step(0.001)
+		r.Tick(s, 0.001)
+	}
+	if r.Migrations() == 0 {
+		t.Fatal("rebalancer never migrated")
+	}
+	if a0, a1 := s.Chip(0).ActiveCores(), s.Chip(1).ActiveCores(); a0 != 4 || a1 != 4 {
+		t.Errorf("threads sit %d+%d after rebalancing, want 4+4", a0, a1)
+	}
+	if got := powered(s); got != 8 {
+		t.Errorf("%d cores powered after the migration, want the floor of 8", got)
+	}
+}
+
 func TestRebalancerBalancesConsolidatedJob(t *testing.T) {
 	s := server.MustNew(server.DefaultConfig(71))
 	d := workload.MustGet("raytrace")
@@ -26,7 +72,7 @@ func TestRebalancerBalancesConsolidatedJob(t *testing.T) {
 	s.SetMode(firmware.Undervolt)
 	s.Settle(1)
 
-	r := NewRebalancer()
+	r := NewRebalancer(allPowered, false)
 	moved := false
 	for i := 0; i < 3000; i++ {
 		s.Step(0.001)
@@ -52,7 +98,7 @@ func TestRebalancerRespectsSharingHeavyJobs(t *testing.T) {
 	d := workload.MustGet("lu_ncb") // sharing-heavy
 	s.MustSubmit("j", d, layout(t, s, 8, false), 1e9)
 	s.SetMode(firmware.Undervolt)
-	r := NewRebalancer()
+	r := NewRebalancer(allPowered, false)
 	for i := 0; i < 3000; i++ {
 		s.Step(0.001)
 		r.Tick(s, 0.001)
@@ -70,7 +116,7 @@ func TestRebalancerLeavesBalancedSchedulesAlone(t *testing.T) {
 	d := workload.MustGet("swaptions")
 	s.MustSubmit("j", d, layout(t, s, 8, true), 1e9)
 	s.SetMode(firmware.Undervolt)
-	r := NewRebalancer()
+	r := NewRebalancer(allPowered, false)
 	for i := 0; i < 3000; i++ {
 		s.Step(0.001)
 		r.Tick(s, 0.001)
@@ -86,7 +132,7 @@ func TestRebalancerImprovesPower(t *testing.T) {
 		d := workload.MustGet("raytrace")
 		s.MustSubmit("j", d, layout(t, s, 8, false), 1e9)
 		s.SetMode(firmware.Undervolt)
-		r := NewRebalancer()
+		r := NewRebalancer(allPowered, false)
 		// Let the rebalancer act, then settle and measure.
 		for i := 0; i < 2000; i++ {
 			s.Step(0.001)

@@ -92,44 +92,14 @@ func (d *DPLL) SlewToward(target units.Megahertz) units.Megahertz {
 	return d.freq
 }
 
-// Settled reports whether the DPLL has reached target: a SlewToward
-// (or TrackMargin) call would leave the frequency unchanged. This is the
-// horizon query of the multi-rate stepping engine — a chip is only
-// quiescent once every DPLL sits at its control target, because a slewing
-// clock changes power (and therefore voltage) every step.
-func (d *DPLL) Settled(target units.Megahertz) bool {
-	return units.ClampMHz(target, d.law.FMin, d.law.FCeil) == d.freq
-}
-
-// SettledWithin reports whether the DPLL sits within tolMHz of target —
-// the tolerant form the quiescence detector uses, since the overclock
-// tracking target itself drifts by micro-MHz with thermal leakage.
+// SettledWithin reports whether the DPLL sits within tolMHz of target,
+// the quiescence detector's check: the overclock tracking target itself
+// drifts by micro-MHz with thermal leakage, so an exact match may never
+// hold.
 func (d *DPLL) SettledWithin(target units.Megahertz, tolMHz float64) bool {
 	target = units.ClampMHz(target, d.law.FMin, d.law.FCeil)
 	delta := float64(target - d.freq)
 	return delta <= tolMHz && delta >= -tolMHz
-}
-
-// StepsToReach returns how many SlewToward control steps the DPLL needs to
-// arrive at target from the current frequency (0 when already settled).
-// Pure query: no state changes.
-func (d *DPLL) StepsToReach(target units.Megahertz) int {
-	target = units.ClampMHz(target, d.law.FMin, d.law.FCeil)
-	f := d.freq
-	steps := 0
-	for f != target {
-		maxDelta := units.Megahertz(float64(f) * d.MaxSlewFracPerStep)
-		switch {
-		case target > f+maxDelta:
-			f += maxDelta
-		case target < f-maxDelta:
-			f -= maxDelta
-		default:
-			f = target
-		}
-		steps++
-	}
-	return steps
 }
 
 // TrackMargin is the closed-loop step of overclocking mode: given the

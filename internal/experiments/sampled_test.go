@@ -103,27 +103,40 @@ func TestSampledLaneDeterminismMatrix(t *testing.T) {
 }
 
 // TestSampledFallbackOnPhasedWorkload forces high variance on a real chip:
-// a compute/exchange phase schedule flips the activity and memory mix every
-// 100 ms, so consecutive detailed windows disagree and the governor must
-// hold full simulation — zero extrapolated seconds, zero reported CI.
+// the load itself changes phase, as Pac-Sim's live detector sees it. Every
+// 100 ms of covered time the four loaded cores' issue throttle flips
+// between 1 and 0.3, so consecutive detailed windows disagree and the
+// governor must hold full simulation — zero extrapolated seconds, zero
+// reported CI.
 func TestSampledFallbackOnPhasedWorkload(t *testing.T) {
 	o := QuickOptions()
 	o.Sampled = true
 	c := newChip(o, "sampled-fallback")
-	d := workload.MustGet("raytrace")
-	phases := workload.ComputeExchangeSchedule(0.1, 0.1)
-	for i := 0; i < 4; i++ {
-		th := workload.NewThread(d, 1e9, nil)
-		th.SetPhases(phases)
-		c.Place(i, th)
-	}
+	const cores, phaseSec = 4, 0.1
+	placeThreads(c, workload.MustGet("raytrace"), cores)
 	c.SetMode(firmware.Undervolt)
 	c.Settle(o.SettleSec)
 	rs := &sample.RunStats{}
 	g := sample.New(c, sample.Config{Stats: rs})
-	covered := g.Run(2, nil)
+	elapsed, phase := 0.0, 0
+	covered := g.Run(2, func(dt float64) {
+		elapsed += dt
+		if p := int(elapsed / phaseSec); p != phase {
+			phase = p
+			throttle := 1.0
+			if phase%2 == 1 {
+				throttle = 0.3
+			}
+			for i := 0; i < cores; i++ {
+				c.SetIssueThrottle(i, throttle)
+			}
+		}
+	})
 	if math.Abs(covered-2) > 1e-6 {
 		t.Fatalf("covered %v of 2 s", covered)
+	}
+	if phase < 19 {
+		t.Fatalf("load changed phase %d times over 2 s, want 19 or more", phase)
 	}
 	if g.FastSec() != 0 {
 		t.Errorf("phased workload extrapolated %v s, want 0 (full-simulation fallback)", g.FastSec())
@@ -138,7 +151,7 @@ func TestSampledFallbackOnPhasedWorkload(t *testing.T) {
 }
 
 // TestSampledSteadyChipExtrapolates is the fallback test's complement: the
-// same chip without the phase schedule converges and skips most of the
+// same chip with its throttle left alone converges and skips most of the
 // span.
 func TestSampledSteadyChipExtrapolates(t *testing.T) {
 	o := QuickOptions()

@@ -103,8 +103,6 @@ const (
 	ReasonTick
 	// ReasonCompletion: a thread's work budget runs out.
 	ReasonCompletion
-	// ReasonPhaseBoundary: a thread's deterministic phase boundary.
-	ReasonPhaseBoundary
 	// ReasonPhaseWalk: a thread's stochastic phase-walk update.
 	ReasonPhaseWalk
 	// ReasonDidtEvent: the next pre-drawn worst-case di/dt event.
@@ -125,8 +123,6 @@ func (r Reason) String() string {
 		return "tick"
 	case ReasonCompletion:
 		return "completion"
-	case ReasonPhaseBoundary:
-		return "phase-boundary"
 	case ReasonPhaseWalk:
 		return "phase-walk"
 	case ReasonDidtEvent:

@@ -189,8 +189,8 @@ func (g *Governor) run(spanSec float64, done func() bool, observe func(dt float6
 		}
 		ff = g.t.SampleHint(ff)
 		if ff < windowSec {
-			// An operating-point change (completion, phase boundary) is
-			// nearer than a window: nothing worth skipping, resolve it at
+			// An operating-point change (a thread completion) is nearer
+			// than a window: nothing worth skipping, resolve it at
 			// detailed rate.
 			continue
 		}

@@ -632,25 +632,34 @@ func (s *Server) FreeCores(own *Job) [][]int {
 // it consumes) under the loadline-borrowing rule with respect to existing
 // occupancy: a job kept together (consolidation, or a sharing-heavy job,
 // see core.ShouldBorrow) goes on the first socket with room for all of
-// it; otherwise, or when no socket has room, each thread takes the socket
-// with the most free cores, ties to the lower index. On an empty server
-// these are the paper's Fig. 11 schedules: kept together, threads that fit
-// one socket fill socket 0's lowest cores; spread, thread i lands on
-// socket i mod Sockets, core i / Sockets. ok is false when the free cores
-// run out.
+// it, and when no socket has room it packs the sockets in index order,
+// each socket's lowest free cores first; otherwise each thread takes the
+// socket with the most free cores, ties to the lower index. On an empty
+// server these are the paper's Fig. 11 schedules: kept together, threads
+// fill socket 0's lowest cores, then socket 1's; spread, thread i lands
+// on socket i mod Sockets, core i / Sockets. ok is false when the free
+// cores run out.
 func PlaceOnFree(free [][]int, threads int, together bool) (ps []Placement, ok bool) {
+	ps = make([]Placement, 0, threads)
 	if together {
 		for si := range free {
 			if len(free[si]) >= threads {
-				ps = make([]Placement, threads)
-				for i := range ps {
-					ps[i] = Placement{Socket: si, Core: free[si][i]}
+				for _, core := range free[si][:threads] {
+					ps = append(ps, Placement{Socket: si, Core: core})
 				}
 				return ps, true
 			}
 		}
+		for si := 0; si < len(free) && len(ps) < threads; si++ {
+			for _, core := range free[si][:min(len(free[si]), threads-len(ps))] {
+				ps = append(ps, Placement{Socket: si, Core: core})
+			}
+		}
+		if len(ps) < threads {
+			return nil, false
+		}
+		return ps, true
 	}
-	ps = make([]Placement, 0, threads)
 	for len(ps) < threads {
 		best := -1
 		for si := range free {

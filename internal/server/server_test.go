@@ -41,19 +41,18 @@ func layout(s *Server, n int, borrowed bool) []Placement {
 
 // TestPlacementHelpers: on an empty default server PlaceOnFree gives the
 // paper's Fig. 11 layouts. Consolidated, n = 1..8 threads fill P0 cores
-// 0..n-1; borrowed, n = 1..16, thread i lands on socket i mod 2, core
-// i/2.
+// 0..n-1, and n = 9..16 fill all of P0 and P1 cores 0..n-9 (8 + (n-8));
+// borrowed, n = 1..16, thread i lands on socket i mod 2, core i/2.
 func TestPlacementHelpers(t *testing.T) {
 	s := MustNew(DefaultConfig(1))
 	for _, tc := range []struct {
 		borrowed bool
-		maxN     int
 		want     func(i int) Placement
 	}{
-		{false, 8, func(i int) Placement { return Placement{Socket: 0, Core: i} }},
-		{true, 16, func(i int) Placement { return Placement{Socket: i % 2, Core: i / 2} }},
+		{false, func(i int) Placement { return Placement{Socket: i / 8, Core: i % 8} }},
+		{true, func(i int) Placement { return Placement{Socket: i % 2, Core: i / 2} }},
 	} {
-		for n := 1; n <= tc.maxN; n++ {
+		for n := 1; n <= 16; n++ {
 			ps, ok := PlaceOnFree(s.FreeCores(nil), n, !tc.borrowed)
 			if !ok || len(ps) != n {
 				t.Fatalf("borrowed=%v n=%d: ok=%v, %d placements", tc.borrowed, n, ok, len(ps))
@@ -129,6 +128,30 @@ func TestPlaceOnFreeBalances(t *testing.T) {
 						n, a, left[a], b, left[b])
 				}
 			}
+		}
+	}
+}
+
+// TestPlaceOnFreePacksLowestSocketFirst: on a partly loaded server a job
+// kept together goes whole to the first socket with room; when none has
+// room it takes socket 0's free cores in index order, then socket 1's.
+func TestPlaceOnFreePacksLowestSocketFirst(t *testing.T) {
+	s := MustNew(DefaultConfig(1))
+	d := workload.MustGet("raytrace")
+	s.MustSubmit("a", d, []Placement{{0, 0}, {0, 2}, {0, 4}, {1, 1}}, 10)
+	// Free: P0 cores 1, 3, 5, 6, 7 and P1 cores 0, 2..7.
+	for _, tc := range []struct {
+		n    int
+		want []Placement
+	}{
+		{5, []Placement{{0, 1}, {0, 3}, {0, 5}, {0, 6}, {0, 7}}},
+		{6, []Placement{{1, 0}, {1, 2}, {1, 3}, {1, 4}, {1, 5}, {1, 6}}},
+		{9, []Placement{{0, 1}, {0, 3}, {0, 5}, {0, 6}, {0, 7}, {1, 0}, {1, 2}, {1, 3}, {1, 4}}},
+		{12, []Placement{{0, 1}, {0, 3}, {0, 5}, {0, 6}, {0, 7}, {1, 0}, {1, 2}, {1, 3}, {1, 4}, {1, 5}, {1, 6}, {1, 7}}},
+	} {
+		ps, ok := PlaceOnFree(s.FreeCores(nil), tc.n, true)
+		if !ok || fmt.Sprint(ps) != fmt.Sprint(tc.want) {
+			t.Errorf("%d threads kept together: ok=%v, %v, want %v", tc.n, ok, ps, tc.want)
 		}
 	}
 }

@@ -124,6 +124,6 @@ func TestWireFormatPinned(t *testing.T) {
 }
 
 const (
-	pinChipSHA  = "35218989dbd569665689dafe7010199d914b7ab96971a214586e7af11730d7a0"
-	pinFleetSHA = "9a8eea843770a4d9db1288845bca9cd73809c9d300beea0bdf17bfdff21edd6b"
+	pinChipSHA  = "f60e89a0e90bd2c44db759a074bb5bbb2f726ad64013dfcb7712f73527b3fb46"
+	pinFleetSHA = "8316839c634fc96e742fc45eeeb32dfc12e3df2fb25bd947ae2ac355a57d86f0"
 )

@@ -81,8 +81,12 @@ import (
 // and the chip's and server's cached shape keys. Version 9 drops the
 // cluster's placement-policy interface and each node's platform and
 // suspended power fields: a cluster node images its server configuration
-// alone, and the two draws are package constants.
-const layoutVersion byte = 9
+// alone, and the two draws are package constants. Version 10 drops each
+// thread's deterministic phase schedule and its clock (workload.Thread's
+// phases and elapsedSec) and the chip's horizon scratch (lastHorizonSec,
+// lastHorizonReason), and renumbers the leap reasons after the retired
+// phase-boundary reason one lower.
+const layoutVersion byte = 10
 
 // codecVersion is the wire-format generation of this package's walker,
 // independent of layoutVersion (which tracks simulation struct layout).

@@ -1,8 +1,10 @@
-// Package vrm models the server's voltage regulator module: a multi-rail
-// regulator chip whose output sags below its set point in proportion to the
-// load current (the loadline effect), plus the per-rail current sensors the
-// paper uses to quantify passive voltage drop (§4.3: "To measure passive
-// voltage drop ... we use VRM's current sensors").
+// Package vrm models one rail of the server's voltage regulator module:
+// an output that sags below its set point in proportion to the load
+// current (the loadline effect), plus the rail's current sensor the paper
+// uses to quantify passive voltage drop (§4.3: "To measure passive voltage
+// drop ... we use VRM's current sensors"). The Power 720's VRM chip feeds
+// each processor socket from its own rail (Fig. 11), so each simulated
+// chip owns one Rail.
 //
 // The loadline is the central villain of the paper: it converts chip power
 // directly into lost guardband, which is why adaptive guardbanding's benefit
@@ -139,29 +141,3 @@ func (r *Rail) StickSensor() {
 
 // UnstickSensor restores normal sensing.
 func (r *Rail) UnstickSensor() { r.stuck = false }
-
-// VRM is a regulator chip with several independently commanded rails, as in
-// the paper's Fig. 11 ("the VRM can generate multiple Vdd levels for
-// different processors, which is normal for contemporary systems").
-type VRM struct {
-	rails []*Rail
-}
-
-// New creates a VRM from its rails.
-func New(rails ...*Rail) *VRM { return &VRM{rails: rails} }
-
-// Rail returns rail i.
-func (v *VRM) Rail(i int) *Rail { return v.rails[i] }
-
-// Rails returns the number of rails.
-func (v *VRM) Rails() int { return len(v.rails) }
-
-// TotalCurrent returns the sum of the last sourced currents, which a shared
-// VRM chip's input stage would see.
-func (v *VRM) TotalCurrent() units.Ampere {
-	var sum units.Ampere
-	for _, r := range v.rails {
-		sum += r.lastCurrent
-	}
-	return sum
-}

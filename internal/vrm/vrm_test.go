@@ -138,22 +138,3 @@ func TestNewRailValidation(t *testing.T) {
 		}
 	}
 }
-
-func TestVRMMultiRail(t *testing.T) {
-	r0, _ := NewRail("p0", 0.45, 1250, 1300, 200)
-	r1, _ := NewRail("p1", 0.45, 1250, 1300, 200)
-	v := New(r0, r1)
-	if v.Rails() != 2 {
-		t.Fatalf("Rails = %d", v.Rails())
-	}
-	v.Rail(0).Output(60)
-	v.Rail(1).Output(40)
-	if total := v.TotalCurrent(); total != 100 {
-		t.Errorf("TotalCurrent = %v", total)
-	}
-	// Rails are independent: commanding one does not affect the other.
-	v.Rail(0).Command(1100)
-	if v.Rail(1).SetPoint() != 1250 {
-		t.Error("rail independence violated")
-	}
-}

@@ -23,11 +23,6 @@ type Thread struct {
 	phaseMul float64
 	r        *rng.Source
 
-	// phases, when non-empty, cycles deterministic program phases on top
-	// of the stochastic jitter; elapsedSec tracks position in the cycle.
-	phases     PhaseSchedule
-	elapsedSec float64
-
 	// sinceWalk accumulates executed time toward the next phase-walk
 	// update; the walk advances once per walkPeriodSec of thread time.
 	sinceWalk float64
@@ -63,8 +58,7 @@ func (t *Thread) Step(dtSec float64, f units.Megahertz, memFactor, smtThreads fl
 	if t.remainingGInst <= 0 {
 		return 0, true
 	}
-	t.elapsedSec += dtSec
-	mips := t.mips(f, memFactor, smtThreads)
+	mips := float64(t.Desc.MIPSPerThread(f, memFactor, smtThreads))
 	retired = mips * dtSec / 1000 // MIPS * s = 1e6 inst; /1000 -> GInst
 	if retired >= t.remainingGInst {
 		retired = t.remainingGInst
@@ -76,17 +70,6 @@ func (t *Thread) Step(dtSec float64, f units.Megahertz, memFactor, smtThreads fl
 	t.retiredGInst += retired
 	t.advancePhase(dtSec)
 	return retired, done
-}
-
-// mips returns the thread's throughput in MIPS at the given conditions:
-// the descriptor's MIPSPerThread with the current phase's memory scale
-// applied to MemNsPerInst.
-func (t *Thread) mips(f units.Megahertz, memFactor, smtThreads float64) float64 {
-	memNs := t.Desc.MemNsPerInst
-	if _, scaleMem := t.phaseScales(); scaleMem != 1 {
-		memNs *= scaleMem
-	}
-	return 1000 / t.Desc.timeNsPerInst(memNs, f, memFactor, smtThreads)
 }
 
 // walkPeriodSec is the cadence of the stochastic phase walk. Updates land
@@ -122,31 +105,24 @@ func (t *Thread) advancePhase(dtSec float64) {
 	}
 }
 
-// Horizon queries for the multi-rate stepping engine. All three return
+// Horizon queries for the multi-rate stepping engine. Both return
 // *thread* seconds (the dtSec a Step call would consume); a caller that
 // throttles thread time against wall time divides by its throttle factor.
 
 // TimeToCompletion returns the thread seconds needed to retire the
 // remaining work at the given (frozen) operating conditions, +Inf for a
-// finished thread. It replicates Step's phase-scaled MIPS computation, so
-// at constant conditions a Step of exactly this length completes the
+// finished thread. It reads Step's rate, the descriptor's MIPSPerThread,
+// so at constant conditions a Step of exactly this length completes the
 // thread.
 func (t *Thread) TimeToCompletion(f units.Megahertz, memFactor, smtThreads float64) float64 {
 	if t.remainingGInst <= 0 {
 		return math.Inf(1)
 	}
-	mips := t.mips(f, memFactor, smtThreads)
+	mips := float64(t.Desc.MIPSPerThread(f, memFactor, smtThreads))
 	if mips <= 0 {
 		return math.Inf(1)
 	}
 	return t.remainingGInst * 1000 / mips
-}
-
-// TimeToPhaseBoundary returns the thread seconds until the deterministic
-// phase schedule switches segments (changing activity and memory scales),
-// +Inf without a schedule.
-func (t *Thread) TimeToPhaseBoundary() float64 {
-	return t.phases.TimeToBoundary(t.elapsedSec)
 }
 
 // TimeToPhaseWalk returns the thread seconds until the next stochastic
@@ -162,11 +138,10 @@ func (t *Thread) TimeToPhaseWalk() float64 {
 	return left
 }
 
-// ActivityNow returns the instantaneous switching-activity factor,
-// combining the stochastic jitter with any deterministic phase schedule.
+// ActivityNow returns the instantaneous switching-activity factor: the
+// descriptor's mean activity scaled by the phase walk.
 func (t *Thread) ActivityNow() float64 {
-	scaleAct, _ := t.phaseScales()
-	a := t.Desc.Activity * t.phaseMul * scaleAct
+	a := t.Desc.Activity * t.phaseMul
 	if a > 1 {
 		a = 1
 	}

@@ -140,13 +140,6 @@ func (d *Descriptor) Validate() error {
 // overclocking speeds up compute-bound workloads nearly linearly but
 // memory-bound ones barely at all.
 func (d *Descriptor) TimeNsPerInst(f units.Megahertz, memFactor, smtThreads float64) float64 {
-	return d.timeNsPerInst(d.MemNsPerInst, f, memFactor, smtThreads)
-}
-
-// timeNsPerInst is TimeNsPerInst with the uncontended memory-stall time
-// per instruction supplied by the caller, so a thread in a phase that
-// scales MemNsPerInst reads the descriptor in place instead of copying it.
-func (d *Descriptor) timeNsPerInst(memNsPerInst float64, f units.Megahertz, memFactor, smtThreads float64) float64 {
 	if f <= 0 {
 		panic(fmt.Sprintf("workload %s: TimeNsPerInst at non-positive frequency %v", d.Name, f))
 	}
@@ -158,7 +151,7 @@ func (d *Descriptor) timeNsPerInst(memNsPerInst float64, f units.Megahertz, memF
 	}
 	cycleNs := 1000 / float64(f)
 	coreNs := cycleNs / d.effectiveIPC(smtThreads)
-	return coreNs + memNsPerInst*memFactor
+	return coreNs + d.MemNsPerInst*memFactor
 }
 
 // effectiveIPC returns the per-thread IPC when smtThreads share the core.

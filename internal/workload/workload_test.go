@@ -312,24 +312,90 @@ func TestTimeNsPerInstPanicsOnBadFreq(t *testing.T) {
 	d.TimeNsPerInst(units.Megahertz(0), 1, 1)
 }
 
-// TestThreadSizeClass keeps Thread inside its 176-byte allocation size
+// TestThreadPhasesPreserveTotalWork: a phase-walking thread stepped at
+// 1 ms retires exactly its work budget; the walk moves activity, not the
+// work count.
+func TestThreadPhasesPreserveTotalWork(t *testing.T) {
+	th := NewThread(MustGet("swaptions"), 2.0, newTestRand())
+	total := 0.0
+	for i := 0; i < 1_000_000 && !th.Done(); i++ {
+		r, _ := th.Step(0.001, 4200, 1, 1)
+		total += r
+	}
+	if !th.Done() || math.Abs(total-2.0) > 1e-9 {
+		t.Errorf("retired %v GInst, want 2.0", total)
+	}
+}
+
+// TestSteadyThreadUnaffectedByPhaseMachinery: the phase walk scales a
+// thread's activity only. A walking thread and a walk-free one retire the
+// same work step for step at every frequency, memory factor and SMT
+// count, and TimeToCompletion reads the descriptor's rate.
+func TestSteadyThreadUnaffectedByPhaseMachinery(t *testing.T) {
+	d := MustGet("ocean_cp")
+	steady := NewThread(d, 1e9, nil)
+	walking := NewThread(d, 1e9, newTestRand())
+	const dt = 0.001
+	for i := 0; i < 200; i++ {
+		f := units.Megahertz(3000 + 30*(i%60))
+		memFactor := 1 + 0.05*float64(i%4)
+		smt := float64(1 + i%4)
+		rate := float64(d.MIPSPerThread(f, memFactor, smt))
+		if got, want := walking.TimeToCompletion(f, memFactor, smt), walking.Remaining()*1000/rate; got != want {
+			t.Fatalf("step %d: TimeToCompletion %v, descriptor rate gives %v", i, got, want)
+		}
+		r1, _ := steady.Step(dt, f, memFactor, smt)
+		r2, _ := walking.Step(dt, f, memFactor, smt)
+		if r1 != r2 {
+			t.Fatalf("step %d: steady retired %v GInst, walking %v", i, r1, r2)
+		}
+	}
+	if walking.ActivityNow() == steady.ActivityNow() {
+		t.Error("200 ms of phase walk left the activity at the descriptor mean")
+	}
+}
+
+// TestThreadStepPhaseMemScaleExact pins Step's retired work in every
+// phase of the walk to the descriptor's own rate: the walk leaves the
+// memory-stall time unscaled, so a step retires MIPSPerThread × dt, bit
+// for bit, whatever the phase multiplier.
+func TestThreadStepPhaseMemScaleExact(t *testing.T) {
+	d := MustGet("ocean_cp")
+	th := NewThread(d, 1e9, newTestRand())
+	const dt = 0.001
+	seen := map[float64]bool{}
+	for i := 0; i < 600; i++ {
+		f := units.Megahertz(3000 + 30*(i%60))
+		memFactor := 1 + 0.05*float64(i%4)
+		smt := float64(1 + i%4)
+		want := float64(d.MIPSPerThread(f, memFactor, smt)) * dt / 1000
+		if got, _ := th.Step(dt, f, memFactor, smt); got != want {
+			t.Fatalf("step %d (phase multiplier %v): retired %v GInst, descriptor rate gives %v", i, th.phaseMul, got, want)
+		}
+		seen[th.phaseMul] = true
+	}
+	if len(seen) < 10 {
+		t.Fatalf("600 ms of phase walk visited %d phase multipliers, want at least 10", len(seen))
+	}
+}
+
+// TestThreadSizeClass keeps Thread inside its 144-byte allocation size
 // class: every placed job allocates one per thread, so growing it into
-// the next class (192 bytes) would raise the heap of every run that
+// the next class (160 bytes) would raise the heap of every run that
 // places threads, with no change in behaviour.
 func TestThreadSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Thread{}); size > 176 {
-		t.Errorf("workload.Thread is %d bytes, past the 176-byte size class", size)
+	if size := unsafe.Sizeof(Thread{}); size > 144 {
+		t.Errorf("workload.Thread is %d bytes, past the 144-byte size class", size)
 	}
 }
 
 var sinkRetired float64
 
 // BenchmarkThreadStep times one thread's 1 ms step at chip conditions: a
-// phase-walking thread under a two-phase schedule, so the memory scale and
-// the 32 ms walk update both run.
+// phase-walking thread, the step every run takes, with its 32 ms walk
+// update.
 func BenchmarkThreadStep(b *testing.B) {
 	th := NewThread(MustGet("ocean_cp"), 1e12, newTestRand())
-	th.SetPhases(ComputeExchangeSchedule(0.05, 0.05))
 	fs := []units.Megahertz{4200, 4310, 4420, 3900}
 	b.ReportAllocs()
 	i := 0
