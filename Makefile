@@ -65,8 +65,11 @@
 #                        agsched with default flags, with -threads 12
 #                        (consolidation past one socket) and with -borrow
 #                        -threads 5, each printing its total power line,
-#                        and run cpmcal's calibration sweep (its 4200 MHz
-#                        fit)
+#                        run cpmcal's calibration sweep (its 4200 MHz
+#                        fit), and require cpmcal `-vstep 1e-20` (a step
+#                        that does not advance the sweep) and `-fmax Inf`
+#                        to exit 2 within 5s without a panic, with a
+#                        message naming the failed check
 #   make fuzz-smoke    — run each fuzz target for 20s: snapshot FuzzLoad
 #                        (mutated image payloads decoded into a live chip
 #                        and a small fleet must never panic or allocate
@@ -258,6 +261,11 @@ smoke:
 	$(SMOKE_DIR)/cpmcal >$(SMOKE_DIR)/cpmcal.out
 	@grep -q '^ *4200 MHz: ' $(SMOKE_DIR)/cpmcal.out
 	@echo "smoke: cpmcal printed its 4200 MHz fit"
+	@set -e; $(call smoke_exit2,cpmcal-vstep,$(SMOKE_DIR)/cpmcal -vstep 1e-20); \
+	grep -q 'does not advance' $(SMOKE_DIR)/cpmcal-vstep.out; \
+	$(call smoke_exit2,cpmcal-fmax,$(SMOKE_DIR)/cpmcal -fmax Inf); \
+	grep -q 'not a finite' $(SMOKE_DIR)/cpmcal-fmax.out; \
+	echo "smoke: cpmcal -vstep 1e-20 and -fmax Inf exited 2, naming the failed check"
 	@echo "smoke: exporters validated in $(SMOKE_DIR)"
 
 # Fuzz smoke: a short run of each fuzz target (go test fuzzes one target

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"agsim/internal/chip"
@@ -20,6 +21,34 @@ import (
 	"agsim/internal/units"
 	"agsim/internal/workload"
 )
+
+// checkSweep refuses flags that cannot bound a finite sweep: a value that
+// is not finite, a frequency or voltage that is not positive, a lower
+// bound above its upper one, and a step that does not advance the sweep
+// at its upper bound, where adding a step to a float moves it least.
+func checkSweep(fmin, fmax, fstep, vmin, vmax, vstep float64) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-fmin", fmin}, {"-fmax", fmax}, {"-fstep", fstep}, {"-vmin", vmin}, {"-vmax", vmax}, {"-vstep", vstep}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s %v is not a finite number", f.name, f.v)
+		}
+	}
+	switch {
+	case fmin <= 0:
+		return fmt.Errorf("-fmin %v MHz is not a positive frequency", fmin)
+	case vmin <= 0:
+		return fmt.Errorf("-vmin %v mV is not a positive voltage", vmin)
+	case fmin > fmax || vmin > vmax:
+		return fmt.Errorf("inconsistent sweep bounds")
+	case !(fmax+fstep > fmax):
+		return fmt.Errorf("-fstep %v does not advance the sweep at -fmax %v MHz", fstep, fmax)
+	case !(vmax+vstep > vmax):
+		return fmt.Errorf("-vstep %v does not advance the sweep at -vmax %v mV", vstep, vmax)
+	}
+	return nil
+}
 
 func main() {
 	fmin := flag.Float64("fmin", 2800, "lowest frequency (MHz)")
@@ -32,8 +61,8 @@ func main() {
 	csv := flag.Bool("csv", false, "emit raw sweep as CSV instead of the fitted summary")
 	flag.Parse()
 
-	if *fstep <= 0 || *vstep <= 0 || *fmin > *fmax || *vmin > *vmax {
-		fmt.Fprintln(os.Stderr, "cpmcal: inconsistent sweep bounds")
+	if err := checkSweep(*fmin, *fmax, *fstep, *vmin, *vmax, *vstep); err != nil {
+		fmt.Fprintln(os.Stderr, "cpmcal:", err)
 		os.Exit(2)
 	}
 

@@ -19,8 +19,9 @@ func settledBenchChip(m firmware.Mode) *Chip {
 // BenchmarkFastForward times the frozen-span layer the sampled lane's
 // fast-forwards run on: one op is a 9 s FastForward of a settled 8-core
 // chip (281 frozen ticks), reported per simulated second and per frozen
-// tick. Undervolt runs every tick in full; Static and Overclock ticks are
-// decided, so after the first each costs only its float sums.
+// tick. Static and Overclock ticks are decided, so after the first each
+// costs only its float sums; the settled Undervolt chip holds, so its
+// ticks cost those sums and one uniform each.
 func BenchmarkFastForward(b *testing.B) {
 	const span = 9.0
 	for _, m := range []firmware.Mode{firmware.Undervolt, firmware.Overclock, firmware.Static} {

@@ -1,6 +1,7 @@
 package chip
 
 import (
+	"math"
 	"testing"
 
 	"agsim/internal/cpm"
@@ -405,14 +406,36 @@ func TestGlobalDropAffectsIdleCores(t *testing.T) {
 	}
 }
 
+// TestStepPanicsOnBadDt: each call that advances chip time refuses a
+// duration that is not positive, NaN included, before it moves anything.
 func TestStepPanicsOnBadDt(t *testing.T) {
 	c := MustNew(DefaultConfig("p0", 71))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	placeN(c, "raytrace", 1)
+	th := c.Core(0).Threads()[0]
+	for _, adv := range []struct {
+		name string
+		run  func(dt float64)
+	}{
+		{"Step", c.Step},
+		{"MacroStep", c.MacroStep},
+		{"Advance", func(dt float64) { c.Advance(dt) }},
+		{"FastForward", c.FastForward},
+	} {
+		for _, dt := range []float64{0, -DefaultStepSec, math.NaN()} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%v) did not panic", adv.name, dt)
+					}
+				}()
+				adv.run(dt)
+			}()
+			if c.Time() != 0 || c.EnergyJ() != 0 || th.Remaining() != 1e9 || c.noise.TimeToWobbleRefresh() != 0 {
+				t.Fatalf("%s(%v) moved the chip: time %v, energy %v J, thread remaining %v, wobble refresh in %v",
+					adv.name, dt, c.Time(), c.EnergyJ(), th.Remaining(), c.noise.TimeToWobbleRefresh())
+			}
 		}
-	}()
-	c.Step(0)
+	}
 }
 
 func TestTemperatureTracksPower(t *testing.T) {

@@ -104,11 +104,11 @@ func TestMacroStepMatchesFastForward(t *testing.T) {
 
 // heldState is what a fast-forward's frozen ticks leave behind, as bits.
 type heldState struct {
-	time, sinceTick, energy, worstDidt, latch uint64
-	temps                                     [9]uint64
-	ticks, violations                         int
-	attrib                                    firmware.Attribution
-	frozenStream                              string
+	time, sinceTick, energy, worstDidt, latch, rail uint64
+	temps                                           [9]uint64
+	ticks, violations                               int
+	attrib                                          firmware.Attribution
+	frozenStream                                    string
 }
 
 func heldStateOf(c *Chip) heldState {
@@ -118,6 +118,7 @@ func heldStateOf(c *Chip) heldState {
 		energy:     math.Float64bits(c.energyJ),
 		worstDidt:  math.Float64bits(c.lastWindowWorstDidt),
 		latch:      math.Float64bits(c.noise.WorstSinceReset()),
+		rail:       math.Float64bits(float64(c.rail.SetPoint())),
 		ticks:      c.ctrl.Ticks(),
 		violations: c.marginViolations,
 		attrib:     c.ctrl.LastAttribution(),
@@ -136,52 +137,77 @@ func heldStateOf(c *Chip) heldState {
 
 // TestDecidedTicksMatchRecordedTicks checks the batch of decided frozen
 // ticks (holdDecidedTicks) against the per-tick path on twin chips. A
-// recorder makes every frozen tick run in full, and in a mode whose
-// command ignores the reading it changes no chip state, so a recorded
-// and an unrecorded twin must leave each fast-forward, and the detailed
-// steps after it, bit for bit alike. The cases cover the fixed modes, a
-// chip that violates its margin, and the dead-sensor and fully gated chips
-// on which frozenTick draws nothing; the spans are long, one full segment
-// past a tick, and off the tick grid.
+// recorder makes every frozen tick run in full, and a tick the controller
+// repeats changes no chip state it does not also change per tick, so a
+// recorded and an unrecorded twin must leave each fast-forward, and the
+// detailed steps after it, bit for bit alike. The cases cover the fixed
+// modes; a chip that violates its margin; a converged Undervolt chip,
+// whose holds batch; an aged Undervolt chip pinned at the nominal ceiling,
+// where a hold run lasts a tick or two before a throttle the ceiling
+// clamps; a
+// noisy Undervolt chip whose reads straddle the thresholds around the
+// calibration target, so hold runs end at draws that move the rail; and
+// the dead-sensor and fully gated chips, on which frozenTick draws nothing
+// and Undervolt fails safe. The spans are long, one full segment past a
+// tick, and off the tick grid.
 func TestDecidedTicksMatchRecordedTicks(t *testing.T) {
+	spans := []float64{9, 0.0645, 0.032, 1.0171, 0.5}
 	for _, tc := range []struct {
 		name string
-		prep func(c *Chip)
+		// noiseMV, when set, replaces the CPMs' read noise.
+		noiseMV float64
+		prep    func(c *Chip)
+		// moves requires rail commands from ticks after a span's first.
+		moves bool
 	}{
-		{"static", func(c *Chip) { placeN(c, "raytrace", 8); c.SetMode(firmware.Static) }},
-		{"overclock", func(c *Chip) { placeN(c, "raytrace", 3); c.SetMode(firmware.Overclock) }},
-		{"manual", func(c *Chip) { placeN(c, "lu_ncb", 4); c.SetManual(1150, 3900) }},
-		{"aged static", func(c *Chip) { placeN(c, "raytrace", 2); c.AgeBy(130); c.SetMode(firmware.Static) }},
-		{"dead-sensor overclock", func(c *Chip) {
+		{name: "static", prep: func(c *Chip) { placeN(c, "raytrace", 8); c.SetMode(firmware.Static) }},
+		{name: "overclock", prep: func(c *Chip) { placeN(c, "raytrace", 3); c.SetMode(firmware.Overclock) }},
+		{name: "manual", prep: func(c *Chip) { placeN(c, "lu_ncb", 4); c.SetManual(1150, 3900) }},
+		{name: "aged static", prep: func(c *Chip) { placeN(c, "raytrace", 2); c.AgeBy(130); c.SetMode(firmware.Static) }},
+		{name: "undervolt", prep: func(c *Chip) { placeN(c, "raytrace", 8); c.SetMode(firmware.Undervolt) }},
+		{name: "aged undervolt", prep: func(c *Chip) { placeN(c, "raytrace", 2); c.AgeBy(130); c.SetMode(firmware.Undervolt) }},
+		{name: "noisy undervolt", noiseMV: 8, moves: true, prep: func(c *Chip) {
+			placeN(c, "raytrace", 4)
+			c.SetMode(firmware.Undervolt)
+		}},
+		{name: "dead-sensor overclock", prep: func(c *Chip) {
 			placeN(c, "raytrace", 8)
 			c.KillCPM(2, 4)
 			c.SetMode(firmware.Overclock)
 		}},
-		{"gated static", func(c *Chip) {
-			for i := 0; i < c.Cores(); i++ {
-				c.SetCoreState(i, power.Gated)
-			}
-			c.SetMode(firmware.Static)
+		{name: "dead-sensor undervolt", prep: func(c *Chip) {
+			placeN(c, "raytrace", 8)
+			c.KillCPM(2, 4)
+			c.SetMode(firmware.Undervolt)
 		}},
+		{name: "gated static", prep: func(c *Chip) { gateAll(c); c.SetMode(firmware.Static) }},
+		{name: "gated undervolt", prep: func(c *Chip) { gateAll(c); c.SetMode(firmware.Undervolt) }},
 	} {
 		var twins [2]*Chip
+		rec := obs.New("twin", 0)
 		for i := range twins {
 			cfg := DefaultConfig("twin", 31)
+			if tc.noiseMV > 0 {
+				cfg.CPM.NoiseMV = tc.noiseMV
+			}
 			if i == 1 {
-				cfg.Recorder = obs.New("twin", 0)
+				cfg.Recorder = rec
 			}
 			twins[i] = MustNew(cfg)
 			tc.prep(twins[i])
 			twins[i].Settle(1)
 		}
 		plain, recorded := twins[0], twins[1]
-		for _, h := range []float64{9, 0.0645, 0.032, 1.0171, 0.5} {
+		var moves uint64
+		for _, h := range spans {
 			if hint := plain.SampleHint(h); hint < h {
 				t.Fatalf("%s: sample hint %v s is shorter than the %v s span", tc.name, hint, h)
 			}
 			ticks := plain.ctrl.Ticks()
+			before := railCommands(rec)
 			plain.FastForward(h)
 			recorded.FastForward(h)
+			moves += railCommands(rec) - before
 			if plain.ctrl.Ticks() == ticks && h > 2*firmware.TickSeconds {
 				t.Fatalf("%s: a %v s fast-forward fired no tick", tc.name, h)
 			}
@@ -194,5 +220,24 @@ func TestDecidedTicksMatchRecordedTicks(t *testing.T) {
 				t.Fatalf("%s: 0.2 s after a %v s fast-forward\nbatched:  %+v\nper tick: %+v", tc.name, h, p, r)
 			}
 		}
+		// Each span's first tick makes at most one rail command, so more
+		// than one per span shows later ticks moved the rail: hold runs in
+		// the batched twin ended at draws handed to frozenTick.
+		if tc.moves && moves <= uint64(len(spans)) {
+			t.Errorf("%s: %d rail commands in %d fast-forwards; the hold runs did not end in moves", tc.name, moves, len(spans))
+		}
 	}
+}
+
+// gateAll power-gates every core of c.
+func gateAll(c *Chip) {
+	for i := 0; i < c.Cores(); i++ {
+		c.SetCoreState(i, power.Gated)
+	}
+}
+
+// railCommands reads the recorder's rail_commands counter.
+func railCommands(rec *obs.Recorder) uint64 {
+	lg := rec.Snapshot()
+	return lg.TotalCounter(obs.CRailCommands)
 }

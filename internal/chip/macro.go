@@ -3,7 +3,9 @@ package chip
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"agsim/internal/cpm"
 	"agsim/internal/didt"
 	"agsim/internal/firmware"
 	"agsim/internal/obs"
@@ -248,7 +250,7 @@ func (c *Chip) threadHorizon(h float64, reason obs.Reason, walks bool) (float64,
 // rule, so no frozen tick runs; the one after it holds the two rules
 // together.
 func (c *Chip) MacroStep(h float64) {
-	if h <= 0 {
+	if !(h > 0) {
 		panic(fmt.Sprintf("chip %s: non-positive macro-step %v", c.cfg.Name, h))
 	}
 	if c.sinceTick+h+gridSnapSec >= firmware.TickSeconds {
@@ -315,13 +317,19 @@ func (c *Chip) holdSpan(h float64) (sample didt.Sample, ticked bool) {
 	// each grid point; bindSeries attaches the three together). A tick the
 	// span reaches fires as a frozen tick, which may re-anchor the
 	// operating point for the next segment; a leap never reaches one, since
-	// its horizon stops a micro-step short. When the tick's outcome was
+	// its horizon stops a micro-step short. When the ticks after it are
 	// decided (holdDecidedTicks), the span's remaining full segments run
-	// in one batch. Three inputs hold across segments: the thermal decay of
-	// a full segment (after a tick, seg is exactly TickSeconds), and the
-	// rail's sensed current and the count of violating cores, which move
-	// only when a frozen tick's rail command re-solves the operating point.
+	// in one batch, in Undervolt up to a draw that leaves the hold, which
+	// the tick ending the next segment consumes. Three inputs hold across
+	// segments: the thermal decay of a full segment (after a tick, seg is
+	// exactly TickSeconds), and the rail's sensed current and the count of
+	// violating cores, which move only when a frozen tick's rail command
+	// re-solves the operating point.
 	var tickDecay, senseA float64
+	// drawn is the uniform the batch drew for the tick that ends the next
+	// segment, a draw outside the hold it batched; -1 when that tick
+	// draws its own.
+	drawn := -1.0
 	violating := c.violatingCores()
 	if h >= firmware.TickSeconds {
 		tickDecay = c.thermalDecay(firmware.TickSeconds)
@@ -360,12 +368,17 @@ func (c *Chip) holdSpan(h float64) (sample didt.Sample, ticked bool) {
 				ticked = true
 			}
 			c.sinceTick = 0
-			if c.frozenTick(senseA) {
+			u := drawn
+			if u < 0 && c.frozenDraws() {
+				u = c.frozenRNG.Float64()
+			}
+			drawn = -1
+			if c.frozenTick(senseA, u) {
 				senseA = float64(c.rail.SenseCurrent())
 				violating = c.violatingCores()
 			}
-			if rem >= firmware.TickSeconds && !c.frozenModelRead() {
-				rem = c.holdDecidedTicks(rem, tickDecay, violating)
+			if rem >= firmware.TickSeconds && c.rec == nil && c.ctrl.RepeatsLastTick() {
+				rem, drawn = c.holdDecidedTicks(rem, tickDecay, violating)
 			}
 		}
 	}
@@ -373,26 +386,49 @@ func (c *Chip) holdSpan(h float64) (sample didt.Sample, ticked bool) {
 }
 
 // holdDecidedTicks runs the full 32 ms segments left in a held span after
-// a decided frozen tick, and returns what remains of the span. A frozen
-// tick is decided when no recorder observes it and the mode's command
-// ignores the reading (Static, Overclock, Manual; frozenModelRead is
-// false). It cannot move the rail, so the operating point holds to the
-// span's end, and each later tick would only draw one frozen uniform that
-// nothing reads, count one controller tick with the attribution the first
-// one wrote, and clear the di/dt latch the first one cleared. So the loop
-// keeps only the float sums the per-tick path adds (energy, time, the
-// span's remainder, violations on the 1 ms grid), relaxHeld iterates the
-// temperatures, and the ticks settle in closed form afterwards. The frozen
-// stream moves one draw per tick, as frozenTick's does (none on a fully
-// gated chip or one with a dead sensor), so it stays aligned across modes
-// and recorders.
-func (c *Chip) holdDecidedTicks(rem, decay float64, violating int) float64 {
+// a frozen tick whose successors are decided: no recorder observes them
+// and the controller repeats its last command (RepeatsLastTick). Static,
+// Overclock and Manual commands repeat on every reading; an unclamped
+// Undervolt hold repeats when the tick's uniform draws the calibration
+// target as the minimum read again. A repeated tick cannot move the rail,
+// so the operating point holds, and it only draws one frozen uniform,
+// counts one controller tick with the attribution the first one wrote,
+// and clears the di/dt latch the first one cleared. So the loop keeps only
+// the float sums the per-tick path adds (energy, time, the span's
+// remainder, violations on the 1 ms grid), relaxHeld iterates the
+// temperatures, and the ticks settle in closed form afterwards. A fixed
+// mode repeats on every draw, so its stream skips one draw per tick (none
+// on a fully gated chip or one with a dead sensor, as in frozenTick). An
+// Undervolt batch draws each tick's uniform and stops at the first that
+// leaves the hold interval. It returns what remains of the span and that
+// draw, which the tick ending the next segment, a full one, consumes; the
+// draw is -1 when the batch ran to the span's last full segment.
+func (c *Chip) holdDecidedTicks(rem, decay float64, violating int) (float64, float64) {
+	// frozenTick's scan reads the target exactly when u is below every
+	// tail up to it and not below the next one. An Undervolt hold has a
+	// live stream: a dead sensor or a fully gated chip fails safe.
+	undervolt := c.ctrl.Mode() == firmware.Undervolt
+	lo := c.frozenTail[cpm.CalibTarget+1]
+	hi := slices.Min(c.frozenTail[1 : cpm.CalibTarget+1])
+	drawn := -1.0
 	// The sums run in locals, each in the per-tick path's expression.
 	energy, now, p := c.energyJ, c.timeSec, float64(c.lastChipPower)
 	n := 0
+	// The draw and the violation charge both call out. Behind one
+	// loop-invariant test they leave the sums in registers on the path
+	// that needs neither, a fixed mode's with no violation.
+	slow := undervolt || violating > 0
 	for ; rem >= firmware.TickSeconds; n++ {
-		if violating > 0 {
-			c.chargeViolations(violating, now, now+firmware.TickSeconds)
+		if slow {
+			if undervolt {
+				if u := c.frozenRNG.Float64(); u < lo || u >= hi {
+					drawn = u
+					break
+				}
+			}
+			if violating > 0 {
+				c.chargeViolations(violating, now, now+firmware.TickSeconds)
+			}
 		}
 		energy += p * firmware.TickSeconds
 		now += firmware.TickSeconds
@@ -400,13 +436,14 @@ func (c *Chip) holdDecidedTicks(rem, decay float64, violating int) float64 {
 	}
 	c.energyJ, c.timeSec = energy, now
 	c.relaxHeld(n, decay)
-	if !c.frozenAnyDead && !c.frozenNoSensors {
+	if !undervolt && c.frozenDraws() {
 		c.frozenRNG.Skip(uint64(n))
 	}
 	c.ctrl.CountFixedTicks(n)
+	// With n = 0 these run before the drawn tick, which writes both again.
 	c.lastWindowWorstDidt = 0
 	c.noise.StickyReset()
-	return rem
+	return rem, drawn
 }
 
 // relaxGroup is how many thermal nodes relaxHeld iterates side by side:
@@ -526,7 +563,7 @@ func (c *Chip) TickDue(micro float64) bool {
 // search's values, which only a MacroStep right after a search reads. The
 // exact lane is never quiescent, so it never evaluates the check.
 func (c *Chip) Advance(maxSec float64) float64 {
-	if maxSec <= 0 {
+	if !(maxSec > 0) {
 		panic(fmt.Sprintf("chip %s: non-positive advance %v", c.cfg.Name, maxSec))
 	}
 	micro := c.MicroStepSec()

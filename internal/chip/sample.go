@@ -40,13 +40,19 @@ import (
 // exact lane, while remaining bit-identical across worker counts.
 //
 // Most frozen ticks are decided before they fire: with no recorder
-// attached, a Static, Overclock or Manual tick's command ignores the
-// reading, so it cannot move the rail and nothing observes its window
-// minimum. After a span's first tick, holdSpan runs such ticks in one batch
-// (holdDecidedTicks) that keeps only their float sums and settles the rest
-// in closed form. Each of them still moves the frozen stream by the one
-// uniform a full tick draws (rng.Source.Skip), so a later switch to
-// Undervolt, or an attached recorder, sees the same draws either way.
+// attached, a tick that repeats the controller's last command cannot move
+// the rail, and nothing observes its window minimum. A Static, Overclock
+// or Manual command ignores the reading, so each tick repeats the last.
+// An unclamped Undervolt hold repeats exactly when the next tick's uniform
+// draws the calibration target as the minimum read again, which on a
+// converged chip is nearly every tick: the paper's CPMs "hover around" the
+// target (§4.1). After a span's first tick, holdSpan runs such ticks in
+// one batch (holdDecidedTicks) that keeps only their float sums and
+// settles the rest in closed form. A fixed-mode batch moves the frozen
+// stream by the one uniform each full tick draws (rng.Source.Skip). An
+// Undervolt batch draws each tick's uniform, and the first draw off the
+// target goes to a full tick. So a later mode switch, or an attached
+// recorder, sees the same draws either way.
 
 // SampleHint returns how far a fast-forward may run from now without
 // crossing a deterministic change of operating point, capped at maxSec:
@@ -69,7 +75,7 @@ func (c *Chip) SampleHint(maxSec float64) float64 {
 // that is the sampled lane's stated fidelity trade. The caller must have
 // bounded h by SampleHint.
 func (c *Chip) FastForward(h float64) {
-	if h <= 0 {
+	if !(h > 0) {
 		panic(fmt.Sprintf("chip %s: non-positive fast-forward %v", c.cfg.Name, h))
 	}
 
@@ -122,12 +128,13 @@ func (c *Chip) FastForward(h float64) {
 // moves the voltage loop makes between windows, and a read-model rebuild
 // — and frozenTick reports it, so the caller re-reads the sensed current
 // senseA it passes in. The next detailed window re-proves the point at
-// micro rate (FastForward ends in markDirty). In Static, Overclock and
-// Manual mode with no recorder the tick's outcome is decided (the command
-// ignores the reading), so only a span's first such tick runs here;
-// holdDecidedTicks settles the rest, moving the frozen stream the one draw
-// per tick this path makes.
-func (c *Chip) frozenTick(senseA float64) (moved bool) {
+// micro rate (FastForward ends in markDirty). The caller draws the tick's
+// uniform u, unless the chip draws nothing (frozenDraws). With no recorder, the ticks after one whose
+// command the controller repeats (any Static, Overclock or Manual tick, an
+// unclamped Undervolt hold) are decided, and holdDecidedTicks settles
+// them; in Undervolt it stops at the first draw off the calibration
+// target and hands that draw to this path.
+func (c *Chip) frozenTick(senseA, u float64) (moved bool) {
 	reading := firmware.MarginReading{
 		MinCPM:       cpm.MaxValue,
 		MinStickyCPM: cpm.MaxValue,
@@ -167,9 +174,6 @@ func (c *Chip) frozenTick(senseA float64) (moved bool) {
 		reading.MinCPM = 0
 		reading.MinStickyCPM = 0
 	default:
-		// The draw happens whether or not anything reads the model, so the
-		// frozen stream stays aligned across modes and recorders.
-		u := c.frozenRNG.Float64()
 		if !c.frozenModelRead() {
 			break
 		}
@@ -276,6 +280,12 @@ func (c *Chip) clearFrozenModel() {
 func (c *Chip) frozenModelRead() bool {
 	return c.rec != nil || c.ctrl.Mode() == firmware.Undervolt
 }
+
+// frozenDraws reports whether frozen ticks draw from the frozen stream:
+// one uniform each, whether or not anything reads the model, so the
+// stream stays aligned across modes and recorders. A chip with a dead
+// sensor or every core gated draws nothing: its controller fail-safes.
+func (c *Chip) frozenDraws() bool { return !c.frozenAnyDead && !c.frozenNoSensors }
 
 // buildFrozenTails fills every sensor's margin and sensitivity, then the
 // per-sensor tails and their chip-wide product position by position, in

@@ -20,7 +20,7 @@ const DefaultStepSec = 0.001
 // computation (successive relaxation); the loop settles within a few steps,
 // far faster than the 32 ms firmware cadence that matters for results.
 func (c *Chip) Step(dtSec float64) {
-	if dtSec <= 0 {
+	if !(dtSec > 0) {
 		panic(fmt.Sprintf("chip %s: non-positive step %v", c.cfg.Name, dtSec))
 	}
 

@@ -119,7 +119,7 @@ func (m *Model) Reset(p Params, r *rng.Source) {
 // crossing it in one macro-step consumes the same draws and produces the
 // same events.
 func (m *Model) Step(dtSec float64, active []Profile) Sample {
-	if dtSec <= 0 {
+	if !(dtSec > 0) {
 		panic(fmt.Sprintf("didt: non-positive step %v", dtSec))
 	}
 	const floorMV = 1.5 // clock grid and background ripple

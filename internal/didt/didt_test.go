@@ -118,14 +118,23 @@ func TestDroopDepthBounded(t *testing.T) {
 	}
 }
 
+// TestStepPanicsOnBadDt: a step that is not positive, NaN included, is
+// refused before the model's clock moves.
 func TestStepPanicsOnBadDt(t *testing.T) {
 	m := newModel()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	for _, dt := range []float64{0, -0.001, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Step(%v) did not panic", dt)
+				}
+			}()
+			m.Step(dt, nil)
+		}()
+		if m.TimeToWobbleRefresh() != 0 {
+			t.Fatalf("Step(%v) moved the clock: next wobble refresh in %v s", dt, m.TimeToWobbleRefresh())
 		}
-	}()
-	m.Step(0, nil)
+	}
 }
 
 func TestNewPanicsOnNilRNG(t *testing.T) {

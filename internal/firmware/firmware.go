@@ -143,18 +143,33 @@ func (c *Controller) SetMode(m Mode) { c.mode = m }
 // Ticks returns how many voltage-loop decisions have been made.
 func (c *Controller) Ticks() int { return c.ticks }
 
-// CountFixedTicks counts n more ticks of a mode whose command ignores the
-// reading (Static, Overclock, Manual), each at the set point the last
-// VoltageCommand saw. Such a tick returns the same command and writes the
-// same attribution record as that call did, so only the tick count moves.
-// A fast-forward settles a run of those ticks with one call. Undervolt
-// ticks depend on their reading and must each run VoltageCommand.
+// CountFixedTicks counts n more ticks that repeat the last VoltageCommand
+// at the set point it saw: each returns the same command and writes the
+// same attribution record, so only the tick count moves. A fast-forward
+// settles a run of such ticks with one call. It panics unless
+// RepeatsLastTick holds.
 func (c *Controller) CountFixedTicks(n int) {
-	if c.mode == Undervolt || n < 0 {
-		panic(fmt.Sprintf("firmware: %d fixed ticks counted in %v mode", n, c.mode))
+	if n < 0 || !c.RepeatsLastTick() {
+		panic(fmt.Sprintf("firmware: %d fixed ticks counted in %v mode after a %v/%v tick",
+			n, c.mode, c.attrib.Decision, c.attrib.Bound))
 	}
 	c.ticks += n
 }
+
+// RepeatsLastTick reports whether the next ticks repeat the last command
+// for CountFixedTicks. In Static, Overclock and Manual mode the command
+// ignores the reading, so every tick repeats. In Undervolt only an
+// unclamped hold repeats, and only for a reading that holds again: the
+// worst CPM on the calibration target and no sticky read below it, at the
+// same sensed current. A fresh controller has made no hold, though its
+// zero record reads hold and no bound.
+func (c *Controller) RepeatsLastTick() bool {
+	return c.mode != Undervolt || c.attrib == unclampedHold
+}
+
+// unclampedHold is the record an Undervolt hold writes when no clamp
+// engages: the worst CPM on the calibration target and no step.
+var unclampedHold = Attribution{Decision: DecisionHold, Bound: BoundNone, WorstCPM: cpm.CalibTarget}
 
 // MarginReading is the summary of chip margin state the controller consumes
 // each tick.

@@ -232,35 +232,85 @@ func TestVoltageCommandPanicsOnBadSensitivity(t *testing.T) {
 	c.VoltageCommand(1200, MarginReading{MinCPM: 5, MinStickyCPM: 5, MVPerBit: 0})
 }
 
-// TestCountFixedTicksMatchesCommands: in each fixed mode, one
-// VoltageCommand and CountFixedTicks(n-1) leave the controller as n
-// commands at that set point do, whatever the readings; Undervolt refuses.
+// TestCountFixedTicksMatchesCommands: where the controller repeats its
+// last command, one VoltageCommand and CountFixedTicks(n-1) leave it as n
+// commands at that set point do. In each fixed mode that holds whatever
+// the readings; in Undervolt, for unclamped holds: readings whose worst CPM
+// sits on the calibration target with no sticky read below it, at any
+// sensitivity and at sensed currents whose floor stays below the set
+// point. Undervolt refuses to count after anything else: a fresh
+// controller (its zero record reads hold and no bound), a boost, a
+// throttle, a hold clamped to the floor or the ceiling, and a fail-safe.
 func TestCountFixedTicksMatchesCommands(t *testing.T) {
 	law := vf.Default()
-	for _, m := range []Mode{Static, Overclock, Manual} {
+	hold := func(i int) MarginReading {
+		return MarginReading{MinCPM: cpm.CalibTarget, MinStickyCPM: cpm.CalibTarget + i%3,
+			MVPerBit: 12 + float64(i), CurrentA: 40 + float64(i)}
+	}
+	for _, m := range []Mode{Static, Overclock, Manual, Undervolt} {
 		for _, set := range []units.Millivolt{law.VNom, law.VNom - 37} {
 			ticked, counted := NewController(law), NewController(law)
 			ticked.SetMode(m)
 			counted.SetMode(m)
 			const n = 9
 			for i := 0; i < n; i++ {
-				ticked.VoltageCommand(set, reading(i, i-1))
+				r := reading(i, i-1)
+				if m == Undervolt {
+					r = hold(i)
+				}
+				ticked.VoltageCommand(set, r)
 			}
-			counted.VoltageCommand(set, reading(3, 3))
+			if m == Undervolt {
+				counted.VoltageCommand(set, hold(4))
+			} else {
+				counted.VoltageCommand(set, reading(3, 3))
+			}
+			if !counted.RepeatsLastTick() {
+				t.Errorf("%v at %v mV: RepeatsLastTick false after %+v", m, set, counted.LastAttribution())
+			}
 			counted.CountFixedTicks(n - 1)
 			if *ticked != *counted {
 				t.Errorf("%v at %v mV: %d commands leave %+v, one and CountFixedTicks %+v", m, set, n, *ticked, *counted)
 			}
 		}
 	}
-	c := NewController(law)
-	c.SetMode(Undervolt)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CountFixedTicks in Undervolt mode did not panic")
+
+	at := func(set units.Millivolt, r MarginReading) func(c *Controller) {
+		return func(c *Controller) { c.VoltageCommand(set, r) }
+	}
+	target := MarginReading{MinCPM: cpm.CalibTarget, MinStickyCPM: cpm.CalibTarget, MVPerBit: 21, CurrentA: 60}
+	dead := target
+	dead.AnyDead = true
+	for _, tc := range []struct {
+		name string
+		last func(c *Controller)
+		want Attribution
+	}{
+		{"fresh", func(*Controller) {}, Attribution{}},
+		{"boost", at(law.VNom-37, MarginReading{MinCPM: 3, MinStickyCPM: 3, MVPerBit: 12, CurrentA: 60}), Attribution{Decision: DecisionBoost}},
+		{"throttle", at(law.VNom-37, reading(2, 1)), Attribution{Decision: DecisionThrottle}},
+		{"floor hold", at(law.VNom-120, target), Attribution{Decision: DecisionHold, Bound: BoundFloor}},
+		{"ceiling hold", at(law.VNom+10, target), Attribution{Decision: DecisionHold, Bound: BoundCeil}},
+		{"fail-safe", at(law.VNom-37, dead), Attribution{Decision: DecisionFailSafe, Bound: BoundDeadCPM}},
+	} {
+		c := NewController(law)
+		c.SetMode(Undervolt)
+		tc.last(c)
+		if a := c.LastAttribution(); a.Decision != tc.want.Decision || a.Bound != tc.want.Bound {
+			t.Fatalf("%s: last tick %v/%v, want %v/%v", tc.name, a.Decision, a.Bound, tc.want.Decision, tc.want.Bound)
 		}
-	}()
-	c.CountFixedTicks(1)
+		if c.RepeatsLastTick() {
+			t.Errorf("%s: RepeatsLastTick true in Undervolt", tc.name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: CountFixedTicks in Undervolt mode did not panic", tc.name)
+				}
+			}()
+			c.CountFixedTicks(1)
+		}()
+	}
 }
 
 var sinkMV units.Millivolt

@@ -167,7 +167,7 @@ func (f *Fleet) advanceShard(si int) {
 // worker pool and never synchronize inside the span; the only barrier is
 // the return from this call, with every node parked at the same horizon.
 func (f *Fleet) Advance(dtSec float64) {
-	if dtSec <= 0 {
+	if !(dtSec > 0) {
 		panic(fmt.Sprintf("fleet: non-positive horizon %v", dtSec))
 	}
 	f.dt = dtSec

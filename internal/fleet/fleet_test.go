@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"agsim/internal/server"
@@ -116,4 +117,26 @@ func TestFleetTotalsMatchNodeFold(t *testing.T) {
 			f.TotalPower(), f.TotalMIPS(), f.TotalEnergyJ(), power, mips, energy)
 	}
 	f.Close()
+}
+
+// TestAdvancePanicsOnBadHorizon: a horizon that is not positive, NaN
+// included, is refused before any node moves.
+func TestAdvancePanicsOnBadHorizon(t *testing.T) {
+	f := testFleet(t, 2, 1, 1)
+	defer f.Close()
+	for _, dt := range []float64{0, -0.3, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Advance(%v) did not panic", dt)
+				}
+			}()
+			f.Advance(dt)
+		}()
+		for i := 0; i < f.Nodes(); i++ {
+			if tm := f.Node(i).Time(); tm != 0 {
+				t.Fatalf("Advance(%v) moved node %d to %v s", dt, i, tm)
+			}
+		}
+	}
 }
